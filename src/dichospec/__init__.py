@@ -11,7 +11,7 @@ containments the theory predicts.
 from .bohl import (BohlEstimate, BohlParams, GeneralExponents, bohl_exponents,
                    general_exponents, scalar_bohl, scalar_bohl_estimate)
 from .bundles import (ProjectorFamily, SpectralBundleFiber, WhitneyReport,
-                      bundle_fibers, projector_at, projector_family,
+                      bundle_fibers, projector_family,
                       restricted_fiber_system, whitney_sum_check)
 from .containment import (ContainmentReport, SampleRow,
                           verify_endpoint_attainability,
@@ -38,7 +38,7 @@ __all__ = [
     "BohlEstimate", "BohlParams", "GeneralExponents", "bohl_exponents",
     "general_exponents", "scalar_bohl", "scalar_bohl_estimate",
     "ProjectorFamily", "SpectralBundleFiber", "WhitneyReport", "bundle_fibers",
-    "projector_at", "projector_family", "restricted_fiber_system",
+    "projector_family", "restricted_fiber_system",
     "whitney_sum_check",
     "ContainmentReport", "SampleRow", "verify_endpoint_attainability",
     "verify_fiber_containment", "verify_global_containment",

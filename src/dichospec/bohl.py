@@ -19,15 +19,13 @@ behavior of systems whose growth differs on the two half-lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .linalg import batched_spectral_norm
 from .sequences import MatrixSequence, ScalarSequence
-from .transition import WindowProducts, orbit_lognorms
+from .transition import WindowProducts, _write_text, orbit_lognorms
 
 DEFAULT_WINDOW = 2048
 DEFAULT_GAP_MIN = 16
@@ -76,14 +74,25 @@ class BohlParams:
 
 
 def _envelopes(lognorms: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gap (min, max) of exp((L[m+g] - L[m]) / g) over all offsets m."""
-    lo = np.empty(len(gaps))
-    hi = np.empty(len(gaps))
+    """Per-gap (min, max) of exp((L[m+g] - L[m]) / g) over all offsets m,
+    for one orbit (len,) or one orbit per column (len, S)."""
+    lo = np.empty((len(gaps),) + lognorms.shape[1:])
+    hi = np.empty_like(lo)
     for i, g in enumerate(gaps):
-        diffs = (lognorms[g:] - lognorms[:-g]) / g
-        lo[i] = diffs.min()
-        hi[i] = diffs.max()
+        diffs = lognorms[g:] - lognorms[:-g]
+        # division by g > 0 is monotone, so it commutes with min and max
+        lo[i] = diffs.min(axis=0) / g
+        hi[i] = diffs.max(axis=0) / g
     return np.exp(lo), np.exp(hi)
+
+
+def _tail_rates(lognorms: np.ndarray, params: BohlParams):
+    """(lower, upper, spread) of :class:`BohlEstimate` per column; only
+    the aggregation tail of the gaps enters them, so only it is built."""
+    gaps = params.gaps()
+    min_rates, max_rates = _envelopes(lognorms, gaps[-params.tail_count(len(gaps)):])
+    spread = np.maximum(np.ptp(max_rates, axis=0), np.ptp(min_rates, axis=0))
+    return min_rates.min(axis=0), max_rates.max(axis=0), spread
 
 
 @dataclass(frozen=True)
@@ -129,12 +138,7 @@ class BohlEstimate:
         rows = ["g,min_rate,max_rate"]
         for g, lo, hi in zip(self.gaps, self.min_rates, self.max_rates):
             rows.append(f"{int(g)},{lo:.17g},{hi:.17g}")
-        text = "\n".join(rows) + "\n"
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            with open(path_or_file, "w") as fh:
-                fh.write(text)
-        else:
-            path_or_file.write(text)
+        _write_text(path_or_file, "\n".join(rows) + "\n")
 
 
 def _aggregate(gaps: np.ndarray, min_rates: np.ndarray, max_rates: np.ndarray,
@@ -165,6 +169,33 @@ def bohl_exponents(seq: MatrixSequence, xi: np.ndarray,
     return _aggregate(gaps, min_rates, max_rates, params)
 
 
+def _bohl_block(seq: MatrixSequence, xis: np.ndarray, params: BohlParams):
+    """(lower, upper, spread) of :func:`bohl_exponents` for each column of
+    a (d, S) block, from one orbit sweep and the tail envelopes only."""
+    nrm = np.linalg.norm(xis, axis=0)
+    if np.any(nrm == 0.0):
+        raise ParameterError("Bohl exponents are undefined for the zero solution")
+    orbit = orbit_lognorms(seq, xis / nrm, params.orbit_span())
+    return _tail_rates(orbit.lognorms, params)
+
+
+def _scalar_lognorms(u: ScalarSequence, params: BohlParams) -> np.ndarray:
+    """Running sums of log|u| over the orbit span, starting at 0."""
+    lo, hi = params.orbit_span()
+    vals = u.window(lo, hi - 1)
+    if np.any(vals == 0.0):
+        n = lo + int(np.argmax(vals == 0.0))
+        raise ValidationError(f"u({n}) = 0 violates the nonvanishing assumption")
+    return np.concatenate([[0.0], np.cumsum(np.log(np.abs(vals)))])
+
+
+def _scalar_tail(u: ScalarSequence, params: BohlParams | None = None) -> tuple[float, float, float]:
+    """(lower, upper, spread) of :func:`scalar_bohl_estimate`, tail gaps only."""
+    params = params or BohlParams()
+    lower, upper, spread = _tail_rates(_scalar_lognorms(u, params), params)
+    return float(lower), float(upper), float(spread)
+
+
 def scalar_bohl(u: ScalarSequence, params: BohlParams | None = None) -> tuple[float, float]:
     """(lower, upper) Bohl exponents of a scalar sequence.
 
@@ -172,21 +203,14 @@ def scalar_bohl(u: ScalarSequence, params: BohlParams | None = None) -> tuple[fl
     initial condition is involved.  Offsets follow ``params.two_sided``
     exactly as in :func:`bohl_exponents`.
     """
-    est = scalar_bohl_estimate(u, params)
-    return est.lower, est.upper
+    return _scalar_tail(u, params)[:2]
 
 
 def scalar_bohl_estimate(u: ScalarSequence, params: BohlParams | None = None) -> BohlEstimate:
     """Full envelope form of :func:`scalar_bohl`."""
     params = params or BohlParams()
-    lo, hi = params.orbit_span()
-    vals = u.window(lo, hi - 1)
-    if np.any(vals == 0.0):
-        n = lo + int(np.argmax(vals == 0.0))
-        raise ValidationError(f"u({n}) = 0 violates the nonvanishing assumption")
-    lognorms = np.concatenate([[0.0], np.cumsum(np.log(np.abs(vals)))])
     gaps = params.gaps()
-    min_rates, max_rates = _envelopes(lognorms, gaps)
+    min_rates, max_rates = _envelopes(_scalar_lognorms(u, params), gaps)
     return _aggregate(gaps, min_rates, max_rates, params)
 
 

@@ -140,11 +140,6 @@ def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> Projecto
     return ProjectorFamily(seq=seq, gamma=verdict.gamma, rank=verdict.rank, base=base)
 
 
-def projector_at(family: ProjectorFamily, n: int) -> np.ndarray:
-    """Functional alias for :meth:`ProjectorFamily.at`."""
-    return family.at(n)
-
-
 @dataclass(frozen=True)
 class SpectralBundleFiber:
     """Time-zero fiber attached to the ``index``-th spectral interval."""

@@ -58,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--escalate", action="store_true", default=None)
     common.add_argument("--out", default=None, help="artifact directory")
     common.add_argument("--format", choices=("json", "csv", "table"), default=None)
-    common.add_argument("--jobs", type=int, default=None, help="worker cap")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", parents=[common],
@@ -286,10 +285,8 @@ def _cmd_verify(scn: Scenario, out_dir: Path, fmt: str) -> int:
                   system_id=scn.name)
     reports = [
         verify_fiber_containment(scn.system, est,
-                                 samples_per_fiber=a["samples_per_fiber"],
-                                 jobs=a["jobs"], **common),
-        verify_global_containment(scn.system, est, samples=a["samples"],
-                                  jobs=a["jobs"], **common),
+                                 samples_per_fiber=a["samples_per_fiber"], **common),
+        verify_global_containment(scn.system, est, samples=a["samples"], **common),
         verify_endpoint_attainability(scn.system, est, tolerance=a["tolerance"],
                                       system_id=scn.name),
     ]
@@ -329,7 +326,6 @@ def main(argv: list[str] | None = None) -> int:
             "escalate": args.escalate,
             "out": args.out,
             "format": args.format,
-            "jobs": args.jobs,
         }
         if args.window is not None:
             if args.command == "bohl":

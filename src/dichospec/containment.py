@@ -9,6 +9,14 @@ Three checks, each producing a :class:`ContainmentReport`:
 * endpoint attainability: for systems with trustworthy diagonal data,
   every interval endpoint is witnessed by a coordinate Bohl exponent.
 
+Samples are estimated in groups (one per fiber, or the global set): a
+group's vectors are the columns of one d x S block carried through a
+single orbit sweep, and only the aggregation tail of the gaps is
+enveloped, since a row reads only the lower and upper exponents and the
+tail spread.  Columns equal per-vector :func:`dichospec.bohl.bohl_exponents`
+up to rounding.  Escalation re-runs a group's failing columns as a
+second block at four times the window.
+
 All sampling is driven by an explicit seed, so reports are reproducible
 bit for bit.  Tolerances combine the spectrum refinement tolerance with
 the finite-window spread of each Bohl estimate.
@@ -16,12 +24,11 @@ the finite-window spread of each Bohl estimate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bohl import BohlParams, bohl_exponents, scalar_bohl_estimate
+from .bohl import BohlParams, _bohl_block, _scalar_tail, bohl_exponents  # noqa: F401 (re-export)
 from .bundles import SpectralBundleFiber, bundle_fibers, restricted_fiber_system
 from .dichotomy import SpectrumEstimate
 from .errors import ParameterError
@@ -101,52 +108,43 @@ def _default_id(seq: MatrixSequence) -> str:
     return "-".join(parts)
 
 
-def _sample_row(seq: MatrixSequence, label: str, fiber_index: int | None,
-                orbit_vec: np.ndarray, report_xi: np.ndarray,
+def _group_rows(seq: MatrixSequence, label: str, fiber_index: int | None,
+                orbit_vecs: np.ndarray, report_xis: np.ndarray,
                 target: tuple[float, float], base_tol: float,
                 params: BohlParams, escalate: bool,
-                wide_system=None) -> SampleRow:
-    est = bohl_exponents(seq, orbit_vec, params)
-    escalated = False
-    tol = base_tol + est.spread
-    margin = min(est.lower - target[0] + tol, target[1] + tol - est.upper)
-    if margin < 0.0 and escalate:
-        wide = replace(params, window=4 * params.window)
-        wide_seq = seq if wide_system is None else wide_system()
-        est = bohl_exponents(wide_seq, orbit_vec, wide)
-        tol = base_tol + est.spread
-        margin = min(est.lower - target[0] + tol, target[1] + tol - est.upper)
-        escalated = True
-    return SampleRow(label=label, fiber_index=fiber_index, xi=tuple(report_xi),
-                     lower=est.lower, upper=est.upper, target=target,
-                     tolerance=tol, margin=margin, passed=margin >= 0.0,
-                     escalated=escalated)
+                wide_system=None) -> list[SampleRow]:
+    """Rows ``<label> 1``, ``<label> 2``, ... for the rows of ``orbit_vecs``.
 
-
-def _evaluate_rows(tasks: list[tuple], jobs: int) -> list[SampleRow]:
-    """Run `_sample_row` over prepared argument tuples, order preserved.
-
-    The sample vectors are all drawn before evaluation starts, so the
-    worker count never touches the results, only the wall clock.
+    The group's orbits run as one block.  With ``escalate`` the failing
+    samples are re-run as a second block at four times the window, on
+    ``wide_system()`` when given and on ``seq`` otherwise.
     """
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: _sample_row(*t), tasks))
-    return [_sample_row(*t) for t in tasks]
+    lower, upper, spread = _bohl_block(seq, orbit_vecs.T, params)
+    tol = base_tol + spread
+    margin = np.minimum(lower - target[0] + tol, target[1] + tol - upper)
+    escalated = (margin < 0.0) & escalate
+    if escalated.any():
+        wide_seq = seq if wide_system is None else wide_system()
+        lower[escalated], upper[escalated], spread[escalated] = _bohl_block(
+            wide_seq, orbit_vecs[escalated].T, replace(params, window=4 * params.window))
+        tol = base_tol + spread
+        margin = np.minimum(lower - target[0] + tol, target[1] + tol - upper)
+    return [SampleRow(label=f"{label} {s}", fiber_index=fiber_index, xi=tuple(xi),
+                      lower=lo, upper=hi, target=target, tolerance=t,
+                      margin=m, passed=m >= 0.0, escalated=e)
+            for s, (xi, lo, hi, t, m, e) in enumerate(zip(
+                report_xis, lower.tolist(), upper.tolist(), tol.tolist(),
+                margin.tolist(), escalated.tolist()), start=1)]
 
 
-def _wide_restriction(seq: MatrixSequence, spectrum: SpectrumEstimate,
-                      index: int, window: int):
-    """Lazy, memoized 4x-window rebuild of a restricted fiber system."""
-    cache: dict = {}
-
-    def build() -> MatrixSequence:
-        if "sys" not in cache:
-            cache["sys"] = restricted_fiber_system(seq, spectrum, index,
-                                                   window=window)[1]
-        return cache["sys"]
-
-    return build
+def _report(seq: MatrixSequence, check: str, rows: list[SampleRow],
+            base_tol: float, system_id: str | None) -> ContainmentReport:
+    escalations = sum(r.escalated for r in rows)
+    notes = (f"{escalations} sample(s) re-run at 4x window",) if escalations else ()
+    status = "pass" if all(r.passed for r in rows) else "fail"
+    return ContainmentReport(system_id=system_id or _default_id(seq), check=check,
+                             rows=tuple(rows), base_tolerance=base_tol,
+                             status=status, notes=notes)
 
 
 def _unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -168,7 +166,6 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                              seed: int = 0,
                              params: BohlParams | None = None,
                              escalate: bool = False,
-                             jobs: int = 1,
                              system_id: str | None = None) -> ContainmentReport:
     """Check that vectors inside each fiber keep their Bohl interval
     inside the matching spectral interval.
@@ -191,38 +188,27 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     params = params or BohlParams()
     base_tol = tolerance if tolerance is not None else TOLERANCE_FACTOR * spectrum.refine_tol
     rng = np.random.default_rng(seed)
-    tasks: list[tuple] = []
-    notes: list[str] = []
-    direct = seq.kind == "diagonal"
+    rows: list[SampleRow] = []
     for fiber in fibers:
         interval = spectrum.intervals[fiber.index - 1]
-        target = (interval.a, interval.b)
         coeffs = _unit_samples(rng, samples_per_fiber, fiber.dimension)
-        if direct:
+        if seq.kind == "diagonal":
             # coordinate axes are exactly invariant, so the raw system
             # tracks any fiber without leaking onto faster ones
-            basis, orbit_system, wide = fiber.basis, seq, None
+            basis, orbit_system = fiber.basis, seq
         else:
             basis, orbit_system = restricted_fiber_system(
                 seq, spectrum, fiber.index, window=params.window)
-            wide = (None if orbit_system is seq else
-                    _wide_restriction(seq, spectrum, fiber.index, 4 * params.window))
-        for s in range(samples_per_fiber):
-            c = coeffs[s]
-            xi = basis @ c
-            orbit_vec = xi if orbit_system is seq else c
-            tasks.append((orbit_system, f"fiber {fiber.index} sample {s + 1}",
-                          fiber.index, orbit_vec, xi, target, base_tol, params,
-                          escalate, wide))
-    rows = _evaluate_rows(tasks, jobs)
-    escalations = sum(r.escalated for r in rows)
-    if escalations:
-        notes.append(f"{escalations} sample(s) re-run at 4x window")
-    status = "pass" if all(r.passed for r in rows) else "fail"
-    return ContainmentReport(system_id=system_id or _default_id(seq),
-                             check="fiber-containment", rows=tuple(rows),
-                             base_tolerance=base_tol, status=status,
-                             notes=tuple(notes))
+        xis = np.array([basis @ c for c in coeffs])
+        orbit_vecs, wide = xis, None
+        if orbit_system is not seq:
+            orbit_vecs = coeffs
+            wide = lambda: restricted_fiber_system(  # noqa: E731
+                seq, spectrum, fiber.index, window=4 * params.window)[1]
+        rows += _group_rows(orbit_system, f"fiber {fiber.index} sample", fiber.index,
+                            orbit_vecs, xis, (interval.a, interval.b), base_tol,
+                            params, escalate, wide)
+    return _report(seq, "fiber-containment", rows, base_tol, system_id)
 
 
 def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
@@ -231,7 +217,6 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                               seed: int = 0,
                               params: BohlParams | None = None,
                               escalate: bool = False,
-                              jobs: int = 1,
                               system_id: str | None = None) -> ContainmentReport:
     """Check that arbitrary unit vectors keep their Bohl interval inside
     the hull of the spectrum (first lower endpoint to last upper one)."""
@@ -239,21 +224,10 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
         raise ParameterError("samples must be at least 1")
     params = params or BohlParams()
     base_tol = tolerance if tolerance is not None else TOLERANCE_FACTOR * spectrum.refine_tol
-    target = spectrum.hull
-    rng = np.random.default_rng(seed)
-    vectors = _unit_samples(rng, samples, seq.dimension)
-    rows = _evaluate_rows([(seq, f"global sample {s + 1}", None, vectors[s],
-                            vectors[s], target, base_tol, params, escalate)
-                           for s in range(samples)], jobs)
-    notes: list[str] = []
-    escalations = sum(r.escalated for r in rows)
-    if escalations:
-        notes.append(f"{escalations} sample(s) re-run at 4x window")
-    status = "pass" if all(r.passed for r in rows) else "fail"
-    return ContainmentReport(system_id=system_id or _default_id(seq),
-                             check="global-containment", rows=tuple(rows),
-                             base_tolerance=base_tol, status=status,
-                             notes=tuple(notes))
+    vectors = _unit_samples(np.random.default_rng(seed), samples, seq.dimension)
+    rows = _group_rows(seq, "global sample", None, vectors, vectors, spectrum.hull,
+                       base_tol, params, escalate)
+    return _report(seq, "global-containment", rows, base_tol, system_id)
 
 
 def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimate,
@@ -293,15 +267,15 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
             notes=(f"kind {seq.kind!r} exposes no coordinate Bohl data; "
                    "triangularize first and confirm diagonal significance",))
     scalar_params = scalar_params or replace(BohlParams(), two_sided=True)
-    estimates = [scalar_bohl_estimate(u, scalar_params) for u in coords]
+    estimates = [_scalar_tail(u, scalar_params) for u in coords]
     d = seq.dimension
     rows: list[SampleRow] = []
     for j, interval in enumerate(spectrum.intervals, start=1):
         for side, endpoint in (("lower", interval.a), ("upper", interval.b)):
             best = None
-            for i, est in enumerate(estimates):
-                value = est.lower if side == "lower" else est.upper
-                tol = base_tol + est.spread
+            for i, (lower, upper, spread) in enumerate(estimates):
+                value = lower if side == "lower" else upper
+                tol = base_tol + spread
                 margin = tol - abs(value - endpoint)
                 if best is None or margin > best[3]:
                     best = (i, value, tol, margin)

@@ -40,12 +40,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .bohl import BohlParams, scalar_bohl_estimate
+from .bohl import BohlParams, _scalar_tail
 from .errors import (DecayFitError, ParameterError, SpectrumConsistencyError,
                      ValidationError)
 from .linalg import min_principal_angle, qr_positive
 from .sequences import MatrixSequence, ScalarSequence
-from .transition import WindowProducts, transition
+from .transition import WindowProducts, _write_text, transition
 
 # Fractions of the full factor span used for slope fitting.  The resulting
 # gaps are snapped to a common multiple of small periods so that periodic
@@ -548,12 +548,7 @@ class SpectrumEstimate:
             rho = "" if v.rho is None else format(v.rho, ".17g")
             k = "" if v.K is None else format(v.K, ".17g")
             rows.append(f"{v.gamma:.17g},{v.outcome},{rank},{rho},{k}")
-        text = "\n".join(rows) + "\n"
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            with open(path_or_file, "w") as fh:
-                fh.write(text)
-        else:
-            path_or_file.write(text)
+        _write_text(path_or_file, "\n".join(rows) + "\n")
 
 
 def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
@@ -778,6 +773,5 @@ def scalar_spectrum(u: ScalarSequence, params: BohlParams | None = None) -> Spec
     Equals the closed interval between the whole-line lower and upper Bohl
     exponents, so offsets are forced two-sided regardless of ``params``.
     """
-    params = replace(params or BohlParams(), two_sided=True)
-    est = scalar_bohl_estimate(u, params)
-    return SpectralInterval(est.lower, est.upper)
+    lower, upper, _ = _scalar_tail(u, replace(params or BohlParams(), two_sided=True))
+    return SpectralInterval(lower, upper)

@@ -39,7 +39,6 @@ _ANALYSIS_DEFAULTS: dict[str, Any] = {
     "tolerance": None,
     "seed": 0,
     "escalate": False,
-    "jobs": 1,
 }
 
 _OUTPUT_DEFAULTS: dict[str, Any] = {
@@ -162,9 +161,12 @@ class Scenario:
             system = MatrixSequence.from_payload(payload["system"])
         except DichospecError as exc:
             raise ScenarioError(f"bad system section: {exc}") from exc
+        analysis = dict(payload.get("analysis") or {})
+        # "jobs", a worker count from before containment samples ran as
+        # one batch per group, still loads from older files and is dropped
+        analysis.pop("jobs", None)
         return cls(name=payload.get("name") or name or "scenario",
-                   system=system,
-                   analysis=dict(payload.get("analysis") or {}),
+                   system=system, analysis=analysis,
                    output=dict(payload.get("output") or {}))
 
     def dumps(self) -> str:
@@ -183,7 +185,7 @@ def _normalize(section: dict[str, Any], defaults: dict[str, Any],
         raise ScenarioError(f"unknown {label} fields {sorted(unknown)}")
     merged = {**defaults, **section}
     for key in ("window", "burn_in", "grid_points", "bohl_window", "gap_min",
-                "samples", "samples_per_fiber", "seed", "jobs"):
+                "samples", "samples_per_fiber", "seed"):
         if key in merged and not isinstance(merged[key], bool) and merged[key] is not None:
             merged[key] = int(merged[key])
     return merged

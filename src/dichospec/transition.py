@@ -16,10 +16,9 @@ built by a doubling scheme on normalized factors (:class:`WindowProducts`).
 """
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -128,18 +127,29 @@ def transition(seq: MatrixSequence, m: int, n: int, *,
     return acc
 
 
+def _write_text(path_or_file, text: str) -> None:
+    """Write text to a path (str, bytes or path-like) or a writable stream."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, "w") as fh:
+            fh.write(text)
+    else:
+        path_or_file.write(text)
+
+
 @dataclass(frozen=True)
 class OrbitLog:
-    """Renormalized orbit of one initial vector.
+    """Renormalized orbits of one initial vector or of a block of them.
 
-    ``lognorms[k]`` is log ||X(start + k, 0) xi|| and ``directions[k]`` the
-    corresponding unit vector, for k = 0 .. len-1.
+    For a vector xi, ``lognorms[k]`` is log ||X(start + k, 0) xi|| and
+    ``directions[k]`` the corresponding unit vector, for k = 0 .. len-1.
+    For a (d, S) block, ``lognorms`` has shape (len, S), one column per
+    initial vector, and ``directions`` is None.
     """
 
     xi: np.ndarray
     start: int
     lognorms: np.ndarray
-    directions: np.ndarray
+    directions: np.ndarray | None
 
     @property
     def span(self) -> tuple[int, int]:
@@ -151,14 +161,15 @@ class OrbitLog:
             raise ParameterError(f"n={n} outside orbit span [{lo}, {hi}]")
         return n - self.start
 
-    def lognorm_at(self, n: int) -> float:
-        return float(self.lognorms[self.index_of(n)])
+    def lognorm_at(self, n: int):
+        """log-norm at time n: a float for a vector orbit, a row for a block."""
+        return self.lognorms[self.index_of(n)]
 
     def direction_at(self, n: int) -> np.ndarray:
         return self.directions[self.index_of(n)]
 
     def to_csv(self, path_or_file) -> None:
-        """Write rows  n, lognorm, u_0, ..., u_{d-1}."""
+        """Write rows  n, lognorm, u_0, ..., u_{d-1} (vector orbits only)."""
         d = self.directions.shape[1]
         header = "n,lognorm," + ",".join(f"u_{i}" for i in range(d))
         rows = [header]
@@ -166,12 +177,23 @@ class OrbitLog:
             cols = [str(n), format(self.lognorms[k], ".17g")]
             cols += [format(v, ".17g") for v in self.directions[k]]
             rows.append(",".join(cols))
-        text = "\n".join(rows) + "\n"
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            with open(path_or_file, "w") as fh:
-                fh.write(text)
-        else:
-            path_or_file.write(text)
+        _write_text(path_or_file, "\n".join(rows) + "\n")
+
+
+def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray,
+           directions: np.ndarray | None) -> None:
+    """Fill out[k] with the running log-norms of the unit columns of u
+    after maps[0], ..., maps[k-1]; out[0] holds the starting log-norms."""
+    v = u
+    for k, a in enumerate(maps, start=1):
+        v = a @ v
+        nrm = np.sqrt(np.einsum("ij,ij->j", v, v))
+        v = v / nrm
+        out[k] = nrm
+        if directions is not None:  # single-column sweeps only
+            directions[k] = v[:, 0]
+    np.log(out[1:], out=out[1:])
+    np.cumsum(out, axis=0, out=out)
 
 
 def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
@@ -179,59 +201,49 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
                    window_cap: int = DEFAULT_WINDOW_CAP) -> OrbitLog:
     """log ||X(n, 0) xi|| for n over an integer span containing 0.
 
-    The orbit is propagated one step at a time with renormalization after
-    each step, so the log-norms are exact up to rounding while the stored
-    vectors stay unit size.
+    ``xi`` is one initial vector or a (d, S) block of them, carried
+    through a single sweep as columns.  The orbit is propagated one step
+    at a time with renormalization after each step, so the log-norms are
+    exact up to rounding while the carried vectors stay unit size.  Unit
+    directions are stored for a single vector only.
     """
     lo, hi = int(span[0]), int(span[1])
     if not (lo <= 0 <= hi):
         raise ParameterError("orbit span must contain the base time 0")
     if hi - lo > window_cap:
         raise WindowCapError(f"orbit span of {hi - lo} steps exceeds cap {window_cap}")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape[0] != seq.dimension:
-        raise ParameterError(f"xi has length {xi.shape[0]}, system dimension is {seq.dimension}")
-    nrm0 = float(np.linalg.norm(xi))
-    if nrm0 == 0.0 or not math.isfinite(nrm0):
-        raise ParameterError("initial vector must be nonzero and finite")
+    xi = np.asarray(xi, dtype=float)
+    single = xi.ndim != 2
+    block = xi.reshape(-1, 1) if single else xi
+    if block.shape[0] != seq.dimension:
+        raise ParameterError(f"xi has length {block.shape[0]}, system dimension is {seq.dimension}")
+    nrm0 = np.sqrt(np.einsum("ij,ij->j", block, block))
+    if block.shape[1] == 0 or not np.all((nrm0 > 0.0) & np.isfinite(nrm0)):
+        raise ParameterError("initial vectors must be nonzero and finite")
 
-    length = hi - lo + 1
-    d = seq.dimension
-    lognorms = np.empty(length)
-    directions = np.empty((length, d))
+    u = block / nrm0
     base = -lo  # index of n = 0
-
-    u = xi / nrm0
-    acc = math.log(nrm0)
-    lognorms[base] = acc
-    directions[base] = u
-
+    lognorms = np.empty((hi - lo + 1, block.shape[1]))
+    lognorms[base] = np.log(nrm0)
+    directions = None
+    if single:
+        directions = np.empty((hi - lo + 1, seq.dimension))
+        directions[base] = u[:, 0]
     if hi > 0:
-        factors = seq.window(0, hi - 1)
-        v, run = u, acc
-        for k in range(hi):
-            v = factors[k] @ v
-            nrm = float(np.linalg.norm(v))
-            run += math.log(nrm)
-            v = v / nrm
-            lognorms[base + k + 1] = run
-            directions[base + k + 1] = v
+        _sweep(seq.window(0, hi - 1), u, lognorms[base:],
+               None if directions is None else directions[base:])
     if lo < 0:
-        factors = seq.window(lo, -1)
-        inverses = np.linalg.inv(factors)
-        v, run = u, acc
-        for k in range(-lo):
-            # step from n = -k down to n = -k-1 uses A(-k-1)^-1
-            v = inverses[len(inverses) - 1 - k] @ v
-            nrm = float(np.linalg.norm(v))
-            run += math.log(nrm)
-            v = v / nrm
-            lognorms[base - k - 1] = run
-            directions[base - k - 1] = v
+        # stepping from n = -k down to n = -k-1 uses A(-k-1)^-1
+        inverses = np.linalg.inv(seq.window(lo, -1))[::-1]
+        _sweep(inverses, u, lognorms[base::-1],
+               None if directions is None else directions[base::-1])
 
+    if single:
+        lognorms = lognorms[:, 0]
+        directions.flags.writeable = False
     lognorms.flags.writeable = False
-    directions.flags.writeable = False
-    return OrbitLog(xi=xi.copy(), start=lo, lognorms=lognorms, directions=directions)
+    return OrbitLog(xi=block[:, 0].copy() if single else block.copy(), start=lo,
+                    lognorms=lognorms, directions=directions)
 
 
 class WindowProducts:

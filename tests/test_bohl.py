@@ -11,12 +11,14 @@ from bruteforce import (
 )
 from dichospec.bohl import (
     BohlParams,
+    _bohl_block,
+    _scalar_tail,
     bohl_exponents,
     general_exponents,
     scalar_bohl,
     scalar_bohl_estimate,
 )
-from dichospec.errors import ParameterError, ValidationError
+from dichospec.errors import ParameterError, ValidationError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 
 SMALL = BohlParams(window=96, gap_min=8)
@@ -208,3 +210,67 @@ def test_parameter_and_input_validation():
         bohl_exponents(MatrixSequence.constant(np.eye(2)), [0.0, 0.0], SMALL)
     with pytest.raises(ValidationError):
         scalar_bohl(ScalarSequence.tabulated([1.0, 0.0] + [1.0] * 200, start=0), SMALL)
+
+
+# -- batched estimator ---------------------------------------------------------
+
+
+def _assert_columns_match_single(seq, block, params):
+    lower, upper, spread = _bohl_block(seq, block, params)
+    assert lower.shape == upper.shape == spread.shape == (block.shape[1],)
+    for j in range(block.shape[1]):
+        single = bohl_exponents(seq, block[:, j], params)
+        assert abs(lower[j] - single.lower) <= 1e-12
+        assert abs(upper[j] - single.upper) <= 1e-12
+        assert abs(spread[j] - single.spread) <= 1e-12
+
+
+def test_batch_columns_match_single_vectors_on_diagonal_d3():
+    seq = MatrixSequence.diagonal([ScalarSequence.seeded(5, (0.4, 0.5)),
+                                   ScalarSequence.constant(1.0),
+                                   ScalarSequence.seeded(6, (1.8, 2.2))])
+    block = np.random.default_rng(0).standard_normal((3, 7))
+    block[:, 0] = [0.0, 1.0, 0.0]  # an axis: the middle rate alone
+    _assert_columns_match_single(seq, block, SMALL)
+    _assert_columns_match_single(seq, block, SMALL_TWO_SIDED)
+
+
+@pytest.mark.parametrize("params", [SMALL, SMALL_TWO_SIDED])
+def test_batch_columns_match_single_vectors_on_seeded_full_d2(params):
+    block = np.random.default_rng(1).standard_normal((2, 5))
+    _assert_columns_match_single(seeded_2d(), block, params)
+
+
+def test_batch_columns_match_single_vectors_on_restricted_fiber():
+    from dichospec.bundles import restricted_fiber_system
+    from dichospec.dichotomy import estimate_spectrum
+
+    # modulus-2 rotation pair on a 2-d fiber next to a 0.5 direction,
+    # conjugated to a non-normal frame
+    c, s = np.cos(0.7), np.sin(0.7)
+    core = np.array([[2 * c, -2 * s, 0.0], [2 * s, 2 * c, 0.0], [0.0, 0.0, 0.5]])
+    frame = np.array([[1.0, 0.4, 0.2], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]])
+    seq = MatrixSequence.constant(frame @ core @ np.linalg.inv(frame))
+    est = estimate_spectrum(seq)
+    assert [round(iv.b, 2) for iv in est.intervals] == [0.5, 2.0]
+    _, fiber_system = restricted_fiber_system(seq, est, 2, window=SMALL.window)
+    assert fiber_system.kind == "tabulated" and fiber_system.dimension == 2
+    block = np.random.default_rng(2).standard_normal((2, 4))
+    _assert_columns_match_single(fiber_system, block, SMALL_TWO_SIDED)
+
+
+def test_batch_input_errors_keep_their_types():
+    seq = seeded_2d()
+    with pytest.raises(ParameterError):
+        _bohl_block(seq, np.array([[1.0, 0.0], [0.0, 0.0]]), SMALL)  # zero column
+    with pytest.raises(ParameterError):
+        _bohl_block(seq, np.ones((3, 2)), SMALL)  # wrong dimension
+    wide = BohlParams(window=600_000, two_sided=True)  # span 1.2e6 > cap 1e6
+    with pytest.raises(WindowCapError):
+        _bohl_block(seq, np.ones((2, 2)), wide)
+
+
+def test_tail_rates_equal_the_full_estimate_fields():
+    u = ScalarSequence.seeded(9, (0.6, 1.3))
+    est = scalar_bohl_estimate(u, SMALL_TWO_SIDED)
+    assert _scalar_tail(u, SMALL_TWO_SIDED) == (est.lower, est.upper, est.spread)

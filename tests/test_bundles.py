@@ -5,7 +5,6 @@ from dichospec.bundles import (
     ProjectorFamily,
     SpectralBundleFiber,
     bundle_fibers,
-    projector_at,
     projector_family,
     restricted_fiber_system,
     whitney_sum_check,
@@ -43,7 +42,7 @@ def test_autonomous_projector_is_constant_diagonal():
     want = np.diag([0.0, 1.0])  # projects onto the decaying axis
     for n in (-40, -3, 0, 5, 60):
         assert np.allclose(fam.at(n), want, atol=1e-9)
-    assert np.allclose(projector_at(fam, 7), want, atol=1e-9)
+    assert np.allclose(fam.at(7), want, atol=1e-9)
 
 
 def test_projector_commutes_with_the_dynamics():

@@ -5,6 +5,7 @@ from bruteforce import bohl_enumerate, orbit_lognorm_table
 from dichospec.bohl import BohlParams, bohl_exponents, scalar_bohl
 from dichospec.containment import (
     TOLERANCE_FACTOR,
+    _group_rows,
     verify_endpoint_attainability,
     verify_fiber_containment,
     verify_global_containment,
@@ -163,14 +164,20 @@ def test_endpoint_refusals():
     assert "not significant" in refused.notes[0]
 
 
-def test_reports_are_deterministic_and_job_independent():
+def test_reports_are_deterministic_and_batch_exact():
+    # every row comes out of one batched orbit per fiber; it must match
+    # the per-sample estimator on the same vector
     seq = separated_banded_diagonal(11)
     est = estimate_spectrum(seq)
     kwargs = dict(samples_per_fiber=4, seed=9, params=FAST)
     first = verify_fiber_containment(seq, est, **kwargs)
     second = verify_fiber_containment(seq, est, **kwargs)
-    threaded = verify_fiber_containment(seq, est, jobs=4, **kwargs)
-    assert first.rows_to_csv() == second.rows_to_csv() == threaded.rows_to_csv()
+    assert first.rows_to_csv() == second.rows_to_csv()
+    for row in first.rows:
+        single = bohl_exponents(seq, np.array(row.xi), FAST)
+        assert abs(row.lower - single.lower) <= 1e-12
+        assert abs(row.upper - single.upper) <= 1e-12
+        assert abs(row.tolerance - first.base_tolerance - single.spread) <= 1e-12
 
 
 def test_escalation_retries_failures_at_larger_window():
@@ -189,6 +196,28 @@ def test_escalation_retries_failures_at_larger_window():
     assert retried == failed_labels == {f"global sample {i}" for i in range(1, 7)}
     assert any("4x window" in note for note in escalated.notes)
     assert not escalated.passed  # a larger window cannot fix a wrong target
+
+
+def test_escalation_reruns_only_the_failing_samples_of_a_batch():
+    # axis e2 decays at 0.5 and meets the target; e1 and a mix grow at 2
+    # and miss it, so only those two are re-run at the 4x window
+    seq = diag_2_half()
+    small = BohlParams(window=64, gap_min=8)
+    wide = BohlParams(window=256, gap_min=8)
+    vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
+    args = (seq, "sample", None, vecs, vecs, (0.45, 0.55), 1e-3, small)
+    first = _group_rows(*args, escalate=False)
+    rows = _group_rows(*args, escalate=True)
+    assert [r.passed for r in first] == [True, False, True, False]
+    assert [r.escalated for r in rows] == [False, True, False, True]
+    for before, after in zip(first, rows):
+        if after.escalated:
+            single = bohl_exponents(seq, np.array(after.xi), wide)
+            assert abs(after.lower - single.lower) <= 1e-12
+            assert abs(after.upper - single.upper) <= 1e-12
+            assert abs(after.tolerance - 1e-3 - single.spread) <= 1e-12
+        else:
+            assert after == before
 
 
 def test_fiber_sampling_tracks_slow_fibers_of_full_systems():

@@ -191,6 +191,23 @@ def test_cli_verify_is_deterministic(tmp_path):
                         "endpoint-attainability": "pass"}
 
 
+def test_scenario_jobs_key_is_an_ignored_legacy_field(tmp_path):
+    # "jobs" once capped containment worker threads; files that still
+    # carry it load, drop it, and verify to the same bytes
+    plain = write_scenario(tmp_path, "diag-small", small_diag_payload())
+    legacy_dir = tmp_path / "legacy"
+    legacy_dir.mkdir()
+    legacy = write_scenario(legacy_dir, "diag-small", small_diag_payload(jobs=4))
+    assert "jobs" not in load_scenario(legacy).analysis
+    assert load_scenario(legacy).dumps() == load_scenario(plain).dumps()
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["verify", plain, "--out", str(out_a), "--format", "json"]) == 0
+    assert main(["verify", legacy, "--out", str(out_b), "--format", "json"]) == 0
+    for name in ("diag-small-verify.json", "diag-small-verify.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert main(["verify", plain, "--jobs", "2", "--out", str(out_a)]) == 2
+
+
 def test_cli_verify_fails_loudly_on_impossible_tolerance(tmp_path):
     payload = small_diag_payload(tolerance=1e-15, bohl_window=256)
     scn = write_scenario(tmp_path, "diag-small", payload)
