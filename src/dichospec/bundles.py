@@ -13,16 +13,15 @@ the fiber of the spectral bundle attached to the interval in between.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dichotomy import DichotomyVerdict, SpectrumEstimate
+from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds
 from .errors import ParameterError, ProjectorDriftError, SubspaceError, ValidationError
-from .linalg import (min_principal_angle, qr_positive, spectral_norm,
-                     subspace_intersection)
+from .linalg import (batched_spectral_norm, frame_sweep, min_principal_angle,
+                     spectral_norm, subspace_intersection)
 from .sequences import MatrixSequence
 from .transition import transition
 
@@ -228,10 +227,11 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     fiber and the leak compounds at the rate gap per step.  Diagonal
     systems dodge this because coordinate axes are exactly invariant;
     for everything else this function sweeps the two invariant families
-    framing the fiber across the requested window (a forward QR walk for
-    the family growing past the gap below, a backward walk for the family
-    decaying past the gap above), intersects them at every time, and reads
-    off the one-step factors of the fiber coordinates.  Re-expressing the
+    framing the fiber across the requested window with two
+    :func:`~dichospec.linalg.frame_sweep` calls (forward on the factors
+    for the family growing past the gap below, backward on the inverses
+    for the family decaying past the gap above), intersects them at every
+    time, and reads off the one-step factors of the fiber coordinates.  Re-expressing the
     orbit in the tracked frame at every step removes the leak before it
     can compound.
 
@@ -255,41 +255,13 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
         raise ParameterError("window must be at least 1")
     lo, hi = -w - burn, w + burn
     factors = seq.window(lo, hi - 1)
-    inverses = np.linalg.inv(factors)
-
-    def factor(n: int) -> np.ndarray:
-        return factors[n - lo]
-
-    m_hat = seq.validate((lo, hi)).m_hat
-    binit = max(4, min(int(16.0 / max(math.log(max(m_hat, 1.0)), 0.05)), burn))
-
-    def short_product(start: int) -> np.ndarray:
-        out = np.eye(d)
-        for n in range(start, start + binit):
-            out = factor(n) @ out
-        return out
-
-    # family growing past the gap below the interval, walked forward
-    ku = d - r_below
-    q = np.linalg.svd(short_product(lo))[0][:, :ku]
-    u_frames = np.empty((2 * w + 1, d, ku))
-    for n in range(lo + binit, w + 1):
-        if n >= -w:
-            u_frames[n + w] = q
-        if n < w:
-            q, _ = qr_positive(factor(n) @ q)
-
-    # family decaying past the gap above, walked backward
-    ks = r_above
-    t2 = hi - binit
-    q = np.linalg.svd(short_product(t2))[2].conj().T[:, d - ks:]
-    s_frames = np.empty((2 * w + 1, d, ks))
-    if t2 <= w:
-        s_frames[t2 + w] = q
-    for n in range(t2 - 1, -w - 1, -1):
-        q, _ = qr_positive(inverses[n - lo] @ q)
-        if n <= w:
-            s_frames[n + w] = q
+    binit, amplified, contracted = _family_seeds(
+        factors, seq.validate((lo, hi)).m_hat, burn)
+    off = burn - binit  # the seeds sit at times -w - off and w + off
+    # u_frames[i] and s_frames[i] sit at time i - w
+    u_frames = frame_sweep(factors[binit: burn + 2 * w], amplified[:, : d - r_below])[0][off:]
+    inverses = np.linalg.inv(factors[burn: 2 * (w + burn) - binit])
+    s_frames = frame_sweep(inverses[::-1], contracted[:, d - r_above:])[0][::-1]
 
     fiber_frames = np.empty((2 * w + 1, d, k))
     for i in range(2 * w + 1):
@@ -300,13 +272,10 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
                 f"families intersect in dimension {basis.shape[1]}, not {k}")
         fiber_frames[i] = basis
 
-    table = np.empty((2 * w, k, k))
-    worst = 0.0
-    for i in range(2 * w):
-        af = factor(i - w) @ fiber_frames[i]
-        table[i] = fiber_frames[i + 1].T @ af
-        resid = spectral_norm(af - fiber_frames[i + 1] @ table[i])
-        worst = max(worst, resid / max(spectral_norm(af), 1e-300))
+    af = factors[burn: burn + 2 * w] @ fiber_frames[:-1]
+    table = np.swapaxes(fiber_frames[1:], 1, 2) @ af
+    resid = batched_spectral_norm(af - fiber_frames[1:] @ table)
+    worst = float(np.max(resid / np.maximum(batched_spectral_norm(af), 1e-300)))
     if worst > 1e-6:
         raise SubspaceError(
             f"fiber {index} coordinates are not invariant over the window "

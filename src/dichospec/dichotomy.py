@@ -43,7 +43,7 @@ import numpy as np
 from .bohl import BohlParams, _scalar_tail
 from .errors import (DecayFitError, ParameterError, SpectrumConsistencyError,
                      ValidationError)
-from .linalg import min_principal_angle, qr_positive
+from .linalg import frame_sweep, min_principal_angle
 from .sequences import MatrixSequence, ScalarSequence
 from .transition import WindowProducts, _write_text, transition
 
@@ -249,6 +249,24 @@ class _SideFit:
     residual: float
 
 
+def _family_seeds(factors: np.ndarray, m_hat: float,
+                  cap: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Init length ``binit`` and seed frames at both ends of a factor stack.
+
+    ``binit`` is long enough to separate directions and short enough that
+    a product over it keeps resolvable singular values.  Returns ``binit``,
+    the left singular vectors of the product of the first ``binit`` factors
+    (most amplified first) and the right ones of the last ``binit`` (most
+    contracted last).
+    """
+    log_m = max(math.log(max(m_hat, 1.0)), 0.05)
+    binit = max(4, min(int(16.0 / log_m), cap))
+    first = last = np.eye(factors.shape[1])
+    for a, b in zip(factors[:binit], factors[-binit:]):
+        first, last = a @ first, b @ last
+    return binit, np.linalg.svd(first)[0], np.linalg.svd(last)[2].conj().T
+
+
 class DichotomyAnalyzer:
     """Shared window data answering dichotomy queries for every gamma.
 
@@ -272,47 +290,25 @@ class DichotomyAnalyzer:
         self._gapsf = self._gaps.astype(float)
         self._candidates: dict[int, _Candidate] = {}
         self._forward_rates, self._backward_rates = self._direction_rates()
-        # short init window: long enough to separate directions, short
-        # enough that the product's singular values stay resolvable
-        log_m = max(math.log(max(self.m_hat, 1.0)), 0.05)
-        self._binit = max(4, min(int(16.0 / log_m), self.params.burn_in // 2))
+        self._binit, self._amplified, self._contracted = _family_seeds(
+            self._factors, self.m_hat, self.params.burn_in // 2)
 
     # -- construction helpers -------------------------------------------------
 
-    def _index(self, n: int) -> int:
-        return n + self._ext
-
     def _direction_rates(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean per-direction log growth rates, forward and backward."""
-        d = self.seq.dimension
         ext = self._ext
         half = ext // 2
-        q = np.eye(d)
-        acc = np.zeros(d)
-        for i in range(ext):
-            q, r = qr_positive(self._factors[self._index(i)] @ q)
-            if i >= half:
-                acc += np.log(np.diag(r))
-        forward = acc / (ext - half)
-        q = np.eye(d)
-        acc = np.zeros(d)
-        for i in range(ext):
-            q, r = qr_positive(self._inverses[self._index(-i - 1)] @ q)
-            if i >= half:
-                acc += np.log(np.diag(r))
-        backward = acc / (ext - half)
-        return forward, backward
+        eye = np.eye(self.seq.dimension)
+        _, forward = frame_sweep(self._factors[ext:], eye)
+        _, backward = frame_sweep(self._inverses[ext - 1::-1], eye)
+        return tuple(np.log(np.diagonal(r[half:], axis1=1, axis2=2)).mean(axis=0)
+                     for r in (forward, backward))
 
     def _usable_factors(self) -> np.ndarray:
         burn = self.params.burn_in
         n = 2 * self.params.window
         return self._factors[burn: burn + n]
-
-    def _short_product(self, start: int, steps: int) -> np.ndarray:
-        out = np.eye(self.seq.dimension)
-        for n in range(start, start + steps):
-            out = self._factors[self._index(n)] @ out
-        return out
 
     def _env_values(self, factors: np.ndarray) -> np.ndarray:
         wp = WindowProducts(factors)
@@ -322,7 +318,6 @@ class DichotomyAnalyzer:
         if s in self._candidates:
             return self._candidates[s]
         d = self.seq.dimension
-        n_win = self.params.window
         if s == 0:
             cand = _Candidate(rank=0, stable_basis=np.zeros((d, 0)),
                               unstable_basis=np.eye(d), stable_env=None,
@@ -343,45 +338,24 @@ class DichotomyAnalyzer:
         d = self.seq.dimension
         ext = self._ext
         n_win = self.params.window
-        binit = self._binit
+        off = ext - self._binit  # the seeds sit at times -off and +off
+        # stable family: seeded with the most contracted directions at +off
+        # and walked backward, which attracts onto the stable family;
+        # flipped, qs[i] sits at time i - n_win
+        qs, gs = frame_sweep(self._inverses[ext - n_win: ext + off][::-1],
+                             self._contracted[:, d - s:])
+        qs, gs = qs[::-1], gs[::-1]
+        # unstable family: seeded with the most amplified directions at
+        # -off and walked forward; qu[i] sits at time i - off
+        qu, ru = frame_sweep(self._factors[ext - off: ext + n_win],
+                             self._amplified[:, : d - s])
+        stable_basis, unstable_basis = qs[n_win].copy(), qu[off].copy()
 
-        # stable family: seed with the most contracted right singular
-        # directions of a short product ending at the right burn-in zone,
-        # then walk backward; backward propagation attracts onto the
-        # stable family, so positions at or below +window are converged
-        t0 = ext - binit
-        seed = np.linalg.svd(self._short_product(t0, binit))[2].conj().T[:, d - s:]
-        vs = seed
-        stable_basis = None
-        r_stable = np.empty((2 * n_win, s, s))
-        for n in range(t0 - 1, -n_win - 1, -1):
-            q, g = qr_positive(self._inverses[self._index(n)] @ vs)
-            vs = q
-            if n == 0:
-                stable_basis = vs.copy()
-            if n < n_win:
-                # A(n) Vs(n) = Vs(n+1) G(n)^-1: the restricted forward factor
-                r_stable[n + n_win] = np.linalg.inv(g)
-
-        # unstable family: seed with the most amplified image directions of
-        # a short product leaving the left burn-in zone, then walk forward
-        t1 = -ext + binit
-        seed = np.linalg.svd(self._short_product(-ext, binit))[0][:, : d - s]
-        vu = seed
-        unstable_basis = None
-        r_unstable = np.empty((2 * n_win, d - s, d - s))
-        for n in range(t1, n_win):
-            if n == 0:
-                unstable_basis = vu.copy()
-            q, r = qr_positive(self._factors[self._index(n)] @ vu)
-            if -n_win <= n:
-                r_unstable[n + n_win] = r
-            vu = q
-
+        # A(n) Vs(n) = Vs(n+1) G(n)^-1 gives the restricted forward factors;
         # backward norms on the unstable family come from products of the
         # inverted one-step factors in reversed order
-        stable_env = self._env_values(r_stable)
-        unstable_env = self._env_values(np.linalg.inv(r_unstable)[::-1])
+        stable_env = self._env_values(np.linalg.inv(gs[:2 * n_win]))
+        unstable_env = self._env_values(np.linalg.inv(ru[off - n_win:])[::-1])
         return _Candidate(rank=s, stable_basis=stable_basis,
                           unstable_basis=unstable_basis,
                           stable_env=stable_env, unstable_env=unstable_env,

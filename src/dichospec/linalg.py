@@ -4,6 +4,9 @@ Everything here operates on modest-sized ndarrays (system dimension is
 typically 1..10), so plain LAPACK calls via numpy are adequate.  The
 spectral norm (largest singular value) is the norm used everywhere a
 matrix norm appears in reported quantities.
+
+:func:`frame_sweep` is the one place where orthonormal frames are carried
+along an orbit (discrete QR); every QR walk in the package goes through it.
 """
 from __future__ import annotations
 
@@ -28,6 +31,22 @@ def qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.sign(np.diagonal(r)).copy()
     s[s == 0] = 1.0
     return q * s, s[:, None] * r
+
+
+def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Carry the orthonormal (d, k) frame q0 through an (m, d, d) stack of maps.
+
+    Returns frames Q (m + 1, d, k) with Q[0] = q0 and positive-diagonal
+    factors R (m, k, k) with ``maps[i] @ Q[i] = Q[i + 1] @ R[i]``.  A
+    backward walk passes the reversed stack of inverses and flips the result.
+    """
+    m = maps.shape[0]
+    frames = np.empty((m + 1, *q0.shape))
+    factors = np.empty((m, q0.shape[1], q0.shape[1]))
+    frames[0] = q0
+    for i in range(m):
+        frames[i + 1], factors[i] = qr_positive(maps[i] @ frames[i])
+    return frames, factors
 
 
 def orthonormal_columns(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

@@ -11,9 +11,8 @@ here by a small closed set of sequence kinds:
 * ``seeded-random``     banded diagonal plus a small seeded perturbation,
 * ``tabulated``         an explicit finite window (no extrapolation).
 
-Evaluation is a pure function of the model and the integer index, so a
-model can be shared freely between threads; the only mutable state is a
-private window cache, and a lost cache write merely recomputes.  Scenario
+Evaluation is a pure function of the model and the integer index; the
+only mutable state is private caches of assembled factors.  Scenario
 round-tripping goes through :meth:`to_payload` / :meth:`from_payload`,
 which use plain Python containers so that serialization is bit-exact.
 
@@ -32,7 +31,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import ParameterError, SingularMatrixError, ValidationError
-from .linalg import spectral_norm
+from .linalg import batched_spectral_norm
 
 # Relative determinant threshold (after row scaling) below which a matrix
 # is treated as singular.
@@ -233,6 +232,20 @@ def _check_stack_invertible(stack: np.ndarray, lo: int) -> None:
     if bad.any():
         n = lo + int(np.flatnonzero(bad)[0])
         raise SingularMatrixError(n, f"scaled |det| = {abs(dets[n - lo]):.3e}")
+
+
+def _checked_inverses(stack: np.ndarray, lo: int) -> np.ndarray:
+    """Inverses of a (m, d, d) stack starting at index lo.
+
+    The first n whose inverse misses ||A A^-1 - I|| <= 1e-8 (or gives a
+    non-finite residual) raises :class:`SingularMatrixError` naming n.
+    """
+    inv = np.linalg.inv(stack)
+    resid = batched_spectral_norm(stack @ inv - np.eye(stack.shape[-1]))
+    bad = np.flatnonzero(~(resid <= 1e-8))
+    if bad.size:
+        raise SingularMatrixError(lo + int(bad[0]), f"inverse residual {resid[bad[0]]:.3e}")
+    return inv
 
 
 @dataclass(frozen=True)
@@ -495,12 +508,7 @@ class MatrixSequence:
 
     def inverse_at(self, n: int) -> np.ndarray:
         """A(n)^-1 with a residual sanity check against the identity."""
-        a = self.evaluate(n)
-        inv = np.linalg.inv(a)
-        resid = spectral_norm(a @ inv - np.eye(self.dimension))
-        if not np.isfinite(resid) or resid > 1e-8:
-            raise SingularMatrixError(n, f"inverse residual {resid:.3e}")
-        return inv
+        return _checked_inverses(self.evaluate(n)[None], int(n))[0]
 
     def validate(self, span: tuple[int, int]) -> BoundReport:
         """Scan a window and report M = max_n max(||A(n)||, ||A(n)^-1||).

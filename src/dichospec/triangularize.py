@@ -19,8 +19,8 @@ from .bohl import BohlParams
 from .dichotomy import (DichotomyParams, SpectralInterval, SpectrumEstimate,
                         estimate_spectrum, scalar_spectrum)
 from .errors import ParameterError, ValidationError
-from .linalg import qr_positive, spectral_norm
-from .sequences import MatrixSequence, ScalarSequence
+from .linalg import batched_spectral_norm, frame_sweep
+from .sequences import MatrixSequence, ScalarSequence, _checked_inverses
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,13 @@ class KinematicPair:
     def residual_max(self, seq: MatrixSequence) -> float:
         """max_n || A(n) F(n) - F(n+1) U(n) || over the window."""
         lo, hi = self.window
-        worst = 0.0
-        for n in range(lo, hi + 1):
-            r = seq.evaluate(n) @ self.frame(n) - self.frame(n + 1) @ self.upper.evaluate(n)
-            worst = max(worst, spectral_norm(r))
-        return worst
+        r = seq.window(lo, hi) @ self.frames[:-1] - self.frames[1:] @ self.upper.table
+        return float(batched_spectral_norm(r).max())
 
     def orthogonality_max(self) -> float:
         """max_n || F(n)^T F(n) - I ||."""
-        d = self.dimension
         gram = np.matmul(np.swapaxes(self.frames, 1, 2), self.frames)
-        return float(max(spectral_norm(g - np.eye(d)) for g in gram))
+        return float(batched_spectral_norm(gram - np.eye(self.dimension)).max())
 
     def diagonal_sequences(self) -> tuple[ScalarSequence, ...]:
         """The diagonal of ``U`` as tabulated scalar sequences."""
@@ -98,19 +94,14 @@ def qr_triangularize(seq: MatrixSequence,
     lo, hi = int(window[0]), int(window[1])
     if not lo < 0 < hi:
         raise ParameterError(f"triangularization window {window} must straddle zero")
-    d = seq.dimension
-    frames = np.empty((hi - lo + 1, d, d))
-    factors = np.empty((hi - lo, d, d))
-    frames[-lo] = np.eye(d)
-    for n in range(0, hi):
-        q, r = qr_positive(seq.evaluate(n) @ frames[n - lo])
-        frames[n + 1 - lo] = q
-        factors[n - lo] = r
-    for n in range(0, lo, -1):
-        q, r = qr_positive(seq.inverse_at(n - 1) @ frames[n - lo])
-        frames[n - 1 - lo] = q
-        factors[n - 1 - lo] = np.linalg.inv(r)
-    upper = MatrixSequence.tabulated(factors, start=lo)
+    eye = np.eye(seq.dimension)
+    factors = seq.window(lo, hi - 1)
+    forward, upper_forward = frame_sweep(factors[-lo:], eye)
+    # behind zero: walk A(-1)^-1, A(-2)^-1, ... and flip
+    backward, r_backward = frame_sweep(_checked_inverses(factors[:-lo], lo)[::-1], eye)
+    frames = np.concatenate([backward[:0:-1], forward])
+    upper = MatrixSequence.tabulated(
+        np.concatenate([np.linalg.inv(r_backward[::-1]), upper_forward]), start=lo)
     return KinematicPair(upper=upper, frames=frames, start=lo)
 
 

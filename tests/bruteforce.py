@@ -70,6 +70,34 @@ def orbit_lognorm_table(seq, xi, lo, hi):
     return out
 
 
+def qr_walk(seq, lo, hi):
+    """Frames F(lo)..F(hi) and factors U(lo)..U(hi-1) of a QR sweep, n by n.
+
+    F(0) is the identity.  Forward of zero U(n) is the positive-diagonal R
+    of A(n) F(n); behind zero the walk runs on A(n-1)^-1 and inverts R, so
+    A(n) F(n) = F(n+1) U(n) across the whole window.
+    """
+    def qr_positive(a):
+        q, r = np.linalg.qr(a)
+        s = np.sign(np.diag(r))
+        s[s == 0] = 1.0
+        return q * s, s[:, None] * r
+
+    d = seq.dimension
+    frames = np.empty((hi - lo + 1, d, d))
+    factors = np.empty((hi - lo, d, d))
+    frames[-lo] = np.eye(d)
+    for n in range(0, hi):
+        q, r = qr_positive(seq.evaluate(n) @ frames[n - lo])
+        frames[n + 1 - lo] = q
+        factors[n - lo] = r
+    for n in range(0, lo, -1):
+        q, r = qr_positive(seq.inverse_at(n - 1) @ frames[n - lo])
+        frames[n - 1 - lo] = q
+        factors[n - 1 - lo] = np.linalg.inv(r)
+    return frames, factors
+
+
 def bohl_enumerate(lognorms, base, window, gap_min, tail_fraction, two_sided):
     """Upper/lower Bohl estimates by direct enumeration over (m, g).
 

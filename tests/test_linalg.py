@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dichospec.linalg import min_principal_angle, principal_angles
+from dichospec.linalg import frame_sweep, min_principal_angle, principal_angles, qr_positive
 
 E = np.eye(6)
 
@@ -88,3 +88,41 @@ def test_empty_basis_gives_no_angles_and_right_angle_minimum():
     for a, b in ((empty, line), (line, empty), (empty, empty)):
         assert principal_angles(a, b).size == 0
         assert min_principal_angle(a, b) == np.pi / 2
+
+
+def _sweep_maps(d, m=40, seed=0):
+    """m well-conditioned random d x d maps."""
+    rng = np.random.default_rng(seed)
+    return np.stack([frame(d, seed + 1 + i) @ np.diag(np.exp(rng.uniform(-0.8, 0.8, d)))
+                     for i in range(m)])
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (6, 2), (6, 6)])
+@pytest.mark.parametrize("backward", [False, True])
+def test_frame_sweep_matches_a_plain_qr_loop(d, k, backward):
+    maps = _sweep_maps(d, seed=d + k)
+    if backward:
+        maps = np.linalg.inv(maps)[::-1]
+    q0 = frame(d, seed=7)[:, :k]
+    frames, factors = frame_sweep(maps, q0)
+    assert frames.shape == (len(maps) + 1, d, k)
+    assert factors.shape == (len(maps), k, k)
+    q = q0
+    assert np.array_equal(frames[0], q0)
+    for i, a in enumerate(maps):
+        q, r = qr_positive(a @ q)
+        assert np.max(np.abs(frames[i + 1] - q)) <= 1e-14
+        assert np.max(np.abs(factors[i] - r)) <= 1e-14
+    identity = maps @ frames[:-1] - frames[1:] @ factors
+    assert np.max(np.abs(identity)) <= 1e-13
+    gram = np.swapaxes(frames, 1, 2) @ frames
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-14
+    assert np.all(np.diagonal(factors, axis1=1, axis2=2) > 0)
+    assert np.all(np.tril(factors, -1) == 0)
+
+
+def test_frame_sweep_of_an_empty_stack_is_the_start_frame():
+    q0 = frame(3)[:, :2]
+    frames, factors = frame_sweep(np.zeros((0, 3, 3)), q0)
+    assert frames.shape == (1, 3, 2) and np.array_equal(frames[0], q0)
+    assert factors.shape == (0, 2, 2)

@@ -3,9 +3,10 @@ import pytest
 
 from dichospec.bohl import BohlParams, bohl_exponents
 from dichospec.dichotomy import estimate_spectrum
-from dichospec.errors import ParameterError, ValidationError
+from dichospec.errors import ParameterError, SingularMatrixError, ValidationError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.triangularize import diagonal_significance, qr_triangularize
+from bruteforce import qr_walk
 from systems import random_periodic
 
 
@@ -55,6 +56,37 @@ def test_sweep_identity_and_orthogonality_on_seeded_systems():
             u = pair.upper.evaluate(n)
             assert abs(u[1, 0]) <= 1e-14
             assert u[0, 0] > 0 and u[1, 1] > 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MatrixSequence.seeded(1, bands=((0.5, 0.7), (1.2, 1.8))),
+    lambda: random_periodic(4, 3, 5),
+    lambda: MatrixSequence.constant([[1.0, 1.0], [0.0, 1.0]]),
+    lambda: MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]]),
+], ids=["seeded", "periodic", "jordan", "nonnormal"])
+def test_sweep_matches_the_reference_walk(build):
+    seq = build()
+    pair = qr_triangularize(seq)
+    lo, last = pair.window
+    frames, factors = qr_walk(seq, lo, last + 1)
+    assert np.max(np.abs(pair.frames - frames)) <= 1e-12
+    scale = max(1.0, float(np.max(np.abs(factors))))
+    assert np.max(np.abs(pair.upper.table - factors)) <= 1e-12 * scale
+
+
+# the second factor passes the determinant check and fails only the
+# inverse residual check
+@pytest.mark.parametrize("bad", [
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[1e10, 1e10], [1e-10, 1.000001e-10]],
+], ids=["singular", "inverse-residual"])
+def test_backward_half_validates_its_factors(bad):
+    table = np.stack([np.eye(2)] * 20)
+    table[5] = bad  # n = -5
+    seq = MatrixSequence.tabulated(table, start=-10)
+    with pytest.raises(SingularMatrixError) as err:
+        qr_triangularize(seq, window=(-10, 10))
+    assert err.value.n == -5
 
 
 def test_spectrum_is_invariant_under_the_sweep():
