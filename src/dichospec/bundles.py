@@ -30,6 +30,9 @@ SILENT_DRIFT = 1e-9
 # Drift up to this is repaired with a warning; beyond it the conjugation
 # window has outrun the certified decay and the projector is meaningless.
 REPAIR_DRIFT = 1e-6
+# Frames intersected per stacked call in restricted_fiber_system; one stack
+# of every frame in a long window costs several MiB of SVD buffers.
+_INTERSECTION_SLICE = 256
 
 
 def _oblique_projector(range_basis: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
@@ -230,10 +233,13 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     framing the fiber across the requested window with two
     :func:`~dichospec.linalg.frame_sweep` calls (forward on the factors
     for the family growing past the gap below, backward on the inverses
-    for the family decaying past the gap above), intersects them at every
-    time, and reads off the one-step factors of the fiber coordinates.  Re-expressing the
-    orbit in the tracked frame at every step removes the leak before it
-    can compound.
+    for the family decaying past the gap above), intersects the two frames
+    of every time with stacked :func:`~dichospec.linalg.subspace_intersection`
+    calls over slices of frames, and reads off the one-step factors of the
+    fiber coordinates.  Re-expressing the orbit in the tracked frame at
+    every step removes the leak before it can compound.  A time whose
+    frames do not intersect in the fiber's dimension raises
+    :class:`SubspaceError` naming the first such n.
 
     Returns the fiber frame at time zero together with a tabulated k-by-k
     system covering ``[-window, window - 1]``.  The frames are orthonormal,
@@ -261,16 +267,18 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     # u_frames[i] and s_frames[i] sit at time i - w
     u_frames = frame_sweep(factors[binit: burn + 2 * w], amplified[:, : d - r_below])[0][off:]
     inverses = np.linalg.inv(factors[burn: 2 * (w + burn) - binit])
-    s_frames = frame_sweep(inverses[::-1], contracted[:, d - r_above:])[0][::-1]
+    s_frames = frame_sweep(inverses[::-1], contracted[:, d - r_above:])[0][::-1][: 2 * w + 1]
 
     fiber_frames = np.empty((2 * w + 1, d, k))
-    for i in range(2 * w + 1):
-        basis = subspace_intersection(u_frames[i], s_frames[i], d, rtol=rtol)
-        if basis.shape[1] != k:
+    for start in range(0, 2 * w + 1, _INTERSECTION_SLICE):
+        part = slice(start, start + _INTERSECTION_SLICE)
+        bases, dims = subspace_intersection(u_frames[part], s_frames[part], d, rtol=rtol)
+        lost = np.flatnonzero(dims != k)
+        if lost.size:
             raise SubspaceError(
-                f"fiber {index} lost track at n = {i - w}: the framing "
-                f"families intersect in dimension {basis.shape[1]}, not {k}")
-        fiber_frames[i] = basis
+                f"fiber {index} lost track at n = {start + lost[0] - w}: the framing "
+                f"families intersect in dimension {dims[lost[0]]}, not {k}")
+        fiber_frames[part] = bases
 
     af = factors[burn: burn + 2 * w] @ fiber_frames[:-1]
     table = np.swapaxes(fiber_frames[1:], 1, 2) @ af

@@ -39,45 +39,55 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns frames Q (m + 1, d, k) with Q[0] = q0 and positive-diagonal
     factors R (m, k, k) with ``maps[i] @ Q[i] = Q[i + 1] @ R[i]``.  A
     backward walk passes the reversed stack of inverses and flips the result.
+
+    The step loop runs a plain Householder QR and the sign convention of
+    :func:`qr_positive` is imposed once afterwards, through the running
+    column signs c (c[0] = 1, c[i + 1] = sign(diag R_raw[i]) * c[i], a zero
+    sign restarting its column at +1): Q[i] = Q_raw[i] * c[i] and
+    R[i] = diag(c[i + 1]) R_raw[i] diag(c[i]).  This is exact, not an
+    approximation: negating a column of the frame commutes exactly with
+    the product ``maps[i] @ Q[i]`` and with Householder QR (Q is unchanged,
+    that column of R is negated), so every step does the arithmetic of a
+    per-step ``qr_positive`` walk and the results equal it bit for bit.
     """
-    m = maps.shape[0]
+    m, k = maps.shape[0], q0.shape[1]
     frames = np.empty((m + 1, *q0.shape))
-    factors = np.empty((m, q0.shape[1], q0.shape[1]))
+    factors = np.empty((m, k, k))
     frames[0] = q0
     for i in range(m):
-        frames[i + 1], factors[i] = qr_positive(maps[i] @ frames[i])
+        frames[i + 1], factors[i] = np.linalg.qr(maps[i] @ frames[i])
+    steps = np.sign(np.diagonal(factors, axis1=1, axis2=2))
+    # c[i + 1] is the product of the signs since the last zero one: the
+    # running product of the nonzero signs times its value at that restart
+    zero = steps == 0
+    flips = np.cumprod(np.where(zero, 1.0, steps), axis=0)
+    restart = np.maximum.accumulate(np.where(zero, np.arange(m)[:, None], -1), axis=0)
+    signs = np.ones((m + 1, k))
+    signs[1:] = flips * np.where(restart >= 0, flips[restart, np.arange(k)], 1.0)
+    frames *= signs[:, None, :]
+    factors *= signs[:-1, None, :]
+    # zeros below the diagonal go back to +0 before the row signs, so even
+    # their signs match qr_positive's; every step here works in place
+    below = np.tril_indices(k, -1)
+    factors[:, below[0], below[1]] = 0.0
+    factors *= signs[1:, :, None]
     return frames, factors
+
+
+def _column_space(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and numerical rank of a matrix or of each in a stack.
+
+    The rank counts singular values above ``rtol`` times the largest; a
+    zero matrix, or one without columns, has rank 0.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u, np.sum(s > rtol * s[..., :1], axis=-1)
 
 
 def orthonormal_columns(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """Orthonormal basis for the column space of ``a``."""
-    if a.size == 0:
-        return a.reshape(a.shape[0], 0)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return a[:, :0]
-    rank = int(np.sum(s > rtol * s[0]))
+    u, rank = _column_space(a, rtol)
     return u[:, :rank]
-
-
-def orthogonal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(basis) in R^dim."""
-    if basis.shape[1] == 0:
-        return np.eye(dim)
-    u, _, _ = np.linalg.svd(basis, full_matrices=True)
-    return u[:, basis.shape[1]:]
-
-
-def nullspace(a: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of {x : a x = 0} with a relative singular value cutoff."""
-    n = a.shape[1]
-    if a.shape[0] == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(a)
-    significant = np.zeros(n, dtype=bool)
-    if s.size and s[0] > 0.0:
-        significant[: s.size] = s > rtol * s[0]
-    return vt.conj().T[:, ~significant]
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,21 +127,41 @@ def min_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(ang[0]) if ang.size else float(np.pi / 2)
 
 
-def subspace_intersection(a: np.ndarray, b: np.ndarray, dim: int,
-                          rtol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of span(a) & span(b).
+def subspace_intersection(a: np.ndarray, b: np.ndarray, dim: int, rtol: float = 1e-8
+                          ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of span(a) & span(b), for one pair or a stack of pairs.
 
     Membership in each span is imposed through the orthogonal complement:
     x lies in span(a) iff comp(a)^T x = 0.  The stacked constraint matrix
     is sent through an SVD nullspace with relative cutoff ``rtol``.
+
+    A pair ``a`` (d, p), ``b`` (d, q) gives the (d, k) basis.  Stacks
+    ``a`` (m, d, p), ``b`` (m, d, q) give ``(bases, dims)``: ``dims`` (m,)
+    holds each intersection's dimension, and ``bases`` (m, d, max(dims))
+    holds pair i's basis in its first ``dims[i]`` columns, zeros after.
+    Each SVD step runs batched over the pairs whose spans have equal
+    ranks; numpy applies the same LAPACK routine to each matrix of a
+    stack, so every basis, signs included, equals the one-pair result bit
+    for bit.
     """
-    rows = []
-    ca = orthogonal_complement(orthonormal_columns(a), dim)
-    cb = orthogonal_complement(orthonormal_columns(b), dim)
-    if ca.shape[1]:
-        rows.append(ca.T)
-    if cb.shape[1]:
-        rows.append(cb.T)
-    if not rows:
-        return np.eye(dim)
-    return nullspace(np.vstack(rows), rtol=rtol)
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b[None]
+    ua, ra = _column_space(a, 1e-12)
+    ub, rb = _column_space(b, 1e-12)
+    null_rows = np.zeros((len(a), dim, dim))
+    dims = np.empty(len(a), dtype=int)
+    for pa, pb in set(zip(ra.tolist(), rb.tolist())):
+        group = np.flatnonzero((ra == pa) & (rb == pb))
+        # rows spanning the orthogonal complement of each span; the SVD of
+        # a matrix without columns (or rows) gives an identity U (or V)
+        rows = np.concatenate([np.swapaxes(np.linalg.svd(u[group, :, :r])[0][..., r:], 1, 2)
+                               for u, r in ((ua, pa), (ub, pb))], axis=1)
+        _, s, vt = np.linalg.svd(rows)
+        rank = np.sum(s > rtol * s[:, :1], axis=-1)
+        for r in set(rank.tolist()):
+            same = rank == r
+            null_rows[group[same], : dim - r] = vt[same, r:]
+            dims[group[same]] = dim - r
+    bases = np.swapaxes(null_rows[:, : dims.max(initial=0)], 1, 2)
+    return bases[0, :, : dims[0]] if single else (bases, dims)

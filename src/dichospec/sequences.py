@@ -237,11 +237,17 @@ def _check_stack_invertible(stack: np.ndarray, lo: int) -> None:
 def _checked_inverses(stack: np.ndarray, lo: int) -> np.ndarray:
     """Inverses of a (m, d, d) stack starting at index lo.
 
-    The first n whose inverse misses ||A A^-1 - I|| <= 1e-8 (or gives a
-    non-finite residual) raises :class:`SingularMatrixError` naming n.
+    The first n whose inverse misses ||A A^-1 - I|| <= 1e-8, or whose
+    inverse or product A A^-1 is not finite (it overflowed), raises
+    :class:`SingularMatrixError` naming n.
     """
-    inv = np.linalg.inv(stack)
-    resid = batched_spectral_norm(stack @ inv - np.eye(stack.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(stack)
+        product = stack @ inv
+    # the residual's SVD does not converge on non-finite entries
+    finite = np.isfinite(inv).all(axis=(1, 2)) & np.isfinite(product).all(axis=(1, 2))
+    resid = np.full(len(stack), np.inf)
+    resid[finite] = batched_spectral_norm(product[finite] - np.eye(stack.shape[-1]))
     bad = np.flatnonzero(~(resid <= 1e-8))
     if bad.size:
         raise SingularMatrixError(lo + int(bad[0]), f"inverse residual {resid[bad[0]]:.3e}")

@@ -166,3 +166,27 @@ def floquet_moduli(seq, p):
         if not points or abs(m - points[-1]) > 1e-12 * max(1.0, points[-1]):
             points.append(float(m))
     return points
+
+
+def intersection_by_complements(a, b, dim, rtol=1e-8):
+    """Basis of span(a) & span(b) for one pair, one SVD call at a time.
+
+    Each span gets an orthonormal basis (relative cutoff 1e-12) and then
+    the orthogonal complement of that basis; the intersection is the
+    nullspace (relative cutoff rtol) of the stacked complement rows.
+    """
+    def complement(x):
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
+        if rank == 0:
+            return np.eye(dim)
+        return np.linalg.svd(u[:, :rank], full_matrices=True)[0][:, rank:]
+
+    rows = np.vstack([complement(a).T, complement(b).T])
+    if rows.shape[0] == 0:
+        return np.eye(dim)
+    _, s, vt = np.linalg.svd(rows)
+    significant = np.zeros(dim, dtype=bool)
+    if s[0] > 0:
+        significant[: s.size] = s > rtol * s[0]
+    return vt.T[:, ~significant]

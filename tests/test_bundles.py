@@ -199,6 +199,23 @@ def test_restricted_system_passes_whole_space_through():
     assert np.array_equal(basis, np.eye(2))
 
 
+def test_restricted_system_names_the_time_it_loses_track():
+    # constant rates (0.5, 1, 2), except that the factor into n = 100
+    # squashes the planes framing the middle fiber to within 1e-10 of
+    # each other and the factor out of it undoes the squash; the planes
+    # intersect in a line at every other time
+    rates = np.diag([0.5, 1.0, 2.0])
+    est = estimate_spectrum(MatrixSequence.constant(rates))
+    w, burn, n_bad = 200, 128, 100
+    squash = np.linalg.inv(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]]).T)
+    table = np.stack([rates] * (2 * (w + burn) + 1))
+    table[n_bad - 1 + w + burn] = squash @ rates
+    table[n_bad + w + burn] = rates @ np.linalg.inv(squash)
+    seq = MatrixSequence.tabulated(table, start=-w - burn)
+    with pytest.raises(SubspaceError, match=f"lost track at n = {n_bad}: .* dimension 2, not 1"):
+        restricted_fiber_system(seq, est, 2, window=w, burn_in=burn)
+
+
 def test_restricted_system_rejects_bad_index():
     est = estimate_spectrum(diag_2_half())
     with pytest.raises(ParameterError):

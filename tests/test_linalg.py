@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dichospec.linalg import frame_sweep, min_principal_angle, principal_angles, qr_positive
+from bruteforce import intersection_by_complements
+from dichospec.linalg import (frame_sweep, min_principal_angle, principal_angles, qr_positive,
+                              subspace_intersection)
 
 E = np.eye(6)
 
@@ -97,6 +99,24 @@ def _sweep_maps(d, m=40, seed=0):
                      for i in range(m)])
 
 
+def _assert_sweep_is_the_qr_positive_walk(maps, q0):
+    """frame_sweep equals a per-step qr_positive walk bit for bit; returns
+    the raw diag(R) signs that walk fixed, one row per step."""
+    frames, factors = frame_sweep(maps, q0)
+    q, want_frames, want_factors, raw = q0, [q0], [], []
+    for a in maps:
+        raw.append(np.sign(np.diagonal(np.linalg.qr(a @ q)[1])))
+        q, r = qr_positive(a @ q)
+        want_frames.append(q)
+        want_factors.append(r)
+    assert np.array_equal(frames, np.array(want_frames))
+    assert np.array_equal(factors, np.array(want_factors))
+    # the zeros below the diagonal carry qr_positive's signs too
+    assert np.array_equal(np.signbit(np.tril(factors, -1)),
+                          np.signbit(np.tril(np.array(want_factors), -1)))
+    return frames, factors, np.array(raw)
+
+
 @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (6, 2), (6, 6)])
 @pytest.mark.parametrize("backward", [False, True])
 def test_frame_sweep_matches_a_plain_qr_loop(d, k, backward):
@@ -104,15 +124,9 @@ def test_frame_sweep_matches_a_plain_qr_loop(d, k, backward):
     if backward:
         maps = np.linalg.inv(maps)[::-1]
     q0 = frame(d, seed=7)[:, :k]
-    frames, factors = frame_sweep(maps, q0)
+    frames, factors, _ = _assert_sweep_is_the_qr_positive_walk(maps, q0)
     assert frames.shape == (len(maps) + 1, d, k)
     assert factors.shape == (len(maps), k, k)
-    q = q0
-    assert np.array_equal(frames[0], q0)
-    for i, a in enumerate(maps):
-        q, r = qr_positive(a @ q)
-        assert np.max(np.abs(frames[i + 1] - q)) <= 1e-14
-        assert np.max(np.abs(factors[i] - r)) <= 1e-14
     identity = maps @ frames[:-1] - frames[1:] @ factors
     assert np.max(np.abs(identity)) <= 1e-13
     gram = np.swapaxes(frames, 1, 2) @ frames
@@ -121,8 +135,63 @@ def test_frame_sweep_matches_a_plain_qr_loop(d, k, backward):
     assert np.all(np.tril(factors, -1) == 0)
 
 
+@pytest.mark.parametrize("d,k", [(1, 1), (3, 2), (6, 6)])
+def test_frame_sweep_follows_raw_signs_that_change_mid_sweep(d, k):
+    maps = _sweep_maps(d, seed=d + k)
+    maps[::3] = np.diag(np.where(np.arange(d) == 0, -1.0, 1.0)) @ maps[::3]  # reflections
+    _, _, raw = _assert_sweep_is_the_qr_positive_walk(maps, frame(d, seed=7)[:, :k])
+    assert np.all(np.min(raw, axis=0) < np.max(raw, axis=0))
+
+
+def test_frame_sweep_restarts_the_sign_after_a_rank_deficient_map():
+    # the first map leaves the second column's raw sign at -1, the second
+    # maps that column to zero: its diag(R) entry is 0, whose sign counts
+    # as +1, so the running sign restarts there instead of staying -1
+    maps = np.concatenate([np.diag([1.0, -1.0, 1.0])[None], np.diag([1.0, 0.0, 1.0])[None],
+                           _sweep_maps(3, m=10, seed=3)])
+    _, factors, raw = _assert_sweep_is_the_qr_positive_walk(maps, np.eye(3)[:, :2])
+    assert raw[0, 1] == -1 and factors[1, 1, 1] == 0
+
+
 def test_frame_sweep_of_an_empty_stack_is_the_start_frame():
     q0 = frame(3)[:, :2]
     frames, factors = frame_sweep(np.zeros((0, 3, 3)), q0)
     assert frames.shape == (1, 3, 2) and np.array_equal(frames[0], q0)
     assert factors.shape == (0, 2, 2)
+
+
+def _frame_stack(m, d, p, seed):
+    """m random orthonormal (d, p) frames."""
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((m, d, d)))[0][:, :, :p]
+
+
+def _assert_matches_single_pairs(a, b, d):
+    bases, dims = subspace_intersection(a, b, d)
+    assert bases.shape == (len(a), d, max(dims))
+    for i in range(len(a)):
+        single = subspace_intersection(a[i], b[i], d)
+        assert np.array_equal(single, intersection_by_complements(a[i], b[i], d))
+        assert dims[i] == single.shape[1]
+        assert np.array_equal(bases[i, :, : dims[i]], single)
+        assert np.all(bases[i, :, dims[i]:] == 0)
+    return dims
+
+
+# p + q = d + k gives a k-dimensional intersection; p + q <= d gives none
+@pytest.mark.parametrize("d,p,q", [(2, 1, 1), (2, 2, 1), (3, 2, 2), (3, 3, 3), (4, 3, 3),
+                                   (6, 4, 3), (6, 4, 4), (6, 3, 2), (3, 0, 2)])
+def test_stacked_intersection_equals_single_pairs_bit_for_bit(d, p, q):
+    a = _frame_stack(9, d, p, seed=d + p)
+    b = _frame_stack(9, d, q, seed=d + q + 50)
+    dims = _assert_matches_single_pairs(a, b, d)
+    assert np.all(dims == max(p + q - d, 0))
+
+
+def test_stacked_intersection_reports_each_pairs_dimension():
+    a = _frame_stack(7, 3, 2, seed=1)
+    b = _frame_stack(7, 3, 2, seed=2)
+    b[2] = a[2][:, ::-1]                     # same plane: not transverse
+    a[4] = a[4][:, [0, 0]]                   # rank-deficient span: a line
+    dims = _assert_matches_single_pairs(a, b, 3)
+    assert dims.tolist() == [1, 1, 2, 1, 0, 1, 1]

@@ -96,6 +96,14 @@ def test_singular_matrix_names_the_index():
         seq.window(-1, 1)
 
 
+def test_overflowing_inverse_names_the_index():
+    # passes the determinant check, but A @ A^-1 overflows to nan
+    seq = MatrixSequence.tabulated([[[1e300, 1e300], [0.0, 1e-300]]], start=3)
+    with pytest.raises(SingularMatrixError) as err:
+        seq.inverse_at(3)
+    assert err.value.n == 3
+
+
 def test_zero_scalar_rejected():
     with pytest.raises(ValidationError) as err:
         ScalarSequence.constant(0.0).require_nonzero(-4, 4)

@@ -75,11 +75,12 @@ def test_sweep_matches_the_reference_walk(build):
 
 
 # the second factor passes the determinant check and fails only the
-# inverse residual check
+# inverse residual check; the third passes it too, and A @ A^-1 overflows
 @pytest.mark.parametrize("bad", [
     [[1.0, 1.0], [1.0, 1.0]],
     [[1e10, 1e10], [1e-10, 1.000001e-10]],
-], ids=["singular", "inverse-residual"])
+    [[1e300, 1e300], [0.0, 1e-300]],
+], ids=["singular", "inverse-residual", "overflow"])
 def test_backward_half_validates_its_factors(bad):
     table = np.stack([np.eye(2)] * 20)
     table[5] = bad  # n = -5
