@@ -20,8 +20,8 @@ import numpy as np
 
 from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds
 from .errors import ParameterError, ProjectorDriftError, SubspaceError, ValidationError
-from .linalg import (batched_spectral_norm, frame_sweep, min_principal_angle,
-                     spectral_norm, subspace_intersection)
+from .linalg import (_nullspace, batched_spectral_norm, canonical_basis, frame_sweep,
+                     min_principal_angle, spectral_norm, subspace_intersection)
 from .sequences import MatrixSequence
 from .transition import transition
 
@@ -30,9 +30,10 @@ SILENT_DRIFT = 1e-9
 # Drift up to this is repaired with a warning; beyond it the conjugation
 # window has outrun the certified decay and the projector is meaningless.
 REPAIR_DRIFT = 1e-6
-# Frames intersected per stacked call in restricted_fiber_system; one stack
-# of every frame in a long window costs several MiB of SVD buffers.
-_INTERSECTION_SLICE = 256
+# Steps swept and frames intersected per stacked call in
+# restricted_fiber_system; stacks over a whole long window cost several MiB
+# of QR and SVD buffers.
+_SLICE = 256
 
 
 def _oblique_projector(range_basis: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
@@ -184,7 +185,10 @@ def bundle_fibers(spectrum: SpectrumEstimate,
     subspace certified below it with the stable subspace certified above
     it.  Certificates default to the per-gap representatives picked during
     spectrum estimation; a degenerate estimate carries none and is
-    rejected, as there is no splitting to intersect.
+    rejected, as there is no splitting to intersect.  Each basis is the
+    span-canonical :func:`~dichospec.linalg.canonical_basis`, so it does
+    not depend on the column order or signs the intersection happens to
+    produce.
     """
     certs = spectrum.gap_certificates if certificates is None else tuple(certificates)
     expected_count = len(spectrum.intervals) + 1
@@ -212,7 +216,8 @@ def bundle_fibers(spectrum: SpectrumEstimate,
                 f"fiber {i} has dimension {basis.shape[1]}, expected {expected} "
                 f"from the certificate ranks {below.rank} and {above.rank}; "
                 "the certificates are inconsistent")
-        fibers.append(SpectralBundleFiber(index=i, basis=basis, dimension=expected))
+        fibers.append(SpectralBundleFiber(index=i, basis=canonical_basis(basis),
+                                          dimension=expected))
     total = sum(f.dimension for f in fibers)
     if total != d:
         raise SubspaceError(
@@ -229,17 +234,27 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     hopeless in floating point: rounding leaks a component onto a faster
     fiber and the leak compounds at the rate gap per step.  Diagonal
     systems dodge this because coordinate axes are exactly invariant;
-    for everything else this function sweeps the two invariant families
-    framing the fiber across the requested window with two
-    :func:`~dichospec.linalg.frame_sweep` calls (forward on the factors
-    for the family growing past the gap below, backward on the inverses
-    for the family decaying past the gap above), intersects the two frames
-    of every time with stacked :func:`~dichospec.linalg.subspace_intersection`
-    calls over slices of frames, and reads off the one-step factors of the
-    fiber coordinates.  Re-expressing the orbit in the tracked frame at
-    every step removes the leak before it can compound.  A time whose
-    frames do not intersect in the fiber's dimension raises
-    :class:`SubspaceError` naming the first such n.
+    for everything else this function tracks the fiber across the
+    requested window as the intersection of two invariant families, the
+    flag construction of covariant Lyapunov vectors (Ginelli et al. 2007).
+
+    One lock-stepped :func:`~dichospec.linalg.frame_sweep` carries two full
+    orthonormal flags: F forward on the factors, seeded with the most
+    amplified directions first, and B backward on the inverses, seeded with
+    the most contracted directions first.  The leading d - r_below columns
+    of F span the family growing past the gap below the fiber, and the
+    leading r_above columns of B the family decaying past the gap above, so
+    the trailing columns of each flag span that family's orthogonal
+    complement.  At every time the fiber is the nullspace of those
+    complement rows, found by the nullspace step shared with
+    :func:`~dichospec.linalg.subspace_intersection`, and its frame is the
+    span-canonical :func:`~dichospec.linalg.canonical_basis`, so the frame
+    depends on the fiber alone and not on sweep rounding.  The one-step
+    factors of the fiber coordinates are read off those frames.
+    Re-expressing the orbit in the tracked frame at every step removes the
+    leak before it can compound.  A time whose complement rows do not leave
+    a nullspace of the fiber's dimension raises :class:`SubspaceError`
+    naming the first such n.
 
     Returns the fiber frame at time zero together with a tabulated k-by-k
     system covering ``[-window, window - 1]``.  The frames are orthonormal,
@@ -264,21 +279,32 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     binit, amplified, contracted = _family_seeds(
         factors, seq.validate((lo, hi)).m_hat, burn)
     off = burn - binit  # the seeds sit at times -w - off and w + off
-    # u_frames[i] and s_frames[i] sit at time i - w
-    u_frames = frame_sweep(factors[binit: burn + 2 * w], amplified[:, : d - r_below])[0][off:]
-    inverses = np.linalg.inv(factors[burn: 2 * (w + burn) - binit])
-    s_frames = frame_sweep(inverses[::-1], contracted[:, d - r_above:])[0][::-1][: 2 * w + 1]
+    steps = 2 * w + off
+    # rows[i] sits at time i - w - off and holds the complement rows of F
+    # after i forward steps, then those of B after steps + off - i backward
+    # steps; F covers rows 0..steps and B rows off..steps + off
+    rows = np.empty((steps + off + 1, d - k, d))
+    flags = np.stack([amplified, contracted[:, ::-1]])
+    for start in range(0, steps, _SLICE):
+        stop = min(start + _SLICE, steps)
+        maps = np.stack([factors[binit + start: binit + stop],
+                         np.linalg.inv(factors[burn + steps - stop: burn + steps - start])[::-1]])
+        frames = frame_sweep(maps, flags)[0]
+        flags = frames[:, -1]
+        rows[start: stop + 1, :r_below] = np.swapaxes(frames[0, :, :, d - r_below:], 1, 2)
+        rows[steps + off - stop: steps + off - start + 1, r_below:] = np.swapaxes(
+            frames[1, ::-1, :, r_above:], 1, 2)
 
     fiber_frames = np.empty((2 * w + 1, d, k))
-    for start in range(0, 2 * w + 1, _INTERSECTION_SLICE):
-        part = slice(start, start + _INTERSECTION_SLICE)
-        bases, dims = subspace_intersection(u_frames[part], s_frames[part], d, rtol=rtol)
+    for start in range(0, 2 * w + 1, _SLICE):
+        stop = min(start + _SLICE, 2 * w + 1)
+        bases, dims = _nullspace(rows[off + start: off + stop], rtol)
         lost = np.flatnonzero(dims != k)
         if lost.size:
             raise SubspaceError(
                 f"fiber {index} lost track at n = {start + lost[0] - w}: the framing "
                 f"families intersect in dimension {dims[lost[0]]}, not {k}")
-        fiber_frames[part] = bases
+        fiber_frames[start: stop] = canonical_basis(bases)
 
     af = factors[burn: burn + 2 * w] @ fiber_frames[:-1]
     table = np.swapaxes(fiber_frames[1:], 1, 2) @ af

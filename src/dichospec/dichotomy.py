@@ -296,14 +296,18 @@ class DichotomyAnalyzer:
     # -- construction helpers -------------------------------------------------
 
     def _direction_rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean per-direction log growth rates, forward and backward."""
+        """Mean per-direction log growth rates, forward and backward.
+
+        Both sweeps start from the identity at time 0 and run ``ext``
+        steps, forward on the factors and backward on the inverses, in
+        one lock-stepped :func:`~dichospec.linalg.frame_sweep`.
+        """
         ext = self._ext
         half = ext // 2
         eye = np.eye(self.seq.dimension)
-        _, forward = frame_sweep(self._factors[ext:], eye)
-        _, backward = frame_sweep(self._inverses[ext - 1::-1], eye)
-        return tuple(np.log(np.diagonal(r[half:], axis1=1, axis2=2)).mean(axis=0)
-                     for r in (forward, backward))
+        _, r = frame_sweep(np.stack([self._factors[ext:], self._inverses[ext - 1::-1]]),
+                           np.stack([eye, eye]))
+        return tuple(np.log(np.diagonal(r[:, half:], axis1=2, axis2=3)).mean(axis=1))
 
     def _usable_factors(self) -> np.ndarray:
         burn = self.params.burn_in
@@ -546,7 +550,8 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     both sides.  A non-monotone rank pattern that merging cannot repair
     raises :class:`SpectrumConsistencyError`.  If no gamma certifies at
     all, the whole probed range is returned as one low-confidence interval
-    rather than fabricating gaps.
+    rather than fabricating gaps.  An interval next to a low-confidence
+    gap certificate is flagged low-confidence too.
     """
     if grid_points < 8:
         raise ParameterError("grid_points must be at least 8")
@@ -710,7 +715,9 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
 
     bound_lo, bound_hi = 1.0 / m_hat, m_hat
     intervals = []
-    for a, b, lowc in merged:
+    for i, (a, b, lowc) in enumerate(merged):
+        # an interval is no surer than the gap certificates next to it
+        lowc = lowc or any(v is not None and v.low_confidence for v in reps[i: i + 2])
         ca, cb = max(a, bound_lo), min(b, bound_hi)
         if ca > cb:  # interval entirely outside the certified bound range
             ca = cb = min(max(a, bound_lo), bound_hi)

@@ -40,6 +40,14 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     factors R (m, k, k) with ``maps[i] @ Q[i] = Q[i + 1] @ R[i]``.  A
     backward walk passes the reversed stack of inverses and flips the result.
 
+    A leading batch axis runs B sweeps in lock-step: maps (B, m, d, d) and
+    q0 (B, d, k) give frames (B, m + 1, d, k) and factors (B, m, k, k), at
+    one matmul and one ``np.linalg.qr`` call per step for the whole batch.
+    Each batch item equals its own unbatched sweep bit for bit, because
+    numpy runs the same kernel (BLAS product, LAPACK Householder QR) on
+    every matrix of a stack, so an item sees exactly the arithmetic it
+    would see alone.
+
     The step loop runs a plain Householder QR and the sign convention of
     :func:`qr_positive` is imposed once afterwards, through the running
     column signs c (c[0] = 1, c[i + 1] = sign(diag R_raw[i]) * c[i], a zero
@@ -48,30 +56,36 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     approximation: negating a column of the frame commutes exactly with
     the product ``maps[i] @ Q[i]`` and with Householder QR (Q is unchanged,
     that column of R is negated), so every step does the arithmetic of a
-    per-step ``qr_positive`` walk and the results equal it bit for bit.
+    per-step ``qr_positive`` walk and the results equal it bit for bit.  For
+    the same reason a sweep cut into pieces, each seeded with the last frame
+    of the one before, equals the whole sweep bit for bit.
     """
-    m, k = maps.shape[0], q0.shape[1]
-    frames = np.empty((m + 1, *q0.shape))
-    factors = np.empty((m, k, k))
-    frames[0] = q0
+    batched = maps.ndim == 4
+    if not batched:
+        maps, q0 = maps[None], q0[None]
+    (b, m), k = maps.shape[:2], q0.shape[2]
+    frames = np.empty((b, m + 1, *q0.shape[1:]))
+    factors = np.empty((b, m, k, k))
+    frames[:, 0] = q0
     for i in range(m):
-        frames[i + 1], factors[i] = np.linalg.qr(maps[i] @ frames[i])
-    steps = np.sign(np.diagonal(factors, axis1=1, axis2=2))
+        frames[:, i + 1], factors[:, i] = np.linalg.qr(maps[:, i] @ frames[:, i])
+    steps = np.sign(np.diagonal(factors, axis1=2, axis2=3))
     # c[i + 1] is the product of the signs since the last zero one: the
     # running product of the nonzero signs times its value at that restart
     zero = steps == 0
-    flips = np.cumprod(np.where(zero, 1.0, steps), axis=0)
-    restart = np.maximum.accumulate(np.where(zero, np.arange(m)[:, None], -1), axis=0)
-    signs = np.ones((m + 1, k))
-    signs[1:] = flips * np.where(restart >= 0, flips[restart, np.arange(k)], 1.0)
-    frames *= signs[:, None, :]
-    factors *= signs[:-1, None, :]
+    flips = np.cumprod(np.where(zero, 1.0, steps), axis=1)
+    restart = np.maximum.accumulate(np.where(zero, np.arange(m)[:, None], -1), axis=1)
+    at_restart = np.take_along_axis(flips, np.maximum(restart, 0), axis=1)
+    signs = np.ones((b, m + 1, k))
+    signs[:, 1:] = flips * np.where(restart >= 0, at_restart, 1.0)
+    frames *= signs[:, :, None, :]
+    factors *= signs[:, :-1, None, :]
     # zeros below the diagonal go back to +0 before the row signs, so even
     # their signs match qr_positive's; every step here works in place
     below = np.tril_indices(k, -1)
-    factors[:, below[0], below[1]] = 0.0
-    factors *= signs[1:, :, None]
-    return frames, factors
+    factors[:, :, below[0], below[1]] = 0.0
+    factors *= signs[:, 1:, :, None]
+    return (frames, factors) if batched else (frames[0], factors[0])
 
 
 def _column_space(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,41 +141,74 @@ def min_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(ang[0]) if ang.size else float(np.pi / 2)
 
 
-def subspace_intersection(a: np.ndarray, b: np.ndarray, dim: int, rtol: float = 1e-8
-                          ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of span(a) & span(b), for one pair or a stack of pairs.
+def canonical_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(v) that depends only on the span.
+
+    ``v`` holds orthonormal columns, (d, k) or a stack (..., d, k).  The
+    result is the Q of the positive-diagonal QR of k columns of the
+    orthogonal projector P = v v^T, picked by greedy column pivoting
+    (largest residual norm first) and taken in index order; both the
+    pivots and Q are functions of P alone.  The columns of P have the Gram
+    matrix of the rows of v, so the pivots are found on the rows of v, and
+    P[:, piv] = v M with M = v[piv]^T, so Q = v O for the positive-diagonal
+    QR M = O R, which keeps Q orthonormal to rounding.  For k = 1 this
+    makes the largest-magnitude entry positive; for k = d it is the
+    identity up to rounding.  Only exact ties between pivot candidates
+    leave the choice to rounding.
+    """
+    rows = v.copy()
+    picks = []
+    for _ in range(v.shape[-1]):
+        pick = np.argmax(np.sum(rows * rows, axis=-1), axis=-1)
+        picks.append(pick)
+        top = np.take_along_axis(rows, pick[..., None, None], axis=-2)
+        top /= np.linalg.norm(top, axis=-1, keepdims=True)
+        rows -= (rows @ np.swapaxes(top, -1, -2)) * top
+    pivots = np.sort(np.stack(picks, axis=-1), axis=-1)
+    o, r = np.linalg.qr(np.swapaxes(np.take_along_axis(v, pivots[..., None], axis=-2), -1, -2))
+    return v @ (o * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :])
+
+
+def _nullspace(rows: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal nullspace bases of a stack of (r, d) row matrices.
+
+    A matrix's rank counts its singular values above ``rtol`` times the
+    largest; a zero matrix, or one without rows, has rank 0.  Returns
+    ``(bases, dims)``: ``dims`` (m,) holds each nullspace's dimension and
+    ``bases`` (m, d, max(dims)) holds item i's basis, the trailing right
+    singular vectors, in its first ``dims[i]`` columns, zeros after.
+    """
+    d = rows.shape[-1]
+    _, s, vt = np.linalg.svd(rows)
+    rank = np.sum(s > rtol * s[:, :1], axis=-1)
+    dims = d - rank
+    null_rows = np.zeros((len(rows), dims.max(initial=0), d))
+    for r in set(rank.tolist()):
+        same = rank == r
+        null_rows[same, : d - r] = vt[same, r:]
+    return np.swapaxes(null_rows, 1, 2), dims
+
+
+def _complement_rows(a: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the orthogonal complement of span(a).
+
+    The span's basis has relative cutoff 1e-12; the SVD of a basis
+    without columns gives an identity U, so an empty span has every row.
+    """
+    u, rank = _column_space(a, 1e-12)
+    return np.linalg.svd(u[:, :rank])[0][:, rank:].T
+
+
+def subspace_intersection(a: np.ndarray, b: np.ndarray, dim: int,
+                          rtol: float = 1e-8) -> np.ndarray:
+    """Orthonormal (dim, k) basis of span(a) & span(b).
 
     Membership in each span is imposed through the orthogonal complement:
-    x lies in span(a) iff comp(a)^T x = 0.  The stacked constraint matrix
-    is sent through an SVD nullspace with relative cutoff ``rtol``.
-
-    A pair ``a`` (d, p), ``b`` (d, q) gives the (d, k) basis.  Stacks
-    ``a`` (m, d, p), ``b`` (m, d, q) give ``(bases, dims)``: ``dims`` (m,)
-    holds each intersection's dimension, and ``bases`` (m, d, max(dims))
-    holds pair i's basis in its first ``dims[i]`` columns, zeros after.
-    Each SVD step runs batched over the pairs whose spans have equal
-    ranks; numpy applies the same LAPACK routine to each matrix of a
-    stack, so every basis, signs included, equals the one-pair result bit
-    for bit.
+    x lies in span(a) iff comp(a)^T x = 0.  The stacked complement rows go
+    through the nullspace step :func:`_nullspace` with relative cutoff
+    ``rtol``, the same step that intersects the flags of
+    :func:`dichospec.bundles.restricted_fiber_system`.
     """
-    single = a.ndim == 2
-    if single:
-        a, b = a[None], b[None]
-    ua, ra = _column_space(a, 1e-12)
-    ub, rb = _column_space(b, 1e-12)
-    null_rows = np.zeros((len(a), dim, dim))
-    dims = np.empty(len(a), dtype=int)
-    for pa, pb in set(zip(ra.tolist(), rb.tolist())):
-        group = np.flatnonzero((ra == pa) & (rb == pb))
-        # rows spanning the orthogonal complement of each span; the SVD of
-        # a matrix without columns (or rows) gives an identity U (or V)
-        rows = np.concatenate([np.swapaxes(np.linalg.svd(u[group, :, :r])[0][..., r:], 1, 2)
-                               for u, r in ((ua, pa), (ub, pb))], axis=1)
-        _, s, vt = np.linalg.svd(rows)
-        rank = np.sum(s > rtol * s[:, :1], axis=-1)
-        for r in set(rank.tolist()):
-            same = rank == r
-            null_rows[group[same], : dim - r] = vt[same, r:]
-            dims[group[same]] = dim - r
-    bases = np.swapaxes(null_rows[:, : dims.max(initial=0)], 1, 2)
-    return bases[0, :, : dims[0]] if single else (bases, dims)
+    bases, dims = _nullspace(np.concatenate([_complement_rows(a), _complement_rows(b)])[None],
+                             rtol)
+    return bases[0, :, : dims[0]]

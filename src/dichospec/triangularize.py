@@ -94,14 +94,20 @@ def qr_triangularize(seq: MatrixSequence,
     lo, hi = int(window[0]), int(window[1])
     if not lo < 0 < hi:
         raise ParameterError(f"triangularization window {window} must straddle zero")
-    eye = np.eye(seq.dimension)
+    d = seq.dimension
     factors = seq.window(lo, hi - 1)
-    forward, upper_forward = frame_sweep(factors[-lo:], eye)
-    # behind zero: walk A(-1)^-1, A(-2)^-1, ... and flip
-    backward, r_backward = frame_sweep(_checked_inverses(factors[:-lo], lo)[::-1], eye)
-    frames = np.concatenate([backward[:0:-1], forward])
+    # forward of zero walk A(0), A(1), ...; behind zero walk A(-1)^-1,
+    # A(-2)^-1, ... and flip.  Both halves run lock-stepped in one sweep,
+    # the shorter one padded at its end with identity maps whose output
+    # is dropped.
+    halves = (factors[-lo:], _checked_inverses(factors[:-lo], lo)[::-1])
+    maps = np.tile(np.eye(d), (2, max(hi, -lo), 1, 1))
+    for half, part in zip(maps, halves):
+        half[: len(part)] = part
+    swept, r = frame_sweep(maps, np.stack([np.eye(d), np.eye(d)]))
+    frames = np.concatenate([swept[1, -lo:0:-1], swept[0, : hi + 1]])
     upper = MatrixSequence.tabulated(
-        np.concatenate([np.linalg.inv(r_backward[::-1]), upper_forward]), start=lo)
+        np.concatenate([np.linalg.inv(r[1, -lo - 1::-1]), r[0, :hi]]), start=lo)
     return KinematicPair(upper=upper, frames=frames, start=lo)
 
 

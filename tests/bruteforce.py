@@ -190,3 +190,48 @@ def intersection_by_complements(a, b, dim, rtol=1e-8):
     if s[0] > 0:
         significant[: s.size] = s > rtol * s[0]
     return vt.T[:, ~significant]
+
+
+def restricted_by_intersection(seq, r_below, r_above, window, burn_in=128):
+    """Fiber frame at time 0 and k x k table of a fiber, one time at a time.
+
+    The fiber between gap ranks r_below and r_above is framed by two
+    partial QR walks: forward on the factors for the d - r_below most
+    amplified directions, backward on the inverses for the r_above most
+    contracted ones, each seeded from the SVD of a short product at its
+    end of the window.  The fiber frame of every time in [-window, window]
+    is the intersection of the two frames there, and the table entry at n
+    is F(n+1)^T A(n) F(n).  A one-dimensional fiber's frame is turned so
+    that its largest-magnitude entry is positive; wider frames keep the
+    basis the intersection happens to give.
+    """
+    def qr_positive(a):
+        q, r = np.linalg.qr(a)
+        s = np.sign(np.diag(r))
+        s[s == 0] = 1.0
+        return q * s
+
+    d = seq.dimension
+    w, burn = window, burn_in
+    log_m = max(np.log(max(norm_scan(seq, -w - burn, w + burn)[0], 1.0)), 0.05)
+    binit = max(4, min(int(16.0 / log_m), burn))
+    first, last = np.eye(d), np.eye(d)
+    for j in range(binit):
+        first = seq.evaluate(-w - burn + j) @ first
+        last = seq.evaluate(w + burn - binit + j) @ last
+    u = scipy.linalg.svd(first)[0][:, : d - r_below]
+    s = scipy.linalg.svd(last)[2].T[:, d - r_above:]
+    off = burn - binit
+    unstable, stable = {}, {}
+    for n in range(-w - off, w + 1):
+        unstable[n] = u
+        u = qr_positive(seq.evaluate(n) @ u)
+    for n in range(w + off, -w - 1, -1):
+        stable[n] = s
+        s = qr_positive(scipy.linalg.solve(seq.evaluate(n - 1), s))
+    frames = {n: intersection_by_complements(unstable[n], stable[n], d)
+              for n in range(-w, w + 1)}
+    if r_above - r_below == 1:
+        frames = {n: f * np.sign(f[np.argmax(np.abs(f[:, 0])), 0]) for n, f in frames.items()}
+    table = np.array([frames[n + 1].T @ seq.evaluate(n) @ frames[n] for n in range(-w, w)])
+    return frames[0], table

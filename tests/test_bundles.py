@@ -9,13 +9,15 @@ from dichospec.bundles import (
     restricted_fiber_system,
     whitney_sum_check,
 )
-from dichospec.dichotomy import DichotomyAnalyzer, estimate_spectrum
+from dichospec.dichotomy import (DichotomyAnalyzer, SpectralInterval, SpectrumEstimate,
+                                 estimate_spectrum)
 from dichospec.dichotomy import test_dichotomy as dichotomy_verdict
 from dichospec.errors import (ParameterError, ProjectorDriftError,
                               SubspaceError, ValidationError)
 from dichospec.linalg import min_principal_angle, principal_angles
 from dichospec.sequences import MatrixSequence
-from systems import separated_banded_diagonal
+from bruteforce import restricted_by_intersection
+from systems import random_periodic, separated_banded_diagonal
 
 dichotomy_verdict.__test__ = False
 
@@ -101,6 +103,8 @@ def test_autonomous_diagonal_fibers_align_with_axes():
     # interval order is ascending: first 0.5 (second axis), then 2 (first)
     assert min_principal_angle(fibers[0].basis, axis(1)) <= 1e-9
     assert min_principal_angle(fibers[1].basis, axis(0)) <= 1e-9
+    # canonical bases: the largest entry of a line's basis is positive
+    assert fibers[0].basis[1, 0] > 0 and fibers[1].basis[0, 0] > 0
     assert fibers[0].contains(np.array([0.0, 3.0]))
     assert not fibers[0].contains(np.array([1.0, 1.0]))
 
@@ -185,9 +189,61 @@ def test_restricted_system_recovers_exact_fiber_rates():
     direction = np.array([-2.0 / 3.0, 1.0])
     direction /= np.linalg.norm(direction)
     assert min_principal_angle(basis1, direction.reshape(2, 1)) <= 1e-12
-    assert np.max(np.abs(np.abs(slow.window(-64, 63)) - 0.5)) <= 1e-12
-    assert np.max(np.abs(np.abs(fast.window(-64, 63)) - 2.0)) <= 1e-12
+    # canonical frames keep their sign along the orbit, so even the signed
+    # one-step factors are the eigenvalues
+    assert np.max(np.abs(slow.window(-64, 63) - 0.5)) <= 1e-12
+    assert np.max(np.abs(fast.window(-64, 63) - 2.0)) <= 1e-12
     assert slow.dimension == fast.dimension == 1
+
+
+SEEDED_BANDS = {
+    2: ((0.4, 0.55), (1.6, 1.9)),
+    3: ((0.3, 0.4), (0.8, 1.0), (1.8, 2.2)),
+    6: ((0.2, 0.25), (0.35, 0.42), (0.6, 0.7), (1.0, 1.15), (1.6, 1.8), (2.6, 3.0)),
+}
+
+
+def _nonnormal_with_its_spectrum():
+    # the estimate merges {0.5, 2} into one interval here (transversality
+    # is refuted at splitting angle 1.5e-4), so the restriction is checked
+    # against the true gap ranks
+    seq = MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]])
+    est = SpectrumEstimate(intervals=(SpectralInterval(0.5, 0.5), SpectralInterval(2.0, 2.0)),
+                           gap_ranks=(0, 1, 2), gap_certificates=(), grid=(),
+                           refine_tol=1e-3, m_hat=1e4, window=256, dimension=2)
+    return seq, est
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda d=d: MatrixSequence.seeded(5, bands=SEEDED_BANDS[d]) for d in (2, 3, 6)],
+    *[lambda d=d: random_periodic(3, d, 3) for d in (2, 3, 6)],
+    _nonnormal_with_its_spectrum,
+], ids=["seeded-d2", "seeded-d3", "seeded-d6", "periodic-d2", "periodic-d3", "periodic-d6",
+        "nonnormal"])
+def test_restricted_system_matches_the_per_fiber_reference(build):
+    # the reference intersects two partial frames at every time; the flag
+    # pair must give the same fiber and the same table up to a change of
+    # orthonormal basis, which leaves projectors and singular values alone
+    built = build()
+    seq, est = built if isinstance(built, tuple) else (built, estimate_spectrum(built))
+    w = 150  # 2w + 1 times span two sweep pieces and two intersection slices
+    restricted = 0
+    for i in range(1, len(est.intervals) + 1):
+        basis, system = restricted_fiber_system(seq, est, i, window=w)
+        if system is seq:
+            continue
+        restricted += 1
+        want_basis, want_table = restricted_by_intersection(
+            seq, est.gap_ranks[i - 1], est.gap_ranks[i], w)
+        assert np.max(np.abs(basis @ basis.T - want_basis @ want_basis.T)) <= 1e-12
+        assert np.max(np.abs(np.linalg.svd(system.table, compute_uv=False)
+                             - np.linalg.svd(want_table, compute_uv=False))) <= 1e-12
+        if basis.shape[1] == 1:
+            # a line's canonical frame has its largest entry positive, at
+            # every time, so the frames and the signed tables agree too
+            assert np.max(np.abs(basis - want_basis)) <= 1e-12
+            assert np.max(np.abs(system.table - want_table)) <= 1e-12
+    assert restricted >= 2
 
 
 def test_restricted_system_passes_whole_space_through():

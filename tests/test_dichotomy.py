@@ -15,6 +15,7 @@ from dichospec.dichotomy import (
     test_dichotomy as dichotomy_verdict,
 )
 from dichospec.errors import DecayFitError, ParameterError, ValidationError
+from dichospec.linalg import frame_sweep
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from systems import random_periodic
 
@@ -231,6 +232,51 @@ def test_analyzer_reuse_matches_fresh_run():
     assert est_fresh.gap_ranks == est_reused.gap_ranks
     # the analyzer answers further queries consistently
     assert analyzer.verdict(1.0).rank == 1
+
+
+def test_direction_rates_equal_two_separate_sweeps():
+    # the two rate sweeps run lock-stepped; each is still its own sweep
+    seq = MatrixSequence.seeded(3, bands=((0.5, 0.7), (1.2, 1.8)))
+    analyzer = DichotomyAnalyzer(seq)
+    ext = analyzer.params.extent
+    factors = seq.window(-ext, ext - 1)
+    for r, want in ((frame_sweep(factors[ext:], np.eye(2))[1], analyzer._forward_rates),
+                    (frame_sweep(np.linalg.inv(factors)[ext - 1::-1], np.eye(2))[1],
+                     analyzer._backward_rates)):
+        rates = np.log(np.diagonal(r[ext // 2:], axis1=1, axis2=2)).mean(axis=0)
+        assert np.array_equal(rates, want)
+
+
+def test_low_confidence_gap_certificates_flag_their_intervals():
+    # the Jordan block's middle gap certificate sits in the boundary band
+    est = estimate_spectrum(MatrixSequence.constant([[1.0, 1.0], [0.0, 1.0]]))
+    flags = [v.low_confidence for v in est.gap_certificates]
+    assert flags == [False, True, False]
+    for i, iv in enumerate(est.intervals):
+        assert iv.low_confidence == any(flags[i: i + 2])
+    # clean gaps leave the intervals unflagged
+    est = estimate_spectrum(diag_2_half())
+    assert not any(v.low_confidence for v in est.gap_certificates)
+    assert not any(iv.low_confidence for iv in est.intervals)
+
+
+# Known certificate defects: each test states the correct answer and fails
+# today; strict xfail turns a fix into a loud XPASS.
+
+
+@pytest.mark.xfail(strict=True, reason="the gap between these bands is lost at window 896")
+@pytest.mark.parametrize("seed", [3, 5])
+def test_seeded_bands_keep_their_gap_at_window_896(seed):
+    seq = MatrixSequence.seeded(seed, ((0.3, 0.375), (0.6, 0.75)))
+    est = estimate_spectrum(seq, params=DichotomyParams(window=896))
+    assert est.gap_ranks == (0, 1, 2)
+
+
+@pytest.mark.xfail(strict=True, reason="polynomial growth passes the decay fit (rho 0.99782)")
+def test_jordan_block_has_no_certificate_at_its_eigenvalue():
+    # the spectrum of [[1, 1], [0, 1]] is {1}, so gamma = 1 is in it
+    assert not dichotomy_verdict(MatrixSequence.constant([[1.0, 1.0], [0.0, 1.0]]),
+                                 1.0).is_certificate
 
 
 def test_scalar_spectrum_piecewise():

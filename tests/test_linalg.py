@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bruteforce import intersection_by_complements
-from dichospec.linalg import (frame_sweep, min_principal_angle, principal_angles, qr_positive,
+from dichospec.linalg import (_complement_rows, _nullspace, canonical_basis, frame_sweep,
+                              min_principal_angle, principal_angles, qr_positive,
                               subspace_intersection)
 
 E = np.eye(6)
@@ -160,6 +163,47 @@ def test_frame_sweep_of_an_empty_stack_is_the_start_frame():
     assert factors.shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize("b,d,k", [(2, 2, 2), (2, 3, 1), (3, 6, 6)])
+@pytest.mark.parametrize("backward", [False, True])
+def test_batched_frame_sweep_equals_per_item_sweeps(b, d, k, backward):
+    maps = np.stack([_sweep_maps(d, seed=10 * i + d) for i in range(b)])
+    if backward:
+        maps = np.linalg.inv(maps)[:, ::-1]
+    q0 = np.stack([frame(d, seed=7 + i)[:, :k] for i in range(b)])
+    frames, factors = frame_sweep(maps, q0)
+    m = maps.shape[1]
+    assert frames.shape == (b, m + 1, d, k) and factors.shape == (b, m, k, k)
+    for i in range(b):
+        want_frames, want_factors = frame_sweep(maps[i], q0[i])
+        assert np.array_equal(frames[i], want_frames)
+        assert np.array_equal(factors[i], want_factors)
+    # cut in two, the second piece seeded with the first one's last frame
+    head, head_factors = frame_sweep(maps[:, :17], q0)
+    tail, tail_factors = frame_sweep(maps[:, 17:], head[:, -1])
+    assert np.array_equal(np.concatenate([head, tail[:, 1:]], axis=1), frames)
+    assert np.array_equal(np.concatenate([head_factors, tail_factors], axis=1), factors)
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 3), (6, 1),
+                                 (6, 2), (6, 3)])
+def test_canonical_basis_depends_only_on_the_span(d, k):
+    v = frame(d, seed=d + k)[:, :k]
+    c = canonical_basis(v)
+    assert np.max(np.abs(c.T @ c - np.eye(k))) <= 1e-15
+    assert np.max(np.abs(c @ c.T - v @ v.T)) <= 1e-15
+    rotated = [v @ frame(k, seed=20 + i) for i in range(4)]
+    flipped = [v * np.array(signs) for signs in itertools.product((1.0, -1.0), repeat=k)]
+    for other in rotated + flipped:
+        assert np.max(np.abs(canonical_basis(other) - c)) <= 1e-15
+    stacked = canonical_basis(np.stack(rotated))
+    for i, other in enumerate(rotated):
+        assert np.array_equal(stacked[i], canonical_basis(other))
+    if k == 1:
+        assert c[np.argmax(np.abs(c[:, 0])), 0] > 0
+    if k == d:
+        assert np.max(np.abs(c - np.eye(d))) <= 1e-15
+
+
 def _frame_stack(m, d, p, seed):
     """m random orthonormal (d, p) frames."""
     rng = np.random.default_rng(seed)
@@ -167,7 +211,11 @@ def _frame_stack(m, d, p, seed):
 
 
 def _assert_matches_single_pairs(a, b, d):
-    bases, dims = subspace_intersection(a, b, d)
+    """The nullspace step on the stacked complement rows of every pair
+    equals the one-pair intersection, and the reference, bit for bit."""
+    rows = np.stack([np.concatenate([_complement_rows(x), _complement_rows(y)])
+                     for x, y in zip(a, b)])
+    bases, dims = _nullspace(rows, 1e-8)
     assert bases.shape == (len(a), d, max(dims))
     for i in range(len(a)):
         single = subspace_intersection(a[i], b[i], d)
@@ -192,6 +240,15 @@ def test_stacked_intersection_reports_each_pairs_dimension():
     a = _frame_stack(7, 3, 2, seed=1)
     b = _frame_stack(7, 3, 2, seed=2)
     b[2] = a[2][:, ::-1]                     # same plane: not transverse
-    a[4] = a[4][:, [0, 0]]                   # rank-deficient span: a line
+    a[4] = a[4] * 1e-9                       # tiny but full-rank span: still a plane
     dims = _assert_matches_single_pairs(a, b, 3)
-    assert dims.tolist() == [1, 1, 2, 1, 0, 1, 1]
+    assert dims.tolist() == [1, 1, 2, 1, 1, 1, 1]
+    # complement rows that vanish (a zero matrix has rank 0) leave everything
+    rows = np.stack([np.eye(3)[:2], np.zeros((2, 3))])
+    bases, dims = _nullspace(rows, 1e-8)
+    assert dims.tolist() == [1, 3]
+    # a rank-deficient span counts its rank: a line meets a generic plane in 0
+    line = a[5][:, [0, 0]]
+    assert subspace_intersection(line, b[5], 3).shape == (3, 0)
+    assert np.array_equal(subspace_intersection(line, b[5], 3),
+                          intersection_by_complements(line, b[5], 3))

@@ -4,6 +4,7 @@ import pytest
 from dichospec.bohl import BohlParams, bohl_exponents
 from dichospec.dichotomy import estimate_spectrum
 from dichospec.errors import ParameterError, SingularMatrixError, ValidationError
+from dichospec.linalg import frame_sweep
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.triangularize import diagonal_significance, qr_triangularize
 from bruteforce import qr_walk
@@ -72,6 +73,21 @@ def test_sweep_matches_the_reference_walk(build):
     assert np.max(np.abs(pair.frames - frames)) <= 1e-12
     scale = max(1.0, float(np.max(np.abs(factors))))
     assert np.max(np.abs(pair.upper.table - factors)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("window", [(-40, 5), (-5, 40), (-1, 1), (-30, 30)])
+def test_lock_stepped_halves_equal_two_separate_sweeps(window):
+    # both halves run in one batched sweep, the shorter padded with
+    # identity maps; each must still be its own sweep bit for bit
+    seq = random_periodic(4, 3, 5)
+    lo, hi = window
+    pair = qr_triangularize(seq, window=window)
+    factors = seq.window(lo, hi - 1)
+    forward, r_forward = frame_sweep(factors[-lo:], np.eye(3))
+    backward, r_backward = frame_sweep(np.linalg.inv(factors[:-lo])[::-1], np.eye(3))
+    assert np.array_equal(pair.frames, np.concatenate([backward[:0:-1], forward]))
+    assert np.array_equal(pair.upper.table,
+                          np.concatenate([np.linalg.inv(r_backward[::-1]), r_forward]))
 
 
 # the second factor passes the determinant check and fails only the
