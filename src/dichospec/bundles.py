@@ -177,14 +177,15 @@ class SpectralBundleFiber:
 
 
 def bundle_fibers(spectrum: SpectrumEstimate,
-                  certificates: tuple[DichotomyVerdict, ...] | None = None,
+                  certificates: tuple[DichotomyVerdict | None, ...] | None = None,
                   *, rtol: float = 1e-8) -> tuple[SpectralBundleFiber, ...]:
     """Fibers of the spectral bundle at time zero, one per interval.
 
     The fiber over interval ``i`` is the intersection of the unstable
     subspace certified below it with the stable subspace certified above
     it.  Certificates default to the per-gap representatives picked during
-    spectrum estimation; a degenerate estimate carries none and is
+    spectrum estimation; a degenerate estimate carries none, and a gap
+    whose rank a grid edge stood in for carries ``None``.  Both are
     rejected, as there is no splitting to intersect.  Each basis is the
     span-canonical :func:`~dichospec.linalg.canonical_basis`, so it does
     not depend on the column order or signs the intersection happens to
@@ -196,7 +197,10 @@ def bundle_fibers(spectrum: SpectrumEstimate,
         raise SubspaceError(
             f"need {expected_count} gap certificates (one per spectral gap), "
             f"got {len(certs)}")
-    for cert, rank in zip(certs, spectrum.gap_ranks):
+    for gap, (cert, rank) in enumerate(zip(certs, spectrum.gap_ranks)):
+        if cert is None:
+            raise SubspaceError(
+                f"gap {gap} (rank {rank}) holds no certificate: a grid edge stood in for it")
         if not cert.is_certificate:
             raise SubspaceError(
                 f"gap verdict at gamma={cert.gamma} is not a certificate")

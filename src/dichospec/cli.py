@@ -109,7 +109,8 @@ def spectrum_payload(name: str, est: SpectrumEstimate) -> dict[str, Any]:
         "degenerate": est.degenerate,
         "intervals": [_interval_payload(iv) for iv in est.intervals],
         "gap_ranks": list(est.gap_ranks),
-        "gap_certificates": [_verdict_payload(c) for c in est.gap_certificates],
+        "gap_certificates": [None if c is None else _verdict_payload(c)
+                             for c in est.gap_certificates],
         "probes": len(est.grid),
     }
 

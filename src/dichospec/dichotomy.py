@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Mapping
 
 import numpy as np
@@ -309,10 +310,10 @@ class DichotomyAnalyzer:
                            np.stack([eye, eye]))
         return tuple(np.log(np.diagonal(r[:, half:], axis1=2, axis2=3)).mean(axis=1))
 
-    def _usable_factors(self) -> np.ndarray:
+    def _usable(self, stack: np.ndarray) -> np.ndarray:
+        """The 2N entries of a per-step stack that fall in [-N, N)."""
         burn = self.params.burn_in
-        n = 2 * self.params.window
-        return self._factors[burn: burn + n]
+        return stack[burn: burn + 2 * self.params.window]
 
     def _env_values(self, factors: np.ndarray) -> np.ndarray:
         wp = WindowProducts(factors)
@@ -325,13 +326,12 @@ class DichotomyAnalyzer:
         if s == 0:
             cand = _Candidate(rank=0, stable_basis=np.zeros((d, 0)),
                               unstable_basis=np.eye(d), stable_env=None,
-                              unstable_env=self._env_values(
-                                  np.linalg.inv(self._usable_factors())[::-1]),
+                              unstable_env=self._env_values(self._usable(self._inverses)[::-1]),
                               angle=math.pi / 2)
         elif s == d:
             cand = _Candidate(rank=d, stable_basis=np.eye(d),
                               unstable_basis=np.zeros((d, 0)),
-                              stable_env=self._env_values(self._usable_factors()),
+                              stable_env=self._env_values(self._usable(self._factors)),
                               unstable_env=None, angle=math.pi / 2)
         else:
             cand = self._build_split_candidate(s)
@@ -483,13 +483,15 @@ class SpectrumEstimate:
     ``gap_ranks`` has one entry per resolvent gap, from below the first
     interval (rank 0) to above the last (rank d).  ``gap_certificates``
     holds one representative certificate per gap (empty only in the
-    degenerate all-in-spectrum case).  ``grid`` records every verdict
-    probed during estimation, sorted by gamma.
+    degenerate all-in-spectrum case).  An entry is ``None`` when the
+    first (last) probe was in-spectrum, so the grid edge stands in for
+    rank 0 (d) and that gap has no certified splitting.  ``grid`` records
+    every verdict probed during estimation, sorted by gamma.
     """
 
     intervals: tuple[SpectralInterval, ...]
     gap_ranks: tuple[int, ...]
-    gap_certificates: tuple[DichotomyVerdict, ...]
+    gap_certificates: tuple[DichotomyVerdict | None, ...]
     grid: tuple[DichotomyVerdict, ...]
     refine_tol: float
     m_hat: float
@@ -540,18 +542,28 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     that brackets a structure change (certificate/in-spectrum flip, or a
     rank jump between certificates hiding a spectral interval narrower
     than the grid) is split at its geometric midpoint, down to relative
-    width refine_tol / 4.  Reported interval endpoints are the bracketing
-    resolvent probes, so estimated intervals contain what the window data
-    supports; endpoint error is at most about gamma * refine_tol / 4 plus
-    the verdict blur delta_fit.
+    width refine_tol / 4, so endpoints err by at most about
+    gamma * refine_tol / 4 plus the verdict blur delta_fit.
 
-    Adjacent intervals are merged when the data between them does not
-    support a gap: overlapping brackets, or equal certificate ranks on
-    both sides.  A non-monotone rank pattern that merging cannot repair
-    raises :class:`SpectrumConsistencyError`.  If no gamma certifies at
-    all, the whole probed range is returned as one low-confidence interval
-    rather than fabricating gaps.  An interval next to a low-confidence
-    gap certificate is flagged low-confidence too.
+    The dichotomy rank is constant on each resolvent component and rises
+    across every spectral interval (Aulbach & Siegmund, J. Difference
+    Equ. Appl. 7, 2001), so the spectrum is the set of gaps between at
+    most d + 1 rank level sets.  The sorted probes split into runs of
+    certificates with one rank; an interior single-probe run is below
+    resolution and dropped, and an in-spectrum first (last) probe stands
+    in for rank 0 (d).  A level set is the hull of its rank's runs; each
+    interval runs from the last probe of one level set to the first of
+    the next (resolvent probes, so it contains what the window data
+    supports), clamped to [1/m_hat, m_hat].  Each gap's certificate is
+    its level set's largest-margin one, ``None`` for a stand-in.
+
+    An interval is low-confidence when it holds a dropped certificate, a
+    neighbouring level set is a stand-in or spans several runs, a
+    neighbouring gap certificate is low-confidence, or it was clamped to
+    a point.  :class:`SpectrumConsistencyError` is raised when level sets
+    overlap or their ranks do not increase with gamma, when the edge
+    ranks are not 0 and d, or when refinement finds no fixed point.  If
+    no gamma certifies, the probed range is one low-confidence interval.
     """
     if grid_points < 8:
         raise ParameterError("grid_points must be at least 8")
@@ -598,126 +610,50 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
 
     keys = sorted(probes)
     verdicts = [probes[k] for k in keys]
-
+    shared = dict(grid=tuple(verdicts), refine_tol=refine_tol, m_hat=m_hat,
+                  window=analyzer.params.window, dimension=d)
     if not any(v.is_certificate for v in verdicts):
         interval = SpectralInterval(keys[0], keys[-1], low_confidence=True)
         return SpectrumEstimate(intervals=(interval,), gap_ranks=(0, d),
-                                gap_certificates=(), grid=tuple(verdicts),
-                                refine_tol=refine_tol, m_hat=m_hat,
-                                window=analyzer.params.window, dimension=d,
-                                degenerate=True)
+                                gap_certificates=(), degenerate=True, **shared)
 
-    # raw intervals: outer certificate brackets of in-spectrum runs, plus
-    # sub-resolution rank jumps between adjacent certificates
-    raw: list[list] = []
-    i = 0
-    while i < len(keys):
-        if verdicts[i].outcome == "in_spectrum":
-            j = i
-            while j + 1 < len(keys) and verdicts[j + 1].outcome == "in_spectrum":
-                j += 1
-            lowc = False
-            if i > 0:
-                a = keys[i - 1]
-            else:
-                a, lowc = keys[i], True
-            if j < len(keys) - 1:
-                b = keys[j + 1]
-            else:
-                b, lowc = keys[j], True
-            raw.append([a, b, lowc])
-            i = j + 1
+    # runs of consecutive certificates with one rank; an in-spectrum grid
+    # edge stands in for rank 0 (d), and an interior single-probe run is
+    # below resolution
+    runs: list[tuple[int, int, int]] = []  # (rank, first index, last index)
+    dropped: list[float] = []
+    i, last = 0, len(keys) - 1
+    for rank, group in groupby(verdicts, key=lambda v: v.rank if v.is_certificate else None):
+        j = i + len(list(group)) - 1
+        if rank is None:
+            runs += [(r, e, e) for r, e in ((0, 0), (d, last)) if i <= e <= j]
+        elif i == j and 0 < i < last:
+            dropped.append(keys[i])
         else:
-            i += 1
-    for (x, vx), (y, vy) in zip(zip(keys, verdicts), zip(keys[1:], verdicts[1:])):
-        if vx.is_certificate and vy.is_certificate and vx.rank != vy.rank:
-            raw.append([x, y, False])
-    raw.sort(key=lambda r: r[0])
+            runs.append((rank, i, j))
+        i = j + 1
 
-    merged: list[list] = []
-    for r in raw:
-        if merged and r[0] <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], r[1])
-            merged[-1][2] = True  # a certificate got absorbed: below resolution
-        else:
-            merged.append(list(r))
-
-    def gap_certs(lo_edge: float | None, hi_edge: float | None) -> list[DichotomyVerdict]:
-        out = []
-        for k, v in zip(keys, verdicts):
-            if not v.is_certificate:
-                continue
-            if lo_edge is not None and k < lo_edge:
-                continue
-            if hi_edge is not None and k > hi_edge:
-                continue
-            if any(iv[0] < k < iv[1] for iv in merged):
-                continue  # swallowed during a merge; not gap evidence
-            out.append(v)
-        return out
-
-    while True:
-        edges: list[tuple[float | None, float | None]] = []
-        prev = None
-        for iv in merged:
-            edges.append((prev, iv[0]))
-            prev = iv[1]
-        edges.append((prev, None))
-        ranks: list[int | None] = []
-        reps: list[DichotomyVerdict | None] = []
-        for lo_edge, hi_edge in edges:
-            certs = gap_certs(lo_edge, hi_edge)
-            found = sorted({v.rank for v in certs})
-            if len(found) > 1:
-                gammas = sorted(v.gamma for v in certs)
-                raise SpectrumConsistencyError(
-                    f"mixed certificate ranks {found} inside one resolvent gap "
-                    f"(gamma in [{gammas[0]:.6g}, {gammas[-1]:.6g}])")
-            if not found:
-                ranks.append(None)
-                reps.append(None)
-            else:
-                ranks.append(found[0])
-                reps.append(max(certs, key=lambda v: (v.margin, -v.gamma)))
-        # empty edge gaps can only face the grid boundary
-        if ranks[0] is None:
-            ranks[0] = 0
-            merged[0][2] = True
-        if ranks[-1] is None:
-            ranks[-1] = d
-            merged[-1][2] = True
-        if any(r is None for r in ranks):
-            raise SpectrumConsistencyError("interior resolvent gap holds no certificate")
-        bad = next((idx for idx in range(len(ranks) - 1)
-                    if ranks[idx] >= ranks[idx + 1]), None)
-        if bad is None:
-            if ranks[0] != 0 or ranks[-1] != d:
-                raise SpectrumConsistencyError(
-                    f"edge gap ranks {ranks[0]}..{ranks[-1]} differ from 0..{d}")
-            break
-        if ranks[bad] > ranks[bad + 1]:
-            raise SpectrumConsistencyError(
-                f"certificate rank decreases from {ranks[bad]} to {ranks[bad + 1]} "
-                "across a spectral interval")
-        # equal ranks around interval `bad`: the data does not support the
-        # gap next to it, so merge with the neighboring interval
-        if bad + 1 < len(merged):
-            merged[bad][1] = merged[bad + 1][1]
-            merged[bad][2] = True
-            del merged[bad + 1]
-        elif bad >= 1:
-            merged[bad - 1][1] = merged[bad][1]
-            merged[bad - 1][2] = True
-            del merged[bad]
-        else:
-            raise SpectrumConsistencyError(
-                "single spectral interval with equal ranks on both sides")
+    # each rank's level set is the hull of its runs
+    ranks = sorted({r for r, _, _ in runs})
+    level_runs = [[(i, j) for r, i, j in runs if r == rank] for rank in ranks]
+    spans = [(lr[0][0], lr[-1][1]) for lr in level_runs]
+    if ranks[0] != 0 or ranks[-1] != d:
+        raise SpectrumConsistencyError(
+            f"edge gap ranks {ranks[0]}..{ranks[-1]} differ from 0..{d}")
+    if any(below[1] >= above[0] for below, above in zip(spans, spans[1:])):
+        raise SpectrumConsistencyError(
+            f"rank level sets {ranks} overlap or do not increase along gamma")
+    certs = [[v for i, j in lr for v in verdicts[i: j + 1] if v.is_certificate]
+             for lr in level_runs]
+    reps = [max(c, key=lambda v: (v.margin, -v.gamma)) if c else None for c in certs]
+    unsure = [len(lr) > 1 or not c for lr, c in zip(level_runs, certs)]
 
     bound_lo, bound_hi = 1.0 / m_hat, m_hat
     intervals = []
-    for i, (a, b, lowc) in enumerate(merged):
-        # an interval is no surer than the gap certificates next to it
-        lowc = lowc or any(v is not None and v.low_confidence for v in reps[i: i + 2])
+    for i, (below, above) in enumerate(zip(spans, spans[1:])):
+        a, b = keys[below[1]], keys[above[0]]
+        lowc = (unsure[i] or unsure[i + 1] or any(a < g < b for g in dropped)
+                or any(v is not None and v.low_confidence for v in reps[i: i + 2]))
         ca, cb = max(a, bound_lo), min(b, bound_hi)
         if ca > cb:  # interval entirely outside the certified bound range
             ca = cb = min(max(a, bound_lo), bound_hi)
@@ -725,9 +661,7 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
         intervals.append(SpectralInterval(ca, cb, low_confidence=lowc))
 
     return SpectrumEstimate(intervals=tuple(intervals), gap_ranks=tuple(ranks),
-                            gap_certificates=tuple(reps), grid=tuple(verdicts),
-                            refine_tol=refine_tol, m_hat=m_hat,
-                            window=analyzer.params.window, dimension=d)
+                            gap_certificates=tuple(reps), **shared)
 
 
 def periodic_spectrum_oracle(seq: MatrixSequence, p: int | None = None) -> tuple[float, ...]:

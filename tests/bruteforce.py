@@ -9,6 +9,8 @@ dumb; the whole point is independence.
 import numpy as np
 import scipy.linalg
 
+from dichospec.errors import SpectrumConsistencyError
+
 
 def dense_transition(seq, m, n):
     """X(m, n) as a plain product of factors (or inverse factors)."""
@@ -235,3 +237,119 @@ def restricted_by_intersection(seq, r_below, r_above, window, burn_in=128):
         frames = {n: f * np.sign(f[np.argmax(np.abs(f[:, 0])), 0]) for n, f in frames.items()}
     table = np.array([frames[n + 1].T @ seq.evaluate(n) @ frames[n] for n in range(-w, w)])
     return frames[0], table
+
+
+def spectrum_by_merging(keys, verdicts, d, m_hat):
+    """Intervals, gap ranks and gap certificates assembled from sorted probes.
+
+    The assembly ``estimate_spectrum`` used before its level-set pass:
+    raw brackets (the certificates around each in-spectrum run, or the
+    grid edge, and each adjacent certificate pair of different ranks),
+    merged where they overlap, then per-gap certificates re-collected and
+    intervals merged again wherever one rank sits on both sides.
+    Intervals come back as (a, b, low_confidence) tuples.
+    """
+    if not any(v.is_certificate for v in verdicts):
+        return [(keys[0], keys[-1], True)], (0, d), ()
+    raw = []
+    i = 0
+    while i < len(keys):
+        if verdicts[i].outcome == "in_spectrum":
+            j = i
+            while j + 1 < len(keys) and verdicts[j + 1].outcome == "in_spectrum":
+                j += 1
+            lowc = False
+            if i > 0:
+                a = keys[i - 1]
+            else:
+                a, lowc = keys[i], True
+            if j < len(keys) - 1:
+                b = keys[j + 1]
+            else:
+                b, lowc = keys[j], True
+            raw.append([a, b, lowc])
+            i = j + 1
+        else:
+            i += 1
+    for (x, vx), (y, vy) in zip(zip(keys, verdicts), zip(keys[1:], verdicts[1:])):
+        if vx.is_certificate and vy.is_certificate and vx.rank != vy.rank:
+            raw.append([x, y, False])
+    raw.sort(key=lambda r: r[0])
+
+    merged = []
+    for r in raw:
+        if merged and r[0] <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], r[1])
+            merged[-1][2] = True
+        else:
+            merged.append(list(r))
+
+    def gap_certs(lo_edge, hi_edge):
+        out = []
+        for k, v in zip(keys, verdicts):
+            if not v.is_certificate:
+                continue
+            if lo_edge is not None and k < lo_edge:
+                continue
+            if hi_edge is not None and k > hi_edge:
+                continue
+            if any(iv[0] < k < iv[1] for iv in merged):
+                continue
+            out.append(v)
+        return out
+
+    while True:
+        edges = []
+        prev = None
+        for iv in merged:
+            edges.append((prev, iv[0]))
+            prev = iv[1]
+        edges.append((prev, None))
+        ranks, reps = [], []
+        for lo_edge, hi_edge in edges:
+            certs = gap_certs(lo_edge, hi_edge)
+            found = sorted({v.rank for v in certs})
+            if len(found) > 1:
+                raise SpectrumConsistencyError(f"mixed certificate ranks {found}")
+            if not found:
+                ranks.append(None)
+                reps.append(None)
+            else:
+                ranks.append(found[0])
+                reps.append(max(certs, key=lambda v: (v.margin, -v.gamma)))
+        if ranks[0] is None:
+            ranks[0] = 0
+            merged[0][2] = True
+        if ranks[-1] is None:
+            ranks[-1] = d
+            merged[-1][2] = True
+        if any(r is None for r in ranks):
+            raise SpectrumConsistencyError("interior resolvent gap holds no certificate")
+        bad = next((idx for idx in range(len(ranks) - 1)
+                    if ranks[idx] >= ranks[idx + 1]), None)
+        if bad is None:
+            if ranks[0] != 0 or ranks[-1] != d:
+                raise SpectrumConsistencyError("edge gap ranks differ from 0..d")
+            break
+        if ranks[bad] > ranks[bad + 1]:
+            raise SpectrumConsistencyError("certificate rank decreases")
+        if bad + 1 < len(merged):
+            merged[bad][1] = merged[bad + 1][1]
+            merged[bad][2] = True
+            del merged[bad + 1]
+        elif bad >= 1:
+            merged[bad - 1][1] = merged[bad][1]
+            merged[bad - 1][2] = True
+            del merged[bad]
+        else:
+            raise SpectrumConsistencyError("single interval with equal ranks on both sides")
+
+    intervals = []
+    for i, (a, b, lowc) in enumerate(merged):
+        lowc = lowc or any(v is not None and v.low_confidence for v in reps[i: i + 2])
+        ca, cb = max(a, 1.0 / m_hat), min(b, m_hat)
+        if ca > cb:
+            ca = cb = min(max(a, 1.0 / m_hat), m_hat)
+            lowc = True
+        intervals.append((ca, cb, lowc))
+    return intervals, tuple(ranks), tuple(reps)

@@ -9,6 +9,14 @@ import numpy as np
 from dichospec.sequences import MatrixSequence, ScalarSequence
 
 
+# band edges of seeded systems with d = 2, 3 and 6 well-separated bands
+SEEDED_BANDS = {
+    2: ((0.4, 0.55), (1.6, 1.9)),
+    3: ((0.3, 0.4), (0.8, 1.0), (1.8, 2.2)),
+    6: ((0.2, 0.25), (0.35, 0.42), (0.6, 0.7), (1.0, 1.15), (1.6, 1.8), (2.6, 3.0)),
+}
+
+
 def random_orthogonal(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))

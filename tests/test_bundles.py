@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,16 @@ from dichospec.bundles import (
     restricted_fiber_system,
     whitney_sum_check,
 )
-from dichospec.dichotomy import (DichotomyAnalyzer, SpectralInterval, SpectrumEstimate,
-                                 estimate_spectrum)
+from dichospec.cli import spectrum_payload
+from dichospec.dichotomy import (DichotomyAnalyzer, DichotomyParams, SpectralInterval,
+                                 SpectrumEstimate, estimate_spectrum)
 from dichospec.dichotomy import test_dichotomy as dichotomy_verdict
 from dichospec.errors import (ParameterError, ProjectorDriftError,
                               SubspaceError, ValidationError)
 from dichospec.linalg import min_principal_angle, principal_angles
 from dichospec.sequences import MatrixSequence
 from bruteforce import restricted_by_intersection
-from systems import random_periodic, separated_banded_diagonal
+from systems import SEEDED_BANDS, random_periodic, separated_banded_diagonal
 
 dichotomy_verdict.__test__ = False
 
@@ -173,6 +176,19 @@ def test_fiber_count_must_match_gaps():
         bundle_fibers(est, est.gap_certificates[:2])
 
 
+def test_gap_without_certificate_is_refused_by_name():
+    # the top probe is in-spectrum, so the grid edge stands in for rank 2
+    seq = MatrixSequence.seeded(2, ((0.3, 0.5), (1.2, 2.0)))
+    est = estimate_spectrum(seq, params=DichotomyParams(window=64, burn_in=32, resid_max=0.2))
+    assert est.gap_ranks == (0, 1, 2)
+    assert est.gap_certificates[-1] is None
+    with pytest.raises(SubspaceError, match=r"gap 2 \(rank 2\) holds no certificate"):
+        bundle_fibers(est)
+    payload = spectrum_payload("seeded", est)
+    assert payload["gap_certificates"][-1] is None
+    assert json.loads(json.dumps(payload))["gap_certificates"][-1] is None
+
+
 def test_fiber_basis_must_be_orthonormal():
     with pytest.raises(ValidationError):
         SpectralBundleFiber(index=0, basis=np.array([[2.0], [0.0]]), dimension=1)
@@ -194,13 +210,6 @@ def test_restricted_system_recovers_exact_fiber_rates():
     assert np.max(np.abs(slow.window(-64, 63) - 0.5)) <= 1e-12
     assert np.max(np.abs(fast.window(-64, 63) - 2.0)) <= 1e-12
     assert slow.dimension == fast.dimension == 1
-
-
-SEEDED_BANDS = {
-    2: ((0.4, 0.55), (1.6, 1.9)),
-    3: ((0.3, 0.4), (0.8, 1.0), (1.8, 2.2)),
-    6: ((0.2, 0.25), (0.35, 0.42), (0.6, 0.7), (1.0, 1.15), (1.6, 1.8), (2.6, 3.0)),
-}
 
 
 def _nonnormal_with_its_spectrum():

@@ -1,12 +1,15 @@
+import bisect
 import io
+from itertools import groupby
 
 import numpy as np
 import pytest
 
-from bruteforce import floquet_moduli
+from bruteforce import floquet_moduli, spectrum_by_merging
 from dichospec.dichotomy import (
     DichotomyAnalyzer,
     DichotomyParams,
+    DichotomyVerdict,
     SpectralInterval,
     estimate_spectrum,
     fit_decay_constants,
@@ -14,10 +17,11 @@ from dichospec.dichotomy import (
     scalar_spectrum,
     test_dichotomy as dichotomy_verdict,
 )
-from dichospec.errors import DecayFitError, ParameterError, ValidationError
+from dichospec.errors import (DecayFitError, ParameterError, SpectrumConsistencyError,
+                              ValidationError)
 from dichospec.linalg import frame_sweep
 from dichospec.sequences import MatrixSequence, ScalarSequence
-from systems import random_periodic
+from systems import SEEDED_BANDS, random_periodic
 
 # pytest would otherwise try to collect the library function
 dichotomy_verdict.__test__ = False
@@ -258,6 +262,172 @@ def test_low_confidence_gap_certificates_flag_their_intervals():
     est = estimate_spectrum(diag_2_half())
     assert not any(v.low_confidence for v in est.gap_certificates)
     assert not any(iv.low_confidence for iv in est.intervals)
+
+
+# -- spectrum assembly from rank level sets ------------------------------------
+
+
+def _interval_rows(est):
+    return [(iv.a, iv.b, iv.low_confidence) for iv in est.intervals]
+
+
+def _assert_matches_merging(est):
+    keys = [v.gamma for v in est.grid]
+    intervals, ranks, certs = spectrum_by_merging(keys, list(est.grid), est.dimension, est.m_hat)
+    assert _interval_rows(est) == intervals
+    assert est.gap_ranks == ranks
+    assert len(est.gap_certificates) == len(certs)
+    assert all(got is want for got, want in zip(est.gap_certificates, certs))
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda d=d: MatrixSequence.seeded(5, bands=SEEDED_BANDS[d]) for d in (2, 3, 6)],
+    *[lambda d=d: random_periodic(3, d, 3) for d in (2, 3, 6)],
+    lambda: MatrixSequence.constant([[1.0, 1.0], [0.0, 1.0]]),
+    lambda: MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]]),
+], ids=["seeded-d2", "seeded-d3", "seeded-d6", "periodic-d2", "periodic-d3", "periodic-d6",
+        "jordan", "nonnormal"])
+def test_level_sets_match_the_merging_reference(build):
+    # periodic-d6 absorbs a single-probe run; every system here has one
+    # run per rank, where the level sets and the merging give one answer
+    est = estimate_spectrum(build())
+    _assert_matches_merging(est)
+
+
+class ScriptedAnalyzer:
+    """Verdicts read off a script of rank regions along gamma.
+
+    ``regions`` is a list of (label, upper gamma) with the last upper bound
+    ``None``; a label is a certificate rank or ``None`` for in-spectrum.
+    ``spikes`` maps exact probe gammas to labels, which makes single-probe
+    runs: the refinement never lands on a grid point twice.
+    """
+
+    grid = np.geomspace(1.0 / (4.0 * 1.1), 4.0 * 1.1, 48)  # the probe grid at m_hat = 4
+
+    def __init__(self, regions, spikes=None, seed=0):
+        self.m_hat = 4.0
+        self.params = DichotomyParams()
+        self.uppers = [u for _, u in regions[:-1]]
+        self.labels = [label for label, _ in regions]
+        self.spikes = spikes or {}
+        self.seed = seed
+        self.probes = {}
+
+    def verdict(self, g):
+        label = self.spikes.get(g, self.labels[bisect.bisect_right(self.uppers, g)])
+        rng = np.random.default_rng([self.seed, int(g * 2**40)])
+        margin = float(rng.uniform())
+        lowc = self.seed > 0 and bool(rng.uniform() < 0.1)  # seed 0: no flagged verdicts
+        if label is None:
+            v = DichotomyVerdict(gamma=g, outcome="in_spectrum", window=256,
+                                 reason="decay-fit-failed", margin=margin, low_confidence=lowc)
+        else:
+            v = DichotomyVerdict(gamma=g, outcome="certificate", window=256, rank=label,
+                                 margin=margin, low_confidence=lowc)
+        self.probes[g] = v
+        return v
+
+
+def _scripted(d, analyzer):
+    return estimate_spectrum(MatrixSequence.constant(np.eye(d)), analyzer=analyzer)
+
+
+G = ScriptedAnalyzer.grid
+
+
+def test_interior_single_probe_run_is_dropped():
+    regions = [(0, G[4]), (None, G[8]), (1, G[12]), (None, G[16]), (2, G[20]),
+               (None, G[24]), (3, G[28]), (None, G[32]), (4, G[40]), (6, None)]
+    est = _scripted(6, ScriptedAnalyzer(regions, {G[40]: 5}))
+    assert est.gap_ranks == (0, 1, 2, 3, 4, 6)
+    assert [iv.low_confidence for iv in est.intervals] == [False] * 4 + [True]
+    assert est.intervals[-1].a < G[40] < est.intervals[-1].b
+
+
+def test_single_lower_rank_probe_before_a_jump_is_dropped():
+    regions = [(0, G[10]), (None, G[16]), (1, G[30]), (2, None)]
+    est = _scripted(2, ScriptedAnalyzer(regions, {G[30]: 0}))
+    assert est.gap_ranks == (0, 1, 2)
+    assert [iv.low_confidence for iv in est.intervals] == [False, True]
+
+
+@pytest.mark.parametrize("labels", [(0, None, 2, None, 1), (0, None, 1, None, 0, None, 2)],
+                         ids=["decreasing", "recurring"])
+def test_ranks_that_do_not_increase_are_inconsistent(labels):
+    regions = [(label, G[6 * (i + 1)]) for i, label in enumerate(labels[:-1])]
+    with pytest.raises(SpectrumConsistencyError):
+        _scripted(2, ScriptedAnalyzer(regions + [(labels[-1], None)]))
+
+
+def test_grid_without_certificates_is_degenerate():
+    est = _scripted(2, ScriptedAnalyzer([(None, None)]))
+    assert est.degenerate
+    assert est.gap_ranks == (0, 2) and est.gap_certificates == ()
+    assert _interval_rows(est) == [(G[0], G[-1], True)]
+
+
+def test_in_spectrum_bottom_edge_stands_in_for_rank_zero():
+    est = _scripted(1, ScriptedAnalyzer([(None, G[10]), (1, None)]))
+    assert est.gap_ranks == (0, 1)
+    assert est.gap_certificates[0] is None and est.gap_certificates[1].rank == 1
+    (iv,) = est.intervals
+    assert iv.low_confidence and iv.a == 1.0 / 4.0 and iv.b >= G[10]
+
+
+def test_one_rank_on_both_sides_of_an_in_spectrum_run_is_one_level_set():
+    regions = [(0, G[10]), (None, G[14]), (1, G[20]), (None, G[24]), (1, G[30]),
+               (None, G[34]), (2, None)]
+    est = _scripted(2, ScriptedAnalyzer(regions))
+    assert est.gap_ranks == (0, 1, 2)
+    assert [iv.low_confidence for iv in est.intervals] == [True, True]
+    assert est.gap_certificates[1].rank == 1
+    assert est.covering_interval(G[22]) is None
+    assert est.intervals[0].b < G[20] and est.intervals[1].a > G[24]
+
+
+def _same_rank_across_an_interval(grid, d):
+    """Whether one rank sits on both sides of an in-spectrum or dropped run."""
+    labels = [v.rank if v.is_certificate else None for v in grid]
+    sides, start = [], 0
+    for label, group in groupby(labels):
+        size = len(list(group))
+        if label is None and (start == 0 or start + size == len(labels)):
+            sides.append(0 if start == 0 else d)
+        elif label is not None and (size > 1 or start == 0 or start + size == len(labels)):
+            sides.append(label)
+        start += size
+    return any(a == b for a, b in zip(sides, sides[1:]))
+
+
+def test_scripted_grids_match_the_merging_reference():
+    # random rank regions and single-probe spikes, margins and flags;
+    # both assemblies must agree, including on which grids they refuse
+    rng = np.random.default_rng(7)
+    compared = refused = 0
+    for seed in range(1, 1001):
+        d = int(rng.integers(1, 5))
+        cuts = np.sort(rng.choice(np.arange(2, 46), size=int(rng.integers(1, 8)), replace=False))
+        steps = rng.choice([1, 1, 2, -1, d], size=len(cuts) + 1)
+        labels = [None if rng.uniform() < 0.45 else int(np.clip(r, 0, d))
+                  for r in np.cumsum(steps) - steps[0]]
+        regions = [(label, G[c]) for label, c in zip(labels, cuts)] + [(labels[-1], None)]
+        spikes = {G[k]: (None if rng.uniform() < 0.3 else int(rng.integers(0, d + 1)))
+                  for k in rng.choice(48, size=int(rng.integers(0, 4)), replace=False)}
+        analyzer = ScriptedAnalyzer(regions, spikes, seed=seed)
+        try:
+            est = _scripted(d, analyzer)
+        except SpectrumConsistencyError:
+            grid = [analyzer.probes[g] for g in sorted(analyzer.probes)]
+            if not _same_rank_across_an_interval(grid, d):
+                with pytest.raises(SpectrumConsistencyError):
+                    spectrum_by_merging([v.gamma for v in grid], grid, d, 4.0)
+                refused += 1
+            continue
+        if not _same_rank_across_an_interval(est.grid, d):
+            _assert_matches_merging(est)
+            compared += 1
+    assert compared >= 200 and refused >= 50
 
 
 # Known certificate defects: each test states the correct answer and fails
