@@ -30,9 +30,9 @@ SILENT_DRIFT = 1e-9
 # Drift up to this is repaired with a warning; beyond it the conjugation
 # window has outrun the certified decay and the projector is meaningless.
 REPAIR_DRIFT = 1e-6
-# Steps swept and frames intersected per stacked call in
-# restricted_fiber_system; stacks over a whole long window cost several MiB
-# of QR and SVD buffers.
+# Steps per batched frame_sweep call, and fiber times per stacked nullspace
+# SVD, in fiber restriction; stacks over a whole long window cost several
+# MiB of QR and SVD buffers.
 _SLICE = 256
 
 
@@ -229,6 +229,49 @@ def bundle_fibers(spectrum: SpectrumEstimate,
     return tuple(fibers)
 
 
+def _restriction_flags(seq: MatrixSequence, w: int,
+                       burn: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complement rows of the restriction flag pair over ``[-w, w]``.
+
+    The pair is swept once per key ``(w, burn)`` and kept in the sequence's
+    one-entry ``_flag_cache``; a different key replaces the entry, and a
+    build that raises leaves none.  Returns ``rows`` (2w + 1, 2, d - 1, d),
+    whose ``rows[n + w, 0]`` and ``rows[n + w, 1]`` hold the trailing d - 1
+    columns of F and of B at time n, transposed, and the factors
+    A(-w), ..., A(w - 1) the table is read from.
+    """
+    cache = seq._flag_cache
+    entry = cache.get((w, burn))
+    if entry is not None:
+        return entry
+    cache.clear()
+    d = seq.dimension
+    lo, hi = -w - burn, w + burn
+    factors = seq.window(lo, hi - 1)
+    binit, amplified, contracted = _family_seeds(
+        factors, seq.validate((lo, hi)).m_hat, burn)
+    off = burn - binit  # the seeds sit at times -w - off and w + off
+    steps = 2 * w + off
+    # after s steps F sits at time s - w - off and B at w + off - s, so for
+    # off <= s <= steps they fill rows s - off and steps - s
+    rows = np.empty((2 * w + 1, 2, d - 1, d))
+    flags = np.stack([amplified, contracted[:, ::-1]])
+    for start in range(0, steps, _SLICE):
+        stop = min(start + _SLICE, steps)
+        maps = np.stack([factors[binit + start: binit + stop],
+                         np.linalg.inv(factors[burn + steps - stop: burn + steps - start])[::-1]])
+        frames = frame_sweep(maps, flags)[0]
+        flags = frames[:, -1]
+        if stop < off:
+            continue
+        first = max(start, off)
+        kept = np.swapaxes(frames[:, first - start:, :, 1:], 2, 3)
+        rows[first - off: stop - off + 1, 0] = kept[0]
+        rows[steps - stop: steps - first + 1, 1] = kept[1, ::-1]
+    cache[(w, burn)] = entry = (rows, factors[burn: burn + 2 * w])
+    return entry
+
+
 def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
                             index: int, *, window: int, burn_in: int = 128,
                             rtol: float = 1e-8) -> tuple[np.ndarray, MatrixSequence]:
@@ -245,7 +288,12 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     One lock-stepped :func:`~dichospec.linalg.frame_sweep` carries two full
     orthonormal flags: F forward on the factors, seeded with the most
     amplified directions first, and B backward on the inverses, seeded with
-    the most contracted directions first.  The leading d - r_below columns
+    the most contracted directions first, each from ``burn_in`` steps
+    outside the window.  Neither flag depends on the fiber, so the pair is
+    swept once per (sequence, window, burn-in): the first restriction keeps
+    the trailing d - 1 columns of both flags on the sequence, and later
+    fibers at the same window and burn-in read their rows from them; only
+    the latest (window, burn-in) is kept.  The leading d - r_below columns
     of F span the family growing past the gap below the fiber, and the
     leading r_above columns of B the family decaying past the gap above, so
     the trailing columns of each flag span that family's orthogonal
@@ -275,34 +323,18 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     if k == d:
         return np.eye(d), seq
     w = int(window)
-    burn = max(int(burn_in), 8)
     if w < 1:
         raise ParameterError("window must be at least 1")
-    lo, hi = -w - burn, w + burn
-    factors = seq.window(lo, hi - 1)
-    binit, amplified, contracted = _family_seeds(
-        factors, seq.validate((lo, hi)).m_hat, burn)
-    off = burn - binit  # the seeds sit at times -w - off and w + off
-    steps = 2 * w + off
-    # rows[i] sits at time i - w - off and holds the complement rows of F
-    # after i forward steps, then those of B after steps + off - i backward
-    # steps; F covers rows 0..steps and B rows off..steps + off
-    rows = np.empty((steps + off + 1, d - k, d))
-    flags = np.stack([amplified, contracted[:, ::-1]])
-    for start in range(0, steps, _SLICE):
-        stop = min(start + _SLICE, steps)
-        maps = np.stack([factors[binit + start: binit + stop],
-                         np.linalg.inv(factors[burn + steps - stop: burn + steps - start])[::-1]])
-        frames = frame_sweep(maps, flags)[0]
-        flags = frames[:, -1]
-        rows[start: stop + 1, :r_below] = np.swapaxes(frames[0, :, :, d - r_below:], 1, 2)
-        rows[steps + off - stop: steps + off - start + 1, r_below:] = np.swapaxes(
-            frames[1, ::-1, :, r_above:], 1, 2)
+    flag_rows, factors = _restriction_flags(seq, w, max(int(burn_in), 8))
 
     fiber_frames = np.empty((2 * w + 1, d, k))
     for start in range(0, 2 * w + 1, _SLICE):
         stop = min(start + _SLICE, 2 * w + 1)
-        bases, dims = _nullspace(rows[off + start: off + stop], rtol)
+        # the complement of the family growing past the gap below, then of
+        # the family decaying past the gap above
+        rows = np.concatenate([flag_rows[start: stop, 0, d - 1 - r_below:],
+                               flag_rows[start: stop, 1, r_above - 1:]], axis=1)
+        bases, dims = _nullspace(rows, rtol)
         lost = np.flatnonzero(dims != k)
         if lost.size:
             raise SubspaceError(
@@ -310,7 +342,7 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
                 f"families intersect in dimension {dims[lost[0]]}, not {k}")
         fiber_frames[start: stop] = canonical_basis(bases)
 
-    af = factors[burn: burn + 2 * w] @ fiber_frames[:-1]
+    af = factors @ fiber_frames[:-1]
     table = np.swapaxes(fiber_frames[1:], 1, 2) @ af
     resid = batched_spectral_norm(af - fiber_frames[1:] @ table)
     worst = float(np.max(resid / np.maximum(batched_spectral_norm(af), 1e-300)))

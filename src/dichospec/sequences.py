@@ -288,6 +288,8 @@ class MatrixSequence:
     def __post_init__(self):
         object.__setattr__(self, "_window_cache", {})
         object.__setattr__(self, "_factor_cache", {})
+        # one entry: the restriction flag pair of dichospec.bundles
+        object.__setattr__(self, "_flag_cache", {})
 
     # -- constructors ------------------------------------------------------
 

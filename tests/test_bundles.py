@@ -16,8 +16,8 @@ from dichospec.dichotomy import (DichotomyAnalyzer, DichotomyParams, SpectralInt
                                  SpectrumEstimate, estimate_spectrum)
 from dichospec.dichotomy import test_dichotomy as dichotomy_verdict
 from dichospec.errors import (ParameterError, ProjectorDriftError,
-                              SubspaceError, ValidationError)
-from dichospec.linalg import min_principal_angle, principal_angles
+                              SingularMatrixError, SubspaceError, ValidationError)
+from dichospec.linalg import frame_sweep, min_principal_angle, principal_angles
 from dichospec.sequences import MatrixSequence
 from bruteforce import restricted_by_intersection
 from systems import SEEDED_BANDS, random_periodic, separated_banded_diagonal
@@ -255,6 +255,69 @@ def test_restricted_system_matches_the_per_fiber_reference(build):
     assert restricted >= 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MatrixSequence.seeded(5, bands=SEEDED_BANDS[3]),
+    lambda: random_periodic(3, 6, 3),
+    _nonnormal_with_its_spectrum,
+], ids=["seeded-d3", "periodic-d6", "nonnormal"])
+def test_fibers_share_one_flag_sweep_per_key(build, monkeypatch):
+    # the flag pair is swept once per (sequence, window, burn-in) and every
+    # fiber reads its rows from it; burn_in 4 and 8 normalize to one key
+    def fresh():
+        built = build()
+        return built[0] if isinstance(built, tuple) else built
+
+    built = build()
+    seq, est = built if isinstance(built, tuple) else (built, estimate_spectrum(built))
+    fibers = [i for i in range(1, len(est.intervals) + 1)
+              if est.gap_ranks[i] - est.gap_ranks[i - 1] < seq.dimension]
+    assert len(fibers) >= 2
+    keys = [(150, 16), (2048, 128), (150, 4), (150, 8)]
+    calls = [(i, w, burn) for i in fibers for w, burn in keys]
+    np.random.default_rng(0).shuffle(calls)
+    for i, w, burn in calls:
+        basis, system = restricted_fiber_system(seq, est, i, window=w, burn_in=burn)
+        want_basis, want_system = restricted_fiber_system(fresh(), est, i,
+                                                          window=w, burn_in=burn)
+        assert np.array_equal(basis, want_basis)
+        assert np.array_equal(system.table, want_system.table)
+
+    sweeps = []
+
+    def counted_sweep(*args):
+        sweeps.append(args)
+        return frame_sweep(*args)
+
+    monkeypatch.setattr("dichospec.bundles.frame_sweep", counted_sweep)
+    restricted_fiber_system(fresh(), est, fibers[0], window=150)
+    one_fiber = len(sweeps)
+    sweeps.clear()
+    seq = fresh()
+    for i in fibers:
+        restricted_fiber_system(seq, est, i, window=150)
+    assert len(sweeps) == one_fiber > 0
+
+
+def test_failed_flag_build_leaves_no_entry():
+    # the singular factor A(100) lies inside window 150 but not window 64;
+    # a build that raises keeps nothing, so every call raises alike and the
+    # window-64 restriction rebuilds to the same result
+    rates = np.diag([0.5, 1.0, 2.0])
+    est = estimate_spectrum(MatrixSequence.constant(rates))
+    table = np.stack([rates] * 801)
+    table[100 + 400] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+    seq = MatrixSequence.tabulated(table, start=-400)
+    basis, system = restricted_fiber_system(seq, est, 2, window=64, burn_in=16)
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError, match="n=100 ") as raised:
+            restricted_fiber_system(seq, est, 2, window=150, burn_in=16)
+        assert raised.value.n == 100
+        assert seq._flag_cache == {}
+    again_basis, again = restricted_fiber_system(seq, est, 2, window=64, burn_in=16)
+    assert np.array_equal(again_basis, basis)
+    assert np.array_equal(again.table, system.table)
+
+
 def test_restricted_system_passes_whole_space_through():
     rotation = MatrixSequence.constant([[0.0, -1.0], [1.0, 0.0]])
     est = estimate_spectrum(rotation)
@@ -277,8 +340,14 @@ def test_restricted_system_names_the_time_it_loses_track():
     table[n_bad - 1 + w + burn] = squash @ rates
     table[n_bad + w + burn] = rates @ np.linalg.inv(squash)
     seq = MatrixSequence.tabulated(table, start=-w - burn)
-    with pytest.raises(SubspaceError, match=f"lost track at n = {n_bad}: .* dimension 2, not 1"):
-        restricted_fiber_system(seq, est, 2, window=w, burn_in=burn)
+    # the second call reads the flags the first one swept and raises alike
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SubspaceError,
+                           match=f"lost track at n = {n_bad}: .* dimension 2, not 1") as raised:
+            restricted_fiber_system(seq, est, 2, window=w, burn_in=burn)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def test_restricted_system_rejects_bad_index():
