@@ -11,13 +11,17 @@ the stable family).
 Certification works on a finite window [-N, N] with a burn-in margin on
 each side:
 
-1. One forward and one backward QR sweep estimate d per-direction growth
-   rates each; counting rates below log(gamma) seeds candidate ranks.
-2. For each candidate rank s, orthonormal frames for the rank-s stable
-   family are propagated backward from the right burn-in zone (backward
-   propagation attracts onto the stable family), and frames for the
-   rank-(d-s) unstable family forward from the left zone.  The one-step
-   factors restricted to these frames are small s x s matrices.
+1. One lock-stepped QR sweep carries four frames.  Two start from the
+   identity at time 0, forward and backward, and estimate d per-direction
+   growth rates each; counting rates below log(gamma) seeds candidate ranks.
+2. The other two are full flags: B, propagated backward from the right
+   burn-in zone with the most contracted directions first (backward
+   propagation attracts onto the stable families), and F, forward from the
+   left zone with the most amplified first.  For each candidate rank s the
+   leading s columns of B frame the stable family (most contracted first)
+   and the leading d - s of F the unstable family; the leading blocks of
+   the flags' R factors are the one-step factors restricted to these
+   frames, small s x s matrices.
 3. Per-gap maxima of restricted product norms (forward on the stable
    family, backward on the unstable family) are assembled once per rank
    by a doubling scheme; scaling by gamma only shifts these log-envelopes
@@ -271,16 +275,15 @@ def _family_seeds(factors: np.ndarray, m_hat: float,
 class DichotomyAnalyzer:
     """Shared window data answering dichotomy queries for every gamma.
 
-    Construction runs the QR rate sweeps and validates the sequence; the
-    per-rank frame propagation and envelopes are built lazily on first use
-    and cached, so a full spectrum sweep costs little more than a single
-    verdict per distinct rank.
+    Construction validates the sequence and runs the one QR sweep of the
+    rates and the flag pair; each rank's envelopes are built lazily from
+    slices of the flags on first use and cached, so a full spectrum sweep
+    costs little more than a single verdict per distinct rank.
     """
 
     def __init__(self, seq: MatrixSequence, params: DichotomyParams | None = None):
         self.seq = seq
         self.params = params or DichotomyParams()
-        d = seq.dimension
         ext = self.params.extent
         self._ext = ext
         self._factors = seq.window(-ext, ext - 1)
@@ -290,25 +293,31 @@ class DichotomyAnalyzer:
         self._gaps, self._slope_mask = self.params.fit_gaps()
         self._gapsf = self._gaps.astype(float)
         self._candidates: dict[int, _Candidate] = {}
-        self._forward_rates, self._backward_rates = self._direction_rates()
-        self._binit, self._amplified, self._contracted = _family_seeds(
-            self._factors, self.m_hat, self.params.burn_in // 2)
+        # the rate sweeps and, for d > 1, the flags B and F (steps 1-2 of
+        # the module docstring); shorter items are padded with identity maps
+        d, n_win, eye = seq.dimension, self.params.window, np.eye(seq.dimension)
+        parts, seeds = [self._factors[ext:], self._inverses[ext - 1::-1]], [eye, eye]
+        if d > 1:
+            binit, amplified, contracted = _family_seeds(
+                self._factors, self.m_hat, self.params.burn_in // 2)
+            off = ext - binit  # after j steps B sits at time off - j, F at j - off
+            parts += [self._inverses[ext - n_win: ext + off][::-1],
+                      self._factors[ext - off: ext + n_win]]
+            seeds += [contracted[:, ::-1], amplified]
+        maps = np.tile(eye, (len(parts), max(map(len, parts)), 1, 1))
+        for item, part in zip(maps, parts):
+            item[: len(part)] = part
+        frames, r = frame_sweep(maps, np.stack(seeds))
+        self._forward_rates, self._backward_rates = np.log(
+            np.diagonal(r[:2, ext // 2: ext], axis1=2, axis2=3)).mean(axis=1)
+        if d > 1:
+            # the flags at time 0 and their steps from n to n + 1 for n in
+            # [-N, N), B's in forward time order
+            self._flags = frames[2:, off].copy()
+            steps = r[2:, off - n_win: off + n_win]
+            self._flag_steps = (steps[0, ::-1].copy(), steps[1].copy())
 
     # -- construction helpers -------------------------------------------------
-
-    def _direction_rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean per-direction log growth rates, forward and backward.
-
-        Both sweeps start from the identity at time 0 and run ``ext``
-        steps, forward on the factors and backward on the inverses, in
-        one lock-stepped :func:`~dichospec.linalg.frame_sweep`.
-        """
-        ext = self._ext
-        half = ext // 2
-        eye = np.eye(self.seq.dimension)
-        _, r = frame_sweep(np.stack([self._factors[ext:], self._inverses[ext - 1::-1]]),
-                           np.stack([eye, eye]))
-        return tuple(np.log(np.diagonal(r[:, half:], axis1=2, axis2=3)).mean(axis=1))
 
     def _usable(self, stack: np.ndarray) -> np.ndarray:
         """The 2N entries of a per-step stack that fall in [-N, N)."""
@@ -339,27 +348,18 @@ class DichotomyAnalyzer:
         return cand
 
     def _build_split_candidate(self, s: int) -> _Candidate:
-        d = self.seq.dimension
-        ext = self._ext
-        n_win = self.params.window
-        off = ext - self._binit  # the seeds sit at times -off and +off
-        # stable family: seeded with the most contracted directions at +off
-        # and walked backward, which attracts onto the stable family;
-        # flipped, qs[i] sits at time i - n_win
-        qs, gs = frame_sweep(self._inverses[ext - n_win: ext + off][::-1],
-                             self._contracted[:, d - s:])
-        qs, gs = qs[::-1], gs[::-1]
-        # unstable family: seeded with the most amplified directions at
-        # -off and walked forward; qu[i] sits at time i - off
-        qu, ru = frame_sweep(self._factors[ext - off: ext + n_win],
-                             self._amplified[:, : d - s])
-        stable_basis, unstable_basis = qs[n_win].copy(), qu[off].copy()
-
-        # A(n) Vs(n) = Vs(n+1) G(n)^-1 gives the restricted forward factors;
-        # backward norms on the unstable family come from products of the
-        # inverted one-step factors in reversed order
-        stable_env = self._env_values(np.linalg.inv(gs[:2 * n_win]))
-        unstable_env = self._env_values(np.linalg.inv(ru[off - n_win:])[::-1])
+        # a Householder column depends only on the columns before it, so the
+        # leading s columns of B and the leading d - s of F, with the leading
+        # blocks of their R factors, are the rank-s stable and unstable
+        # families and their restricted steps.  A(n) Vs(n) = Vs(n+1) G(n)^-1
+        # gives the restricted forward factors; backward norms on the
+        # unstable family come from products of the inverted one-step
+        # factors in reversed order
+        u = self.seq.dimension - s
+        stable_basis, unstable_basis = self._flags[0][:, :s].copy(), self._flags[1][:, :u].copy()
+        stable_r, unstable_r = self._flag_steps
+        stable_env = self._env_values(np.linalg.inv(stable_r[:, :s, :s]))
+        unstable_env = self._env_values(np.linalg.inv(unstable_r[:, :u, :u])[::-1])
         return _Candidate(rank=s, stable_basis=stable_basis,
                           unstable_basis=unstable_basis,
                           stable_env=stable_env, unstable_env=unstable_env,

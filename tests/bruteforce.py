@@ -3,13 +3,17 @@
 Everything here recomputes quantities from first principles with dense
 linear algebra. No log-scaling tricks, no doubling schemes, no code shared
 with the package internals beyond pointwise sequence evaluation. Keep it
-dumb; the whole point is independence.
+dumb; the whole point is independence.  The one exception is
+``split_candidate_by_rank_sweeps``, an earlier construction kept as a
+reference, which reuses a ``DichotomyAnalyzer``'s window data.
 """
 
 import numpy as np
 import scipy.linalg
 
+from dichospec.dichotomy import _Candidate, _family_seeds
 from dichospec.errors import SpectrumConsistencyError
+from dichospec.linalg import frame_sweep, min_principal_angle
 
 
 def dense_transition(seq, m, n):
@@ -237,6 +241,32 @@ def restricted_by_intersection(seq, r_below, r_above, window, burn_in=128):
         frames = {n: f * np.sign(f[np.argmax(np.abs(f[:, 0])), 0]) for n, f in frames.items()}
     table = np.array([frames[n + 1].T @ seq.evaluate(n) @ frames[n] for n in range(-w, w)])
     return frames[0], table
+
+
+def split_candidate_by_rank_sweeps(analyzer, s):
+    """Rank-s splitting of a ``DichotomyAnalyzer`` from two sweeps of its own.
+
+    The construction the analyzer used before all split ranks shared one
+    flag pair: the stable family is swept backward on the inverses from
+    +off, seeded with the s most contracted directions (most contracted
+    last), and the unstable family forward on the factors from -off,
+    seeded with the d - s most amplified.  It reuses the analyzer's window,
+    seeds and envelope assembly, so it checks only that slicing one flag
+    pair gives the same families and restricted factors.
+    """
+    d, ext, n_win = analyzer.seq.dimension, analyzer._ext, analyzer.params.window
+    binit, amplified, contracted = _family_seeds(
+        analyzer._factors, analyzer.m_hat, analyzer.params.burn_in // 2)
+    off = ext - binit
+    # flipped, qs[i] sits at time i - n_win; qu[i] sits at time i - off
+    qs, gs = frame_sweep(analyzer._inverses[ext - n_win: ext + off][::-1], contracted[:, d - s:])
+    qs, gs = qs[::-1], gs[::-1]
+    qu, ru = frame_sweep(analyzer._factors[ext - off: ext + n_win], amplified[:, : d - s])
+    stable_basis, unstable_basis = qs[n_win], qu[off]
+    return _Candidate(rank=s, stable_basis=stable_basis, unstable_basis=unstable_basis,
+                      stable_env=analyzer._env_values(np.linalg.inv(gs[:2 * n_win])),
+                      unstable_env=analyzer._env_values(np.linalg.inv(ru[off - n_win:])[::-1]),
+                      angle=min_principal_angle(stable_basis, unstable_basis))
 
 
 def spectrum_by_merging(keys, verdicts, d, m_hat):

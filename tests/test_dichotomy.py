@@ -5,7 +5,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from bruteforce import floquet_moduli, spectrum_by_merging
+from bruteforce import floquet_moduli, spectrum_by_merging, split_candidate_by_rank_sweeps
 from dichospec.dichotomy import (
     DichotomyAnalyzer,
     DichotomyParams,
@@ -21,7 +21,7 @@ from dichospec.errors import (DecayFitError, ParameterError, SpectrumConsistency
                               ValidationError)
 from dichospec.linalg import frame_sweep
 from dichospec.sequences import MatrixSequence, ScalarSequence
-from systems import SEEDED_BANDS, random_periodic
+from systems import SEEDED_BANDS, random_periodic, separated_banded_diagonal
 
 # pytest would otherwise try to collect the library function
 dichotomy_verdict.__test__ = False
@@ -249,6 +249,52 @@ def test_direction_rates_equal_two_separate_sweeps():
                      analyzer._backward_rates)):
         rates = np.log(np.diagonal(r[ext // 2:], axis1=1, axis2=2)).mean(axis=0)
         assert np.array_equal(rates, want)
+
+
+def test_all_split_ranks_share_one_sweep(monkeypatch):
+    # the rates and every split rank come from one lock-stepped sweep
+    calls = []
+
+    def counted_sweep(*args):
+        calls.append(args[0].shape)
+        return frame_sweep(*args)
+
+    monkeypatch.setattr("dichospec.dichotomy.frame_sweep", counted_sweep)
+    for seq in (MatrixSequence.seeded(5, bands=SEEDED_BANDS[3]), random_periodic(3, 6, 3),
+                MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]])):
+        calls.clear()
+        analyzer = DichotomyAnalyzer(seq)
+        estimate_spectrum(seq, analyzer=analyzer)
+        assert len(analyzer._candidates) > 2  # some split rank was built
+        assert len(calls) == 1 and calls[0][0] == 4
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda d=d: (MatrixSequence.seeded(5, bands=SEEDED_BANDS[d]), None) for d in (2, 3, 6)],
+    *[lambda d=d: (random_periodic(3, d, 3), None) for d in (2, 3, 6)],
+    lambda: (separated_banded_diagonal(7), DichotomyParams(window=896, burn_in=128)),
+    lambda: (MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]]), None),
+    lambda: (MatrixSequence.constant([[1.0, 1.0], [0.0, 1.0]]), None),
+], ids=["seeded-d2", "seeded-d3", "seeded-d6", "periodic-d2", "periodic-d3", "periodic-d6",
+        "roster-d3-w896", "nonnormal", "jordan"])
+def test_split_candidates_match_per_rank_sweeps(build):
+    # slicing the one flag pair gives every rank's families and envelopes
+    seq, params = build()
+    analyzer = DichotomyAnalyzer(seq, params)
+
+    def projector(q):
+        return q @ q.T
+
+    for s in range(1, seq.dimension):
+        got, want = analyzer._candidate(s), split_candidate_by_rank_sweeps(analyzer, s)
+        for env, ref in ((got.stable_env, want.stable_env),
+                         (got.unstable_env, want.unstable_env)):
+            assert np.all(np.abs(env - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        for q, ref in ((got.stable_basis, want.stable_basis),
+                       (got.unstable_basis, want.unstable_basis)):
+            assert q.shape == ref.shape
+            assert np.max(np.abs(projector(q) - projector(ref))) <= 1e-12
+        assert abs(got.angle - want.angle) <= 1e-12
 
 
 def test_low_confidence_gap_certificates_flag_their_intervals():

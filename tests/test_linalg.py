@@ -184,6 +184,25 @@ def test_batched_frame_sweep_equals_per_item_sweeps(b, d, k, backward):
     assert np.array_equal(np.concatenate([head_factors, tail_factors], axis=1), factors)
 
 
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("backward", [False, True])
+def test_leading_columns_of_a_sweep_are_the_sweep_of_the_leading_columns(d, backward):
+    # a Householder column depends only on the columns before it, so the
+    # first k columns of a frame sweep and the leading k x k blocks of its
+    # factors are the sweep of q0[:, :k]; equal up to rounding, not bit for
+    # bit (LAPACK may take another path for a narrower matrix)
+    maps = _sweep_maps(d, m=500, seed=d)
+    if backward:
+        maps = np.linalg.inv(maps)[::-1]
+    q0 = frame(d, seed=11)
+    frames, factors = frame_sweep(maps, q0)
+    for k in range(1, d + 1):
+        lead, lead_factors = frame_sweep(maps, q0[:, :k])
+        assert np.max(np.abs(frames[:, :, :k] - lead)) <= 1e-12
+        block = factors[:, :k, :k]
+        assert np.all(np.abs(block - lead_factors) <= 1e-12 * np.maximum(1.0, np.abs(block)))
+
+
 @pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 3), (6, 1),
                                  (6, 2), (6, 3)])
 def test_canonical_basis_depends_only_on_the_span(d, k):
