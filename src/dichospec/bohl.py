@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .sequences import MatrixSequence, ScalarSequence
+from .sequences import MatrixSequence, ScalarSequence, _checked_inverses
 from .transition import WindowProducts, _write_text, orbit_lognorms
 
 DEFAULT_WINDOW = 2048
@@ -255,8 +255,8 @@ def general_exponents(seq: MatrixSequence,
     count = params.tail_count(len(all_gaps))
     gaps = all_gaps[-count:]
 
+    inverse = WindowProducts(_checked_inverses(factors, lo)[::-1])
     forward = WindowProducts(factors)
-    inverse = WindowProducts(np.linalg.inv(factors)[::-1])
 
     senior_rates = np.empty(len(gaps))
     junior_rates = np.empty(len(gaps))

@@ -12,7 +12,8 @@ here by a small closed set of sequence kinds:
 * ``tabulated``         an explicit finite window (no extrapolation).
 
 Evaluation is a pure function of the model and the integer index; the
-only mutable state is private caches of assembled factors.  Scenario
+only mutable state is one private span of checked factors (see
+:meth:`MatrixSequence.window`) and the flags of :mod:`.bundles`.  Scenario
 round-tripping goes through :meth:`to_payload` / :meth:`from_payload`,
 which use plain Python containers so that serialization is bit-exact.
 
@@ -286,8 +287,8 @@ class MatrixSequence:
     bound_cap: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "_window_cache", {})
-        object.__setattr__(self, "_factor_cache", {})
+        # (lo, stack) of checked factors A(lo), ..., A(lo + len(stack) - 1); see window
+        object.__setattr__(self, "_span", None)
         # one entry: the restriction flag pair of dichospec.bundles
         object.__setattr__(self, "_flag_cache", {})
 
@@ -412,33 +413,7 @@ class MatrixSequence:
             return _lcm_or_none(periods)
         return None
 
-    # Kinds whose assembly pays a per-n price (one RNG construction per
-    # factor, or per-entry scalar walks); the others are vectorized and
-    # cheaper to rebuild than to memoize.
-    _MEMOIZED_KINDS = frozenset({"seeded-random", "diagonal", "upper-triangular"})
-    _FACTOR_CACHE_CAP = 100_000
-
-    def _build_window(self, lo: int, hi: int) -> np.ndarray:
-        if self.kind not in self._MEMOIZED_KINDS:
-            return self._assemble_window(lo, hi)
-        cache = self._factor_cache
-        missing = [n for n in range(lo, hi + 1) if n not in cache]
-        if missing:
-            if len(cache) + len(missing) > self._FACTOR_CACHE_CAP:
-                return self._assemble_window(lo, hi)
-            run_lo = prev = missing[0]
-            runs = []
-            for n in missing[1:]:
-                if n != prev + 1:
-                    runs.append((run_lo, prev))
-                    run_lo = n
-                prev = n
-            runs.append((run_lo, prev))
-            for a, b in runs:
-                block = self._assemble_window(a, b)
-                for off in range(b - a + 1):
-                    cache[a + off] = block[off]
-        return np.stack([cache[n] for n in range(lo, hi + 1)])
+    _SPAN_CAP = 100_000  # longest factor span kept; longer results are not stored
 
     def _assemble_window(self, lo: int, hi: int) -> np.ndarray:
         m = hi - lo + 1
@@ -452,9 +427,9 @@ class MatrixSequence:
         if self.kind == "piecewise":
             parts = []
             if lo < 0:
-                parts.append(self.negative._build_window(lo, min(hi, -1)))
+                parts.append(self.negative._assemble_window(lo, min(hi, -1)))
             if hi >= 0:
-                parts.append(self.nonnegative._build_window(max(lo, 0), hi))
+                parts.append(self.nonnegative._assemble_window(max(lo, 0), hi))
             return np.concatenate(parts) if len(parts) > 1 else parts[0]
         if self.kind == "diagonal":
             out = np.zeros((m, d, d))
@@ -486,33 +461,51 @@ class MatrixSequence:
             return self.table[lo - self.start: hi - self.start + 1].copy()
         raise ParameterError(f"unknown matrix kind {self.kind!r}")
 
+    def _checked_window(self, lo: int, hi: int) -> np.ndarray:
+        stack = self._assemble_window(lo, hi)
+        _check_stack_invertible(stack, lo)
+        stack.flags.writeable = False
+        return stack
+
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Matrices A(lo), ..., A(hi) as a read-only (hi-lo+1, d, d) stack.
 
         Every matrix in the window passes the invertibility check; the
         first singular index raises :class:`SingularMatrixError` naming n.
+
+        A window inside the sequence's one span of checked factors is a
+        slice of it; one that overlaps or touches the span checks only the
+        missing ends and joins them on; any other starts a new span.  A
+        failed check keeps the old span; a span over 100,000 factors is
+        returned but not kept.
         """
         if hi < lo:
             raise ParameterError("window requires lo <= hi")
-        key = (lo, hi)
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            return cached
-        stack = self._build_window(lo, hi)
-        _check_stack_invertible(stack, lo)
-        stack.flags.writeable = False
-        if len(self._window_cache) < 8:
-            self._window_cache[key] = stack
-        return stack
+        if self._span is not None:
+            start, span = self._span
+            end = start + len(span) - 1
+            if start <= lo and hi <= end:
+                return span[lo - start: hi - start + 1]
+        if self._span is None or lo > end + 1 or hi < start - 1:
+            start, stack = lo, self._checked_window(lo, hi)
+        else:
+            # the left end is checked first, so the lowest singular n is named
+            left = [self._checked_window(lo, start - 1)] if lo < start else []
+            right = [self._checked_window(end + 1, hi)] if hi > end else []
+            start, stack = min(lo, start), np.concatenate(left + [span] + right)
+            stack.flags.writeable = False
+        if len(stack) <= self._SPAN_CAP:
+            object.__setattr__(self, "_span", (start, stack))
+        return stack[lo - start: hi - start + 1]
 
     def evaluate(self, n: int) -> np.ndarray:
-        """A(n), checked for invertibility."""
+        """A(n), checked; read from the factor span, else built alone (span unchanged)."""
         n = int(n)
-        stack = self._build_window(n, n)
-        _check_stack_invertible(stack, n)
-        a = stack[0]
-        a.flags.writeable = False
-        return a
+        if self._span is not None:
+            start, span = self._span
+            if start <= n < start + len(span):
+                return span[n - start]
+        return self._checked_window(n, n)[0]
 
     def inverse_at(self, n: int) -> np.ndarray:
         """A(n)^-1 with a residual sanity check against the identity."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, WindowCapError
 from .linalg import batched_spectral_norm, spectral_norm
-from .sequences import MatrixSequence
+from .sequences import MatrixSequence, _checked_inverses
 
 # Hard cap on the number of factors in a single requested product.
 DEFAULT_WINDOW_CAP = 1_000_000
@@ -120,8 +120,7 @@ def transition(seq: MatrixSequence, m: int, n: int, *,
         for a in factors:
             acc = acc.left_multiplied(a)
     elif m < n:
-        factors = seq.window(m, n - 1)
-        inverses = np.linalg.inv(factors)
+        inverses = _checked_inverses(seq.window(m, n - 1), m)
         for j in range(len(inverses) - 1, -1, -1):
             acc = acc.left_multiplied(inverses[j])
     return acc
@@ -234,7 +233,7 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
                None if directions is None else directions[base:])
     if lo < 0:
         # stepping from n = -k down to n = -k-1 uses A(-k-1)^-1
-        inverses = np.linalg.inv(seq.window(lo, -1))[::-1]
+        inverses = _checked_inverses(seq.window(lo, -1), lo)[::-1]
         _sweep(inverses, u, lognorms[base::-1],
                None if directions is None else directions[base::-1])
 

@@ -162,3 +162,97 @@ def test_mhat_bounds_every_norm():
         a = seq.evaluate(n)
         assert np.linalg.norm(a, 2) <= report.m_hat + 1e-12
         assert np.linalg.norm(np.linalg.inv(a), 2) <= report.m_hat + 1e-12
+
+
+SPAN_KINDS = {
+    "constant": lambda: MatrixSequence.constant([[2.0, 1.0], [0.0, 0.5]]),
+    "periodic": lambda: MatrixSequence.periodic([np.diag([2.0, 0.5]), [[0.0, 1.0], [-1.0, 0.0]]]),
+    "piecewise": lambda: MatrixSequence.piecewise(
+        MatrixSequence.constant(np.diag([0.5, 2.0])),
+        MatrixSequence.periodic([np.diag([2.0, 0.5]), [[1.0, 1.0], [0.0, 1.0]]])),
+    "diagonal": lambda: MatrixSequence.diagonal([ScalarSequence.seeded(4, (0.5, 0.8)),
+                                                 ScalarSequence.periodic([2.0, 3.0])]),
+    "upper-triangular": lambda: MatrixSequence.upper_triangular(
+        [ScalarSequence.constant(2.0), ScalarSequence.seeded(5, (0.4, 0.6))],
+        {(0, 1): ScalarSequence.periodic([1.0, -1.0, 0.0])}),
+    "seeded-random": lambda: MatrixSequence.seeded(6, bands=((0.4, 0.5), (1.6, 2.0))),
+    "tabulated": lambda: MatrixSequence.tabulated(
+        np.stack([[[1.0 + k, 0.5], [0.0, 0.5]] for k in range(40)]), start=-20),
+}
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """(sequence, lo, hi) of every _assemble_window call."""
+    calls = []
+    real = MatrixSequence._assemble_window
+
+    def spy(self, lo, hi):
+        calls.append((self, lo, hi))
+        return real(self, lo, hi)
+
+    monkeypatch.setattr(MatrixSequence, "_assemble_window", spy)
+    return calls
+
+
+def _built(calls, seq):
+    out = [(lo, hi) for s, lo, hi in calls if s is seq]
+    calls.clear()
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(SPAN_KINDS))
+def test_factor_span_assembles_only_missing_ends(kind, assembled):
+    seq = SPAN_KINDS[kind]()
+    assert seq.kind == kind
+    requests = [
+        ((-5, 5), [(-5, 5)]),              # first request starts the span
+        ((-3, 2), []),                     # inside
+        ((0, 9), [(6, 9)]),                # overlaps the right end
+        ((10, 12), [(10, 12)]),            # touches the right end
+        ((-8, 14), [(-8, -6), (13, 14)]),  # covers the span: both ends
+        ((-9, -9), [(-9, -9)]),            # touches the left end
+        ((-9, 14), []),                    # the whole span
+    ]
+    for (lo, hi), missing in requests:
+        stack = seq.window(lo, hi)
+        assert _built(assembled, seq) == missing, (lo, hi)
+        assert not stack.flags.writeable
+        assert np.array_equal(stack, SPAN_KINDS[kind]().window(lo, hi))
+    assert np.array_equal(seq.evaluate(7), SPAN_KINDS[kind]().evaluate(7))
+    assert _built(assembled, seq) == []
+    a = seq.evaluate(-15)                  # outside: built alone, span unchanged
+    assert not a.flags.writeable
+    assert _built(assembled, seq) == [(-15, -15)]
+    seq.window(-9, 14)
+    assert _built(assembled, seq) == []
+    seq.window(16, 18)                     # apart from the span: a new span
+    seq.window(17, 17)
+    assert _built(assembled, seq) == [(16, 18)]
+    seq.window(0, 0)
+    assert _built(assembled, seq) == [(0, 0)]
+
+
+def test_failed_check_keeps_the_span_and_long_results_are_not_kept(assembled, monkeypatch):
+    table = np.stack([np.eye(2)] * 20)
+    table[1] = [[1.0, 1.0], [1.0, 1.0]]    # n = -5, rank one
+    table[10] = 0.0                        # n = 4, zero rows
+    seq = MatrixSequence.tabulated(table, start=-6)
+    seq.window(-4, 3)
+    with pytest.raises(SingularMatrixError) as err:
+        seq.window(-6, 5)
+    assert err.value.n == -5
+    assembled.clear()
+    assert np.array_equal(seq.window(-4, 3), table[2:10])
+    assert assembled == []
+
+    monkeypatch.setattr(MatrixSequence, "_SPAN_CAP", 4)
+    long = seq.window(5, 13)
+    assert np.array_equal(long, table[11:])
+    assert not long.flags.writeable
+    assembled.clear()
+    seq.window(-4, 3)
+    assert assembled == []
+    with pytest.raises(SingularMatrixError) as err:
+        seq.window(-2, 12)
+    assert err.value.n == 4

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bruteforce import dense_transition, orbit_lognorm_table
-from dichospec.errors import ParameterError, WindowCapError
+from dichospec.bohl import BohlParams, general_exponents
+from dichospec.errors import ParameterError, SingularMatrixError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.transition import (
     ScaledMatrix,
@@ -186,3 +187,18 @@ def test_diagonal_scalar_systems_agree_with_matrix_route():
     seq = MatrixSequence.diagonal([u])
     x = transition(seq, 8, 0).to_matrix()
     assert x[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_overflowing_inverses_raise_naming_the_index():
+    # passes the determinant check, but its inverse overflows
+    bad = [[1e300, 1e300], [0.0, 1e-300]]
+    seq = MatrixSequence.tabulated([np.eye(2), bad, np.eye(2), bad], start=-2)
+    with pytest.raises(SingularMatrixError) as err:
+        transition(seq, 0, 2)
+    assert err.value.n == 1
+    with pytest.raises(SingularMatrixError) as err:
+        orbit_lognorms(seq, [1.0, 0.0], (-2, 0))
+    assert err.value.n == -1
+    with pytest.raises(SingularMatrixError) as err:
+        general_exponents(seq, BohlParams(window=2, gap_min=1, two_sided=True))
+    assert err.value.n == -1
