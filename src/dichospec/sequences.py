@@ -22,6 +22,14 @@ be nonsingular, and :meth:`MatrixSequence.validate` estimates the
 two-sided bound  M = sup_n max(||A(n)||, ||A(n)^-1||)  in the spectral
 norm, exactly for kinds with exact finite period and by a window scan
 otherwise.
+
+Seeded kinds draw from a counter-style stream: the draws at index n are
+the first doubles of  default_rng(SeedSequence(seed, spawn_key=(zigzag(n),)))
+(numpy's SeedSequence hashing and PCG64, whose stream NEP 19 keeps stable),
+where zigzag maps 0, -1, 1, -2, 2, ... to 0, 1, 2, 3, 4, ..., so the value
+at n never depends on which other indices were evaluated.
+They are computed a window at a time by :func:`_uniforms`, which redoes
+numpy's per-index seeding in vectorized integer arithmetic, bit for bit.
 """
 from __future__ import annotations
 
@@ -43,15 +51,93 @@ MATRIX_KINDS = ("constant", "periodic", "piecewise", "diagonal",
                 "upper-triangular", "seeded-random", "tabulated")
 
 
-def _zigzag(n: int) -> int:
-    """Map Z to the nonnegative integers (0, -1, 1, -2, 2, ... -> 0, 1, 2, 3, 4, ...)."""
-    return 2 * n if n >= 0 else -2 * n - 1
+# SeedSequence constants (numpy bit_generator.pyx) and the PCG64 multiplier
+# (pcg64.h).  Every constant is a numpy scalar, so that numpy 1.x value-based
+# promotion keeps the arithmetic in uint32 / uint64.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32 = np.uint64(_MASK32)
+_M0, _M1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_M_LO, _M_HI = np.uint64(_PCG_MULT & (2**64 - 1)), np.uint64(_PCG_MULT >> 64)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(s) for s in (1, 11, 32, 58, 63, 64))
 
 
-def _rng_at(seed: int, n: int) -> np.random.Generator:
-    # Counter-style stream: one generator per time index, so evaluation at n
-    # never depends on which other indices were evaluated before it.
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_zigzag(n),)))
+def _hash_steps(const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, mul) uint32 columns of count successive hashmix steps from const."""
+    consts = np.array([const * pow(mult, k, 2**32) & _MASK32 for k in range(count + 1)], np.uint32)
+    return consts[:-1, None], consts[1:, None]
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state(4, uint64)
+
+
+def _hashmix(words: np.ndarray, steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    h = (words ^ steps[0]) * steps[1]
+    return h ^ (h >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """128-bit PCG64 step  state * _PCG_MULT + inc  on (hi, lo) uint64 words."""
+    a0, a1 = lo & _LOW32, lo >> _U32
+    p00, p01, p10 = a0 * _M0, a0 * _M1, a1 * _M0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    new_lo = (p00 & _LOW32) | (mid << _U32)
+    new_hi = (a1 * _M1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+              + lo * _M_HI + hi * _M_LO)
+    new_lo += inc_lo
+    new_hi += inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _uniforms(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """(hi - lo + 1, count) doubles of the seeded stream at n = lo..hi.
+
+    Row n - lo equals, bit for bit, the first count ``random()`` draws of
+    default_rng(SeedSequence(seed, spawn_key=(zigzag(n),))).  Numpy hashes
+    the seed's words into the pool; only the spawn-key words (two once
+    zigzag(n) reaches 2**32), ``generate_state(4, uint64)``, PCG64 seeding
+    and its XSL-RR output are redone here, vectorized over n.
+    """
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    key = np.where(n >= 0, 2 * n, -2 * n - 1).astype(np.uint64)
+    # the seed's words, padded with zeros to the pool size 4, are hashed
+    # with 16 + 4 (words - 4) steps before the spawn key's first word
+    words = max(4, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 4 * words, 2**32) & _MASK32
+    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(n), axis=1)
+    pool = _mix(pool, _hashmix((key & _LOW32).astype(np.uint32), _hash_steps(const, _MULT_A, 4)))
+    two = key > _LOW32
+    if two.any():
+        steps = _hash_steps(const * pow(_MULT_A, 4, 2**32) & _MASK32, _MULT_A, 4)
+        pool = np.where(two, _mix(pool, _hashmix((key >> _U32).astype(np.uint32), steps)), pool)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_STEPS).astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2] << _U32)
+    # srandom: state = 0, inc = (initseq << 1) | 1, step, state += initstate, step
+    inc_hi, inc_lo = (q_hi << _U1) | (q_lo >> _U63), (q_lo << _U1) | _U1
+    lo_word = inc_lo + s_lo
+    hi_word, lo_word = _pcg_step(inc_hi + s_hi + (lo_word < s_lo), lo_word, inc_hi, inc_lo)
+    out = np.empty((count, len(n)))
+    for j in range(count):
+        hi_word, lo_word = _pcg_step(hi_word, lo_word, inc_hi, inc_lo)
+        x, rot = hi_word ^ lo_word, hi_word >> _U58
+        x = (x >> rot) | (x << ((_U64 - rot) & _U63))
+        out[j] = (x >> _U11) * (1.0 / 9007199254740992.0)
+    return out.T
+
+
+def _seed_value(seed: int) -> int:
+    value = int(seed)
+    if value < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {value}")
+    return value
 
 
 def _as_float_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
@@ -112,7 +198,7 @@ class ScalarSequence:
         lo, hi = float(band[0]), float(band[1])
         if not (0.0 < lo <= hi) or not math.isfinite(hi):
             raise ParameterError("seeded scalar band must satisfy 0 < lo <= hi")
-        return cls(kind="seeded-random", seed=int(seed), band=(lo, hi))
+        return cls(kind="seeded-random", seed=_seed_value(seed), band=(lo, hi))
 
     @classmethod
     def tabulated(cls, table: Iterable[float], start: int) -> "ScalarSequence":
@@ -134,32 +220,35 @@ class ScalarSequence:
         return None
 
     def value_at(self, n: int) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "periodic":
-            return self.values[n % len(self.values)]
-        if self.kind == "piecewise":
-            if n < 0:
-                return self.negative[n % len(self.negative)]
-            return self.nonnegative[n % len(self.nonnegative)]
-        if self.kind == "seeded-random":
-            lo, hi = self.band
-            u = _rng_at(self.seed, n).uniform(math.log(lo), math.log(hi))
-            return math.exp(u)
-        if self.kind == "tabulated":
-            idx = n - self.start
-            if not (0 <= idx < self.table.size):
-                raise ValidationError(
-                    f"tabulated scalar sequence has no value at n={n} "
-                    f"(window [{self.start}, {self.start + self.table.size - 1}])")
-            return float(self.table[idx])
-        raise ParameterError(f"unknown scalar kind {self.kind!r}")
+        """u(n), read off the one-index window."""
+        return float(self.window(n, n)[0])
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Values at n = lo..hi inclusive."""
         if hi < lo:
             raise ParameterError("window requires lo <= hi")
-        return np.array([self.value_at(n) for n in range(lo, hi + 1)], dtype=float)
+        n = np.arange(lo, hi + 1)
+        if self.kind == "constant":
+            return np.full(len(n), self.value)
+        if self.kind == "periodic":
+            return np.array(self.values)[n % len(self.values)]
+        if self.kind == "piecewise":
+            return np.where(n < 0, np.array(self.negative)[n % len(self.negative)],
+                            np.array(self.nonnegative)[n % len(self.nonnegative)])
+        if self.kind == "seeded-random":
+            a, b = math.log(self.band[0]), math.log(self.band[1])
+            u = a + (b - a) * _uniforms(self.seed, lo, hi, 1)[:, 0]
+            # math.exp, not np.exp: the two can differ in the last bit
+            return np.array([math.exp(v) for v in u.tolist()])
+        if self.kind == "tabulated":
+            end = self.start + self.table.size - 1
+            if lo < self.start or hi > end:
+                raise ValidationError(
+                    f"tabulated scalar sequence has no value at "
+                    f"n={lo if lo < self.start else max(lo, end + 1)} "
+                    f"(window [{self.start}, {end}])")
+            return self.table[lo - self.start: hi - self.start + 1].copy()
+        raise ParameterError(f"unknown scalar kind {self.kind!r}")
 
     def require_nonzero(self, lo: int, hi: int, label: str = "u") -> None:
         """Raise if any value on [lo, hi] vanishes (or a whole period, if exact)."""
@@ -381,7 +470,7 @@ class MatrixSequence:
             if eps_val < 0 or eps_val > eps_cap:
                 raise ParameterError(
                     f"eps={eps_val} outside [0, {eps_cap:.6g}] allowed by the band layout")
-        return cls(dimension=d, kind="seeded-random", seed=int(seed), bands=bnd,
+        return cls(dimension=d, kind="seeded-random", seed=_seed_value(seed), bands=bnd,
                    eps=eps_val, bound_cap=bound_cap)
 
     @classmethod
@@ -444,13 +533,12 @@ class MatrixSequence:
                 out[:, i, j] = entry.window(lo, hi)
             return out
         if self.kind == "seeded-random":
-            out = np.empty((m, d, d))
-            log_bands = [(math.log(a), math.log(b)) for a, b in self.bands]
-            for k, n in enumerate(range(lo, hi + 1)):
-                rng = _rng_at(self.seed, n)
-                diag = np.exp([rng.uniform(a, b) for a, b in log_bands])
-                noise = rng.uniform(-1.0, 1.0, (d, d))
-                out[k] = np.diag(diag) + self.eps * noise
+            # per index: one uniform(log a, log b) per band, then uniform(-1, 1, (d, d))
+            draws = _uniforms(self.seed, lo, hi, d + d * d)
+            a, b = np.array([[math.log(x) for x in band] for band in self.bands]).T
+            out = np.zeros((m, d, d))
+            out[:, np.arange(d), np.arange(d)] = np.exp(a + (b - a) * draws[:, :d])
+            out += self.eps * (-1.0 + 2.0 * draws[:, d:].reshape(m, d, d))
             return out
         if self.kind == "tabulated":
             end = self.start + self.table.shape[0] - 1

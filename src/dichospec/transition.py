@@ -30,8 +30,28 @@ from .sequences import MatrixSequence, _checked_inverses
 DEFAULT_WINDOW_CAP = 1_000_000
 
 
+def _rescued_norms(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (m, k, k) stack, given their plain values.
+
+    A plain norm (the root of the summed squares) that is inf, or 0 for a
+    nonzero matrix, overflowed or underflowed in the squares; it is
+    recomputed from the matrix scaled by its largest |entry|.  Every other
+    norm keeps its bits.
+    """
+    bad = ~np.isfinite(norms) | (norms == 0.0)
+    if not bad.any():
+        return norms
+    big = np.abs(stack[bad]).max(axis=(1, 2))
+    scaled = stack[bad] / np.where(big > 0.0, big, 1.0)[:, None, None]
+    norms = norms.copy()
+    norms[bad] = big * np.sqrt(np.einsum("lij,lij->l", scaled, scaled))
+    return norms
+
+
 def _frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.square(a).sum()))
+    with np.errstate(over="ignore"):  # an overflowed sum is rescued below
+        plain = np.sqrt([np.square(a).sum()])
+    return float(_rescued_norms(a[None], plain)[0])
 
 
 @dataclass(frozen=True)
@@ -268,7 +288,7 @@ class WindowProducts:
             raise ParameterError("factor sequence is empty")
         self.count = m
         self.max_gap = m if max_gap is None else min(int(max_gap), m)
-        nrm = np.sqrt(np.einsum("lij,lij->l", factors, factors))
+        nrm = _rescued_norms(factors, np.sqrt(np.einsum("lij,lij->l", factors, factors)))
         if np.any(nrm == 0.0):
             raise ParameterError("zero factor in window product sequence")
         cores = factors / nrm[:, None, None]
@@ -317,11 +337,24 @@ class WindowProducts:
         return cores, logs
 
     def max_log_norm(self, g: int) -> tuple[float, int]:
-        """Max over offsets of log ||P_g(l)|| (spectral norm) and the arg max."""
+        """Max over offsets of log ||P_g(l)|| (spectral norm) and the arg max.
+
+        The spectral norm is at most the Frobenius norm, so log ||P_g(l)||
+        <= logs[l] + log ||core_l||_F.  Only offsets whose bound reaches the
+        exact value at the bound's arg max, less a rounding allowance, get an
+        SVD.  Every matrix of a stacked SVD runs the same kernel and the kept
+        offsets stay in order, so value and index equal those of an SVD of
+        every offset, bit for bit, ties to the first offset included.
+        """
         cores, logs = self.products(g)
-        vals = np.log(batched_spectral_norm(cores)) + logs
+        upper = logs + 0.5 * np.log(np.einsum("lij,lij->l", cores, cores))
+        top = int(np.argmax(upper))
+        floor = float(np.log(batched_spectral_norm(cores[top: top + 1]))[0] + logs[top])
+        # a NaN floor compares false everywhere and keeps every offset
+        keep = np.flatnonzero(~(upper < floor - 1e-9 * (1.0 + abs(floor))))
+        vals = np.log(batched_spectral_norm(cores[keep])) + logs[keep]
         pos = int(np.argmax(vals))
-        return float(vals[pos]), pos
+        return float(vals[pos]), int(keep[pos])
 
     def envelope(self, gaps: Iterable[int]) -> dict[int, float]:
         """Per-gap maxima of log window-product norms."""

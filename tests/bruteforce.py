@@ -3,17 +3,68 @@
 Everything here recomputes quantities from first principles with dense
 linear algebra. No log-scaling tricks, no doubling schemes, no code shared
 with the package internals beyond pointwise sequence evaluation. Keep it
-dumb; the whole point is independence.  The one exception is
-``split_candidate_by_rank_sweeps``, an earlier construction kept as a
-reference, which reuses a ``DichotomyAnalyzer``'s window data.
+dumb; the whole point is independence.  The exceptions are earlier
+constructions kept as references: ``split_candidate_by_rank_sweeps``
+reuses a ``DichotomyAnalyzer``'s window data, and
+``max_log_norm_of_every_offset`` a ``WindowProducts``' products.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 
 from dichospec.dichotomy import _Candidate, _family_seeds
 from dichospec.errors import SpectrumConsistencyError
-from dichospec.linalg import frame_sweep, min_principal_angle
+from dichospec.linalg import batched_spectral_norm, frame_sweep, min_principal_angle
+
+
+def rng_at(seed, n):
+    """numpy's own generator of the seeded stream at time index n."""
+    zigzag = 2 * n if n >= 0 else -2 * n - 1
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(zigzag,)))
+
+
+def scalar_value_by_index(u, n):
+    """u(n) of a ScalarSequence, evaluated alone by the rule of its kind."""
+    if u.kind == "constant":
+        return u.value
+    if u.kind == "periodic":
+        return u.values[n % len(u.values)]
+    if u.kind == "piecewise":
+        side = u.negative if n < 0 else u.nonnegative
+        return side[n % len(side)]
+    if u.kind == "seeded-random":
+        return math.exp(rng_at(u.seed, n).uniform(math.log(u.band[0]), math.log(u.band[1])))
+    return float(u.table[n - u.start])  # tabulated
+
+
+def matrix_window_by_index(seq, lo, hi):
+    """A(lo)..A(hi) of a seeded-random, diagonal or upper-triangular
+    MatrixSequence, one generator or scalar evaluation per index."""
+    d = seq.dimension
+    out = np.zeros((hi - lo + 1, d, d))
+    for k, n in enumerate(range(lo, hi + 1)):
+        if seq.kind == "seeded-random":
+            rng = rng_at(seq.seed, n)
+            diag = np.exp([rng.uniform(math.log(a), math.log(b)) for a, b in seq.bands])
+            noise = rng.uniform(-1.0, 1.0, (d, d))
+            out[k] = np.diag(diag) + seq.eps * noise
+            continue
+        entries = seq.entries if seq.kind == "diagonal" else seq.diagonal
+        for i, entry in enumerate(entries):
+            out[k, i, i] = scalar_value_by_index(entry, n)
+        for i, j, entry in seq.offdiagonal or ():
+            out[k, i, j] = scalar_value_by_index(entry, n)
+    return out
+
+
+def max_log_norm_of_every_offset(wp, g):
+    """WindowProducts.max_log_norm with an SVD at every offset."""
+    cores, logs = wp.products(g)
+    vals = np.log(batched_spectral_norm(cores)) + logs
+    pos = int(np.argmax(vals))
+    return float(vals[pos]), pos
 
 
 def dense_transition(seq, m, n):

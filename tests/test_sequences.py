@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import norm_scan
+from bruteforce import matrix_window_by_index, norm_scan, scalar_value_by_index
 from dichospec.errors import ParameterError, SingularMatrixError, ValidationError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 
@@ -256,3 +256,78 @@ def test_failed_check_keeps_the_span_and_long_results_are_not_kept(assembled, mo
     with pytest.raises(SingularMatrixError) as err:
         seq.window(-2, 12)
     assert err.value.n == 4
+
+
+# zigzag(n) needs a second 32-bit key word for n >= 2**31 and n <= -2**31 - 1
+STREAM_SEEDS = [0, 1, 2**31 - 1, 2**32 + 5, 2**130 + 17]
+STREAM_WINDOWS = [(-6, 5), (2**31 - 2, 2**31 + 2), (-2**31 - 2, -2**31 + 2)]
+SEEDED_SYSTEMS = {
+    "seeded-d1": lambda seed: MatrixSequence.seeded(seed, bands=((0.5, 0.8),)),
+    "seeded-d2": lambda seed: MatrixSequence.seeded(seed, bands=((0.4, 0.55), (1.6, 1.9))),
+    "seeded-d3": lambda seed: MatrixSequence.seeded(
+        seed, bands=((0.3, 0.4), (0.8, 1.0), (1.8, 2.2))),
+    "seeded-d6": lambda seed: MatrixSequence.seeded(
+        seed, bands=((0.2, 0.25), (0.35, 0.42), (0.6, 0.7), (1.0, 1.15), (1.6, 1.8), (2.6, 3.0))),
+    "diagonal": lambda seed: MatrixSequence.diagonal(
+        [ScalarSequence.seeded(seed, (0.5, 0.8)), ScalarSequence.periodic([2.0, 3.0]),
+         ScalarSequence.seeded(seed + 1, (1.1, 1.3))]),
+    "upper-triangular": lambda seed: MatrixSequence.upper_triangular(
+        [ScalarSequence.constant(2.0), ScalarSequence.seeded(seed, (0.4, 0.6))],
+        {(0, 1): ScalarSequence.seeded(seed + 2, (0.1, 5.0))}),
+}
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("system", sorted(SEEDED_SYSTEMS))
+def test_seeded_windows_equal_numpy_generators_per_index(system, seed):
+    for lo, hi in STREAM_WINDOWS:
+        seq = SEEDED_SYSTEMS[system](seed)
+        assert np.array_equal(seq.window(lo, hi), matrix_window_by_index(seq, lo, hi)), (lo, hi)
+
+
+SCALAR_KINDS = {
+    "constant": ScalarSequence.constant(-1.5),
+    "periodic": ScalarSequence.periodic([2.0, 0.5, -3.0]),
+    "piecewise": ScalarSequence.piecewise(negative=[0.5, 0.25], nonnegative=[2.0, 4.0, 8.0]),
+    "tabulated": ScalarSequence.tabulated([float(k) - 9.5 for k in range(20)], start=-10),
+    **{f"seeded-{seed}": ScalarSequence.seeded(seed, (0.3, 1.7)) for seed in STREAM_SEEDS},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_KINDS))
+def test_scalar_windows_equal_per_index_values(kind):
+    u = SCALAR_KINDS[kind]
+    windows = [(-10, 9), (-3, -3), (0, 0), (4, 9)]
+    if u.kind == "seeded-random":
+        windows += STREAM_WINDOWS
+    for lo, hi in windows:
+        want = np.array([scalar_value_by_index(u, n) for n in range(lo, hi + 1)])
+        got = u.window(lo, hi)
+        assert got.dtype == np.float64 and np.array_equal(got, want), (lo, hi)
+        assert [u.value_at(n) for n in range(lo, hi + 1)] == want.tolist()
+        assert all(type(u.value_at(n)) is float for n in (lo, hi))
+
+
+def test_tabulated_scalar_window_names_the_first_missing_index():
+    u = SCALAR_KINDS["tabulated"]
+    for (lo, hi), n in (((-12, 0), -12), ((5, 11), 10), ((-11, 14), -11), ((12, 14), 12)):
+        with pytest.raises(ValidationError, match=f"no value at n={n} "):
+            u.window(lo, hi)
+    with pytest.raises(ValidationError, match="n=10 "):
+        u.value_at(10)
+
+
+def test_negative_seeds_are_rejected():
+    with pytest.raises(ParameterError):
+        ScalarSequence.seeded(-1, (0.5, 0.8))
+    with pytest.raises(ParameterError):
+        MatrixSequence.seeded(-3, bands=((0.4, 0.5), (1.6, 2.0)))
+    with pytest.raises(ParameterError):
+        ScalarSequence.from_payload({"kind": "seeded-random", "seed": -1, "band": [0.5, 0.8]})
+    with pytest.raises(ParameterError):
+        MatrixSequence.from_payload({"kind": "seeded-random", "seed": -3,
+                                     "bands": [[0.4, 0.5], [1.6, 2.0]]})
+    with pytest.raises(ParameterError):
+        MatrixSequence.from_payload({"kind": "diagonal", "entries": [
+            {"kind": "seeded-random", "seed": -2, "band": [0.5, 0.8]}]})
+    assert ScalarSequence.seeded(0, (0.5, 0.8)).seed == 0

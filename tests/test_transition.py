@@ -1,9 +1,10 @@
+import importlib
 import io
 
 import numpy as np
 import pytest
 
-from bruteforce import dense_transition, orbit_lognorm_table
+from bruteforce import dense_transition, max_log_norm_of_every_offset, orbit_lognorm_table
 from dichospec.bohl import BohlParams, general_exponents
 from dichospec.errors import ParameterError, SingularMatrixError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
@@ -202,3 +203,67 @@ def test_overflowing_inverses_raise_naming_the_index():
     with pytest.raises(SingularMatrixError) as err:
         general_exponents(seq, BohlParams(window=2, gap_min=1, two_sided=True))
     assert err.value.n == -1
+
+
+def _nonnormal_stack(rng, m, k, coupling):
+    diag = np.exp(rng.uniform(-0.5, 0.5, size=(m, k)))
+    upper = np.triu(coupling * rng.uniform(-1.0, 1.0, size=(m, k, k)), 1)
+    return upper + diag[:, :, None] * np.eye(k)
+
+
+MAX_LOG_NORM_STACKS = {
+    "constant": lambda rng: np.stack([[[2.0, 1.0], [0.0, 0.5]]] * 40),
+    "k1": lambda rng: np.exp(rng.uniform(-1.0, 1.0, size=(60, 1, 1))),
+    "nonnormal-2x2": lambda rng: _nonnormal_stack(rng, 80, 2, 1e4),
+    "nonnormal-6x6": lambda rng: _nonnormal_stack(rng, 80, 6, 1e3),
+    "log-scale-1e4": lambda rng: np.exp(50.0) * (rng.normal(size=(300, 3, 3)) + 2.0 * np.eye(3)),
+    # spectral and Frobenius norms agree to rounding, so the bound can
+    # round below the exact value it bounds
+    "near-rank-one": lambda rng: (np.einsum("li,lj->lij", rng.normal(size=(80, 3)),
+                                            rng.normal(size=(80, 3)))
+                                  + 1e-9 * rng.normal(size=(80, 3, 3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAX_LOG_NORM_STACKS))
+def test_max_log_norm_equals_an_svd_of_every_offset(case):
+    factors = MAX_LOG_NORM_STACKS[case](np.random.default_rng(5))
+    wp = WindowProducts(factors)
+    gaps = sorted({1, 2, 3, 5, 8, 13, 31, 32, 33, len(factors) // 2, len(factors)})
+    for g in gaps:
+        got = wp.max_log_norm(g)
+        assert got == max_log_norm_of_every_offset(wp, g), g
+        if case == "constant":
+            assert got[1] == 0
+    if case == "log-scale-1e4":
+        assert wp.max_log_norm(200)[0] > 1e4
+
+
+def test_max_log_norm_takes_svds_only_near_its_bound(monkeypatch):
+    items = []
+    module = importlib.import_module("dichospec.transition")
+    real = module.batched_spectral_norm
+
+    def spy(stack):
+        items.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(module, "batched_spectral_norm", spy)
+    rng = np.random.default_rng(11)
+    wp = WindowProducts(rng.normal(size=(400, 3, 3)) + 0.5 * np.eye(3))
+    for g in (1, 7, 64):
+        items.clear()
+        wp.max_log_norm(g)
+        assert items[0] == 1 and sum(items) < (400 - g + 1) // 2, (g, items)
+
+
+def test_frobenius_norms_neither_overflow_nor_vanish(recwarn):
+    seq = MatrixSequence.constant(np.diag([1e200, 1e-200]))
+    est = general_exponents(seq, BohlParams(window=4, gap_min=1))
+    assert est.senior == pytest.approx(1e200, rel=1e-12)
+    assert est.junior == pytest.approx(1e-200, rel=1e-12)
+    assert transition(seq, 3, 0).log_norm() == pytest.approx(3 * np.log(1e200), rel=1e-14)
+    assert transition(seq, 0, 3).log_norm() == pytest.approx(3 * np.log(1e200), rel=1e-14)
+    tiny = ScaledMatrix.from_matrix(np.diag([1e-170, 1e-171]))
+    assert tiny.log_norm() == pytest.approx(np.log(1e-170), rel=1e-14)
+    assert len(recwarn) == 0
