@@ -30,6 +30,8 @@ SILENT_DRIFT = 1e-9
 # Drift up to this is repaired with a warning; beyond it the conjugation
 # window has outrun the certified decay and the projector is meaningless.
 REPAIR_DRIFT = 1e-6
+CONTAINS_RTOL = 1e-8  # relative residual of a vector that lies in a fiber
+WHITNEY_THRESHOLD = 1e-3  # least sigma_min of stacked fiber bases in a Whitney sum
 # Steps per batched frame_sweep call, and fiber times per stacked nullspace
 # SVD, in fiber restriction; stacks over a whole long window cost several
 # MiB of QR and SVD buffers.
@@ -166,19 +168,19 @@ class SpectralBundleFiber:
     def ambient_dimension(self) -> int:
         return self.basis.shape[0]
 
-    def contains(self, vector: np.ndarray, rtol: float = 1e-8) -> bool:
-        """Whether ``vector`` lies in the fiber up to relative tolerance."""
+    def contains(self, vector: np.ndarray) -> bool:
+        """Whether ``vector`` lies in the fiber, up to relative residual ``CONTAINS_RTOL``."""
         v = np.asarray(vector, dtype=float)
         scale = float(np.linalg.norm(v))
         if scale == 0.0:
             return True
         residual = v - self.basis @ (self.basis.T @ v)
-        return float(np.linalg.norm(residual)) <= rtol * scale
+        return float(np.linalg.norm(residual)) <= CONTAINS_RTOL * scale
 
 
 def bundle_fibers(spectrum: SpectrumEstimate,
                   certificates: tuple[DichotomyVerdict | None, ...] | None = None,
-                  *, rtol: float = 1e-8) -> tuple[SpectralBundleFiber, ...]:
+                  ) -> tuple[SpectralBundleFiber, ...]:
     """Fibers of the spectral bundle at time zero, one per interval.
 
     The fiber over interval ``i`` is the intersection of the unstable
@@ -213,8 +215,7 @@ def bundle_fibers(spectrum: SpectrumEstimate,
     for i in range(1, expected_count):
         below, above = certs[i - 1], certs[i]
         expected = above.rank - below.rank
-        basis = subspace_intersection(below.unstable_basis, above.stable_basis,
-                                      d, rtol=rtol)
+        basis = subspace_intersection(below.unstable_basis, above.stable_basis)
         if basis.shape[1] != expected:
             raise SubspaceError(
                 f"fiber {i} has dimension {basis.shape[1]}, expected {expected} "
@@ -273,8 +274,8 @@ def _restriction_flags(seq: MatrixSequence, w: int,
 
 
 def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
-                            index: int, *, window: int, burn_in: int = 128,
-                            rtol: float = 1e-8) -> tuple[np.ndarray, MatrixSequence]:
+                            index: int, *, window: int,
+                            burn_in: int = 128) -> tuple[np.ndarray, MatrixSequence]:
     """Coefficient dynamics of the solutions living on one bundle fiber.
 
     Sampling a non-extremal fiber through plain forward products is
@@ -334,7 +335,7 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
         # the family decaying past the gap above
         rows = np.concatenate([flag_rows[start: stop, 0, d - 1 - r_below:],
                                flag_rows[start: stop, 1, r_above - 1:]], axis=1)
-        bases, dims = _nullspace(rows, rtol)
+        bases, dims = _nullspace(rows)
         lost = np.flatnonzero(dims != k)
         if lost.size:
             raise SubspaceError(
@@ -379,19 +380,20 @@ class WhitneyReport:
 
 
 def whitney_sum_check(fibers: tuple[SpectralBundleFiber, ...] | list[SpectralBundleFiber],
-                      *, threshold: float = 1e-3,
-                      dimension: int | None = None) -> WhitneyReport:
+                      ) -> WhitneyReport:
     """Check that the fibers decompose the ambient space transversally.
 
     Passes iff the fiber dimensions sum to the ambient dimension and the
     matrix of all stacked bases keeps its smallest singular value at or
-    above ``threshold``.  Duplicated or nearly parallel fibers fail through
-    the singular value even when the dimension count happens to match.
+    above ``WHITNEY_THRESHOLD`` (1e-3).  Duplicated or nearly parallel
+    fibers fail through the singular value even when the dimension count
+    happens to match.  The first fiber fixes the ambient dimension; a fiber
+    in another one raises :class:`ValidationError`.
     """
     fibers = tuple(fibers)
     if not fibers:
         raise ParameterError("whitney_sum_check needs at least one fiber")
-    d = dimension if dimension is not None else fibers[0].ambient_dimension
+    d = fibers[0].ambient_dimension
     for f in fibers:
         if f.ambient_dimension != d:
             raise ValidationError(
@@ -404,7 +406,7 @@ def whitney_sum_check(fibers: tuple[SpectralBundleFiber, ...] | list[SpectralBun
         for j in range(i + 1, len(fibers)):
             angles.append((fibers[i].index, fibers[j].index,
                            min_principal_angle(fibers[i].basis, fibers[j].basis)))
-    passed = dim_sum == d and sigma_min >= threshold
+    passed = dim_sum == d and sigma_min >= WHITNEY_THRESHOLD
     return WhitneyReport(dimension=d, dimension_sum=dim_sum,
-                         smallest_singular_value=sigma_min, threshold=threshold,
+                         smallest_singular_value=sigma_min, threshold=WHITNEY_THRESHOLD,
                          pairwise_angles=tuple(angles), passed=passed)

@@ -232,7 +232,6 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
 
 def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimate,
                                   *, tolerance: float | None = None,
-                                  scalar_params: BohlParams | None = None,
                                   significance=None,
                                   system_id: str | None = None) -> ContainmentReport:
     """Check that every spectral interval endpoint is attained by a
@@ -242,7 +241,8 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
     outright.  Upper triangular systems are accepted when their diagonal
     is significant (see :func:`dichospec.triangularize.diagonal_significance`,
     computed here when not supplied); anything else is refused rather than
-    guessed at.
+    guessed at.  Coordinate Bohl data are two-sided estimates at the
+    default :class:`~dichospec.bohl.BohlParams` window.
     """
     sid = system_id or _default_id(seq)
     base_tol = tolerance if tolerance is not None else TOLERANCE_FACTOR * spectrum.refine_tol
@@ -266,8 +266,7 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
             base_tolerance=base_tol, status="refused",
             notes=(f"kind {seq.kind!r} exposes no coordinate Bohl data; "
                    "triangularize first and confirm diagonal significance",))
-    scalar_params = scalar_params or replace(BohlParams(), two_sided=True)
-    estimates = [_scalar_tail(u, scalar_params) for u in coords]
+    estimates = [_scalar_tail(u, BohlParams(two_sided=True)) for u in coords]
     d = seq.dimension
     rows: list[SampleRow] = []
     for j, interval in enumerate(spectrum.intervals, start=1):

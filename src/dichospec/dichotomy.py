@@ -56,6 +56,8 @@ from .transition import WindowProducts, _write_text, transition
 # gaps are snapped to a common multiple of small periods so that periodic
 # systems telescope exactly and contribute zero fit residual.
 _SLOPE_FRACTIONS = (0.47, 0.56, 0.66, 0.75, 0.84, 0.94)
+# Fewest (gap, log-norm) samples fit_decay_constants accepts.
+_MIN_DECAY_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -161,21 +163,31 @@ class DecayFit:
         yield self.residual
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares intercept and slope of y over x."""
-    design = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0]), float(coef[1])
+def _decay_fit(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> DecayFit:
+    """Decay law  log-norm <= log K + gap log rho  fitted to samples at ``gaps``.
+
+    Slope and residual come from a least-squares line over the
+    ``tail_mask`` samples; K is the least constant that puts every sample
+    on or below the law.
+    """
+    xs, ys = gaps[tail_mask], values[tail_mask]
+    coef, *_ = np.linalg.lstsq(np.stack([np.ones_like(xs), xs], axis=1), ys, rcond=None)
+    intercept, slope = float(coef[0]), float(coef[1])
+    residual = float(np.max(np.abs(ys - (intercept + slope * xs))))
+    log_k = float(np.max(values - slope * gaps))
+    return DecayFit(K=math.exp(min(log_k, 700.0)), rho=math.exp(slope),
+                    residual=residual, samples=len(gaps))
 
 
-def fit_decay_constants(samples, min_samples: int = 8) -> DecayFit:
+def fit_decay_constants(samples) -> DecayFit:
     """Fit (K, rho, residual) to log-norm decay samples.
 
     ``samples`` maps time pairs (k, l) with k >= l to log-norms, or is an
-    iterable of ((k, l), value) or (gap, value) pairs.  The slope comes
-    from least squares; the intercept is then raised until every sample
-    lies on or below the line, so the returned pair is the tightest bound
-    of the given data.  A non-decaying slope is reported through
+    iterable of ((k, l), value) or (gap, value) pairs; at least 8 samples
+    over two or more distinct gaps are needed.  The slope comes from least
+    squares over all samples; the intercept is then raised until every
+    sample lies on or below the line, so the returned pair is the tightest
+    bound of the given data.  A non-decaying slope is reported through
     :attr:`DecayFit.failed` rather than an exception.
     """
     pairs = samples.items() if isinstance(samples, Mapping) else samples
@@ -190,18 +202,13 @@ def fit_decay_constants(samples, min_samples: int = 8) -> DecayFit:
             raise ParameterError(f"decay sample has negative gap {gap}")
         gaps.append(float(gap))
         values.append(float(value))
-    if len(gaps) < min_samples:
+    if len(gaps) < _MIN_DECAY_SAMPLES:
         raise DecayFitError(
-            f"need at least {min_samples} decay samples, got {len(gaps)}")
+            f"need at least {_MIN_DECAY_SAMPLES} decay samples, got {len(gaps)}")
     g = np.array(gaps)
-    v = np.array(values)
     if np.ptp(g) == 0.0:
         raise DecayFitError("decay samples must span at least two distinct gaps")
-    intercept, slope = _line_fit(g, v)
-    residual = float(np.max(np.abs(v - (intercept + slope * g))))
-    log_k = float(np.max(v - slope * g))
-    return DecayFit(K=math.exp(min(log_k, 700.0)), rho=math.exp(slope),
-                    residual=residual, samples=len(gaps))
+    return _decay_fit(g, np.array(values), np.ones(len(g), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -247,13 +254,6 @@ class _Candidate:
     angle: float
 
 
-@dataclass(frozen=True)
-class _SideFit:
-    rho: float
-    K: float
-    residual: float
-
-
 def _family_seeds(factors: np.ndarray, m_hat: float,
                   cap: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Init length ``binit`` and seed frames at both ends of a factor stack.
@@ -288,8 +288,7 @@ class DichotomyAnalyzer:
         self._ext = ext
         self._factors = seq.window(-ext, ext - 1)
         self._inverses = np.linalg.inv(self._factors)
-        self.bound_report = seq.validate((-ext, ext))
-        self.m_hat = self.bound_report.m_hat
+        self.m_hat = seq.validate((-ext, ext)).m_hat
         self._gaps, self._slope_mask = self.params.fit_gaps()
         self._gapsf = self._gaps.astype(float)
         self._candidates: dict[int, _Candidate] = {}
@@ -367,23 +366,6 @@ class DichotomyAnalyzer:
 
     # -- per-gamma verdicts ----------------------------------------------------
 
-    def _side_fit(self, env: np.ndarray, shift: float) -> _SideFit:
-        """Decay fit of a gamma-shifted envelope.
-
-        The slope comes from the aligned tail gaps only; the constant is
-        the envelope shift over all sampled gaps, so every sample lies on
-        or below  log K + g log rho.
-        """
-        v = env + self._gapsf * shift
-        xs = self._gapsf[self._slope_mask]
-        ys = v[self._slope_mask]
-        intercept, slope = _line_fit(xs, ys)
-        residual = float(np.max(np.abs(ys - (intercept + slope * xs))))
-        log_k = float(np.max(v - slope * self._gapsf))
-        return _SideFit(rho=math.exp(slope),
-                        K=max(1.0, math.exp(min(log_k, 700.0))),
-                        residual=residual)
-
     def verdict(self, gamma: float) -> DichotomyVerdict:
         """Certificate or in-spectrum verdict for one scaling."""
         if not (gamma > 0.0) or not math.isfinite(gamma):
@@ -406,13 +388,17 @@ class DichotomyAnalyzer:
             cand = self._candidate(s)
             fits = []
             violation = 0.0
+            # scaling by gamma shifts the log-envelopes linearly in the gap;
+            # slopes come from the aligned tail gaps only
             if s > 0:
-                fits.append(self._side_fit(cand.stable_env, -lg))
+                fits.append(_decay_fit(self._gapsf, cand.stable_env - self._gapsf * lg,
+                                       self._slope_mask))
             if s < d:
-                fits.append(self._side_fit(cand.unstable_env, lg))
+                fits.append(_decay_fit(self._gapsf, cand.unstable_env + self._gapsf * lg,
+                                       self._slope_mask))
             rho = max(f.rho for f in fits)
             residual = max(f.residual for f in fits)
-            k_const = max(f.K for f in fits)
+            k_const = max(1.0, *(f.K for f in fits))
             violation += max(0.0, rho - (1.0 - p.delta_fit))
             violation += max(0.0, residual - p.resid_max)
             decay_ok = violation == 0.0
@@ -664,16 +650,17 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
                             gap_certificates=tuple(reps), **shared)
 
 
-def periodic_spectrum_oracle(seq: MatrixSequence, p: int | None = None) -> tuple[float, ...]:
+def periodic_spectrum_oracle(seq: MatrixSequence) -> tuple[float, ...]:
     """Spectrum of a periodic system from its monodromy eigenvalues.
 
-    For period p the spectrum is the finite set {|lambda|^(1/p)} over the
-    eigenvalues of X(p, 0), with coinciding moduli collapsed.
+    For the sequence's exact period p the spectrum is the finite set
+    {|lambda|^(1/p)} over the eigenvalues of X(p, 0), with coinciding
+    moduli collapsed.
     """
-    period = p if p is not None else seq.period
+    period = seq.period
     if period is None:
         raise ParameterError("spectrum oracle needs a periodic sequence")
-    monodromy = transition(seq, int(period), 0).to_matrix()
+    monodromy = transition(seq, period, 0).to_matrix()
     moduli = np.abs(np.linalg.eigvals(monodromy)) ** (1.0 / period)
     points: list[float] = []
     for m in sorted(moduli):

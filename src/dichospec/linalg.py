@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+SPAN_RTOL = 1e-12  # relative singular-value cutoff for the rank of a span
+NULLSPACE_RTOL = 1e-8  # the same for the stacked rows of a nullspace step
+
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of a 2-d array."""
@@ -88,19 +91,19 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return (frames, factors) if batched else (frames[0], factors[0])
 
 
-def _column_space(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def _column_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and numerical rank of a matrix or of each in a stack.
 
-    The rank counts singular values above ``rtol`` times the largest; a
-    zero matrix, or one without columns, has rank 0.
+    The rank counts singular values above ``SPAN_RTOL`` times the largest;
+    a zero matrix, or one without columns, has rank 0.
     """
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u, np.sum(s > rtol * s[..., :1], axis=-1)
+    return u, np.sum(s > SPAN_RTOL * s[..., :1], axis=-1)
 
 
-def orthonormal_columns(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis for the column space of ``a``."""
-    u, rank = _column_space(a, rtol)
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis for the column space of ``a`` (cutoff ``SPAN_RTOL``)."""
+    u, rank = _column_space(a)
     return u[:, :rank]
 
 
@@ -169,18 +172,19 @@ def canonical_basis(v: np.ndarray) -> np.ndarray:
     return v @ (o * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :])
 
 
-def _nullspace(rows: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def _nullspace(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal nullspace bases of a stack of (r, d) row matrices.
 
-    A matrix's rank counts its singular values above ``rtol`` times the
-    largest; a zero matrix, or one without rows, has rank 0.  Returns
-    ``(bases, dims)``: ``dims`` (m,) holds each nullspace's dimension and
-    ``bases`` (m, d, max(dims)) holds item i's basis, the trailing right
-    singular vectors, in its first ``dims[i]`` columns, zeros after.
+    A matrix's rank counts its singular values above ``NULLSPACE_RTOL``
+    times the largest; a zero matrix, or one without rows, has rank 0.
+    Returns ``(bases, dims)``: ``dims`` (m,) holds each nullspace's
+    dimension and ``bases`` (m, d, max(dims)) holds item i's basis, the
+    trailing right singular vectors, in its first ``dims[i]`` columns,
+    zeros after.
     """
     d = rows.shape[-1]
     _, s, vt = np.linalg.svd(rows)
-    rank = np.sum(s > rtol * s[:, :1], axis=-1)
+    rank = np.sum(s > NULLSPACE_RTOL * s[:, :1], axis=-1)
     dims = d - rank
     null_rows = np.zeros((len(rows), dims.max(initial=0), d))
     for r in set(rank.tolist()):
@@ -192,23 +196,20 @@ def _nullspace(rows: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
 def _complement_rows(a: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the orthogonal complement of span(a).
 
-    The span's basis has relative cutoff 1e-12; the SVD of a basis
+    The span's basis has relative cutoff ``SPAN_RTOL``; the SVD of a basis
     without columns gives an identity U, so an empty span has every row.
     """
-    u, rank = _column_space(a, 1e-12)
+    u, rank = _column_space(a)
     return np.linalg.svd(u[:, :rank])[0][:, rank:].T
 
 
-def subspace_intersection(a: np.ndarray, b: np.ndarray, dim: int,
-                          rtol: float = 1e-8) -> np.ndarray:
-    """Orthonormal (dim, k) basis of span(a) & span(b).
+def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal (d, k) basis of span(a) & span(b) for (d, p) and (d, q) inputs.
 
     Membership in each span is imposed through the orthogonal complement:
     x lies in span(a) iff comp(a)^T x = 0.  The stacked complement rows go
-    through the nullspace step :func:`_nullspace` with relative cutoff
-    ``rtol``, the same step that intersects the flags of
-    :func:`dichospec.bundles.restricted_fiber_system`.
+    through the nullspace step :func:`_nullspace`, the same step that
+    intersects the flags of :func:`dichospec.bundles.restricted_fiber_system`.
     """
-    bases, dims = _nullspace(np.concatenate([_complement_rows(a), _complement_rows(b)])[None],
-                             rtol)
+    bases, dims = _nullspace(np.concatenate([_complement_rows(a), _complement_rows(b)])[None])
     return bases[0, :, : dims[0]]

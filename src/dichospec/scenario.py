@@ -176,18 +176,41 @@ class Scenario:
         Path(path).write_text(self.dumps())
 
 
+_INT_FIELDS = ("window", "burn_in", "grid_points", "bohl_window", "gap_min",
+               "samples", "samples_per_fiber", "seed")
+_FLOAT_FIELDS = ("refine_tol", "tail_fraction", "tolerance")
+
+
 def _normalize(section: dict[str, Any], defaults: dict[str, Any],
                label: str) -> dict[str, Any]:
+    """Defaults merged with ``section``; a field of the wrong type raises
+    :class:`ScenarioError` naming it.  Integer fields take integral floats
+    (64.0 loads as 64) and the seed must be nonnegative; float fields must
+    be finite or, for ``tolerance``, null.  Ranges are left to the library.
+    """
     if not isinstance(section, dict):
         raise ScenarioError(f"{label} section must be a JSON object")
     unknown = set(section) - set(defaults)
     if unknown:
         raise ScenarioError(f"unknown {label} fields {sorted(unknown)}")
     merged = {**defaults, **section}
-    for key in ("window", "burn_in", "grid_points", "bohl_window", "gap_min",
-                "samples", "samples_per_fiber", "seed"):
-        if key in merged and not isinstance(merged[key], bool) and merged[key] is not None:
-            merged[key] = int(merged[key])
+    for key, value in merged.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if key in _INT_FIELDS:
+            ok = number and (isinstance(value, int) or value.is_integer()) and (
+                key != "seed" or value >= 0)
+            want = "a nonnegative integer" if key == "seed" else "an integer"
+        elif key in _FLOAT_FIELDS:
+            real = number and (isinstance(value, int) or math.isfinite(value))
+            ok, want = real or key == "tolerance" and value is None, "a real number"
+        elif key in ("two_sided", "escalate"):
+            ok, want = isinstance(value, bool), "true or false"
+        else:
+            continue
+        if not ok:
+            raise ScenarioError(f"{label} field {key!r} must be {want}, got {value!r}")
+        if key in _INT_FIELDS:
+            merged[key] = int(value)
     return merged
 
 

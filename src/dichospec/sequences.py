@@ -350,9 +350,7 @@ class BoundReport:
 
     m_hat: float
     worst_n: int
-    checked_range: tuple[int, int]
     exact: bool
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +371,6 @@ class MatrixSequence:
     eps: float | None = None
     table: np.ndarray | None = field(default=None, repr=False)
     start: int | None = None
-    bound_cap: float | None = None
 
     def __post_init__(self):
         # (lo, stack) of checked factors A(lo), ..., A(lo + len(stack) - 1); see window
@@ -397,12 +394,12 @@ class MatrixSequence:
         return arr
 
     @classmethod
-    def constant(cls, matrix, *, bound_cap: float | None = None) -> "MatrixSequence":
+    def constant(cls, matrix) -> "MatrixSequence":
         a = cls._clean_matrix(matrix)
-        return cls(dimension=a.shape[0], kind="constant", matrix=a, bound_cap=bound_cap)
+        return cls(dimension=a.shape[0], kind="constant", matrix=a)
 
     @classmethod
-    def periodic(cls, matrices, *, bound_cap: float | None = None) -> "MatrixSequence":
+    def periodic(cls, matrices) -> "MatrixSequence":
         mats = tuple(cls._clean_matrix(m) for m in matrices)
         if not mats:
             raise ParameterError("periodic kind needs at least one matrix")
@@ -410,31 +407,30 @@ class MatrixSequence:
         for m in mats:
             if m.shape[0] != d:
                 raise ParameterError("periodic matrices must share one dimension")
-        return cls(dimension=d, kind="periodic", matrices=mats, bound_cap=bound_cap)
+        return cls(dimension=d, kind="periodic", matrices=mats)
 
     @classmethod
-    def piecewise(cls, negative: "MatrixSequence", nonnegative: "MatrixSequence",
-                  *, bound_cap: float | None = None) -> "MatrixSequence":
+    def piecewise(cls, negative: "MatrixSequence",
+                  nonnegative: "MatrixSequence") -> "MatrixSequence":
         for side, name in ((negative, "negative"), (nonnegative, "nonnegative")):
             if side.kind not in ("constant", "periodic"):
                 raise ParameterError(f"piecewise {name} side must be constant or periodic")
         if negative.dimension != nonnegative.dimension:
             raise ParameterError("piecewise sides must share one dimension")
         return cls(dimension=negative.dimension, kind="piecewise",
-                   negative=negative, nonnegative=nonnegative, bound_cap=bound_cap)
+                   negative=negative, nonnegative=nonnegative)
 
     @classmethod
-    def diagonal(cls, entries: Iterable[ScalarSequence],
-                 *, bound_cap: float | None = None) -> "MatrixSequence":
+    def diagonal(cls, entries: Iterable[ScalarSequence]) -> "MatrixSequence":
         ent = tuple(entries)
         if not ent:
             raise ParameterError("diagonal kind needs at least one entry sequence")
-        return cls(dimension=len(ent), kind="diagonal", entries=ent, bound_cap=bound_cap)
+        return cls(dimension=len(ent), kind="diagonal", entries=ent)
 
     @classmethod
     def upper_triangular(cls, diagonal: Iterable[ScalarSequence],
                          offdiagonal: dict[tuple[int, int], ScalarSequence] | None = None,
-                         *, bound_cap: float | None = None) -> "MatrixSequence":
+                         ) -> "MatrixSequence":
         diag = tuple(diagonal)
         d = len(diag)
         if d == 0:
@@ -445,11 +441,11 @@ class MatrixSequence:
                 raise ParameterError(f"off-diagonal index ({i}, {j}) must satisfy 0 <= i < j < d")
             off.append((int(i), int(j), entry))
         return cls(dimension=d, kind="upper-triangular", diagonal=diag,
-                   offdiagonal=tuple(off), bound_cap=bound_cap)
+                   offdiagonal=tuple(off))
 
     @classmethod
     def seeded(cls, seed: int, bands: Iterable[tuple[float, float]],
-               eps: float | str = "auto", *, bound_cap: float | None = None) -> "MatrixSequence":
+               eps: float | str = "auto") -> "MatrixSequence":
         bnd = tuple((float(lo), float(hi)) for lo, hi in bands)
         if not bnd:
             raise ParameterError("seeded-random kind needs at least one band")
@@ -471,10 +467,10 @@ class MatrixSequence:
                 raise ParameterError(
                     f"eps={eps_val} outside [0, {eps_cap:.6g}] allowed by the band layout")
         return cls(dimension=d, kind="seeded-random", seed=_seed_value(seed), bands=bnd,
-                   eps=eps_val, bound_cap=bound_cap)
+                   eps=eps_val)
 
     @classmethod
-    def tabulated(cls, table, start: int, *, bound_cap: float | None = None) -> "MatrixSequence":
+    def tabulated(cls, table, start: int) -> "MatrixSequence":
         arr = np.asarray(table, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
             raise ParameterError("tabulated table must be a nonempty (m, d, d) stack")
@@ -482,8 +478,7 @@ class MatrixSequence:
             raise ParameterError("tabulated entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
-        return cls(dimension=arr.shape[1], kind="tabulated", table=arr,
-                   start=int(start), bound_cap=bound_cap)
+        return cls(dimension=arr.shape[1], kind="tabulated", table=arr, start=int(start))
 
     # -- evaluation --------------------------------------------------------
 
@@ -604,7 +599,9 @@ class MatrixSequence:
 
         For kinds with an exact global period the scan covers one full
         period, so the bound holds on all of Z; otherwise it holds on the
-        requested span only.
+        requested span only.  The first n whose ||A(n)|| or ||A(n)^-1||
+        overflows (a subnormal A(n) passes the determinant check) raises
+        :class:`SingularMatrixError` naming n.
         """
         lo, hi = int(span[0]), int(span[1])
         if hi < lo:
@@ -620,21 +617,18 @@ class MatrixSequence:
             scan_lo, scan_hi, exact = lo, hi, False
         stack = self.window(scan_lo, scan_hi)
         svals = np.linalg.svd(stack, compute_uv=False)
-        per_n = np.maximum(svals[:, 0], 1.0 / svals[:, -1])
+        with np.errstate(over="ignore", divide="ignore"):
+            per_n = np.maximum(svals[:, 0], 1.0 / svals[:, -1])
+        bad = np.flatnonzero(~np.isfinite(per_n))
+        if bad.size:
+            raise SingularMatrixError(scan_lo + int(bad[0]), "||A(n)|| or ||A(n)^-1|| overflows")
         worst = int(np.argmax(per_n))
-        m_hat = float(per_n[worst])
-        warnings = ()
-        if self.bound_cap is not None and m_hat > self.bound_cap:
-            warnings = (f"M estimate {m_hat:.6g} exceeds configured cap {self.bound_cap:.6g}",)
-        return BoundReport(m_hat=m_hat, worst_n=scan_lo + worst,
-                           checked_range=(lo, hi), exact=exact, warnings=warnings)
+        return BoundReport(m_hat=float(per_n[worst]), worst_n=scan_lo + worst, exact=exact)
 
     # -- serialization -----------------------------------------------------
 
     def to_payload(self) -> dict[str, Any]:
         base: dict[str, Any] = {"kind": self.kind, "dimension": self.dimension}
-        if self.bound_cap is not None:
-            base["bound_cap"] = self.bound_cap
         if self.kind == "constant":
             base["matrix"] = self.matrix.tolist()
         elif self.kind == "periodic":
@@ -661,28 +655,24 @@ class MatrixSequence:
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValidationError("system payload must be a mapping with a 'kind' field")
         kind = payload["kind"]
-        cap = payload.get("bound_cap")
         try:
             if kind == "constant":
-                seq = cls.constant(payload["matrix"], bound_cap=cap)
+                seq = cls.constant(payload["matrix"])
             elif kind == "periodic":
-                seq = cls.periodic(payload["matrices"], bound_cap=cap)
+                seq = cls.periodic(payload["matrices"])
             elif kind == "piecewise":
                 seq = cls.piecewise(cls.from_payload(payload["negative"]),
-                                    cls.from_payload(payload["nonnegative"]),
-                                    bound_cap=cap)
+                                    cls.from_payload(payload["nonnegative"]))
             elif kind == "diagonal":
-                seq = cls.diagonal([ScalarSequence.from_payload(e) for e in payload["entries"]],
-                                   bound_cap=cap)
+                seq = cls.diagonal([ScalarSequence.from_payload(e) for e in payload["entries"]])
             elif kind == "upper-triangular":
                 off = {(e["row"], e["col"]): ScalarSequence.from_payload(e["entry"])
                        for e in payload.get("offdiagonal", [])}
                 seq = cls.upper_triangular(
-                    [ScalarSequence.from_payload(e) for e in payload["diagonal"]],
-                    off, bound_cap=cap)
+                    [ScalarSequence.from_payload(e) for e in payload["diagonal"]], off)
             elif kind == "seeded-random":
                 seq = cls.seeded(payload["seed"], [tuple(b) for b in payload["bands"]],
-                                 payload.get("eps", "auto"), bound_cap=cap)
+                                 payload.get("eps", "auto"))
             else:
                 raise ValidationError(f"unknown system kind {kind!r}")
         except KeyError as exc:
@@ -698,6 +688,5 @@ class MatrixSequence:
             return NotImplemented
         if self.kind == "tabulated" or other.kind == "tabulated":
             return (self.kind == other.kind and self.start == other.start
-                    and np.array_equal(self.table, other.table)
-                    and self.bound_cap == other.bound_cap)
+                    and np.array_equal(self.table, other.table))
         return self.to_payload() == other.to_payload()

@@ -279,7 +279,7 @@ class WindowProducts:
     ever formed and only largest-singular-value information is trusted.
     """
 
-    def __init__(self, factors: np.ndarray, max_gap: int | None = None):
+    def __init__(self, factors: np.ndarray):
         factors = np.asarray(factors, dtype=float)
         if factors.ndim != 3 or factors.shape[1] != factors.shape[2]:
             raise ParameterError("factors must be a (m, k, k) stack")
@@ -287,7 +287,6 @@ class WindowProducts:
         if m == 0:
             raise ParameterError("factor sequence is empty")
         self.count = m
-        self.max_gap = m if max_gap is None else min(int(max_gap), m)
         nrm = _rescued_norms(factors, np.sqrt(np.einsum("lij,lij->l", factors, factors)))
         if np.any(nrm == 0.0):
             raise ParameterError("zero factor in window product sequence")
@@ -295,7 +294,7 @@ class WindowProducts:
         logs = np.log(nrm)
         self._levels = [(cores, logs)]
         h = 1
-        while 2 * h <= self.max_gap:
+        while 2 * h <= m:
             cores, logs = self._levels[-1]
             npos = m - 2 * h + 1
             prod = np.matmul(cores[h: h + npos], cores[:npos])
@@ -309,8 +308,8 @@ class WindowProducts:
     def products(self, g: int) -> tuple[np.ndarray, np.ndarray]:
         """Normalized cores and log scales of all length-g window products."""
         g = int(g)
-        if not (1 <= g <= self.max_gap):
-            raise ParameterError(f"gap {g} outside [1, {self.max_gap}]")
+        if not (1 <= g <= self.count):
+            raise ParameterError(f"gap {g} outside [1, {self.count}]")
         npos = self.count - g + 1
         cores = None
         logs = None

@@ -22,6 +22,8 @@ from .errors import ParameterError, ValidationError
 from .linalg import batched_spectral_norm, frame_sweep
 from .sequences import MatrixSequence, ScalarSequence, _checked_inverses
 
+SIGNIFICANCE_TOL = 5e-3  # set distance of a significant diagonal's spectrum
+
 
 @dataclass(frozen=True)
 class KinematicPair:
@@ -193,19 +195,17 @@ def _resolve_triangular(source: "KinematicPair | MatrixSequence",
 
 
 def diagonal_significance(source: "KinematicPair | MatrixSequence", *,
-                          tol: float = 5e-3,
                           refine_tol: float = 1e-3,
                           params: DichotomyParams | None = None,
-                          scalar_params: BohlParams | None = None,
                           spectrum: SpectrumEstimate | None = None) -> SignificanceReport:
     """Does the diagonal of a triangular system carry its whole spectrum?
 
     Compares the estimated spectrum of the triangular system with the
     union of the scalar spectra of its diagonal entries; the system is
-    diagonally significant when the two agree as sets within ``tol``
-    (mutual one-sided coverage).  Each diagonal entry must stay away from
-    zero, otherwise its Bohl data is undefined and a
-    :class:`ValidationError` names the offending coordinate.
+    diagonally significant when the two agree as sets within
+    ``SIGNIFICANCE_TOL`` (5e-3; mutual one-sided coverage).  Each diagonal
+    entry must stay away from zero, otherwise its Bohl data is undefined
+    and a :class:`ValidationError` names the offending coordinate.
     """
     upper, diags = _resolve_triangular(source)
     params = params or DichotomyParams()
@@ -230,17 +230,16 @@ def diagonal_significance(source: "KinematicPair | MatrixSequence", *,
                 f"diagonal coordinate {i + 1} vanishes; {exc}") from None
     if spectrum is None:
         spectrum = estimate_spectrum(upper, refine_tol=refine_tol, params=params)
-    if scalar_params is None:
-        window = min(2048, reach) if reach is not None else 2048
-        scalar_params = BohlParams(window=window, two_sided=True)
+    window = min(2048, reach) if reach is not None else 2048
+    scalar_params = BohlParams(window=window, two_sided=True)
     coord = tuple(scalar_spectrum(u, scalar_params) for u in diags)
     union = [SpectralInterval(a, b) for a, b in
              _merge([(iv.a, iv.b) for iv in coord])]
     sys_ivs = [(iv.a, iv.b) for iv in spectrum.intervals]
     union_ivs = [(iv.a, iv.b) for iv in union]
-    significant = (_covers(sys_ivs, union_ivs, tol)
-                   and _covers(union_ivs, sys_ivs, tol))
+    significant = (_covers(sys_ivs, union_ivs, SIGNIFICANCE_TOL)
+                   and _covers(union_ivs, sys_ivs, SIGNIFICANCE_TOL))
     return SignificanceReport(spectrum=spectrum, coordinate_intervals=coord,
                               union=tuple(union),
                               symmetric_difference=_symdiff_measure(sys_ivs, union_ivs),
-                              tolerance=tol, significant=significant)
+                              tolerance=SIGNIFICANCE_TOL, significant=significant)

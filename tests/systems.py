@@ -96,3 +96,40 @@ def mixed_kind_roster(count=25):
             name = f"seeded-d{d}-{i}"
         roster.append((name, seq))
     return roster
+
+
+# hard-system roster: constant A = Q T Q^T with exact Floquet points |T[k, k]|
+ROSTER_DIMENSIONS = (2, 3, 6)
+ROSTER_RATIOS = (1.5, 1.1, 1.02)
+ROSTER_COUPLINGS = (0.1, 1e2, 1e4)
+
+
+def hard_roster(seed):
+    """(name, system, oracle points) for every hard constant system of a seed.
+
+    Loops over d, ratio r, coupling c and the Jordan flag in that order;
+    each system draws U = uniform(-1, 1, (d, d)) and then
+    G = standard_normal((d, d)) from the roster's one ``default_rng(seed)``.
+    T = diag(0.5 r^k) + c triu(U, 1); the Jordan variant sets
+    T[0, 1] = max(1, c) and T[1, 1] = T[0, 0].  A = Q T Q^T with Q the Q
+    factor of G, signs as numpy returns them.
+    T is triangular, so the oracle, the sorted distinct |T[k, k]|, is
+    exact; ``np.linalg.eigvals`` would split the Jordan pair by about 1e-8.
+    """
+    rng = np.random.default_rng(seed)
+    roster = []
+    for d in ROSTER_DIMENSIONS:
+        for r in ROSTER_RATIOS:
+            for c in ROSTER_COUPLINGS:
+                for jordan in (False, True):
+                    u = rng.uniform(-1.0, 1.0, (d, d))
+                    g = rng.standard_normal((d, d))
+                    t = np.diag(0.5 * r ** np.arange(d)) + c * np.triu(u, 1)
+                    if jordan:
+                        t[0, 1] = max(1.0, c)
+                        t[1, 1] = t[0, 0]
+                    q = np.linalg.qr(g)[0]
+                    name = f"d{d}-r{r:g}-c{c:g}-{'jordan' if jordan else 'plain'}-s{seed}"
+                    points = tuple(sorted(set(np.abs(np.diag(t)).tolist())))
+                    roster.append((name, MatrixSequence.constant(q @ t @ q.T), points))
+    return roster

@@ -158,7 +158,7 @@ def test_whitney_sum_passes_on_clean_splitting():
 def test_whitney_sum_rejects_duplicated_fiber():
     fiber = SpectralBundleFiber(index=0, basis=axis(0), dimension=1)
     twin = SpectralBundleFiber(index=1, basis=axis(0), dimension=1)
-    report = whitney_sum_check([fiber, twin], dimension=2)
+    report = whitney_sum_check([fiber, twin])
     assert not report.passed
     assert report.dimension_sum == 2
     assert report.smallest_singular_value <= 1e-12
@@ -166,7 +166,7 @@ def test_whitney_sum_rejects_duplicated_fiber():
 
 def test_whitney_sum_rejects_missing_dimension():
     fiber = SpectralBundleFiber(index=0, basis=axis(0, d=3), dimension=1)
-    report = whitney_sum_check([fiber], dimension=3)
+    report = whitney_sum_check([fiber])
     assert not report.passed
 
 

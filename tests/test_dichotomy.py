@@ -17,8 +17,8 @@ from dichospec.dichotomy import (
     scalar_spectrum,
     test_dichotomy as dichotomy_verdict,
 )
-from dichospec.errors import (DecayFitError, ParameterError, SpectrumConsistencyError,
-                              ValidationError)
+from dichospec.errors import (DecayFitError, ParameterError, SingularMatrixError,
+                              SpectrumConsistencyError, ValidationError)
 from dichospec.linalg import frame_sweep
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from systems import SEEDED_BANDS, random_periodic, separated_banded_diagonal
@@ -519,6 +519,12 @@ def test_estimate_stays_inside_norm_bounds():
     for iv in est.intervals:
         assert iv.a >= 1.0 / report.m_hat - 1e-9
         assert iv.b <= report.m_hat + 1e-9
+
+
+def test_analyzer_refuses_a_subnormal_system():
+    # the determinant check passes; the norm bound 1/sigma_min overflows
+    with pytest.raises(SingularMatrixError, match="n=0"):
+        DichotomyAnalyzer(MatrixSequence.constant(1e-310 * np.eye(2)))
 
 
 def test_verdict_csv_header():

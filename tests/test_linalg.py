@@ -234,10 +234,10 @@ def _assert_matches_single_pairs(a, b, d):
     equals the one-pair intersection, and the reference, bit for bit."""
     rows = np.stack([np.concatenate([_complement_rows(x), _complement_rows(y)])
                      for x, y in zip(a, b)])
-    bases, dims = _nullspace(rows, 1e-8)
+    bases, dims = _nullspace(rows)
     assert bases.shape == (len(a), d, max(dims))
     for i in range(len(a)):
-        single = subspace_intersection(a[i], b[i], d)
+        single = subspace_intersection(a[i], b[i])
         assert np.array_equal(single, intersection_by_complements(a[i], b[i], d))
         assert dims[i] == single.shape[1]
         assert np.array_equal(bases[i, :, : dims[i]], single)
@@ -264,10 +264,10 @@ def test_stacked_intersection_reports_each_pairs_dimension():
     assert dims.tolist() == [1, 1, 2, 1, 1, 1, 1]
     # complement rows that vanish (a zero matrix has rank 0) leave everything
     rows = np.stack([np.eye(3)[:2], np.zeros((2, 3))])
-    bases, dims = _nullspace(rows, 1e-8)
+    bases, dims = _nullspace(rows)
     assert dims.tolist() == [1, 3]
     # a rank-deficient span counts its rank: a line meets a generic plane in 0
     line = a[5][:, [0, 0]]
-    assert subspace_intersection(line, b[5], 3).shape == (3, 0)
-    assert np.array_equal(subspace_intersection(line, b[5], 3),
+    assert subspace_intersection(line, b[5]).shape == (3, 0)
+    assert np.array_equal(subspace_intersection(line, b[5]),
                           intersection_by_complements(line, b[5], 3))

@@ -229,3 +229,40 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == 3
     # help is not an error
     assert main(["--help"]) == 0
+
+
+def _constant_payload(**analysis):
+    return {"name": "bad", "system": {"kind": "constant", "matrix": [[2, 0], [0, 0.5]]},
+            "analysis": analysis}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("window", "abc"), ("window", None), ("window", 64.9), ("samples", True),
+    ("refine_tol", "x"), ("tail_fraction", False), ("tolerance", float("nan")), ("seed", -1),
+    ("two_sided", "yes"), ("escalate", 1),
+])
+def test_cli_rejects_malformed_analysis_fields(tmp_path, capsys, field, value):
+    path = write_scenario(tmp_path, "bad", _constant_payload(**{field: value}))
+    assert main(["verify", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and repr(field) in err
+
+
+def test_cli_rejects_a_negative_seed_override(tmp_path, capsys):
+    path = write_scenario(tmp_path, "ok", _constant_payload())
+    assert main(["verify", path, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+def test_integral_float_fields_load_as_integers(tmp_path):
+    scn = load_scenario(write_scenario(tmp_path, "ok", _constant_payload(window=64.0)))
+    assert scn.analysis["window"] == 64 and type(scn.analysis["window"]) is int
+    assert scn.analysis["tolerance"] is None
+
+
+def test_cli_refuses_subnormal_factors_with_exit_3(tmp_path, capsys):
+    payload = _constant_payload()
+    payload["system"]["matrix"] = [[1e-310, 0], [0, 1e-310]]
+    path = write_scenario(tmp_path, "subnormal", payload)
+    assert main(["spectrum", path, "--out", str(tmp_path)]) == 3
+    assert "n=0" in capsys.readouterr().err

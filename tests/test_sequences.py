@@ -56,6 +56,17 @@ def test_validate_matches_dense_norm_scan():
     assert report.worst_n == worst_n
 
 
+@pytest.mark.parametrize("matrix", [1e-310 * np.eye(2), np.diag([1e300, 1e-300])])
+def test_validate_refuses_norm_bounds_that_overflow(matrix):
+    # both pass the row-scaled determinant check; 1/sigma_min overflows
+    seq = MatrixSequence.constant(matrix)
+    with pytest.raises(SingularMatrixError, match="n=0"):
+        seq.validate((-4, 4))
+    tab = MatrixSequence.tabulated(np.stack([np.eye(2), np.eye(2), matrix]), start=-1)
+    with pytest.raises(SingularMatrixError, match="n=1"):
+        tab.validate((-1, 1))
+
+
 def test_inverse_examples():
     diag = MatrixSequence.diagonal([ScalarSequence.constant(2.0),
                                     ScalarSequence.constant(0.5)])
