@@ -86,13 +86,18 @@ def _envelopes(lognorms: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.n
     return np.exp(lo), np.exp(hi)
 
 
+def _tail(min_rates: np.ndarray, max_rates: np.ndarray):
+    """(lower, upper, spread) of tail envelopes, per column: the extremal
+    rates and the larger of the two envelopes' ranges."""
+    spread = np.maximum(np.ptp(max_rates, axis=0), np.ptp(min_rates, axis=0))
+    return min_rates.min(axis=0), max_rates.max(axis=0), spread
+
+
 def _tail_rates(lognorms: np.ndarray, params: BohlParams):
     """(lower, upper, spread) of :class:`BohlEstimate` per column; only
     the aggregation tail of the gaps enters them, so only it is built."""
     gaps = params.gaps()
-    min_rates, max_rates = _envelopes(lognorms, gaps[-params.tail_count(len(gaps)):])
-    spread = np.maximum(np.ptp(max_rates, axis=0), np.ptp(min_rates, axis=0))
-    return min_rates.min(axis=0), max_rates.max(axis=0), spread
+    return _tail(*_envelopes(lognorms, gaps[-params.tail_count(len(gaps)):]))
 
 
 @dataclass(frozen=True)
@@ -123,9 +128,7 @@ class BohlEstimate:
         an additive tolerance when comparing against other estimates.
         """
         t = self.tail_slice
-        up = float(self.max_rates[t].max() - self.max_rates[t].min())
-        lo = float(self.min_rates[t].max() - self.min_rates[t].min())
-        return max(up, lo)
+        return float(_tail(self.min_rates[t], self.max_rates[t])[2])
 
     def envelope_at(self, g: int) -> tuple[float, float]:
         idx = np.searchsorted(self.gaps, g)
@@ -141,12 +144,13 @@ class BohlEstimate:
         _write_text(path_or_file, "\n".join(rows) + "\n")
 
 
-def _aggregate(gaps: np.ndarray, min_rates: np.ndarray, max_rates: np.ndarray,
-               params: BohlParams) -> BohlEstimate:
+def _estimate(lognorms: np.ndarray, params: BohlParams) -> BohlEstimate:
+    """:class:`BohlEstimate` of one orbit's log-norms, envelopes at every gap."""
+    gaps = params.gaps()
+    min_rates, max_rates = _envelopes(lognorms, gaps)
     count = params.tail_count(len(gaps))
-    upper = float(max_rates[-count:].max())
-    lower = float(min_rates[-count:].min())
-    return BohlEstimate(upper=upper, lower=lower, gaps=gaps,
+    lower, upper, _ = _tail(min_rates[-count:], max_rates[-count:])
+    return BohlEstimate(upper=float(upper), lower=float(lower), gaps=gaps,
                         min_rates=min_rates, max_rates=max_rates, params=params)
 
 
@@ -163,10 +167,7 @@ def bohl_exponents(seq: MatrixSequence, xi: np.ndarray,
     nrm = float(np.linalg.norm(xi))
     if nrm == 0.0:
         raise ParameterError("Bohl exponents are undefined for the zero solution")
-    orbit = orbit_lognorms(seq, xi / nrm, params.orbit_span())
-    gaps = params.gaps()
-    min_rates, max_rates = _envelopes(orbit.lognorms, gaps)
-    return _aggregate(gaps, min_rates, max_rates, params)
+    return _estimate(orbit_lognorms(seq, xi / nrm, params.orbit_span()).lognorms, params)
 
 
 def _bohl_block(seq: MatrixSequence, xis: np.ndarray, params: BohlParams):
@@ -209,9 +210,7 @@ def scalar_bohl(u: ScalarSequence, params: BohlParams | None = None) -> tuple[fl
 def scalar_bohl_estimate(u: ScalarSequence, params: BohlParams | None = None) -> BohlEstimate:
     """Full envelope form of :func:`scalar_bohl`."""
     params = params or BohlParams()
-    gaps = params.gaps()
-    min_rates, max_rates = _envelopes(_scalar_lognorms(u, params), gaps)
-    return _aggregate(gaps, min_rates, max_rates, params)
+    return _estimate(_scalar_lognorms(u, params), params)
 
 
 @dataclass(frozen=True)

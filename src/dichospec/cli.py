@@ -19,8 +19,8 @@ from .bohl import BohlEstimate, bohl_exponents
 from .bundles import WhitneyReport, bundle_fibers, whitney_sum_check
 from .containment import (ContainmentReport, verify_endpoint_attainability,
                           verify_fiber_containment, verify_global_containment)
-from .dichotomy import (DichotomyVerdict, SpectrumEstimate, estimate_spectrum,
-                        periodic_spectrum_oracle, test_dichotomy)
+from .dichotomy import (_VERDICT_CSV_HEADER, DichotomyVerdict, SpectrumEstimate,
+                        estimate_spectrum, periodic_spectrum_oracle, test_dichotomy)
 from .errors import DichospecError
 from .scenario import Scenario, ScenarioError, canonical_json, load_scenario
 from .triangularize import SignificanceReport, diagonal_significance, qr_triangularize
@@ -215,10 +215,14 @@ def _interval_table(est: SpectrumEstimate) -> list[str]:
 
 # -- command bodies -------------------------------------------------------------
 
+def _spectrum(scn: Scenario) -> SpectrumEstimate:
+    return estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
+                             refine_tol=scn.analysis["refine_tol"],
+                             params=scn.dichotomy_params())
+
+
 def _cmd_spectrum(scn: Scenario, out_dir: Path, fmt: str) -> int:
-    est = estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
-                            refine_tol=scn.analysis["refine_tol"],
-                            params=scn.dichotomy_params())
+    est = _spectrum(scn)
     _emit(out_dir, f"{scn.name}-spectrum", spectrum_payload(scn.name, est),
           _captured_csv(est.verdicts_to_csv), fmt, _interval_table(est))
     return 0
@@ -237,9 +241,7 @@ def _cmd_bohl(scn: Scenario, out_dir: Path, fmt: str, xi) -> int:
 def _cmd_dichotomy(scn: Scenario, out_dir: Path, fmt: str, gamma: float) -> int:
     verdict = test_dichotomy(scn.system, gamma, scn.dichotomy_params())
     payload = {"scenario": scn.name, **_verdict_payload(verdict, bases=True)}
-    cells = ["" if v is None else (format(v, ".17g") if isinstance(v, float) else str(v))
-             for v in verdict.summary_row()]
-    csv_text = "gamma,outcome,rank,rho,K\n" + ",".join(cells) + "\n"
+    csv_text = f"{_VERDICT_CSV_HEADER}\n{verdict.csv()}\n"
     table = [f"gamma {gamma:.10g}: {verdict.outcome}"
              + (f" (rank {verdict.rank}, rho {verdict.rho:.6g}, K {verdict.K:.6g})"
                 if verdict.is_certificate else f" ({verdict.reason})")]
@@ -248,10 +250,7 @@ def _cmd_dichotomy(scn: Scenario, out_dir: Path, fmt: str, gamma: float) -> int:
 
 
 def _cmd_bundles(scn: Scenario, out_dir: Path, fmt: str) -> int:
-    est = estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
-                            refine_tol=scn.analysis["refine_tol"],
-                            params=scn.dichotomy_params())
-    fibers = bundle_fibers(est)
+    fibers = bundle_fibers(_spectrum(scn))
     whitney = whitney_sum_check(fibers)
     table = [f"{len(fibers)} fiber(s)"]
     for f in fibers:
@@ -263,9 +262,11 @@ def _cmd_bundles(scn: Scenario, out_dir: Path, fmt: str) -> int:
 
 
 def _cmd_triangularize(scn: Scenario, out_dir: Path, fmt: str) -> int:
-    pair = qr_triangularize(scn.system)
-    rep = diagonal_significance(pair, refine_tol=scn.analysis["refine_tol"],
-                                params=scn.dichotomy_params())
+    params = scn.dichotomy_params()
+    # the significance check estimates the spectrum over +-params.extent
+    ext = params.extent + 1
+    pair = qr_triangularize(scn.system, (-ext, ext))
+    rep = diagonal_significance(pair, refine_tol=scn.analysis["refine_tol"], params=params)
     payload = significance_payload(scn.name, rep)
     payload["residual_max"] = pair.residual_max(scn.system)
     payload["orthogonality_max"] = pair.orthogonality_max()
@@ -278,9 +279,7 @@ def _cmd_triangularize(scn: Scenario, out_dir: Path, fmt: str) -> int:
 
 def _cmd_verify(scn: Scenario, out_dir: Path, fmt: str) -> int:
     a = scn.analysis
-    est = estimate_spectrum(scn.system, grid_points=a["grid_points"],
-                            refine_tol=a["refine_tol"],
-                            params=scn.dichotomy_params())
+    est = _spectrum(scn)
     common = dict(tolerance=a["tolerance"], seed=a["seed"],
                   params=scn.bohl_params(), escalate=a["escalate"],
                   system_id=scn.name)

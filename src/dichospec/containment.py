@@ -147,6 +147,15 @@ def _report(seq: MatrixSequence, check: str, rows: list[SampleRow],
                              status=status, notes=notes)
 
 
+def _base_tolerance(tolerance: float | None, spectrum: SpectrumEstimate) -> float:
+    """The given tolerance, or TOLERANCE_FACTOR times the refinement one."""
+    if tolerance is None:
+        return TOLERANCE_FACTOR * spectrum.refine_tol
+    if not tolerance >= 0.0:
+        raise ParameterError(f"tolerance must be at least 0, got {tolerance}")
+    return tolerance
+
+
 def _unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     out = np.empty((count, dim))
     for i in range(count):
@@ -173,7 +182,9 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     Fibers default to :func:`bundle_fibers` of the estimate.  Each sample
     is a unit vector with seeded Gaussian coordinates in the fiber basis;
     the claim passes when ``[lower, upper]`` of its Bohl estimate lies in
-    the target interval inflated by the tolerance.  With ``escalate`` a
+    the target interval inflated by the tolerance: ``tolerance`` (at
+    least 0; by default ``TOLERANCE_FACTOR`` times the spectrum's
+    ``refine_tol``) plus the spread of the estimate.  With ``escalate`` a
     failing sample is retried once at four times the Bohl window.
 
     Diagonal systems are sampled directly.  Any other kind goes through
@@ -181,12 +192,12 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     fiber frame across the window; without that, rounding leaks every
     sample onto the fastest fiber within a few dozen steps.
     """
+    base_tol = _base_tolerance(tolerance, spectrum)
     if fibers is None:
         fibers = bundle_fibers(spectrum)
     if samples_per_fiber < 1:
         raise ParameterError("samples_per_fiber must be at least 1")
     params = params or BohlParams()
-    base_tol = tolerance if tolerance is not None else TOLERANCE_FACTOR * spectrum.refine_tol
     rng = np.random.default_rng(seed)
     rows: list[SampleRow] = []
     for fiber in fibers:
@@ -219,11 +230,12 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                               escalate: bool = False,
                               system_id: str | None = None) -> ContainmentReport:
     """Check that arbitrary unit vectors keep their Bohl interval inside
-    the hull of the spectrum (first lower endpoint to last upper one)."""
+    the hull of the spectrum (first lower endpoint to last upper one);
+    ``tolerance`` (at least 0) is as in :func:`verify_fiber_containment`."""
+    base_tol = _base_tolerance(tolerance, spectrum)
     if samples < 1:
         raise ParameterError("samples must be at least 1")
     params = params or BohlParams()
-    base_tol = tolerance if tolerance is not None else TOLERANCE_FACTOR * spectrum.refine_tol
     vectors = _unit_samples(np.random.default_rng(seed), samples, seq.dimension)
     rows = _group_rows(seq, "global sample", None, vectors, vectors, spectrum.hull,
                        base_tol, params, escalate)
@@ -242,10 +254,17 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
     is significant (see :func:`dichospec.triangularize.diagonal_significance`,
     computed here when not supplied); anything else is refused rather than
     guessed at.  Coordinate Bohl data are two-sided estimates at the
-    default :class:`~dichospec.bohl.BohlParams` window.
+    default :class:`~dichospec.bohl.BohlParams` window.  An endpoint is
+    attained within ``tolerance`` (at least 0; default as in
+    :func:`verify_fiber_containment`) plus the estimate's spread.
     """
-    sid = system_id or _default_id(seq)
-    base_tol = tolerance if tolerance is not None else TOLERANCE_FACTOR * spectrum.refine_tol
+    base_tol = _base_tolerance(tolerance, spectrum)
+
+    def refused(note: str) -> ContainmentReport:
+        return ContainmentReport(system_id=system_id or _default_id(seq),
+                                 check="endpoint-attainability", rows=(),
+                                 base_tolerance=base_tol, status="refused", notes=(note,))
+
     if seq.kind == "diagonal":
         coords = tuple(seq.entries)
     elif seq.kind == "upper-triangular":
@@ -253,19 +272,13 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
             from .triangularize import diagonal_significance
             significance = diagonal_significance(seq, spectrum=spectrum)
         if not significance.significant:
-            return ContainmentReport(
-                system_id=sid, check="endpoint-attainability", rows=(),
-                base_tolerance=base_tol, status="refused",
-                notes=("triangular diagonal is not significant; its entries "
-                       "do not carry the spectrum, so no endpoint witnesses "
-                       "can be read off",))
+            return refused("triangular diagonal is not significant; its entries "
+                           "do not carry the spectrum, so no endpoint witnesses "
+                           "can be read off")
         coords = tuple(seq.diagonal)
     else:
-        return ContainmentReport(
-            system_id=sid, check="endpoint-attainability", rows=(),
-            base_tolerance=base_tol, status="refused",
-            notes=(f"kind {seq.kind!r} exposes no coordinate Bohl data; "
-                   "triangularize first and confirm diagonal significance",))
+        return refused(f"kind {seq.kind!r} exposes no coordinate Bohl data; "
+                       "triangularize first and confirm diagonal significance")
     estimates = [_scalar_tail(u, BohlParams(two_sided=True)) for u in coords]
     d = seq.dimension
     rows: list[SampleRow] = []
@@ -286,7 +299,4 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
                 xi=tuple(xi), lower=value, upper=value,
                 target=(endpoint, endpoint), tolerance=tol, margin=margin,
                 passed=margin >= 0.0))
-    status = "pass" if rows and all(r.passed for r in rows) else "fail"
-    return ContainmentReport(system_id=sid, check="endpoint-attainability",
-                             rows=tuple(rows), base_tolerance=base_tol,
-                             status=status, notes=())
+    return _report(seq, "endpoint-attainability", rows, base_tol, system_id)

@@ -58,6 +58,8 @@ from .transition import WindowProducts, _write_text, transition
 _SLOPE_FRACTIONS = (0.47, 0.56, 0.66, 0.75, 0.84, 0.94)
 # Fewest (gap, log-norm) samples fit_decay_constants accepts.
 _MIN_DECAY_SAMPLES = 8
+# Header of the verdict CSV; each row is a DichotomyVerdict.csv().
+_VERDICT_CSV_HEADER = "gamma,outcome,rank,rho,K"
 
 
 @dataclass(frozen=True)
@@ -157,11 +159,6 @@ class DecayFit:
         """True when the fitted slope is not a decay (rho >= 1)."""
         return not (self.rho < 1.0)
 
-    def __iter__(self):
-        yield self.K
-        yield self.rho
-        yield self.residual
-
 
 def _decay_fit(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> DecayFit:
     """Decay law  log-norm <= log K + gap log rho  fitted to samples at ``gaps``.
@@ -238,8 +235,12 @@ class DichotomyVerdict:
     def is_certificate(self) -> bool:
         return self.outcome == "certificate"
 
-    def summary_row(self) -> tuple:
-        return (self.gamma, self.outcome, self.rank, self.rho, self.K)
+    def csv(self) -> str:
+        """The row  gamma,outcome,rank,rho,K; an absent value is an empty cell."""
+        rank = "" if self.rank is None else str(self.rank)
+        rho = "" if self.rho is None else format(self.rho, ".17g")
+        k = "" if self.K is None else format(self.K, ".17g")
+        return f"{self.gamma:.17g},{self.outcome},{rank},{rho},{k}"
 
 
 @dataclass(frozen=True)
@@ -403,10 +404,8 @@ class DichotomyAnalyzer:
             violation += max(0.0, residual - p.resid_max)
             decay_ok = violation == 0.0
             angle_ok = (not 0 < s < d) or cand.angle >= p.theta_min
-            if decay_ok and not angle_ok:
-                decay_ok_but_tangent = True
-                violation += p.theta_min - cand.angle
-            elif not angle_ok:
+            if not angle_ok:
+                decay_ok_but_tangent = decay_ok_but_tangent or decay_ok
                 violation += p.theta_min - cand.angle
             if decay_ok and angle_ok:
                 certified.append((s, cand, rho, residual, k_const))
@@ -508,12 +507,7 @@ class SpectrumEstimate:
         return None
 
     def verdicts_to_csv(self, path_or_file) -> None:
-        rows = ["gamma,outcome,rank,rho,K"]
-        for v in self.grid:
-            rank = "" if v.rank is None else str(v.rank)
-            rho = "" if v.rho is None else format(v.rho, ".17g")
-            k = "" if v.K is None else format(v.K, ".17g")
-            rows.append(f"{v.gamma:.17g},{v.outcome},{rank},{rho},{k}")
+        rows = [_VERDICT_CSV_HEADER, *(v.csv() for v in self.grid)]
         _write_text(path_or_file, "\n".join(rows) + "\n")
 
 

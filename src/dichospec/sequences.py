@@ -46,10 +46,6 @@ from .linalg import batched_spectral_norm
 # is treated as singular.
 DET_RTOL = 1e-12
 
-SCALAR_KINDS = ("constant", "periodic", "piecewise", "seeded-random", "tabulated")
-MATRIX_KINDS = ("constant", "periodic", "piecewise", "diagonal",
-                "upper-triangular", "seeded-random", "tabulated")
-
 
 # SeedSequence constants (numpy bit_generator.pyx) and the PCG64 multiplier
 # (pcg64.h).  Every constant is a numpy scalar, so that numpy 1.x value-based
@@ -156,6 +152,17 @@ def _lcm_or_none(periods: Iterable[int | None]) -> int | None:
             return None
         acc = math.lcm(acc, p)
     return acc
+
+
+def _sequence_eq(a, b) -> bool:
+    """``__eq__`` of both sequence classes: tabulated sequences compare
+    their tables, every other kind its payload."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    if a.kind == "tabulated" or b.kind == "tabulated":
+        return (a.kind == b.kind and a.start == b.start
+                and np.array_equal(a.table, b.table))
+    return a.to_payload() == b.to_payload()
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,13 +308,7 @@ class ScalarSequence:
             raise ValidationError(f"scalar payload missing field {exc}") from exc
         raise ValidationError(f"unknown scalar kind {kind!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScalarSequence):
-            return NotImplemented
-        if self.kind == "tabulated" or other.kind == "tabulated":
-            return (self.kind == other.kind and self.start == other.start
-                    and np.array_equal(self.table, other.table))
-        return self.to_payload() == other.to_payload()
+    __eq__ = _sequence_eq
 
 
 def _check_stack_invertible(stack: np.ndarray, lo: int) -> None:
@@ -683,10 +684,4 @@ class MatrixSequence:
                 f"({seq.dimension})")
         return seq
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixSequence):
-            return NotImplemented
-        if self.kind == "tabulated" or other.kind == "tabulated":
-            return (self.kind == other.kind and self.start == other.start
-                    and np.array_equal(self.table, other.table))
-        return self.to_payload() == other.to_payload()
+    __eq__ = _sequence_eq

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -81,22 +80,21 @@ class ScaledMatrix:
             raise ParameterError("cannot scale a zero or non-finite matrix")
         return cls(core=a / nrm, log_scale=math.log(nrm))
 
-    def left_multiplied(self, a: np.ndarray) -> "ScaledMatrix":
-        """Scaled form of  a @ self."""
-        core = a @ self.core
+    @classmethod
+    def _normalized(cls, core: np.ndarray, log_scale: float) -> "ScaledMatrix":
+        """Scaled form of  exp(log_scale) * core  for a product core."""
         nrm = _frobenius(core)
         if nrm == 0.0:
             raise ParameterError("product collapsed to zero")
-        return ScaledMatrix(core=core / nrm, log_scale=self.log_scale + math.log(nrm))
+        return cls(core=core / nrm, log_scale=log_scale + math.log(nrm))
+
+    def left_multiplied(self, a: np.ndarray) -> "ScaledMatrix":
+        """Scaled form of  a @ self."""
+        return self._normalized(a @ self.core, self.log_scale)
 
     def compose(self, other: "ScaledMatrix") -> "ScaledMatrix":
         """Scaled form of  self @ other."""
-        core = self.core @ other.core
-        nrm = _frobenius(core)
-        if nrm == 0.0:
-            raise ParameterError("product collapsed to zero")
-        return ScaledMatrix(core=core / nrm,
-                            log_scale=self.log_scale + other.log_scale + math.log(nrm))
+        return self._normalized(self.core @ other.core, self.log_scale + other.log_scale)
 
     def log_norm(self) -> float:
         """log of the spectral norm of the represented matrix."""
@@ -159,16 +157,14 @@ def _write_text(path_or_file, text: str) -> None:
 class OrbitLog:
     """Renormalized orbits of one initial vector or of a block of them.
 
-    For a vector xi, ``lognorms[k]`` is log ||X(start + k, 0) xi|| and
-    ``directions[k]`` the corresponding unit vector, for k = 0 .. len-1.
-    For a (d, S) block, ``lognorms`` has shape (len, S), one column per
-    initial vector, and ``directions`` is None.
+    For a vector xi, ``lognorms[k]`` is log ||X(start + k, 0) xi|| for
+    k = 0 .. len-1.  For a (d, S) block, ``lognorms`` has shape (len, S),
+    one column per initial vector.
     """
 
     xi: np.ndarray
     start: int
     lognorms: np.ndarray
-    directions: np.ndarray | None
 
     @property
     def span(self) -> tuple[int, int]:
@@ -184,23 +180,8 @@ class OrbitLog:
         """log-norm at time n: a float for a vector orbit, a row for a block."""
         return self.lognorms[self.index_of(n)]
 
-    def direction_at(self, n: int) -> np.ndarray:
-        return self.directions[self.index_of(n)]
 
-    def to_csv(self, path_or_file) -> None:
-        """Write rows  n, lognorm, u_0, ..., u_{d-1} (vector orbits only)."""
-        d = self.directions.shape[1]
-        header = "n,lognorm," + ",".join(f"u_{i}" for i in range(d))
-        rows = [header]
-        for k, n in enumerate(range(self.start, self.start + len(self.lognorms))):
-            cols = [str(n), format(self.lognorms[k], ".17g")]
-            cols += [format(v, ".17g") for v in self.directions[k]]
-            rows.append(",".join(cols))
-        _write_text(path_or_file, "\n".join(rows) + "\n")
-
-
-def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray,
-           directions: np.ndarray | None) -> None:
+def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """Fill out[k] with the running log-norms of the unit columns of u
     after maps[0], ..., maps[k-1]; out[0] holds the starting log-norms."""
     v = u
@@ -209,8 +190,6 @@ def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray,
         nrm = np.sqrt(np.einsum("ij,ij->j", v, v))
         v = v / nrm
         out[k] = nrm
-        if directions is not None:  # single-column sweeps only
-            directions[k] = v[:, 0]
     np.log(out[1:], out=out[1:])
     np.cumsum(out, axis=0, out=out)
 
@@ -223,8 +202,7 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
     ``xi`` is one initial vector or a (d, S) block of them, carried
     through a single sweep as columns.  The orbit is propagated one step
     at a time with renormalization after each step, so the log-norms are
-    exact up to rounding while the carried vectors stay unit size.  Unit
-    directions are stored for a single vector only.
+    exact up to rounding while the carried vectors stay unit size.
     """
     lo, hi = int(span[0]), int(span[1])
     if not (lo <= 0 <= hi):
@@ -244,25 +222,26 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
     base = -lo  # index of n = 0
     lognorms = np.empty((hi - lo + 1, block.shape[1]))
     lognorms[base] = np.log(nrm0)
-    directions = None
-    if single:
-        directions = np.empty((hi - lo + 1, seq.dimension))
-        directions[base] = u[:, 0]
     if hi > 0:
-        _sweep(seq.window(0, hi - 1), u, lognorms[base:],
-               None if directions is None else directions[base:])
+        _sweep(seq.window(0, hi - 1), u, lognorms[base:])
     if lo < 0:
         # stepping from n = -k down to n = -k-1 uses A(-k-1)^-1
         inverses = _checked_inverses(seq.window(lo, -1), lo)[::-1]
-        _sweep(inverses, u, lognorms[base::-1],
-               None if directions is None else directions[base::-1])
+        _sweep(inverses, u, lognorms[base::-1])
 
     if single:
         lognorms = lognorms[:, 0]
-        directions.flags.writeable = False
     lognorms.flags.writeable = False
     return OrbitLog(xi=block[:, 0].copy() if single else block.copy(), start=lo,
-                    lognorms=lognorms, directions=directions)
+                    lognorms=lognorms)
+
+
+def _renormalized(prod: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (m, k, k) product stack divided in place by its Frobenius norms,
+    and ``logs`` plus the logs of those norms."""
+    nrm = np.sqrt(np.einsum("lij,lij->l", prod, prod))
+    prod /= nrm[:, None, None]
+    return prod, logs + np.log(nrm)
 
 
 class WindowProducts:
@@ -297,12 +276,8 @@ class WindowProducts:
         while 2 * h <= m:
             cores, logs = self._levels[-1]
             npos = m - 2 * h + 1
-            prod = np.matmul(cores[h: h + npos], cores[:npos])
-            lg = logs[h: h + npos] + logs[:npos]
-            nrm = np.sqrt(np.einsum("lij,lij->l", prod, prod))
-            prod /= nrm[:, None, None]
-            lg = lg + np.log(nrm)
-            self._levels.append((prod, lg))
+            self._levels.append(_renormalized(np.matmul(cores[h: h + npos], cores[:npos]),
+                                              logs[h: h + npos] + logs[:npos]))
             h *= 2
 
     def products(self, g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,11 +302,7 @@ class WindowProducts:
                 # the accumulated product covers [l, l+offset); the new segment
                 # covers the higher indices [l+offset, l+offset+2^j) and so
                 # multiplies from the left
-                cores = np.matmul(seg_c, cores)
-                logs = logs + seg_l
-                nrm = np.sqrt(np.einsum("lij,lij->l", cores, cores))
-                cores = cores / nrm[:, None, None]
-                logs = logs + np.log(nrm)
+                cores, logs = _renormalized(np.matmul(seg_c, cores), logs + seg_l)
             offset += h
         return cores, logs
 
@@ -354,7 +325,3 @@ class WindowProducts:
         vals = np.log(batched_spectral_norm(cores[keep])) + logs[keep]
         pos = int(np.argmax(vals))
         return float(vals[pos]), int(keep[pos])
-
-    def envelope(self, gaps: Iterable[int]) -> dict[int, float]:
-        """Per-gap maxima of log window-product norms."""
-        return {int(g): self.max_log_norm(g)[0] for g in gaps}

@@ -11,6 +11,7 @@ from dichospec.containment import (
     verify_global_containment,
 )
 from dichospec.dichotomy import estimate_spectrum
+from dichospec.errors import ParameterError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.triangularize import SignificanceReport
 from systems import random_periodic, separated_banded_diagonal
@@ -162,6 +163,18 @@ def test_endpoint_refusals():
     refused = verify_endpoint_attainability(tri, tri_est, significance=stub)
     assert refused.status == "refused"
     assert "not significant" in refused.notes[0]
+
+
+@pytest.mark.parametrize("check", [verify_fiber_containment, verify_global_containment,
+                                   verify_endpoint_attainability])
+def test_checks_refuse_a_negative_or_nan_tolerance(check):
+    seq = diag_2_half_structural()
+    est = estimate_spectrum(seq)
+    for tolerance in (-1.0, -1e-300, float("nan")):
+        with pytest.raises(ParameterError, match="tolerance must be at least 0"):
+            check(seq, est, tolerance=tolerance)
+    extra = {} if check is verify_endpoint_attainability else {"params": FAST}
+    assert check(seq, est, tolerance=0.0, **extra).base_tolerance == 0.0
 
 
 def test_reports_are_deterministic_and_batch_exact():

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from importlib import resources
@@ -5,6 +6,7 @@ from importlib import resources
 import pytest
 
 from dichospec.cli import main
+from dichospec.dichotomy import estimate_spectrum
 from dichospec.scenario import (
     Scenario,
     ScenarioError,
@@ -175,6 +177,39 @@ def test_cli_triangularize(tmp_path):
     assert doc["orthogonality_max"] <= 1e-12
 
 
+def test_cli_triangularize_at_a_wider_window(tmp_path):
+    # the sweep must cover the window the significance check estimates over
+    rc = main(["triangularize", bundled("triangular-constant"), "--window", "512",
+               "--out", str(tmp_path), "--format", "table"])
+    assert rc == 0
+    doc = json.loads((tmp_path / "triangular-constant-triangularize.json").read_text())
+    assert doc["significant"] is True
+    assert len(doc["system_spectrum"]) == 2
+
+
+def test_cli_dichotomy_csv_is_the_spectrum_grid_row(tmp_path, capsys):
+    path = bundled("autonomous-diagonal")
+    scn = load_scenario(path)
+    est = estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
+                            refine_tol=scn.analysis["refine_tol"],
+                            params=scn.dichotomy_params())
+    buf = io.StringIO()
+    est.verdicts_to_csv(buf)
+    header, *rows = buf.getvalue().splitlines()
+    assert header == "gamma,outcome,rank,rho,K"
+    certificate = next(i for i, v in enumerate(est.grid) if v.rank == 1)
+    in_spectrum = next(i for i, v in enumerate(est.grid) if not v.is_certificate)
+    for i in (certificate, in_spectrum):
+        rc = main(["dichotomy", path, "--gamma", repr(est.grid[i].gamma),
+                   "--out", str(tmp_path), "--format", "csv"])
+        assert rc == 0
+        expected = f"{header}\n{rows[i]}\n"
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / "autonomous-diagonal-dichotomy.csv").read_text() == expected
+    assert rows[certificate].split(",")[1:3] == ["certificate", "1"]
+    assert rows[in_spectrum].split(",")[1:] == ["in_spectrum", "", "", ""]
+
+
 def test_cli_verify_is_deterministic(tmp_path):
     scn = write_scenario(tmp_path, "diag-small", small_diag_payload())
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -213,6 +248,12 @@ def test_cli_verify_fails_loudly_on_impossible_tolerance(tmp_path):
     scn = write_scenario(tmp_path, "diag-small", payload)
     rc = main(["verify", scn, "--out", str(tmp_path), "--format", "table"])
     assert rc == 1
+
+
+def test_cli_refuses_a_negative_tolerance_with_exit_3(tmp_path, capsys):
+    path = write_scenario(tmp_path, "diag-small", small_diag_payload(tolerance=-1))
+    assert main(["verify", path, "--out", str(tmp_path), "--format", "table"]) == 3
+    assert "tolerance must be at least 0" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):

@@ -1,5 +1,4 @@
 import importlib
-import io
 
 import numpy as np
 import pytest
@@ -112,26 +111,6 @@ def test_orbit_lognorms_match_stepwise_enumeration():
     assert log.lognorm_at(-25) == pytest.approx(want, abs=1e-9)
 
 
-def test_orbit_directions_are_unit_vectors():
-    seq = rotation(1.0)
-    log = orbit_lognorms(seq, [1.0, 0.0], (-10, 10))
-    norms = np.linalg.norm(log.directions, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-14)
-
-
-def test_orbit_log_csv_round_trip():
-    seq = MatrixSequence.constant(np.diag([2.0, 0.5]))
-    log = orbit_lognorms(seq, [1.0, 1.0], (-2, 2))
-    buf = io.StringIO()
-    log.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,lognorm,u_0,u_1"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert first[0] == "-2"
-    assert float(first[1]) == pytest.approx(log.lognorm_at(-2))
-
-
 def test_window_products_match_dense_enumeration():
     rng = np.random.default_rng(7)
     m, k = 24, 2
@@ -155,14 +134,6 @@ def test_window_products_match_dense_enumeration():
             dense_vals.append(np.log(np.linalg.norm(dense, 2)))
         assert best == pytest.approx(max(dense_vals), abs=1e-10)
         assert pos == int(np.argmax(dense_vals))
-
-
-def test_window_products_envelope_keys():
-    factors = np.stack([np.diag([2.0, 0.5])] * 8)
-    wp = WindowProducts(factors)
-    env = wp.envelope([1, 2, 4])
-    assert set(env) == {1, 2, 4}
-    assert env[4] == pytest.approx(4 * np.log(2.0), rel=1e-12)
 
 
 def test_window_cap_enforced():
