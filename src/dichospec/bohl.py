@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .sequences import MatrixSequence, ScalarSequence, _checked_inverses
-from .transition import WindowProducts, _write_text, orbit_lognorms
+from .transition import WindowProducts, orbit_lognorms
 
 DEFAULT_WINDOW = 2048
 DEFAULT_GAP_MIN = 16
@@ -136,12 +136,12 @@ class BohlEstimate:
             raise ParameterError(f"gap {g} not sampled")
         return float(self.min_rates[idx]), float(self.max_rates[idx])
 
-    def envelopes_to_csv(self, path_or_file) -> None:
-        """Write rows  g, min_rate, max_rate  for convergence plots."""
+    def envelopes_to_csv(self) -> str:
+        """The CSV text of rows  g, min_rate, max_rate  for convergence plots."""
         rows = ["g,min_rate,max_rate"]
         for g, lo, hi in zip(self.gaps, self.min_rates, self.max_rates):
             rows.append(f"{int(g)},{lo:.17g},{hi:.17g}")
-        _write_text(path_or_file, "\n".join(rows) + "\n")
+        return "\n".join(rows) + "\n"
 
 
 def _estimate(lognorms: np.ndarray, params: BohlParams) -> BohlEstimate:

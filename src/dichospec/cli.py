@@ -10,7 +10,6 @@ failure during analysis.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 from typing import Any
@@ -175,23 +174,16 @@ def containment_payload(rep: ContainmentReport) -> dict[str, Any]:
     }
 
 
-def _captured_csv(writer) -> str:
-    buf = io.StringIO()
-    writer(buf)
-    return buf.getvalue()
-
-
 # -- emission ------------------------------------------------------------------
 
-def _emit(out_dir: Path, stem: str, payload: dict[str, Any] | None,
+def _emit(out_dir: Path, stem: str, payload: dict[str, Any],
           csv_text: str | None, fmt: str, table_lines: list[str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = canonical_json(payload) + "\n" if payload is not None else None
-    if doc is not None:
-        (out_dir / f"{stem}.json").write_text(doc)
+    doc = canonical_json(payload) + "\n"
+    (out_dir / f"{stem}.json").write_text(doc)
     if csv_text is not None:
         (out_dir / f"{stem}.csv").write_text(csv_text)
-    if fmt == "json" and doc is not None:
+    if fmt == "json":
         sys.stdout.write(doc)
     elif fmt == "csv" and csv_text is not None:
         sys.stdout.write(csv_text)
@@ -224,7 +216,7 @@ def _spectrum(scn: Scenario) -> SpectrumEstimate:
 def _cmd_spectrum(scn: Scenario, out_dir: Path, fmt: str) -> int:
     est = _spectrum(scn)
     _emit(out_dir, f"{scn.name}-spectrum", spectrum_payload(scn.name, est),
-          _captured_csv(est.verdicts_to_csv), fmt, _interval_table(est))
+          est.verdicts_to_csv(), fmt, _interval_table(est))
     return 0
 
 
@@ -234,7 +226,7 @@ def _cmd_bohl(scn: Scenario, out_dir: Path, fmt: str, xi) -> int:
              f"lower Bohl exponent {est.lower:.10g}",
              f"envelope spread     {est.spread:.3e}"]
     _emit(out_dir, f"{scn.name}-bohl", bohl_payload(scn.name, xi, est),
-          _captured_csv(est.envelopes_to_csv), fmt, table)
+          est.envelopes_to_csv(), fmt, table)
     return 0
 
 

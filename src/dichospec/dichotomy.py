@@ -28,7 +28,7 @@ each side:
    linearly, so every verdict after the first is arithmetic on a few
    dozen floats.
 4. A candidate certifies when both fitted decay rates stay below
-   1 - delta_fit, the envelope is straight over the fitting tail
+   1 - DELTA_FIT, the envelope is straight over the fitting tail
    (residual gate), and the stable/unstable frames at time 0 are
    transversal.  At most one rank can satisfy all gates.
 
@@ -50,7 +50,7 @@ from .errors import (DecayFitError, ParameterError, SpectrumConsistencyError,
                      ValidationError)
 from .linalg import frame_sweep, min_principal_angle
 from .sequences import MatrixSequence, ScalarSequence
-from .transition import WindowProducts, _write_text, transition
+from .transition import WindowProducts, transition
 
 # Fractions of the full factor span used for slope fitting.  The resulting
 # gaps are snapped to a common multiple of small periods so that periodic
@@ -60,53 +60,39 @@ _SLOPE_FRACTIONS = (0.47, 0.56, 0.66, 0.75, 0.84, 0.94)
 _MIN_DECAY_SAMPLES = 8
 # Header of the verdict CSV; each row is a DichotomyVerdict.csv().
 _VERDICT_CSV_HEADER = "gamma,outcome,rank,rho,K"
+# Certificate gates.  THETA_MIN: least principal angle (radians) between
+# the stable and unstable spaces at time 0, compared with the smallest of
+# the min(s, d - s) angles (resolved to about 1e-15 absolute); below it the
+# splitting is not transversal.  RHO_SPLIT: a verdict at gamma within a
+# factor 1/RHO_SPLIT of a sampled per-direction rate is low confidence.
+# DELTA_FIT: both fitted decay rates must be at most 1 - DELTA_FIT.
+# RESID_MAX: largest deviation (log units) of the tail envelope from its
+# fitted line; more curvature means the rate has not converged.
+THETA_MIN = 1e-3
+RHO_SPLIT = 0.95
+DELTA_FIT = 1e-4
+RESID_MAX = 0.75
 
 
 @dataclass(frozen=True)
 class DichotomyParams:
-    """Window layout and gates for dichotomy certification.
+    """Window layout for dichotomy certification.
 
     window
         Half-length N of the usable range [-N, N].
     burn_in
         Extra factors on each side consumed by frame convergence before
         the usable range starts.
-    theta_min
-        Minimal principal angle (radians) between the stable and unstable
-        spaces at time 0; below it the splitting is not transversal.  The
-        gate compares it with the smallest of the min(s, d - s) principal
-        angles, resolved to about 1e-15 absolute at any size.
-    rho_split
-        Diagnostic band: a verdict at gamma within a factor
-        1/rho_split of a sampled per-direction rate is flagged low
-        confidence (the splitting boundary is barely resolved).
-    delta_fit
-        Certification requires both fitted decay rates <= 1 - delta_fit.
-    resid_max
-        Max deviation (log units) of the tail envelope from its fitted
-        line; curvature beyond this means the rate has not converged.
     """
 
     window: int = 256
     burn_in: int = 128
-    theta_min: float = 1e-3
-    rho_split: float = 0.95
-    delta_fit: float = 1e-4
-    resid_max: float = 0.75
 
     def __post_init__(self):
         if self.window < 32:
             raise ParameterError("dichotomy window must be at least 32")
         if self.burn_in < 8:
             raise ParameterError("burn_in must be at least 8")
-        if not (0.0 < self.theta_min < math.pi / 2):
-            raise ParameterError("theta_min must lie in (0, pi/2)")
-        if not (0.0 < self.rho_split < 1.0):
-            raise ParameterError("rho_split must lie in (0, 1)")
-        if not (0.0 < self.delta_fit < 0.5):
-            raise ParameterError("delta_fit must lie in (0, 0.5)")
-        if self.resid_max <= 0.0:
-            raise ParameterError("resid_max must be positive")
 
     @property
     def extent(self) -> int:
@@ -378,7 +364,7 @@ class DichotomyAnalyzer:
         u0 = int(np.sum(self._backward_rates < -lg))
         near = min(float(np.min(np.abs(self._forward_rates - lg))),
                    float(np.min(np.abs(self._backward_rates + lg))))
-        boundary_band = near <= -math.log(p.rho_split)
+        boundary_band = near <= -math.log(RHO_SPLIT)
 
         ranks = sorted({min(d, max(0, r)) for r in (s0 - 1, s0, s0 + 1, d - u0)},
                        key=lambda r: (abs(r - s0), r))
@@ -400,13 +386,13 @@ class DichotomyAnalyzer:
             rho = max(f.rho for f in fits)
             residual = max(f.residual for f in fits)
             k_const = max(1.0, *(f.K for f in fits))
-            violation += max(0.0, rho - (1.0 - p.delta_fit))
-            violation += max(0.0, residual - p.resid_max)
+            violation += max(0.0, rho - (1.0 - DELTA_FIT))
+            violation += max(0.0, residual - RESID_MAX)
             decay_ok = violation == 0.0
-            angle_ok = (not 0 < s < d) or cand.angle >= p.theta_min
+            angle_ok = (not 0 < s < d) or cand.angle >= THETA_MIN
             if not angle_ok:
                 decay_ok_but_tangent = decay_ok_but_tangent or decay_ok
-                violation += p.theta_min - cand.angle
+                violation += THETA_MIN - cand.angle
             if decay_ok and angle_ok:
                 certified.append((s, cand, rho, residual, k_const))
             best_violation = min(best_violation, violation)
@@ -417,7 +403,7 @@ class DichotomyAnalyzer:
                 gamma=gamma, outcome="certificate", window=p.window, rank=s,
                 stable_basis=cand.stable_basis, unstable_basis=cand.unstable_basis,
                 K=k_const, rho=rho, residual=residual,
-                margin=(1.0 - p.delta_fit) - rho,
+                margin=(1.0 - DELTA_FIT) - rho,
                 low_confidence=boundary_band or len(certified) > 1)
 
         if s0 + u0 != d:
@@ -506,9 +492,9 @@ class SpectrumEstimate:
                 return iv
         return None
 
-    def verdicts_to_csv(self, path_or_file) -> None:
-        rows = [_VERDICT_CSV_HEADER, *(v.csv() for v in self.grid)]
-        _write_text(path_or_file, "\n".join(rows) + "\n")
+    def verdicts_to_csv(self) -> str:
+        """The verdict CSV text: the header, then one row per probe of ``grid``."""
+        return "\n".join([_VERDICT_CSV_HEADER, *(v.csv() for v in self.grid)]) + "\n"
 
 
 def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
@@ -523,7 +509,7 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     rank jump between certificates hiding a spectral interval narrower
     than the grid) is split at its geometric midpoint, down to relative
     width refine_tol / 4, so endpoints err by at most about
-    gamma * refine_tol / 4 plus the verdict blur delta_fit.
+    gamma * refine_tol / 4 plus the verdict blur DELTA_FIT.
 
     The dichotomy rank is constant on each resolvent component and rises
     across every spectral interval (Aulbach & Siegmund, J. Difference

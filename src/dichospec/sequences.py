@@ -131,9 +131,26 @@ def _uniforms(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
 
 def _seed_value(seed: int) -> int:
     value = int(seed)
-    if value < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {value}")
+    if value < 0 or value != seed or isinstance(seed, bool):
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     return value
+
+
+def _band(band: tuple[float, float]) -> tuple[float, float]:
+    """``band`` as a pair of floats, checked to satisfy 0 < lo <= hi < inf."""
+    lo, hi = (float(x) for x in band)
+    if not 0.0 < lo <= hi < math.inf:
+        raise ParameterError(f"band ({lo}, {hi}) must satisfy 0 < lo <= hi < inf")
+    return lo, hi
+
+
+def _table_rows(table: np.ndarray, start: int, lo: int, hi: int) -> np.ndarray:
+    """A copy of the rows for n = lo..hi of a table whose row 0 is n = start."""
+    end = start + len(table) - 1
+    if lo < start or hi > end:
+        raise ValidationError(f"tabulated sequence has no value at n="
+                              f"{lo if lo < start else max(lo, end + 1)} (window [{start}, {end}])")
+    return table[lo - start: hi - start + 1].copy()
 
 
 def _as_float_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
@@ -188,7 +205,7 @@ class ScalarSequence:
 
     @classmethod
     def constant(cls, value: float) -> "ScalarSequence":
-        return cls(kind="constant", value=float(value))
+        return cls(kind="constant", value=_as_float_tuple((value,), "constant value")[0])
 
     @classmethod
     def periodic(cls, values: Iterable[float]) -> "ScalarSequence":
@@ -202,16 +219,13 @@ class ScalarSequence:
 
     @classmethod
     def seeded(cls, seed: int, band: tuple[float, float]) -> "ScalarSequence":
-        lo, hi = float(band[0]), float(band[1])
-        if not (0.0 < lo <= hi) or not math.isfinite(hi):
-            raise ParameterError("seeded scalar band must satisfy 0 < lo <= hi")
-        return cls(kind="seeded-random", seed=_seed_value(seed), band=(lo, hi))
+        return cls(kind="seeded-random", seed=_seed_value(seed), band=_band(band))
 
     @classmethod
     def tabulated(cls, table: Iterable[float], start: int) -> "ScalarSequence":
         arr = np.asarray(list(table), dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParameterError("tabulated scalar table must be a nonempty 1-d array")
+        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+            raise ParameterError("tabulated scalar table must be a nonempty finite 1-d array")
         arr = arr.copy()
         arr.flags.writeable = False
         return cls(kind="tabulated", table=arr, start=int(start))
@@ -248,13 +262,7 @@ class ScalarSequence:
             # math.exp, not np.exp: the two can differ in the last bit
             return np.array([math.exp(v) for v in u.tolist()])
         if self.kind == "tabulated":
-            end = self.start + self.table.size - 1
-            if lo < self.start or hi > end:
-                raise ValidationError(
-                    f"tabulated scalar sequence has no value at "
-                    f"n={lo if lo < self.start else max(lo, end + 1)} "
-                    f"(window [{self.start}, {end}])")
-            return self.table[lo - self.start: hi - self.start + 1].copy()
+            return _table_rows(self.table, self.start, lo, hi)
         raise ParameterError(f"unknown scalar kind {self.kind!r}")
 
     def require_nonzero(self, lo: int, hi: int, label: str = "u") -> None:
@@ -306,6 +314,10 @@ class ScalarSequence:
                 return cls.seeded(payload["seed"], tuple(payload["band"]))
         except KeyError as exc:
             raise ValidationError(f"scalar payload missing field {exc}") from exc
+        except ParameterError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed scalar payload: {exc}") from exc
         raise ValidationError(f"unknown scalar kind {kind!r}")
 
     __eq__ = _sequence_eq
@@ -382,12 +394,10 @@ class MatrixSequence:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _clean_matrix(a, d: int | None = None) -> np.ndarray:
+    def _clean_matrix(a) -> np.ndarray:
         arr = np.asarray(a, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ParameterError("matrix payload must be square")
-        if d is not None and arr.shape[0] != d:
-            raise ParameterError(f"matrix has dimension {arr.shape[0]}, expected {d}")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("matrix entries must be finite")
         arr = arr.copy()
@@ -447,12 +457,9 @@ class MatrixSequence:
     @classmethod
     def seeded(cls, seed: int, bands: Iterable[tuple[float, float]],
                eps: float | str = "auto") -> "MatrixSequence":
-        bnd = tuple((float(lo), float(hi)) for lo, hi in bands)
+        bnd = tuple(_band(b) for b in bands)
         if not bnd:
             raise ParameterError("seeded-random kind needs at least one band")
-        for lo, hi in bnd:
-            if not (0.0 < lo <= hi and math.isfinite(hi)):
-                raise ParameterError("each band must satisfy 0 < lo <= hi")
         ordered = sorted(bnd)
         gaps = [ordered[k + 1][0] - ordered[k][1] for k in range(len(ordered) - 1)]
         if any(g <= 0 for g in gaps):
@@ -464,7 +471,7 @@ class MatrixSequence:
             eps_val = 0.0 if not gaps else min(min(gaps) / 4, lo_min / (4 * d))
         else:
             eps_val = float(eps)
-            if eps_val < 0 or eps_val > eps_cap:
+            if not 0.0 <= eps_val <= eps_cap:
                 raise ParameterError(
                     f"eps={eps_val} outside [0, {eps_cap:.6g}] allowed by the band layout")
         return cls(dimension=d, kind="seeded-random", seed=_seed_value(seed), bands=bnd,
@@ -537,12 +544,7 @@ class MatrixSequence:
             out += self.eps * (-1.0 + 2.0 * draws[:, d:].reshape(m, d, d))
             return out
         if self.kind == "tabulated":
-            end = self.start + self.table.shape[0] - 1
-            if lo < self.start or hi > end:
-                raise ValidationError(
-                    f"tabulated sequence only covers [{self.start}, {end}], "
-                    f"requested [{lo}, {hi}]")
-            return self.table[lo - self.start: hi - self.start + 1].copy()
+            return _table_rows(self.table, self.start, lo, hi)
         raise ParameterError(f"unknown matrix kind {self.kind!r}")
 
     def _checked_window(self, lo: int, hi: int) -> np.ndarray:
@@ -678,6 +680,10 @@ class MatrixSequence:
                 raise ValidationError(f"unknown system kind {kind!r}")
         except KeyError as exc:
             raise ValidationError(f"system payload missing field {exc}") from exc
+        except ParameterError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed system payload: {exc}") from exc
         if "dimension" in payload and payload["dimension"] != seq.dimension:
             raise ValidationError(
                 f"declared dimension {payload['dimension']} does not match payload "

@@ -26,7 +26,7 @@ from .linalg import batched_spectral_norm, spectral_norm
 from .sequences import MatrixSequence, _checked_inverses
 
 # Hard cap on the number of factors in a single requested product.
-DEFAULT_WINDOW_CAP = 1_000_000
+WINDOW_CAP = 1_000_000
 
 
 def _rescued_norms(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -115,8 +115,7 @@ class ScaledMatrix:
         return spectral_norm(a - b) / denom
 
 
-def transition(seq: MatrixSequence, m: int, n: int, *,
-               window_cap: int = DEFAULT_WINDOW_CAP) -> ScaledMatrix:
+def transition(seq: MatrixSequence, m: int, n: int) -> ScaledMatrix:
     """Transition operator X(m, n) as a :class:`ScaledMatrix`.
 
     Parameters
@@ -126,12 +125,11 @@ def transition(seq: MatrixSequence, m: int, n: int, *,
     m, n : int
         Target and base time.  ``m > n`` multiplies forward factors,
         ``m < n`` multiplies inverse factors, ``m == n`` is the identity.
-    window_cap : int
-        Upper bound on |m - n|; longer requests raise :class:`WindowCapError`.
+        |m - n| over ``WINDOW_CAP`` raises :class:`WindowCapError`.
     """
     m, n = int(m), int(n)
-    if abs(m - n) > window_cap:
-        raise WindowCapError(f"requested product over {abs(m - n)} steps exceeds cap {window_cap}")
+    if abs(m - n) > WINDOW_CAP:
+        raise WindowCapError(f"requested product over {abs(m - n)} steps exceeds cap {WINDOW_CAP}")
     acc = ScaledMatrix.identity(seq.dimension)
     if m > n:
         factors = seq.window(n, m - 1)
@@ -142,15 +140,6 @@ def transition(seq: MatrixSequence, m: int, n: int, *,
         for j in range(len(inverses) - 1, -1, -1):
             acc = acc.left_multiplied(inverses[j])
     return acc
-
-
-def _write_text(path_or_file, text: str) -> None:
-    """Write text to a path (str, bytes or path-like) or a writable stream."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
 
 
 @dataclass(frozen=True)
@@ -195,8 +184,7 @@ def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
 
 
 def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
-                   span: tuple[int, int], *,
-                   window_cap: int = DEFAULT_WINDOW_CAP) -> OrbitLog:
+                   span: tuple[int, int]) -> OrbitLog:
     """log ||X(n, 0) xi|| for n over an integer span containing 0.
 
     ``xi`` is one initial vector or a (d, S) block of them, carried
@@ -207,8 +195,8 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
     lo, hi = int(span[0]), int(span[1])
     if not (lo <= 0 <= hi):
         raise ParameterError("orbit span must contain the base time 0")
-    if hi - lo > window_cap:
-        raise WindowCapError(f"orbit span of {hi - lo} steps exceeds cap {window_cap}")
+    if hi - lo > WINDOW_CAP:
+        raise WindowCapError(f"orbit span of {hi - lo} steps exceeds cap {WINDOW_CAP}")
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim != 2
     block = xi.reshape(-1, 1) if single else xi

@@ -10,7 +10,6 @@ by :func:`diagonal_significance`.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +72,11 @@ class KinematicPair:
 
     def diagonal_to_csv(self) -> str:
         lo, hi = self.window
-        buf = io.StringIO()
-        buf.write("n," + ",".join(f"u{i + 1}{i + 1}" for i in range(self.dimension)) + "\n")
+        rows = ["n," + ",".join(f"u{i + 1}{i + 1}" for i in range(self.dimension))]
         diag = np.diagonal(self.upper.table, axis1=1, axis2=2)
         for k, n in enumerate(range(lo, hi + 1)):
-            buf.write(f"{n}," + ",".join(format(v, ".17g") for v in diag[k]) + "\n")
-        return buf.getvalue()
+            rows.append(f"{n}," + ",".join(format(v, ".17g") for v in diag[k]))
+        return "\n".join(rows) + "\n"
 
 
 def qr_triangularize(seq: MatrixSequence,

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -189,9 +187,7 @@ def test_spread_reflects_tail_convergence():
 
 def test_envelope_csv_and_lookup():
     est = scalar_bohl_estimate(ScalarSequence.constant(2.0), SMALL)
-    buf = io.StringIO()
-    est.envelopes_to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    lines = est.envelopes_to_csv().strip().splitlines()
     assert lines[0] == "g,min_rate,max_rate"
     assert len(lines) == len(est.gaps) + 1
     lo, hi = est.envelope_at(16)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dichospec import dichotomy
 from dichospec.bundles import (
     ProjectorFamily,
     SpectralBundleFiber,
@@ -176,10 +177,11 @@ def test_fiber_count_must_match_gaps():
         bundle_fibers(est, est.gap_certificates[:2])
 
 
-def test_gap_without_certificate_is_refused_by_name():
+def test_gap_without_certificate_is_refused_by_name(monkeypatch):
     # the top probe is in-spectrum, so the grid edge stands in for rank 2
+    monkeypatch.setattr(dichotomy, "RESID_MAX", 0.2)
     seq = MatrixSequence.seeded(2, ((0.3, 0.5), (1.2, 2.0)))
-    est = estimate_spectrum(seq, params=DichotomyParams(window=64, burn_in=32, resid_max=0.2))
+    est = estimate_spectrum(seq, params=DichotomyParams(window=64, burn_in=32))
     assert est.gap_ranks == (0, 1, 2)
     assert est.gap_certificates[-1] is None
     with pytest.raises(SubspaceError, match=r"gap 2 \(rank 2\) holds no certificate"):

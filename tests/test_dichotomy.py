@@ -1,5 +1,4 @@
 import bisect
-import io
 from itertools import groupby
 
 import numpy as np
@@ -529,9 +528,7 @@ def test_analyzer_refuses_a_subnormal_system():
 
 def test_verdict_csv_header():
     est = estimate_spectrum(piecewise_scalar(), refine_tol=REFINE_TOL)
-    buf = io.StringIO()
-    est.verdicts_to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    lines = est.verdicts_to_csv().strip().splitlines()
     assert lines[0] == "gamma,outcome,rank,rho,K"
     assert len(lines) == len(est.grid) + 1
     gammas = [float(line.split(",")[0]) for line in lines[1:]]

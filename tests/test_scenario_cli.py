@@ -1,10 +1,10 @@
-import io
 import json
 import math
 from importlib import resources
 
 import pytest
 
+from dichospec.bohl import bohl_exponents
 from dichospec.cli import main
 from dichospec.dichotomy import estimate_spectrum
 from dichospec.scenario import (
@@ -190,12 +190,8 @@ def test_cli_triangularize_at_a_wider_window(tmp_path):
 def test_cli_dichotomy_csv_is_the_spectrum_grid_row(tmp_path, capsys):
     path = bundled("autonomous-diagonal")
     scn = load_scenario(path)
-    est = estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
-                            refine_tol=scn.analysis["refine_tol"],
-                            params=scn.dichotomy_params())
-    buf = io.StringIO()
-    est.verdicts_to_csv(buf)
-    header, *rows = buf.getvalue().splitlines()
+    est = _scenario_spectrum(scn)
+    header, *rows = est.verdicts_to_csv().splitlines()
     assert header == "gamma,outcome,rank,rho,K"
     certificate = next(i for i, v in enumerate(est.grid) if v.rank == 1)
     in_spectrum = next(i for i, v in enumerate(est.grid) if not v.is_certificate)
@@ -208,6 +204,26 @@ def test_cli_dichotomy_csv_is_the_spectrum_grid_row(tmp_path, capsys):
         assert (tmp_path / "autonomous-diagonal-dichotomy.csv").read_text() == expected
     assert rows[certificate].split(",")[1:3] == ["certificate", "1"]
     assert rows[in_spectrum].split(",")[1:] == ["in_spectrum", "", "", ""]
+
+
+def _scenario_spectrum(scn):
+    return estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
+                             refine_tol=scn.analysis["refine_tol"],
+                             params=scn.dichotomy_params())
+
+
+@pytest.mark.parametrize("command,flags,library_csv", [
+    ("spectrum", [], lambda scn: _scenario_spectrum(scn).verdicts_to_csv()),
+    ("bohl", ["--xi", "1,1"], lambda scn: bohl_exponents(
+        scn.system, [1.0, 1.0], scn.bohl_params()).envelopes_to_csv()),
+], ids=["spectrum", "bohl"])
+def test_cli_csv_is_the_library_csv(tmp_path, capsys, command, flags, library_csv):
+    path = bundled("seeded-pair-d2")
+    rc = main([command, path, *flags, "--out", str(tmp_path), "--format", "csv"])
+    assert rc == 0
+    want = library_csv(load_scenario(path))
+    assert capsys.readouterr().out == want
+    assert (tmp_path / f"seeded-pair-d2-{command}.csv").read_text() == want
 
 
 def test_cli_verify_is_deterministic(tmp_path):
@@ -307,3 +323,38 @@ def test_cli_refuses_subnormal_factors_with_exit_3(tmp_path, capsys):
     path = write_scenario(tmp_path, "subnormal", payload)
     assert main(["spectrum", path, "--out", str(tmp_path)]) == 3
     assert "n=0" in capsys.readouterr().err
+
+
+_SEEDED = {"kind": "seeded-random", "seed": 11, "bands": [[0.4, 0.5], [1.6, 2.0]]}
+
+
+def _scalar_entry(**fields):
+    return {"kind": "diagonal", "entries": [fields, {"kind": "constant", "value": 0.5}]}
+
+
+@pytest.mark.parametrize("system", [
+    _scalar_entry(kind="constant", value=float("nan")),
+    _scalar_entry(kind="constant", value=float("inf")),
+    _scalar_entry(kind="constant", value="two"),
+    _scalar_entry(kind="constant", value=None),
+    _scalar_entry(kind="periodic", values=2.0),
+    _scalar_entry(kind="seeded-random", seed=1, band=["low", 0.8]),
+    _scalar_entry(kind="seeded-random", seed=1, band=[0.5, None]),
+    _scalar_entry(kind="seeded-random", seed=1.5, band=[0.5, 0.8]),
+    {**_SEEDED, "eps": "small"},
+    {**_SEEDED, "eps": None},
+    {**_SEEDED, "eps": float("nan")},
+    {**_SEEDED, "seed": "11"},
+    {**_SEEDED, "seed": None},
+    {**_SEEDED, "seed": 1.5},
+    {**_SEEDED, "seed": True},
+    {**_SEEDED, "seed": float("inf")},
+    {**_SEEDED, "bands": [[0.4, "high"], [1.6, 2.0]]},
+    {"kind": "constant", "matrix": [[2, "zero"], [0, 0.5]]},
+], ids=["value-nan", "value-inf", "value-str", "value-null", "values-number", "band-str",
+        "band-null", "scalar-seed-1.5", "eps-str", "eps-null", "eps-nan", "seed-str",
+        "seed-null", "seed-1.5", "seed-true", "seed-inf", "bands-str", "matrix-str"])
+def test_cli_rejects_malformed_system_fields(tmp_path, capsys, system):
+    path = write_scenario(tmp_path, "bad", {"name": "bad", "system": system})
+    assert main(["spectrum", path, "--out", str(tmp_path)]) == 2
+    assert "scenario error" in capsys.readouterr().err

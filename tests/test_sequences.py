@@ -342,3 +342,16 @@ def test_negative_seeds_are_rejected():
         MatrixSequence.from_payload({"kind": "diagonal", "entries": [
             {"kind": "seeded-random", "seed": -2, "band": [0.5, 0.8]}]})
     assert ScalarSequence.seeded(0, (0.5, 0.8)).seed == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ScalarSequence.constant(float("nan")),
+    lambda: ScalarSequence.constant(float("inf")),
+    lambda: ScalarSequence.tabulated([1.0, float("nan"), 1.0], start=0),
+    lambda: MatrixSequence.seeded(1, bands=((0.4, 0.5), (1.6, 2.0)), eps=float("nan")),
+    lambda: ScalarSequence.seeded(1.5, (0.5, 0.8)),
+    lambda: MatrixSequence.seeded(True, bands=((0.4, 0.5), (1.6, 2.0))),
+], ids=["constant-nan", "constant-inf", "tabulated-nan", "eps-nan", "seed-1.5", "seed-true"])
+def test_non_finite_values_and_non_integer_seeds_are_refused(build):
+    with pytest.raises(ParameterError):
+        build()

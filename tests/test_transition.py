@@ -8,6 +8,7 @@ from dichospec.bohl import BohlParams, general_exponents
 from dichospec.errors import ParameterError, SingularMatrixError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.transition import (
+    WINDOW_CAP,
     ScaledMatrix,
     WindowProducts,
     orbit_lognorms,
@@ -139,9 +140,9 @@ def test_window_products_match_dense_enumeration():
 def test_window_cap_enforced():
     seq = MatrixSequence.constant(np.eye(2))
     with pytest.raises(WindowCapError):
-        transition(seq, 11, 0, window_cap=10)
+        transition(seq, WINDOW_CAP + 1, 0)
     with pytest.raises(WindowCapError):
-        orbit_lognorms(seq, [1.0, 0.0], (0, 11), window_cap=10)
+        orbit_lognorms(seq, [1.0, 0.0], (0, WINDOW_CAP + 1))
 
 
 def test_orbit_rejects_bad_input():
