@@ -7,10 +7,23 @@ matrix norm appears in reported quantities.
 
 :func:`frame_sweep` is the one place where orthonormal frames are carried
 along an orbit (discrete QR); every QR walk in the package goes through it.
+Its step calls the two compiled kernels behind ``np.linalg.qr`` directly
+(``qr_r_raw``, the in-place Householder factorization, then
+``qr_reduced``, which forms Q), because on these tiny matrices the
+wrapper's copies, type checks and ``triu`` cost more than both kernels
+together.  They are the same gufuncs, called in the same order on the
+same float64 data under the same ``errstate``, so every output equals
+the wrapper's bit for bit.  Where numpy does not provide ``qr_r_raw``
+(numpy 1.x splits it in two), the step is ``np.linalg.qr`` itself.
 """
 from __future__ import annotations
 
 import numpy as np
+
+try:
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
+except ImportError:
+    _qr_r_raw = None
 
 SPAN_RTOL = 1e-12  # relative singular-value cutoff for the rank of a span
 NULLSPACE_RTOL = 1e-8  # the same for the stacked rows of a nullspace step
@@ -36,6 +49,24 @@ def qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s, s[:, None] * r
 
 
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _qr_kernels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R of a float64 (..., d, k) stack, k <= d, as ``np.linalg.qr``
+    computes them; ``a`` is factorized in place and R is returned as its
+    leading k rows, with the Householder vectors still below the diagonal."""
+    with np.errstate(call=_raise_qr_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        tau = _qr_r_raw(a, signature="d->d")
+        q = _qr_reduced(a, tau, signature="dd->d")
+    return q, a[..., : a.shape[-1], :]
+
+
+_qr_step = np.linalg.qr if _qr_r_raw is None else _qr_kernels
+
+
 def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Carry the orthonormal (d, k) frame q0 through an (m, d, d) stack of maps.
 
@@ -45,11 +76,22 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     A leading batch axis runs B sweeps in lock-step: maps (B, m, d, d) and
     q0 (B, d, k) give frames (B, m + 1, d, k) and factors (B, m, k, k), at
-    one matmul and one ``np.linalg.qr`` call per step for the whole batch.
+    one matmul and one QR of the whole stack per step.
     Each batch item equals its own unbatched sweep bit for bit, because
     numpy runs the same kernel (BLAS product, LAPACK Householder QR) on
     every matrix of a stack, so an item sees exactly the arithmetic it
     would see alone.
+
+    The QR of a step is ``np.linalg.qr``'s own two gufuncs, ``qr_r_raw``
+    and ``qr_reduced``, called directly (see the module docstring), so it
+    equals ``np.linalg.qr`` bit for bit; R is read from the factorized
+    product, whose Householder vectors below the diagonal are zeroed with
+    the rest of that triangle after the loop.  The product is formed
+    outside the kernels' ``errstate``, as the wrapper forms it, so an
+    overflow in it still warns.  ``maps`` is converted to float64 once, so
+    the product the kernels factorize in place is the array R is read
+    from.  Where numpy lacks ``qr_r_raw`` (numpy 1.x) the step is
+    ``np.linalg.qr``.
 
     The step loop runs a plain Householder QR and the sign convention of
     :func:`qr_positive` is imposed once afterwards, through the running
@@ -64,6 +106,7 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     of the one before, equals the whole sweep bit for bit.
     """
     batched = maps.ndim == 4
+    maps = np.asarray(maps, dtype=np.float64)
     if not batched:
         maps, q0 = maps[None], q0[None]
     (b, m), k = maps.shape[:2], q0.shape[2]
@@ -71,7 +114,7 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     factors = np.empty((b, m, k, k))
     frames[:, 0] = q0
     for i in range(m):
-        frames[:, i + 1], factors[:, i] = np.linalg.qr(maps[:, i] @ frames[:, i])
+        frames[:, i + 1], factors[:, i] = _qr_step(maps[:, i] @ frames[:, i])
     steps = np.sign(np.diagonal(factors, axis1=2, axis2=3))
     # c[i + 1] is the product of the signs since the last zero one: the
     # running product of the nonzero signs times its value at that restart
@@ -83,8 +126,9 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     signs[:, 1:] = flips * np.where(restart >= 0, at_restart, 1.0)
     frames *= signs[:, :, None, :]
     factors *= signs[:, :-1, None, :]
-    # zeros below the diagonal go back to +0 before the row signs, so even
-    # their signs match qr_positive's; every step here works in place
+    # the triangle below the diagonal (Householder vectors on the kernel
+    # step) becomes +0 before the row signs, so even the signs of its zeros
+    # match qr_positive's; every step here works in place
     below = np.tril_indices(k, -1)
     factors[:, :, below[0], below[1]] = 0.0
     factors *= signs[:, 1:, :, None]

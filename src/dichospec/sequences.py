@@ -162,6 +162,17 @@ def _as_float_tuple(values: Iterable[float], what: str) -> tuple[float, ...]:
     return out
 
 
+def _payload_numbers(value: Any, what: str) -> Any:
+    """``value``, checked to hold no boolean or string where a payload needs
+    a number or nested lists of numbers: ``float()`` would accept both."""
+    if isinstance(value, (bool, str)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _payload_numbers(v, what)
+    return value
+
+
 def _lcm_or_none(periods: Iterable[int | None]) -> int | None:
     acc = 1
     for p in periods:
@@ -305,13 +316,14 @@ class ScalarSequence:
         kind = payload["kind"]
         try:
             if kind == "constant":
-                return cls.constant(payload["value"])
+                return cls.constant(_payload_numbers(payload["value"], "value"))
             if kind == "periodic":
-                return cls.periodic(payload["values"])
+                return cls.periodic(_payload_numbers(payload["values"], "values"))
             if kind == "piecewise":
-                return cls.piecewise(payload["negative"], payload["nonnegative"])
+                return cls.piecewise(_payload_numbers(payload["negative"], "negative"),
+                                     _payload_numbers(payload["nonnegative"], "nonnegative"))
             if kind == "seeded-random":
-                return cls.seeded(payload["seed"], tuple(payload["band"]))
+                return cls.seeded(payload["seed"], tuple(_payload_numbers(payload["band"], "band")))
         except KeyError as exc:
             raise ValidationError(f"scalar payload missing field {exc}") from exc
         except ParameterError:
@@ -660,22 +672,25 @@ class MatrixSequence:
         kind = payload["kind"]
         try:
             if kind == "constant":
-                seq = cls.constant(payload["matrix"])
+                seq = cls.constant(_payload_numbers(payload["matrix"], "matrix entry"))
             elif kind == "periodic":
-                seq = cls.periodic(payload["matrices"])
+                seq = cls.periodic(_payload_numbers(payload["matrices"], "matrix entry"))
             elif kind == "piecewise":
                 seq = cls.piecewise(cls.from_payload(payload["negative"]),
                                     cls.from_payload(payload["nonnegative"]))
             elif kind == "diagonal":
                 seq = cls.diagonal([ScalarSequence.from_payload(e) for e in payload["entries"]])
             elif kind == "upper-triangular":
-                off = {(e["row"], e["col"]): ScalarSequence.from_payload(e["entry"])
+                off = {_payload_numbers((e["row"], e["col"]), "off-diagonal row and col"):
+                       ScalarSequence.from_payload(e["entry"])
                        for e in payload.get("offdiagonal", [])}
                 seq = cls.upper_triangular(
                     [ScalarSequence.from_payload(e) for e in payload["diagonal"]], off)
             elif kind == "seeded-random":
-                seq = cls.seeded(payload["seed"], [tuple(b) for b in payload["bands"]],
-                                 payload.get("eps", "auto"))
+                eps = payload.get("eps", "auto")
+                seq = cls.seeded(payload["seed"],
+                                 [tuple(b) for b in _payload_numbers(payload["bands"], "band")],
+                                 eps if eps == "auto" else _payload_numbers(eps, "eps"))
             else:
                 raise ValidationError(f"unknown system kind {kind!r}")
         except KeyError as exc:

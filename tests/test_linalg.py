@@ -1,9 +1,12 @@
+import contextlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from bruteforce import intersection_by_complements
+from dichospec import linalg
 from dichospec.linalg import (_complement_rows, _nullspace, canonical_basis, frame_sweep,
                               min_principal_angle, principal_angles, qr_positive,
                               subspace_intersection)
@@ -102,21 +105,37 @@ def _sweep_maps(d, m=40, seed=0):
                      for i in range(m)])
 
 
+# frame_sweep's QR step: "selected" is the one linalg picked at import
+# (numpy's QR kernels where numpy has them), "wrapper" forces np.linalg.qr
+STEP_PATHS = ("selected", "wrapper")
+
+
+@contextlib.contextmanager
+def _step_path(path):
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "wrapper":
+            mp.setattr(linalg, "_qr_step", np.linalg.qr)
+        yield
+
+
 def _assert_sweep_is_the_qr_positive_walk(maps, q0):
-    """frame_sweep equals a per-step qr_positive walk bit for bit; returns
-    the raw diag(R) signs that walk fixed, one row per step."""
-    frames, factors = frame_sweep(maps, q0)
+    """frame_sweep on each step path equals a per-step qr_positive walk bit
+    for bit; returns the sweep and the raw diag(R) signs that walk fixed,
+    one row per step."""
     q, want_frames, want_factors, raw = q0, [q0], [], []
     for a in maps:
         raw.append(np.sign(np.diagonal(np.linalg.qr(a @ q)[1])))
         q, r = qr_positive(a @ q)
         want_frames.append(q)
         want_factors.append(r)
-    assert np.array_equal(frames, np.array(want_frames))
-    assert np.array_equal(factors, np.array(want_factors))
-    # the zeros below the diagonal carry qr_positive's signs too
-    assert np.array_equal(np.signbit(np.tril(factors, -1)),
-                          np.signbit(np.tril(np.array(want_factors), -1)))
+    for path in STEP_PATHS:
+        with _step_path(path):
+            frames, factors = frame_sweep(maps, q0)
+        assert np.array_equal(frames, np.array(want_frames))
+        assert np.array_equal(factors, np.array(want_factors))
+        # the zeros below the diagonal carry qr_positive's signs too
+        assert np.array_equal(np.signbit(np.tril(factors, -1)),
+                              np.signbit(np.tril(np.array(want_factors), -1)))
     return frames, factors, np.array(raw)
 
 
@@ -170,18 +189,77 @@ def test_batched_frame_sweep_equals_per_item_sweeps(b, d, k, backward):
     if backward:
         maps = np.linalg.inv(maps)[:, ::-1]
     q0 = np.stack([frame(d, seed=7 + i)[:, :k] for i in range(b)])
-    frames, factors = frame_sweep(maps, q0)
     m = maps.shape[1]
-    assert frames.shape == (b, m + 1, d, k) and factors.shape == (b, m, k, k)
-    for i in range(b):
-        want_frames, want_factors = frame_sweep(maps[i], q0[i])
-        assert np.array_equal(frames[i], want_frames)
-        assert np.array_equal(factors[i], want_factors)
-    # cut in two, the second piece seeded with the first one's last frame
-    head, head_factors = frame_sweep(maps[:, :17], q0)
-    tail, tail_factors = frame_sweep(maps[:, 17:], head[:, -1])
-    assert np.array_equal(np.concatenate([head, tail[:, 1:]], axis=1), frames)
-    assert np.array_equal(np.concatenate([head_factors, tail_factors], axis=1), factors)
+    sweeps = []
+    for path in STEP_PATHS:
+        with _step_path(path):
+            frames, factors = frame_sweep(maps, q0)
+            assert frames.shape == (b, m + 1, d, k) and factors.shape == (b, m, k, k)
+            for i in range(b):
+                want_frames, want_factors = frame_sweep(maps[i], q0[i])
+                assert np.array_equal(frames[i], want_frames)
+                assert np.array_equal(factors[i], want_factors)
+            # cut in two, the second piece seeded with the first one's last frame
+            head, head_factors = frame_sweep(maps[:, :17], q0)
+            tail, tail_factors = frame_sweep(maps[:, 17:], head[:, -1])
+        assert np.array_equal(np.concatenate([head, tail[:, 1:]], axis=1), frames)
+        assert np.array_equal(np.concatenate([head_factors, tail_factors], axis=1), factors)
+        sweeps.append((frames, factors))
+    (frames, factors), (wrapped, wrapped_factors) = sweeps
+    assert np.array_equal(frames, wrapped) and np.array_equal(factors, wrapped_factors)
+
+
+def _qr_loop_frames(maps, q0):
+    """Frames of a plain np.linalg.qr loop, without the sign convention."""
+    frames = [q0]
+    for a in maps:
+        frames.append(np.linalg.qr(a @ frames[-1])[0])
+    return np.array(frames)
+
+
+def _warning_raised(sweep):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning) as info:
+            sweep()
+    return str(info.value)
+
+
+def _infinite_maps():
+    maps = _sweep_maps(3, m=4, seed=5)
+    maps[1, 2, 0] = np.inf
+    return maps
+
+
+@pytest.mark.parametrize("path", STEP_PATHS)
+@pytest.mark.parametrize("maps", [np.full((3, 3, 3), 1.5e308), _infinite_maps()],
+                         ids=["overflow", "inf"])
+def test_non_finite_products_warn_as_a_plain_qr_loop_does(path, maps):
+    # the product of a step is formed outside the QR kernels' errstate, so
+    # its overflow or invalid value warns, as np.linalg.qr's caller sees it
+    q0 = frame(3, seed=7)[:, :2]
+    with _step_path(path):
+        message = _warning_raised(lambda: frame_sweep(maps, q0))
+        assert message == _warning_raised(lambda: _qr_loop_frames(maps, q0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            frames, _ = frame_sweep(maps, q0)
+            want = _qr_loop_frames(maps, q0)
+    assert not np.all(np.isfinite(frames))
+    assert np.array_equal(np.isfinite(frames), np.isfinite(want))
+    assert np.array_equal(frames[~np.isfinite(frames)], want[~np.isfinite(want)], equal_nan=True)
+
+
+@pytest.mark.parametrize("path", STEP_PATHS)
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_float32_and_int_maps_sweep_as_their_float64_values(path, dtype):
+    maps = np.round(4.0 * _sweep_maps(3, seed=9)).astype(dtype)
+    q0 = frame(3, seed=7)[:, :2]
+    with _step_path(path):
+        frames, factors = frame_sweep(maps, q0)
+        want_frames, want_factors = frame_sweep(maps.astype(np.float64), q0)
+    assert frames.dtype == factors.dtype == np.float64
+    assert np.array_equal(frames, want_frames) and np.array_equal(factors, want_factors)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])

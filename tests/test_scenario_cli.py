@@ -351,9 +351,29 @@ def _scalar_entry(**fields):
     {**_SEEDED, "seed": float("inf")},
     {**_SEEDED, "bands": [[0.4, "high"], [1.6, 2.0]]},
     {"kind": "constant", "matrix": [[2, "zero"], [0, 0.5]]},
+    # float() takes booleans and strings of digits; a payload may not
+    _scalar_entry(kind="constant", value=True),
+    _scalar_entry(kind="constant", value="0.5"),
+    _scalar_entry(kind="periodic", values=[0.5, True]),
+    _scalar_entry(kind="periodic", values="12"),
+    _scalar_entry(kind="piecewise", negative=["0.5"], nonnegative=[0.5]),
+    _scalar_entry(kind="piecewise", negative=[0.5], nonnegative=[True]),
+    _scalar_entry(kind="seeded-random", seed=1, band=["0.5", True]),
+    {**_SEEDED, "eps": "0"},
+    {**_SEEDED, "eps": False},
+    {**_SEEDED, "bands": [[0.4, True], [1.6, 2.0]]},
+    {**_SEEDED, "bands": [[0.4, 0.5], ["1.6", 2.0]]},
+    {"kind": "constant", "matrix": [["2", False], [0, True]]},
+    {"kind": "periodic", "matrices": [[[2, 0], [0, "0.5"]]]},
+    {"kind": "upper-triangular",
+     "diagonal": [{"kind": "constant", "value": 2.0}, {"kind": "constant", "value": 0.5}],
+     "offdiagonal": [{"row": False, "col": True, "entry": {"kind": "constant", "value": 1.0}}]},
 ], ids=["value-nan", "value-inf", "value-str", "value-null", "values-number", "band-str",
         "band-null", "scalar-seed-1.5", "eps-str", "eps-null", "eps-nan", "seed-str",
-        "seed-null", "seed-1.5", "seed-true", "seed-inf", "bands-str", "matrix-str"])
+        "seed-null", "seed-1.5", "seed-true", "seed-inf", "bands-str", "matrix-str",
+        "value-true", "value-digits", "values-true", "values-digits", "negative-digits",
+        "nonnegative-true", "band-digits-true", "eps-digits", "eps-false", "bands-true",
+        "bands-digits", "matrix-digits-bools", "matrices-digits", "offdiagonal-bools"])
 def test_cli_rejects_malformed_system_fields(tmp_path, capsys, system):
     path = write_scenario(tmp_path, "bad", {"name": "bad", "system": system})
     assert main(["spectrum", path, "--out", str(tmp_path)]) == 2
