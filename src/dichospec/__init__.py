@@ -22,9 +22,8 @@ from .dichotomy import (DecayFit, DichotomyAnalyzer, DichotomyParams,
                         periodic_spectrum_oracle, scalar_spectrum,
                         test_dichotomy)
 from .errors import (DichospecError, DecayFitError, ParameterError,
-                     ProjectorDriftError, SingularMatrixError,
-                     SpectrumConsistencyError, SubspaceError, ValidationError,
-                     WindowCapError)
+                     SingularMatrixError, SpectrumConsistencyError, SubspaceError,
+                     ValidationError, WindowCapError)
 from .scenario import Scenario, ScenarioError, canonical_json, load_scenario
 from .sequences import BoundReport, MatrixSequence, ScalarSequence
 from .transition import (OrbitLog, ScaledMatrix, WindowProducts,
@@ -46,7 +45,7 @@ __all__ = [
     "SpectralInterval", "SpectrumEstimate", "estimate_spectrum",
     "fit_decay_constants", "periodic_spectrum_oracle", "scalar_spectrum",
     "test_dichotomy",
-    "DichospecError", "DecayFitError", "ParameterError", "ProjectorDriftError",
+    "DichospecError", "DecayFitError", "ParameterError",
     "SingularMatrixError", "SpectrumConsistencyError", "SubspaceError",
     "ValidationError", "WindowCapError",
     "Scenario", "ScenarioError", "canonical_json", "load_scenario",

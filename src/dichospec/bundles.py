@@ -1,148 +1,130 @@
 """Invariant projectors and spectral bundle fibers.
 
-A certified exponential splitting at rate ``gamma`` induces a projector
-``P(0)`` onto the stable subspace along the unstable one.  Conjugating with
-the transition matrices moves the projector along the orbit,
-
-    P(n) = X(n, 0) P(0) X(0, n),
-
-which commutes with the dynamics by construction.  Intersecting the ranges
-and kernels of projectors taken on both sides of a spectral gap produces
+A certified exponential splitting at rate ``gamma`` of rank s has a
+dichotomy projector ``P(n)`` at every time: onto the s-dimensional stable
+family along the unstable one.  Both families are read off one flag pair
+swept across the window, the flag construction of covariant Lyapunov
+vectors (Ginelli et al. 2007; Dieci, Elia & Van Vleck 2010): F forward on
+the factors, most amplified directions first, and B backward on their
+inverses, most contracted first.  The leading d - s columns of F span the
+unstable family and the leading s columns of B the stable one, so each
+family is the kernel of the other flag's trailing columns, and ``P(n)``
+follows from those complements at each n alone.  Nothing is carried from
+one time to the next, so it commutes with the dynamics to rounding over
+the whole window; conjugating ``P(0)`` with transition matrices would
+amplify its rounding by the rate ratio across the gap at every step.
+Intersecting the families taken on both sides of a spectral gap produces
 the fiber of the spectral bundle attached to the interval in between.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds
-from .errors import ParameterError, ProjectorDriftError, SubspaceError, ValidationError
+from .errors import ParameterError, SubspaceError, ValidationError
 from .linalg import (_nullspace, batched_spectral_norm, canonical_basis, frame_sweep,
                      min_principal_angle, spectral_norm, subspace_intersection)
 from .sequences import MatrixSequence
-from .transition import transition
 
-# Idempotency drift below this is repaired without comment.
-SILENT_DRIFT = 1e-9
-# Drift up to this is repaired with a warning; beyond it the conjugation
-# window has outrun the certified decay and the projector is meaningless.
-REPAIR_DRIFT = 1e-6
+IDEMPOTENT_TOL = 1e-9  # largest ||P^2 - P|| a projector family accepts
 CONTAINS_RTOL = 1e-8  # relative residual of a vector that lies in a fiber
 WHITNEY_THRESHOLD = 1e-3  # least sigma_min of stacked fiber bases in a Whitney sum
+# Steps the restriction flag pair is swept outside its window before its
+# rows are kept; fiber restriction defaults to it and projector families
+# use it, so both read the same cached sweep.
+BURN_IN = 128
 # Steps per batched frame_sweep call, and fiber times per stacked nullspace
 # SVD, in fiber restriction; stacks over a whole long window cost several
 # MiB of QR and SVD buffers.
 _SLICE = 256
 
 
-def _oblique_projector(range_basis: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
-    """Projector onto span(range_basis) along span(kernel_basis)."""
-    d = range_basis.shape[0]
-    r = range_basis.shape[1]
-    t = np.hstack([range_basis, kernel_basis])
-    if t.shape != (d, d):
-        raise SubspaceError(
-            f"range ({r}) and kernel ({kernel_basis.shape[1]}) dimensions "
-            f"do not fill dimension {d}")
-    mask = np.zeros(d)
-    mask[:r] = 1.0
-    try:
-        return (t * mask) @ np.linalg.inv(t)
-    except np.linalg.LinAlgError as exc:
-        raise SubspaceError("stable and unstable subspaces are not transverse") from exc
-
-
-def _reidempotize(p: np.ndarray, rank: int) -> np.ndarray:
-    """Rebuild a drifted projector from its singular directions.
-
-    The leading ``rank`` left singular vectors span the range, the trailing
-    right singular vectors span the kernel; the projector onto the former
-    along the latter is idempotent to machine precision.
-    """
-    u, _, vt = np.linalg.svd(p)
-    return _oblique_projector(u[:, :rank], vt[rank:].T)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ProjectorFamily:
-    """Dichotomy projector ``P(n)``, propagated lazily from ``P(0)``.
+    """Dichotomy projectors ``P(n)`` tabulated over a window ``[-w, w]``.
 
-    Instances are created from a certificate via :func:`projector_family`.
-    ``at`` conjugates the base projector with the transition matrices and
-    repairs small idempotency drift; drift beyond ``REPAIR_DRIFT`` raises
-    :class:`ProjectorDriftError` since it means the conjugation window is
-    too long for the certified decay rates.
+    ``projectors[n + w]`` is ``P(n)``, the projector onto the rank-``rank``
+    stable family along the unstable one, and ``factors[n + w]`` is A(n)
+    for -w <= n < w.  Instances are created from a certificate via
+    :func:`projector_family`; the constructor checks that the two stacks
+    cover one window and that every ``P(n)`` is idempotent to
+    ``IDEMPOTENT_TOL``, raising :class:`ValidationError` otherwise.
     """
 
-    seq: MatrixSequence
     gamma: float
     rank: int
-    base: np.ndarray
-    _cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    projectors: np.ndarray
+    factors: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.seq.dimension
-        if self.base.shape != (d, d):
+        p, a = self.projectors, self.factors
+        if (p.ndim != 3 or p.shape[0] % 2 != 1 or p.shape[1] != p.shape[2]
+                or a.shape != (p.shape[0] - 1, *p.shape[1:])):
             raise ValidationError(
-                f"base projector shape {self.base.shape} does not match dimension {d}")
-        drift = spectral_norm(self.base @ self.base - self.base)
-        if drift > SILENT_DRIFT:
-            raise ValidationError(f"base projector is not idempotent (drift {drift:.3e})")
-        self._cache[0] = self.base
+                f"projector stack {p.shape} and factor stack {a.shape} do not "
+                "cover one window [-w, w] and [-w, w - 1]")
+        drift = float(np.max(batched_spectral_norm(p @ p - p)))
+        if drift > IDEMPOTENT_TOL:
+            raise ValidationError(f"projector stack is not idempotent (drift {drift:.3e})")
 
     @property
     def dimension(self) -> int:
-        return self.seq.dimension
+        return self.projectors.shape[1]
+
+    @property
+    def window(self) -> int:
+        return (self.projectors.shape[0] - 1) // 2
+
+    def _index(self, n: int, last: int) -> int:
+        w = self.window
+        if not -w <= n <= last:
+            raise ParameterError(f"n = {n} lies outside the projector window [{-w}, {last}]")
+        return n + w
 
     def at(self, n: int) -> np.ndarray:
-        """P(n) = X(n,0) P(0) X(0,n), with idempotency repair."""
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
-        fwd = transition(self.seq, n, 0)
-        bwd = transition(self.seq, 0, n)
-        log_scale = fwd.log_scale + bwd.log_scale
-        if abs(log_scale) > 500.0:
-            raise ProjectorDriftError(
-                f"transition scales at n={n} overflow the projector conjugation; "
-                "the window is too long for the certified rates")
-        p = (fwd.core @ self.base @ bwd.core) * np.exp(log_scale)
-        drift = spectral_norm(p @ p - p)
-        if drift > REPAIR_DRIFT:
-            raise ProjectorDriftError(
-                f"projector at n={n} drifted by {drift:.3e} "
-                f"(repair threshold {REPAIR_DRIFT:.0e}); shorten the window or "
-                "recompute the certificate with a larger margin")
-        if drift > 1e-14:
-            if drift > SILENT_DRIFT:
-                warnings.warn(
-                    f"projector at n={n} drifted by {drift:.3e}; re-idempotized",
-                    stacklevel=2)
-            p = _reidempotize(p, self.rank)
-        self._cache[n] = p
-        return p
+        """P(n), for -w <= n <= w."""
+        return self.projectors[self._index(n, self.window)]
 
     def commutation_residual(self, n: int) -> float:
-        """|| A(n) P(n) - P(n+1) A(n) ||, which should vanish."""
-        a = self.seq.evaluate(n)
-        return spectral_norm(a @ self.at(n) - self.at(n + 1) @ a)
+        """|| A(n) P(n) - P(n+1) A(n) ||, which should vanish; -w <= n < w."""
+        i = self._index(n, self.window - 1)
+        a = self.factors[i]
+        return spectral_norm(a @ self.projectors[i] - self.projectors[i + 1] @ a)
 
 
 def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> ProjectorFamily:
-    """Build the dichotomy projector family from a certificate.
+    """Build the dichotomy projector family over a certificate's window.
 
-    ``P(0)`` projects onto the certified stable subspace along the unstable
-    one.  Raises :class:`ValidationError` when the verdict is not a
-    certificate (there is no invariant splitting to project onto).
+    With s = ``verdict.rank`` and w = ``verdict.window``, the restriction
+    flag pair over ``[-w, w]`` (see :func:`restricted_fiber_system`, whose
+    cached sweep at burn-in ``BURN_IN`` this shares) gives at each n the
+    rows M = [trailing s columns of F; trailing d - s columns of B]^T.  The
+    first block vanishes on the unstable family and the second on the
+    stable one, so P(n) = M^-1 diag(I_s, 0) M, one batched inverse over all
+    2w + 1 times.  Ranks 0 and d give P = 0 and P = I.  Raises
+    :class:`ValidationError` when the verdict is not a certificate (there
+    is no invariant splitting to project onto) and :class:`SubspaceError`
+    when the two families are not transverse at some n.
     """
     if not verdict.is_certificate:
         raise ValidationError(
             f"verdict at gamma={verdict.gamma} is '{verdict.outcome}', not a certificate")
-    base = _oblique_projector(verdict.stable_basis, verdict.unstable_basis)
-    return ProjectorFamily(seq=seq, gamma=verdict.gamma, rank=verdict.rank, base=base)
+    d, s, w = seq.dimension, verdict.rank, verdict.window
+    if 0 < s < d:
+        rows, factors = _restriction_flags(seq, w, BURN_IN)
+        m = np.concatenate([rows[:, 0, d - 1 - s:], rows[:, 1, s - 1:]], axis=1)
+        try:
+            projectors = np.linalg.inv(m)[:, :, :s] @ m[:, :s]
+        except np.linalg.LinAlgError as exc:
+            raise SubspaceError("stable and unstable families are not transverse") from exc
+    else:
+        factors = seq.window(-w, w - 1)
+        projectors = np.repeat(np.eye(d)[None] * (s == d), 2 * w + 1, axis=0)
+    return ProjectorFamily(gamma=verdict.gamma, rank=s, projectors=projectors,
+                           factors=factors)
 
 
 @dataclass(frozen=True)
@@ -275,7 +257,7 @@ def _restriction_flags(seq: MatrixSequence, w: int,
 
 def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
                             index: int, *, window: int,
-                            burn_in: int = 128) -> tuple[np.ndarray, MatrixSequence]:
+                            burn_in: int = BURN_IN) -> tuple[np.ndarray, MatrixSequence]:
     """Coefficient dynamics of the solutions living on one bundle fiber.
 
     Sampling a non-extremal fiber through plain forward products is

@@ -43,7 +43,3 @@ class SpectrumConsistencyError(DichospecError):
 
 class SubspaceError(DichospecError):
     """A computed subspace has the wrong dimension or is degenerate."""
-
-
-class ProjectorDriftError(DichospecError):
-    """Propagated projector lost idempotency beyond the repair threshold."""

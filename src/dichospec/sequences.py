@@ -460,8 +460,9 @@ class MatrixSequence:
             raise ParameterError("upper-triangular kind needs diagonal entries")
         off = []
         for (i, j), entry in sorted((offdiagonal or {}).items()):
-            if not (0 <= i < j < d):
-                raise ParameterError(f"off-diagonal index ({i}, {j}) must satisfy 0 <= i < j < d")
+            if not (0 <= i < j < d) or i != int(i) or j != int(j):
+                raise ParameterError(
+                    f"off-diagonal index ({i}, {j}) must be integers with 0 <= i < j < d")
             off.append((int(i), int(j), entry))
         return cls(dimension=d, kind="upper-triangular", diagonal=diag,
                    offdiagonal=tuple(off))
@@ -681,9 +682,15 @@ class MatrixSequence:
             elif kind == "diagonal":
                 seq = cls.diagonal([ScalarSequence.from_payload(e) for e in payload["entries"]])
             elif kind == "upper-triangular":
-                off = {_payload_numbers((e["row"], e["col"]), "off-diagonal row and col"):
-                       ScalarSequence.from_payload(e["entry"])
-                       for e in payload.get("offdiagonal", [])}
+                off = {}
+                for e in payload.get("offdiagonal", []):
+                    i, j = _payload_numbers((e["row"], e["col"]), "off-diagonal row and col")
+                    if i != int(i) or j != int(j):
+                        raise ValidationError(
+                            f"off-diagonal index ({i}, {j}) must be a pair of integers")
+                    if (i, j) in off:
+                        raise ValidationError(f"off-diagonal entry ({i}, {j}) is given twice")
+                    off[i, j] = ScalarSequence.from_payload(e["entry"])
                 seq = cls.upper_triangular(
                     [ScalarSequence.from_payload(e) for e in payload["diagonal"]], off)
             elif kind == "seeded-random":

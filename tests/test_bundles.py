@@ -16,8 +16,8 @@ from dichospec.cli import spectrum_payload
 from dichospec.dichotomy import (DichotomyAnalyzer, DichotomyParams, SpectralInterval,
                                  SpectrumEstimate, estimate_spectrum)
 from dichospec.dichotomy import test_dichotomy as dichotomy_verdict
-from dichospec.errors import (ParameterError, ProjectorDriftError,
-                              SingularMatrixError, SubspaceError, ValidationError)
+from dichospec.errors import (ParameterError, SingularMatrixError, SubspaceError,
+                              ValidationError)
 from dichospec.linalg import frame_sweep, min_principal_angle, principal_angles
 from dichospec.sequences import MatrixSequence
 from bruteforce import restricted_by_intersection
@@ -52,17 +52,23 @@ def test_autonomous_projector_is_constant_diagonal():
 
 
 def test_projector_commutes_with_the_dynamics():
-    # exact splitting: the conjugated family commutes over a wide range
     diag = diag_2_half()
     fam = projector_family(diag, dichotomy_verdict(diag, 1.0))
-    for n in range(-60, 61, 5):
+    assert fam.window == 256
+    for n in range(-fam.window, fam.window):
         assert fam.commutation_residual(n) <= 1e-8
-    # certified splitting of a seeded system: basis error grows away from
-    # time zero, so only a moderate range stays numerically invariant
-    seq = MatrixSequence.seeded(12, bands=((0.4, 0.55), (1.6, 1.9)))
-    fam = projector_family(seq, dichotomy_verdict(seq, 1.0))
-    for n in range(-15, 16, 3):
-        assert fam.commutation_residual(n) <= 1e-8
+    systems = [MatrixSequence.seeded(0, SEEDED_BANDS[d]) for d in (2, 3, 6)]
+    systems.append(MatrixSequence.seeded(12, bands=((0.4, 0.55), (1.6, 1.9))))
+    for seq in systems:
+        for cert in estimate_spectrum(seq).gap_certificates:
+            if cert is None:
+                continue
+            fam = projector_family(seq, cert)
+            # P(0) is the certificate's splitting
+            assert np.allclose(fam.at(0) @ cert.stable_basis, cert.stable_basis, atol=1e-8)
+            assert np.allclose(fam.at(0) @ cert.unstable_basis, 0.0, atol=1e-8)
+            for n in range(-fam.window, fam.window):
+                assert fam.commutation_residual(n) <= 1e-8, (seq.dimension, cert.rank, n)
 
 
 def test_projector_image_is_gamma_independent_within_a_gap():
@@ -80,20 +86,24 @@ def test_projector_rejects_non_certificate():
         projector_family(seq, dichotomy_verdict(seq, 2.0))
 
 
-def test_projector_conjugation_overflows_loudly():
-    # far from time zero the conjugating transition outgrows its scale
-    # budget; the family must refuse rather than return noise
+def test_projector_refuses_times_outside_its_window():
     seq = diag_2_half()
     fam = projector_family(seq, dichotomy_verdict(seq, 1.0))
-    with pytest.raises(ProjectorDriftError):
-        fam.at(800)
+    w = fam.window
+    for n in (-w - 1, w + 1):
+        with pytest.raises(ParameterError, match="outside the projector window"):
+            fam.at(n)
+    with pytest.raises(ParameterError, match="outside the projector window"):
+        fam.commutation_residual(w)
 
 
-def test_projector_base_must_be_idempotent():
+def test_projector_stack_must_be_idempotent():
     seq = diag_2_half()
+    fam = projector_family(seq, dichotomy_verdict(seq, 1.0))
+    stack = fam.projectors.copy()
+    stack[3] = [[0.5, 0.0], [0.0, 0.5]]
     with pytest.raises(ValidationError):
-        ProjectorFamily(seq=seq, gamma=1.0, rank=1,
-                        base=np.array([[0.5, 0.0], [0.0, 0.5]]))
+        ProjectorFamily(gamma=1.0, rank=1, projectors=stack, factors=fam.factors)
 
 
 # -- fibers -------------------------------------------------------------------

@@ -368,12 +368,21 @@ def _scalar_entry(**fields):
     {"kind": "upper-triangular",
      "diagonal": [{"kind": "constant", "value": 2.0}, {"kind": "constant", "value": 0.5}],
      "offdiagonal": [{"row": False, "col": True, "entry": {"kind": "constant", "value": 1.0}}]},
+    # an index is an integer, and each (row, col) is given once
+    {"kind": "upper-triangular",
+     "diagonal": [{"kind": "constant", "value": 2.0}, {"kind": "constant", "value": 0.5}],
+     "offdiagonal": [{"row": 0.5, "col": 1.9, "entry": {"kind": "constant", "value": 1.0}}]},
+    {"kind": "upper-triangular",
+     "diagonal": [{"kind": "constant", "value": 2.0}, {"kind": "constant", "value": 0.5}],
+     "offdiagonal": [{"row": 0, "col": 1, "entry": {"kind": "constant", "value": 1.0}},
+                     {"row": 0.0, "col": 1.0, "entry": {"kind": "constant", "value": 5.0}}]},
 ], ids=["value-nan", "value-inf", "value-str", "value-null", "values-number", "band-str",
         "band-null", "scalar-seed-1.5", "eps-str", "eps-null", "eps-nan", "seed-str",
         "seed-null", "seed-1.5", "seed-true", "seed-inf", "bands-str", "matrix-str",
         "value-true", "value-digits", "values-true", "values-digits", "negative-digits",
         "nonnegative-true", "band-digits-true", "eps-digits", "eps-false", "bands-true",
-        "bands-digits", "matrix-digits-bools", "matrices-digits", "offdiagonal-bools"])
+        "bands-digits", "matrix-digits-bools", "matrices-digits", "offdiagonal-bools",
+        "offdiagonal-fractional-index", "offdiagonal-duplicate"])
 def test_cli_rejects_malformed_system_fields(tmp_path, capsys, system):
     path = write_scenario(tmp_path, "bad", {"name": "bad", "system": system})
     assert main(["spectrum", path, "--out", str(tmp_path)]) == 2

@@ -328,6 +328,15 @@ def test_tabulated_scalar_window_names_the_first_missing_index():
         u.value_at(10)
 
 
+def test_integral_float_offdiagonal_index_loads():
+    seq = MatrixSequence.from_payload({
+        "kind": "upper-triangular",
+        "diagonal": [{"kind": "constant", "value": 2.0}, {"kind": "constant", "value": 0.5}],
+        "offdiagonal": [{"row": 0.0, "col": 1.0, "entry": {"kind": "constant", "value": 3.0}}]})
+    assert seq.offdiagonal[0][:2] == (0, 1)
+    assert np.array_equal(seq.evaluate(0), [[2.0, 3.0], [0.0, 0.5]])
+
+
 def test_negative_seeds_are_rejected():
     with pytest.raises(ParameterError):
         ScalarSequence.seeded(-1, (0.5, 0.8))
@@ -351,7 +360,11 @@ def test_negative_seeds_are_rejected():
     lambda: MatrixSequence.seeded(1, bands=((0.4, 0.5), (1.6, 2.0)), eps=float("nan")),
     lambda: ScalarSequence.seeded(1.5, (0.5, 0.8)),
     lambda: MatrixSequence.seeded(True, bands=((0.4, 0.5), (1.6, 2.0))),
-], ids=["constant-nan", "constant-inf", "tabulated-nan", "eps-nan", "seed-1.5", "seed-true"])
+    lambda: MatrixSequence.upper_triangular(
+        [ScalarSequence.constant(2.0), ScalarSequence.constant(0.5)],
+        {(0.5, 1.9): ScalarSequence.constant(1.0)}),
+], ids=["constant-nan", "constant-inf", "tabulated-nan", "eps-nan", "seed-1.5", "seed-true",
+        "offdiagonal-index-0.5"])
 def test_non_finite_values_and_non_integer_seeds_are_refused(build):
     with pytest.raises(ParameterError):
         build()
