@@ -37,8 +37,8 @@ WHITNEY_THRESHOLD = 1e-3  # least sigma_min of stacked fiber bases in a Whitney 
 # use it, so both read the same cached sweep.
 BURN_IN = 128
 # Steps per batched frame_sweep call, and fiber times per stacked nullspace
-# SVD, in fiber restriction; stacks over a whole long window cost several
-# MiB of QR and SVD buffers.
+# QR, in fiber restriction; stacks over a whole long window cost several
+# MiB of QR buffers.
 _SLICE = 256
 
 
@@ -282,7 +282,11 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     the trailing columns of each flag span that family's orthogonal
     complement.  At every time the fiber is the nullspace of those
     complement rows, found by the nullspace step shared with
-    :func:`~dichospec.linalg.subspace_intersection`, and its frame is the
+    :func:`~dichospec.linalg.subspace_intersection`: one batched complete
+    QR per slice of times, whose trailing Q columns are the nullspace where
+    a bound read off R certifies full rank, with the SVD's
+    singular-value count only at times the bound cannot certify, so a time
+    is flagged exactly when that count flags it.  The frame is the
     span-canonical :func:`~dichospec.linalg.canonical_basis`, so the frame
     depends on the fiber alone and not on sweep rounding.  The one-step
     factors of the fiber coordinates are read off those frames.

@@ -3,7 +3,16 @@
 Everything here operates on modest-sized ndarrays (system dimension is
 typically 1..10), so plain LAPACK calls via numpy are adequate.  The
 spectral norm (largest singular value) is the norm used everywhere a
-matrix norm appears in reported quantities.
+matrix norm appears in reported quantities; a stack of columns takes it
+as the vector 2-norm, without an SVD.
+
+The nullspace step shared by :func:`subspace_intersection` and fiber
+restriction is one batched complete QR of the stacked rows' transpose,
+not an SVD.  Its rank test is certified from R alone: a bound on the
+ratio of the smallest to the largest singular value that, above twice
+``NULLSPACE_RTOL``, proves the singular-value count would find full rank
+too.  Only items the bound cannot certify take the SVD and its count, so
+every rank equals the SVD count.
 
 :func:`frame_sweep` is the one place where orthonormal frames are carried
 along an orbit (discrete QR); every QR walk in the package goes through it.
@@ -35,9 +44,20 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def batched_spectral_norm(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (m, d, k) stack."""
+    """Largest singular value of each matrix in a (m, d, k) stack.
+
+    A column (k = 1) has its vector 2-norm as that value, so a stack of
+    columns takes the vector norm instead of an SVD.  Each column is scaled
+    by a power of two near its largest entry first, which is exact, so
+    squaring neither overflows nor underflows where the SVD would not; a
+    1 x 1 item gives its absolute value bit for bit.
+    """
     if stack.size == 0:
         return np.zeros(stack.shape[0])
+    if stack.shape[2] == 1:
+        _, exp = np.frexp(np.max(np.abs(stack), axis=(1, 2)))
+        unit = np.ldexp(stack, -exp[:, None, None])
+        return np.ldexp(np.sqrt(np.einsum("lij,lij->l", unit, unit)), exp)
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
@@ -222,19 +242,48 @@ def _nullspace(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A matrix's rank counts its singular values above ``NULLSPACE_RTOL``
     times the largest; a zero matrix, or one without rows, has rank 0.
     Returns ``(bases, dims)``: ``dims`` (m,) holds each nullspace's
-    dimension and ``bases`` (m, d, max(dims)) holds item i's basis, the
-    trailing right singular vectors, in its first ``dims[i]`` columns,
-    zeros after.
+    dimension and ``bases`` (m, d, max(dims)) holds item i's basis in its
+    first ``dims[i]`` columns, zeros after.
+
+    One complete QR of the transposed stack, rows^T = Q R, does the work.
+    R has the rows' singular values, and when the rows have full rank
+    n = min(r, d) the trailing d - n columns of Q span the nullspace.
+    Rank is decided in two steps.  The bound
+    sigma_min / sigma_max >= |det R_1| / ||R||_F^n (R_1 the leading n x n
+    block, sigma_max <= ||R||_F, and the product of the singular values at
+    least |det R_1|) is computed from R alone, and Householder QR gives R
+    to absolute rounding, so the bound sees the small sines of nearly
+    shared directions that cosines would lose (Bjorck & Golub 1973).  A
+    bound above twice ``NULLSPACE_RTOL`` certifies full rank with a margin
+    far wider than rounding, so the singular-value count would find it
+    too.  Only the items it cannot certify (rank deficient, near the
+    cutoff, zero or non-finite: a NaN bound certifies nothing) get a full
+    SVD and the count itself, with the trailing right singular vectors as
+    their basis.  A NaN item therefore raises ``LinAlgError`` from that
+    SVD.
     """
     d = rows.shape[-1]
-    _, s, vt = np.linalg.svd(rows)
+    full = min(rows.shape[1], d)
+    q, tri = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")
+    # scaled to a largest entry of 1, so the norm neither overflows nor
+    # underflows and each diagonal factor of the bound is at most 1
+    with np.errstate(all="ignore"):
+        unit = tri / np.max(np.abs(tri), axis=(1, 2), initial=0.0, keepdims=True)
+        bound = (np.prod(np.abs(np.diagonal(unit, axis1=1, axis2=2)), axis=-1)
+                 / np.sqrt(np.einsum("lij,lij->l", unit, unit)) ** full)
+    doubt = np.flatnonzero(~(bound > 2 * NULLSPACE_RTOL))
+    dims = np.full(len(rows), d - full)
+    if not doubt.size:
+        return q[:, :, full:], dims
+    _, s, vt = np.linalg.svd(rows[doubt])
     rank = np.sum(s > NULLSPACE_RTOL * s[:, :1], axis=-1)
-    dims = d - rank
-    null_rows = np.zeros((len(rows), dims.max(initial=0), d))
+    dims[doubt] = d - rank
+    bases = np.zeros((len(rows), d, dims.max()))
+    bases[:, :, : d - full] = q[:, :, full:]
     for r in set(rank.tolist()):
         same = rank == r
-        null_rows[same, : d - r] = vt[same, r:]
-    return np.swapaxes(null_rows, 1, 2), dims
+        bases[doubt[same], :, : d - r] = np.swapaxes(vt[same, r:], 1, 2)
+    return bases, dims
 
 
 def _complement_rows(a: np.ndarray) -> np.ndarray:
@@ -253,7 +302,10 @@ def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Membership in each span is imposed through the orthogonal complement:
     x lies in span(a) iff comp(a)^T x = 0.  The stacked complement rows go
     through the nullspace step :func:`_nullspace`, the same step that
-    intersects the flags of :func:`dichospec.bundles.restricted_fiber_system`.
+    intersects the flags of :func:`dichospec.bundles.restricted_fiber_system`:
+    a complete QR whose trailing Q columns are the intersection once R
+    certifies the rows' full rank, and the SVD count only where it cannot.
+    The basis is therefore the SVD one's span, not its columns.
     """
     bases, dims = _nullspace(np.concatenate([_complement_rows(a), _complement_rows(b)])[None])
     return bases[0, :, : dims[0]]

@@ -1,14 +1,15 @@
 import contextlib
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bruteforce import intersection_by_complements
 from dichospec import linalg
-from dichospec.linalg import (_complement_rows, _nullspace, canonical_basis, frame_sweep,
-                              min_principal_angle, principal_angles, qr_positive,
+from dichospec.linalg import (_complement_rows, _nullspace, batched_spectral_norm, canonical_basis,
+                              frame_sweep, min_principal_angle, principal_angles, qr_positive,
                               subspace_intersection)
 
 E = np.eye(6)
@@ -309,15 +310,17 @@ def _frame_stack(m, d, p, seed):
 
 def _assert_matches_single_pairs(a, b, d):
     """The nullspace step on the stacked complement rows of every pair
-    equals the one-pair intersection, and the reference, bit for bit."""
+    equals the one-pair intersection bit for bit, and spans the SVD
+    reference's intersection, of the same dimension, to rounding."""
     rows = np.stack([np.concatenate([_complement_rows(x), _complement_rows(y)])
                      for x, y in zip(a, b)])
     bases, dims = _nullspace(rows)
     assert bases.shape == (len(a), d, max(dims))
     for i in range(len(a)):
         single = subspace_intersection(a[i], b[i])
-        assert np.array_equal(single, intersection_by_complements(a[i], b[i], d))
-        assert dims[i] == single.shape[1]
+        reference = intersection_by_complements(a[i], b[i], d)
+        assert dims[i] == single.shape[1] == reference.shape[1]
+        assert np.max(np.abs(single @ single.T - reference @ reference.T), initial=0.0) <= 1e-14
         assert np.array_equal(bases[i, :, : dims[i]], single)
         assert np.all(bases[i, :, dims[i]:] == 0)
     return dims
@@ -349,3 +352,71 @@ def test_stacked_intersection_reports_each_pairs_dimension():
     assert subspace_intersection(line, b[5]).shape == (3, 0)
     assert np.array_equal(subspace_intersection(line, b[5]),
                           intersection_by_complements(line, b[5], 3))
+
+
+def _half_angle_rows(t, q):
+    """Rows of two orthonormal blocks, span(q0, q1) and span(c q0 + s q2, q3, q4),
+    whose smallest principal angle theta has tan(theta / 2) = t: the stacked
+    rows' smallest to largest singular value ratio is exactly t."""
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    return np.stack([q[:, 0], q[:, 1], c * q[:, 0] + s * q[:, 2], q[:, 3], q[:, 4]])
+
+
+def test_nullspace_rank_equals_the_singular_value_count(monkeypatch):
+    q = frame(6, seed=3)
+    # tangent 0 shares a direction exactly
+    tangents = [1e-8 * f for f in (0.5, 0.99, 1.01, 2.0, 1e3)] + [1.0, 0.0]
+    rows = np.stack([_half_angle_rows(t, q) for t in tangents] + [np.zeros((5, 6))])
+    s = np.linalg.svd(rows, compute_uv=False)
+    counted = 6 - np.sum(s > linalg.NULLSPACE_RTOL * s[:, :1], axis=-1)
+    items = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        items.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    bases, dims = _nullspace(rows)
+    monkeypatch.undo()
+    assert dims.tolist() == counted.tolist() == [2, 2, 1, 1, 1, 1, 2, 6]
+    # the items the bound certifies skip the SVD, the others get one each
+    assert len(items) == 1 and 0 < items[0] < len(rows)
+    for basis, dim in zip(bases, dims):
+        assert np.max(np.abs(basis[:, :dim].T @ basis[:, :dim] - np.eye(dim))) <= 1e-15
+        assert np.all(basis[:, dim:] == 0)
+    certified = dims == 1
+    assert np.max(np.abs(rows[certified] @ bases[certified])) <= 1e-15
+    # no rows leave the whole space
+    bases, dims = _nullspace(np.zeros((2, 0, 4)))
+    assert dims.tolist() == [4, 4] and np.array_equal(bases, np.broadcast_to(np.eye(4), (2, 4, 4)))
+    # a NaN bound certifies nothing, so the item reaches the SVD, which refuses it
+    rows[3, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _nullspace(rows)
+
+
+def _exact_norm_within(value, column, rtol):
+    """value is within rtol (relative) of the exact 2-norm of column."""
+    square = sum(Fraction(float(v)) ** 2 for v in column)
+    value, rtol = Fraction(float(value)), Fraction(rtol)
+    return (value * (1 - rtol)) ** 2 <= square <= (value * (1 + rtol)) ** 2
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_column_norms_neither_overflow_nor_underflow(d, scale):
+    columns = np.random.default_rng(d).standard_normal((200, d, 1)) * scale
+    got = batched_spectral_norm(columns)       # warnings fail the test
+    assert np.all(np.isfinite(got)) and np.all(got > 0)
+    if d == 1:
+        assert np.array_equal(got, np.abs(columns[:, 0, 0]))
+    # squaring and summing d terms, then the square root, round within
+    # (d / 2 + 1) u of the exact norm; LAPACK's SVD rescales columns this
+    # small or large by non-powers of two, so it is itself a few ulp off
+    u = np.finfo(float).eps / 2
+    assert all(_exact_norm_within(g, c[:, 0], (d / 2 + 1) * u * (1 + 1e-9))
+               for g, c in zip(got, columns))
+    svd = np.linalg.svd(columns, compute_uv=False)[:, 0]
+    assert np.all(np.abs(got - svd) <= 1e-15 * svd)
+    assert np.array_equal(batched_spectral_norm(np.zeros((3, d, 1))), np.zeros(3))
