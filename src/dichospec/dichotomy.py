@@ -24,9 +24,12 @@ each side:
    frames, small s x s matrices.
 3. Per-gap maxima of restricted product norms (forward on the stable
    family, backward on the unstable family) are assembled once per rank
-   by a doubling scheme; scaling by gamma only shifts these log-envelopes
-   linearly, so every verdict after the first is arithmetic on a few
-   dozen floats.
+   by a doubling scheme, and each side's decay law is fitted to them once,
+   at gamma = 1: its log-slope, tail residual and log K.  Scaling by gamma
+   adds -/+ gap * log(gamma) to the log-envelopes, which shifts the
+   least-squares slope by -/+ log(gamma) and leaves the residual and
+   log K as they are, so a verdict reads rho = exp(slope -/+ log(gamma))
+   and the rest off this per-rank table, without fitting anything.
 4. A candidate certifies when both fitted decay rates stay below
    1 - DELTA_FIT, the envelope is straight over the fitting tail
    (residual gate), and the stable/unstable frames at time 0 are
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -146,7 +149,19 @@ class DecayFit:
         return not (self.rho < 1.0)
 
 
-def _decay_fit(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> DecayFit:
+class _DecayLine(NamedTuple):
+    """Decay law  log-norm <= log_k + gap * slope  in log form."""
+
+    slope: float
+    residual: float
+    log_k: float
+
+    @property
+    def K(self) -> float:
+        return math.exp(min(self.log_k, 700.0))
+
+
+def _decay_line(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> _DecayLine:
     """Decay law  log-norm <= log K + gap log rho  fitted to samples at ``gaps``.
 
     Slope and residual come from a least-squares line over the
@@ -157,9 +172,7 @@ def _decay_fit(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> D
     coef, *_ = np.linalg.lstsq(np.stack([np.ones_like(xs), xs], axis=1), ys, rcond=None)
     intercept, slope = float(coef[0]), float(coef[1])
     residual = float(np.max(np.abs(ys - (intercept + slope * xs))))
-    log_k = float(np.max(values - slope * gaps))
-    return DecayFit(K=math.exp(min(log_k, 700.0)), rho=math.exp(slope),
-                    residual=residual, samples=len(gaps))
+    return _DecayLine(slope, residual, float(np.max(values - slope * gaps)))
 
 
 def fit_decay_constants(samples) -> DecayFit:
@@ -191,7 +204,9 @@ def fit_decay_constants(samples) -> DecayFit:
     g = np.array(gaps)
     if np.ptp(g) == 0.0:
         raise DecayFitError("decay samples must span at least two distinct gaps")
-    return _decay_fit(g, np.array(values), np.ones(len(g), dtype=bool))
+    line = _decay_line(g, np.array(values), np.ones(len(g), dtype=bool))
+    return DecayFit(K=line.K, rho=math.exp(line.slope), residual=line.residual,
+                    samples=len(g))
 
 
 @dataclass(frozen=True)
@@ -231,7 +246,11 @@ class DichotomyVerdict:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """Rank-s splitting data, independent of gamma."""
+    """Rank-s splitting data, independent of gamma.
+
+    Each side's envelope has its decay law fitted at gamma = 1; a side the
+    rank does not have (stable for s = 0, unstable for s = d) is None.
+    """
 
     rank: int
     stable_basis: np.ndarray
@@ -239,6 +258,8 @@ class _Candidate:
     stable_env: np.ndarray | None    # per-gap max log ||X(m+g,m)| stable||
     unstable_env: np.ndarray | None  # per-gap max log ||X(m,m+g)| unstable||
     angle: float
+    stable_fit: _DecayLine | None
+    unstable_fit: _DecayLine | None
 
 
 def _family_seeds(factors: np.ndarray, m_hat: float,
@@ -264,8 +285,9 @@ class DichotomyAnalyzer:
 
     Construction validates the sequence and runs the one QR sweep of the
     rates and the flag pair; each rank's envelopes are built lazily from
-    slices of the flags on first use and cached, so a full spectrum sweep
-    costs little more than a single verdict per distinct rank.
+    slices of the flags on first use, fitted once and cached, so a full
+    spectrum sweep costs little more than a single verdict per distinct
+    rank.
     """
 
     def __init__(self, seq: MatrixSequence, params: DichotomyParams | None = None):
@@ -314,47 +336,55 @@ class DichotomyAnalyzer:
         wp = WindowProducts(factors)
         return np.array([wp.max_log_norm(int(g))[0] for g in self._gaps])
 
+    def _fit(self, env: np.ndarray | None) -> _DecayLine | None:
+        """An envelope's decay law at gamma = 1; slopes from the aligned tail gaps."""
+        return None if env is None else _decay_line(self._gapsf, env, self._slope_mask)
+
     def _candidate(self, s: int) -> _Candidate:
         if s in self._candidates:
             return self._candidates[s]
         d = self.seq.dimension
         if s == 0:
-            cand = _Candidate(rank=0, stable_basis=np.zeros((d, 0)),
-                              unstable_basis=np.eye(d), stable_env=None,
-                              unstable_env=self._env_values(self._usable(self._inverses)[::-1]),
-                              angle=math.pi / 2)
+            stable_basis, unstable_basis = np.zeros((d, 0)), np.eye(d)
+            stable_env, angle = None, math.pi / 2
+            unstable_env = self._env_values(self._usable(self._inverses)[::-1])
         elif s == d:
-            cand = _Candidate(rank=d, stable_basis=np.eye(d),
-                              unstable_basis=np.zeros((d, 0)),
-                              stable_env=self._env_values(self._usable(self._factors)),
-                              unstable_env=None, angle=math.pi / 2)
+            stable_basis, unstable_basis = np.eye(d), np.zeros((d, 0))
+            stable_env = self._env_values(self._usable(self._factors))
+            unstable_env, angle = None, math.pi / 2
         else:
-            cand = self._build_split_candidate(s)
+            # a Householder column depends only on the columns before it, so
+            # the leading s columns of B and the leading d - s of F, with the
+            # leading blocks of their R factors, are the rank-s stable and
+            # unstable families and their restricted steps.
+            # A(n) Vs(n) = Vs(n+1) G(n)^-1 gives the restricted forward
+            # factors; backward norms on the unstable family come from
+            # products of the inverted one-step factors in reversed order
+            u = d - s
+            stable_basis, unstable_basis = self._flags[0][:, :s].copy(), self._flags[1][:, :u].copy()
+            stable_r, unstable_r = self._flag_steps
+            stable_env = self._env_values(np.linalg.inv(stable_r[:, :s, :s]))
+            unstable_env = self._env_values(np.linalg.inv(unstable_r[:, :u, :u])[::-1])
+            angle = min_principal_angle(stable_basis, unstable_basis)
+        cand = _Candidate(rank=s, stable_basis=stable_basis, unstable_basis=unstable_basis,
+                          stable_env=stable_env, unstable_env=unstable_env, angle=angle,
+                          stable_fit=self._fit(stable_env), unstable_fit=self._fit(unstable_env))
         self._candidates[s] = cand
         return cand
-
-    def _build_split_candidate(self, s: int) -> _Candidate:
-        # a Householder column depends only on the columns before it, so the
-        # leading s columns of B and the leading d - s of F, with the leading
-        # blocks of their R factors, are the rank-s stable and unstable
-        # families and their restricted steps.  A(n) Vs(n) = Vs(n+1) G(n)^-1
-        # gives the restricted forward factors; backward norms on the
-        # unstable family come from products of the inverted one-step
-        # factors in reversed order
-        u = self.seq.dimension - s
-        stable_basis, unstable_basis = self._flags[0][:, :s].copy(), self._flags[1][:, :u].copy()
-        stable_r, unstable_r = self._flag_steps
-        stable_env = self._env_values(np.linalg.inv(stable_r[:, :s, :s]))
-        unstable_env = self._env_values(np.linalg.inv(unstable_r[:, :u, :u])[::-1])
-        return _Candidate(rank=s, stable_basis=stable_basis,
-                          unstable_basis=unstable_basis,
-                          stable_env=stable_env, unstable_env=unstable_env,
-                          angle=min_principal_angle(stable_basis, unstable_basis))
 
     # -- per-gamma verdicts ----------------------------------------------------
 
     def verdict(self, gamma: float) -> DichotomyVerdict:
-        """Certificate or in-spectrum verdict for one scaling."""
+        """Certificate or in-spectrum verdict for one scaling.
+
+        The ranks near the count of sampled rates below gamma are tried in
+        order of distance from that count.  Each reads its decay laws off
+        the per-rank table (step 3 of the module docstring): the stable
+        side decays at rho = exp(slope - log gamma), the unstable side at
+        exp(slope + log gamma), and the residual and K = exp(min(log K,
+        700)) do not depend on gamma.  The first rank that passes every
+        gate certifies.
+        """
         if not (gamma > 0.0) or not math.isfinite(gamma):
             raise ParameterError("gamma must be a positive finite real")
         p = self.params
@@ -373,20 +403,12 @@ class DichotomyAnalyzer:
         decay_ok_but_tangent = False
         for s in ranks:
             cand = self._candidate(s)
-            fits = []
-            violation = 0.0
-            # scaling by gamma shifts the log-envelopes linearly in the gap;
-            # slopes come from the aligned tail gaps only
-            if s > 0:
-                fits.append(_decay_fit(self._gapsf, cand.stable_env - self._gapsf * lg,
-                                       self._slope_mask))
-            if s < d:
-                fits.append(_decay_fit(self._gapsf, cand.unstable_env + self._gapsf * lg,
-                                       self._slope_mask))
-            rho = max(f.rho for f in fits)
-            residual = max(f.residual for f in fits)
-            k_const = max(1.0, *(f.K for f in fits))
-            violation += max(0.0, rho - (1.0 - DELTA_FIT))
+            fits = [(f, shift) for f, shift in ((cand.stable_fit, -lg), (cand.unstable_fit, lg))
+                    if f is not None]
+            rho = max(math.exp(f.slope + shift) for f, shift in fits)
+            residual = max(f.residual for f, _ in fits)
+            k_const = max(1.0, *(f.K for f, _ in fits))
+            violation = max(0.0, rho - (1.0 - DELTA_FIT))
             violation += max(0.0, residual - RESID_MAX)
             decay_ok = violation == 0.0
             angle_ok = (not 0 < s < d) or cand.angle >= THETA_MIN

@@ -23,7 +23,8 @@ wrapper's copies, type checks and ``triu`` cost more than both kernels
 together.  They are the same gufuncs, called in the same order on the
 same float64 data under the same ``errstate``, so every output equals
 the wrapper's bit for bit.  Where numpy does not provide ``qr_r_raw``
-(numpy 1.x splits it in two), the step is ``np.linalg.qr`` itself.
+(numpy 1.x splits it in two), the step is ``np.linalg.qr`` itself.  Either
+step writes its product, Q and R into buffers the sweep allocates once.
 """
 from __future__ import annotations
 
@@ -73,18 +74,24 @@ def _raise_qr_error(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
-def _qr_kernels(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q and R of a float64 (..., d, k) stack, k <= d, as ``np.linalg.qr``
-    computes them; ``a`` is factorized in place and R is returned as its
-    leading k rows, with the Householder vectors still below the diagonal."""
+def _qr_kernels(a: np.ndarray, q: np.ndarray) -> None:
+    """QR of a float64 (..., d, k) stack, k <= d, as ``np.linalg.qr``
+    computes it: ``a`` is factorized in place, so R is its leading k rows
+    (with the Householder vectors still below the diagonal), and Q is
+    written into ``q``."""
     with np.errstate(call=_raise_qr_error, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
         tau = _qr_r_raw(a, signature="d->d")
-        q = _qr_reduced(a, tau, signature="dd->d")
-    return q, a[..., : a.shape[-1], :]
+        _qr_reduced(a, tau, signature="dd->d", out=q)
 
 
-_qr_step = np.linalg.qr if _qr_r_raw is None else _qr_kernels
+def _qr_wrapped(a: np.ndarray, q: np.ndarray) -> None:
+    """The same step through ``np.linalg.qr``, for a numpy without
+    ``qr_r_raw``: Q goes into ``q`` and R into the leading k rows of ``a``."""
+    q[...], a[..., : a.shape[-1], :] = np.linalg.qr(a)
+
+
+_qr_step = _qr_wrapped if _qr_r_raw is None else _qr_kernels
 
 
 def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,16 +109,20 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     every matrix of a stack, so an item sees exactly the arithmetic it
     would see alone.
 
-    The QR of a step is ``np.linalg.qr``'s own two gufuncs, ``qr_r_raw``
-    and ``qr_reduced``, called directly (see the module docstring), so it
-    equals ``np.linalg.qr`` bit for bit; R is read from the factorized
-    product, whose Householder vectors below the diagonal are zeroed with
-    the rest of that triangle after the loop.  The product is formed
-    outside the kernels' ``errstate``, as the wrapper forms it, so an
-    overflow in it still warns.  ``maps`` is converted to float64 once, so
-    the product the kernels factorize in place is the array R is read
-    from.  Where numpy lacks ``qr_r_raw`` (numpy 1.x) the step is
-    ``np.linalg.qr``.
+    Each step writes its product into its own slot of a (B, m, d, k)
+    buffer allocated once (``np.matmul`` with ``out=``), and the QR of the
+    step is ``np.linalg.qr``'s own two gufuncs, ``qr_r_raw`` and
+    ``qr_reduced``, called directly (see the module docstring): the first
+    factorizes that slot in place, the second writes Q straight into the
+    next frame of the history.  It equals ``np.linalg.qr`` bit for bit.
+    After the loop R is read from the leading k rows of the factorized
+    products, whose Householder vectors below the diagonal are zeroed with
+    the rest of that triangle.  The product is formed outside the kernels'
+    ``errstate``, as the wrapper forms it, so an overflow in it still
+    warns.  ``maps`` is converted to float64 once, so the product the
+    kernels factorize in place is the array R is read from.  Where numpy
+    lacks ``qr_r_raw`` (numpy 1.x) the step is ``np.linalg.qr``, whose Q
+    and R fill the same buffers.
 
     The step loop runs a plain Householder QR and the sign convention of
     :func:`qr_positive` is imposed once afterwards, through the running
@@ -131,10 +142,12 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
         maps, q0 = maps[None], q0[None]
     (b, m), k = maps.shape[:2], q0.shape[2]
     frames = np.empty((b, m + 1, *q0.shape[1:]))
-    factors = np.empty((b, m, k, k))
+    products = np.empty((b, m, *q0.shape[1:]))
     frames[:, 0] = q0
     for i in range(m):
-        frames[:, i + 1], factors[:, i] = _qr_step(maps[:, i] @ frames[:, i])
+        np.matmul(maps[:, i], frames[:, i], out=products[:, i])
+        _qr_step(products[:, i], frames[:, i + 1])
+    factors = products[:, :, :k]
     steps = np.sign(np.diagonal(factors, axis1=2, axis2=3))
     # c[i + 1] is the product of the signs since the last zero one: the
     # running product of the nonzero signs times its value at that restart
@@ -257,11 +270,13 @@ def _nullspace(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bound above twice ``NULLSPACE_RTOL`` certifies full rank with a margin
     far wider than rounding, so the singular-value count would find it
     too.  Only the items it cannot certify (rank deficient, near the
-    cutoff, zero or non-finite: a NaN bound certifies nothing) get a full
-    SVD and the count itself, with the trailing right singular vectors as
-    their basis.  A NaN item therefore raises ``LinAlgError`` from that
-    SVD.
+    cutoff or zero) get a full SVD and the count itself, with the trailing
+    right singular vectors as their basis.  A stack holding an inf or a
+    NaN raises ``LinAlgError`` before any factorization: LAPACK's SVD does
+    not return on an inf, and the bound can certify a wrong rank from it.
     """
+    if not np.isfinite(rows).all():
+        raise np.linalg.LinAlgError("nullspace of non-finite rows")
     d = rows.shape[-1]
     full = min(rows.shape[1], d)
     q, tri = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")
@@ -305,7 +320,10 @@ def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     intersects the flags of :func:`dichospec.bundles.restricted_fiber_system`:
     a complete QR whose trailing Q columns are the intersection once R
     certifies the rows' full rank, and the SVD count only where it cannot.
-    The basis is therefore the SVD one's span, not its columns.
+    The basis is therefore the SVD one's span, not its columns.  An input
+    holding an inf or a NaN raises ``LinAlgError`` before any factorization.
     """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("intersection of non-finite spans")
     bases, dims = _nullspace(np.concatenate([_complement_rows(a), _complement_rows(b)])[None])
     return bases[0, :, : dims[0]]

@@ -172,13 +172,17 @@ class OrbitLog:
 
 def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """Fill out[k] with the running log-norms of the unit columns of u
-    after maps[0], ..., maps[k-1]; out[0] holds the starting log-norms."""
-    v = u
+    after maps[0], ..., maps[k-1]; out[0] holds the starting log-norms.
+
+    The carried columns step through two (d, S) buffers allocated once:
+    each product goes into ``w`` and its renormalized columns back into
+    ``v``, with the column norms written straight into ``out``.
+    """
+    v, w = u.copy(), np.empty_like(u)
     for k, a in enumerate(maps, start=1):
-        v = a @ v
-        nrm = np.sqrt(np.einsum("ij,ij->j", v, v))
-        v = v / nrm
-        out[k] = nrm
+        np.matmul(a, v, out=w)
+        nrm = np.sqrt(np.einsum("ij,ij->j", w, w), out=out[k])
+        np.divide(w, nrm, out=v)
     np.log(out[1:], out=out[1:])
     np.cumsum(out, axis=0, out=out)
 

@@ -5,7 +5,7 @@ linear algebra. No log-scaling tricks, no doubling schemes, no code shared
 with the package internals beyond pointwise sequence evaluation. Keep it
 dumb; the whole point is independence.  The exceptions are earlier
 constructions kept as references: ``split_candidate_by_rank_sweeps``
-reuses a ``DichotomyAnalyzer``'s window data, and
+and ``refit_verdict`` reuse a ``DichotomyAnalyzer``'s window data, and
 ``max_log_norm_of_every_offset`` a ``WindowProducts``' products.
 """
 
@@ -14,6 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from dichospec import dichotomy
 from dichospec.dichotomy import _Candidate, _family_seeds
 from dichospec.errors import SpectrumConsistencyError
 from dichospec.linalg import batched_spectral_norm, frame_sweep, min_principal_angle
@@ -125,6 +126,37 @@ def orbit_lognorm_table(seq, xi, lo, hi):
         w /= nrm
         out[n - 1 - lo] = run
     return out
+
+
+def orbit_walk(seq, xi, span):
+    """``orbit_lognorms(seq, xi, span).lognorms`` by the walk that allocates
+    every step: a fresh product, norms and quotient per factor.
+
+    The steps, inverses and summation order are the library's, so the
+    result should equal it bit for bit; only the buffers differ.
+    """
+    lo, hi = span
+    xi = np.asarray(xi, dtype=float)
+    block = xi.reshape(-1, 1) if xi.ndim != 2 else xi
+    nrm0 = np.sqrt(np.einsum("ij,ij->j", block, block))
+    u = block / nrm0
+    out = np.empty((hi - lo + 1, block.shape[1]))
+    out[-lo] = np.log(nrm0)
+    walks = []
+    if hi > 0:
+        walks.append((seq.window(0, hi - 1), out[-lo:]))
+    if lo < 0:
+        walks.append((np.linalg.inv(seq.window(lo, -1))[::-1], out[-lo::-1]))
+    for maps, part in walks:
+        v = u
+        for k, a in enumerate(maps, start=1):
+            v = a @ v
+            nrm = np.sqrt(np.einsum("ij,ij->j", v, v))
+            v = v / nrm
+            part[k] = nrm
+        np.log(part[1:], out=part[1:])
+        np.cumsum(part, axis=0, out=part)
+    return out[:, 0] if xi.ndim != 2 else out
 
 
 def qr_walk(seq, lo, hi):
@@ -314,10 +346,74 @@ def split_candidate_by_rank_sweeps(analyzer, s):
     qs, gs = qs[::-1], gs[::-1]
     qu, ru = frame_sweep(analyzer._factors[ext - off: ext + n_win], amplified[:, : d - s])
     stable_basis, unstable_basis = qs[n_win], qu[off]
+    stable_env = analyzer._env_values(np.linalg.inv(gs[:2 * n_win]))
+    unstable_env = analyzer._env_values(np.linalg.inv(ru[off - n_win:])[::-1])
     return _Candidate(rank=s, stable_basis=stable_basis, unstable_basis=unstable_basis,
-                      stable_env=analyzer._env_values(np.linalg.inv(gs[:2 * n_win])),
-                      unstable_env=analyzer._env_values(np.linalg.inv(ru[off - n_win:])[::-1]),
-                      angle=min_principal_angle(stable_basis, unstable_basis))
+                      stable_env=stable_env, unstable_env=unstable_env,
+                      angle=min_principal_angle(stable_basis, unstable_basis),
+                      stable_fit=analyzer._fit(stable_env),
+                      unstable_fit=analyzer._fit(unstable_env))
+
+
+def refit_verdict(analyzer, gamma):
+    """``analyzer.verdict(gamma)`` with every decay law refitted at gamma.
+
+    The verdict before the analyzer kept a per-rank table: for each tried
+    rank it fits the scaled envelopes env - g log(gamma) (stable) and
+    env + g log(gamma) (unstable) by least squares over the slope gaps,
+    then applies the same gates in the same rank order.  It reuses the
+    analyzer's rates and candidate envelopes, so it checks only that
+    reading the table equals refitting, up to rounding.
+    """
+    gaps, mask = analyzer._gapsf, analyzer._slope_mask
+    d, lg = analyzer.seq.dimension, math.log(gamma)
+
+    def fit(values):
+        xs, ys = gaps[mask], values[mask]
+        (intercept, slope), *_ = np.linalg.lstsq(np.stack([np.ones_like(xs), xs], axis=1), ys,
+                                                 rcond=None)
+        residual = float(np.max(np.abs(ys - (intercept + slope * xs))))
+        return math.exp(slope), residual, math.exp(min(float(np.max(values - slope * gaps)), 700.0))
+
+    s0 = int(np.sum(analyzer._forward_rates < lg))
+    u0 = int(np.sum(analyzer._backward_rates < -lg))
+    near = min(float(np.min(np.abs(analyzer._forward_rates - lg))),
+               float(np.min(np.abs(analyzer._backward_rates + lg))))
+    boundary_band = near <= -math.log(dichotomy.RHO_SPLIT)
+    ranks = sorted({min(d, max(0, r)) for r in (s0 - 1, s0, s0 + 1, d - u0)},
+                   key=lambda r: (abs(r - s0), r))
+    certified, best, tangent = [], math.inf, False
+    for s in ranks:
+        cand = analyzer._candidate(s)
+        fits = []
+        if s > 0:
+            fits.append(fit(cand.stable_env - gaps * lg))
+        if s < d:
+            fits.append(fit(cand.unstable_env + gaps * lg))
+        rho = max(f[0] for f in fits)
+        residual = max(f[1] for f in fits)
+        k_const = max(1.0, *(f[2] for f in fits))
+        violation = (max(0.0, rho - (1.0 - dichotomy.DELTA_FIT))
+                     + max(0.0, residual - dichotomy.RESID_MAX))
+        decay_ok = violation == 0.0
+        angle_ok = not 0 < s < d or cand.angle >= dichotomy.THETA_MIN
+        if not angle_ok:
+            tangent = tangent or decay_ok
+            violation += dichotomy.THETA_MIN - cand.angle
+        if decay_ok and angle_ok:
+            certified.append((s, rho, residual, k_const))
+        best = min(best, violation)
+    if certified:
+        s, rho, residual, k_const = certified[0]
+        return dichotomy.DichotomyVerdict(
+            gamma=gamma, outcome="certificate", window=analyzer.params.window, rank=s,
+            K=k_const, rho=rho, residual=residual, margin=(1.0 - dichotomy.DELTA_FIT) - rho,
+            low_confidence=boundary_band or len(certified) > 1)
+    reason = ("splitting-degenerate" if s0 + u0 != d
+              else "transversality-lost" if tangent else "decay-fit-failed")
+    return dichotomy.DichotomyVerdict(gamma=gamma, outcome="in_spectrum",
+                                      window=analyzer.params.window, reason=reason,
+                                      margin=best, low_confidence=boundary_band)
 
 
 def spectrum_by_merging(keys, verdicts, d, m_hat):

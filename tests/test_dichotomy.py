@@ -4,7 +4,8 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from bruteforce import floquet_moduli, spectrum_by_merging, split_candidate_by_rank_sweeps
+from bruteforce import (floquet_moduli, refit_verdict, spectrum_by_merging,
+                        split_candidate_by_rank_sweeps)
 from dichospec.dichotomy import (
     DichotomyAnalyzer,
     DichotomyParams,
@@ -294,6 +295,32 @@ def test_split_candidates_match_per_rank_sweeps(build):
             assert q.shape == ref.shape
             assert np.max(np.abs(projector(q) - projector(ref))) <= 1e-12
         assert abs(got.angle - want.angle) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda d=d: MatrixSequence.seeded(0, bands=SEEDED_BANDS[d]) for d in (2, 3, 6)],
+    *[lambda d=d: random_periodic(0, d, 3) for d in (2, 3, 6)],
+    lambda: MatrixSequence.constant([[1.0, 1.0], [0.0, 1.0]]),
+    lambda: MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]]),
+    lambda: MatrixSequence.constant(np.diag([1.002, 1.0])),
+], ids=["seeded-d2", "seeded-d3", "seeded-d6", "periodic-d2", "periodic-d3", "periodic-d6",
+        "jordan", "nonnormal", "diag-1.002"])
+def test_verdicts_read_off_the_table_equal_a_refit_at_every_probe(build):
+    # the per-rank table fitted at gamma = 1 gives every probe the verdict
+    # of refitting the scaled envelopes at that gamma, up to rounding
+    seq = build()
+    analyzer = DichotomyAnalyzer(seq)
+    est = estimate_spectrum(seq, analyzer=analyzer)
+    for got in est.grid:
+        want = refit_verdict(analyzer, got.gamma)
+        assert ((got.outcome, got.rank, got.reason, got.low_confidence)
+                == (want.outcome, want.rank, want.reason, want.low_confidence))
+        assert abs(got.margin - want.margin) <= 1e-15
+        if got.is_certificate:
+            assert abs(got.rho - want.rho) <= 1e-15
+            assert abs(got.K - want.K) <= 1e-12 * want.K
+            assert abs(got.residual - want.residual) <= 1e-12
+    assert len({v.rank for v in est.grid if v.is_certificate}) >= 2
 
 
 def test_low_confidence_gap_certificates_flag_their_intervals():

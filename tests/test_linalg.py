@@ -1,5 +1,8 @@
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -8,9 +11,13 @@ import pytest
 
 from bruteforce import intersection_by_complements
 from dichospec import linalg
+from dichospec.bundles import restricted_fiber_system
+from dichospec.dichotomy import estimate_spectrum
 from dichospec.linalg import (_complement_rows, _nullspace, batched_spectral_norm, canonical_basis,
                               frame_sweep, min_principal_angle, principal_angles, qr_positive,
                               subspace_intersection)
+from dichospec.sequences import MatrixSequence
+from systems import SEEDED_BANDS
 
 E = np.eye(6)
 
@@ -107,7 +114,8 @@ def _sweep_maps(d, m=40, seed=0):
 
 
 # frame_sweep's QR step: "selected" is the one linalg picked at import
-# (numpy's QR kernels where numpy has them), "wrapper" forces np.linalg.qr
+# (numpy's QR kernels where numpy has them), "wrapper" forces the in-place
+# step through np.linalg.qr that numpy 1.x takes
 STEP_PATHS = ("selected", "wrapper")
 
 
@@ -115,7 +123,7 @@ STEP_PATHS = ("selected", "wrapper")
 def _step_path(path):
     with pytest.MonkeyPatch.context() as mp:
         if path == "wrapper":
-            mp.setattr(linalg, "_qr_step", np.linalg.qr)
+            mp.setattr(linalg, "_qr_step", linalg._qr_wrapped)
         yield
 
 
@@ -263,6 +271,36 @@ def test_float32_and_int_maps_sweep_as_their_float64_values(path, dtype):
     assert np.array_equal(frames, want_frames) and np.array_equal(factors, want_factors)
 
 
+def _spectrum_and_fibers():
+    """A seeded d = 3 spectrum estimate and the restriction to each fiber,
+    from a fresh sequence, so the restriction sweeps its own flag pair."""
+    seq = MatrixSequence.seeded(1, bands=SEEDED_BANDS[3])
+    est = estimate_spectrum(seq)
+    return est, [restricted_fiber_system(seq, est, i, window=150)
+                 for i in range(1, len(est.intervals) + 1)]
+
+
+def test_spectrum_and_restriction_are_bit_identical_on_both_step_paths():
+    # every package sweep (the analyzer's four items, the restriction's
+    # flag pair) gives the same bits on numpy's QR kernels and through
+    # np.linalg.qr
+    runs = []
+    for path in STEP_PATHS:
+        with _step_path(path):
+            runs.append(_spectrum_and_fibers())
+    (est, fibers), (want_est, want_fibers) = runs
+    assert est.intervals == want_est.intervals and est.gap_ranks == want_est.gap_ranks
+    assert [v.csv() for v in est.grid] == [v.csv() for v in want_est.grid]
+    assert ([(v.residual, v.margin, v.low_confidence) for v in est.grid]
+            == [(v.residual, v.margin, v.low_confidence) for v in want_est.grid])
+    for cert, want in zip(est.gap_certificates, want_est.gap_certificates):
+        assert np.array_equal(cert.stable_basis, want.stable_basis)
+        assert np.array_equal(cert.unstable_basis, want.unstable_basis)
+    assert sum(system.kind == "tabulated" for _, system in fibers) >= 2
+    for (basis, system), (want_basis, want_system) in zip(fibers, want_fibers):
+        assert np.array_equal(basis, want_basis) and system == want_system
+
+
 @pytest.mark.parametrize("d", [2, 3, 6])
 @pytest.mark.parametrize("backward", [False, True])
 def test_leading_columns_of_a_sweep_are_the_sweep_of_the_leading_columns(d, backward):
@@ -390,10 +428,47 @@ def test_nullspace_rank_equals_the_singular_value_count(monkeypatch):
     # no rows leave the whole space
     bases, dims = _nullspace(np.zeros((2, 0, 4)))
     assert dims.tolist() == [4, 4] and np.array_equal(bases, np.broadcast_to(np.eye(4), (2, 4, 4)))
-    # a NaN bound certifies nothing, so the item reaches the SVD, which refuses it
+    # a NaN row is refused before any factorization
     rows[3, 1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         _nullspace(rows)
+
+
+_NON_FINITE_CALLS = {
+    # LAPACK's SVD does not return on these rows; the QR bound gives
+    # dimension 6 for the last
+    "nullspace-inf-0-0": "rows = np.eye(6)[None, :3].copy(); rows[0, 0, 0] = np.inf; "
+                         "print(_nullspace(rows)[1])",
+    "nullspace-inf-1-0": "rows = np.eye(6)[None, :3].copy(); rows[0, 1, 0] = np.inf; "
+                         "print(_nullspace(rows)[1])",
+    "nullspace-inf-2-5": "rows = np.eye(6)[None, :3].copy(); rows[0, 2, 5] = np.inf; "
+                         "print(_nullspace(rows)[1])",
+    # the finite reading meets in span(e2); the inf once gave an empty basis
+    "intersection-inf": "a = np.eye(4)[:, :2].copy(); a[0, 0] = np.inf; "
+                        "print(subspace_intersection(a, np.eye(4)[:, 1:3]).shape)",
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
+def test_non_finite_input_is_refused_before_any_factorization(call):
+    # in a child process with a timeout, so a call that hangs inside
+    # LAPACK fails this test instead of the suite
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    script = ("import numpy as np\n"
+              "from dichospec.linalg import _nullspace, subspace_intersection\n"
+              "try:\n"
+              f"    {_NON_FINITE_CALLS[call]}\n"
+              "except np.linalg.LinAlgError as exc:\n"
+              "    print('LinAlgError:', exc)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=30)
+    except subprocess.TimeoutExpired:
+        done = None
+    assert done is not None, f"{call} did not return within 30 s"
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("LinAlgError: ") and "non-finite" in done.stdout, done.stdout
 
 
 def _exact_norm_within(value, column, rtol):

@@ -3,10 +3,11 @@ import importlib
 import numpy as np
 import pytest
 
-from bruteforce import dense_transition, max_log_norm_of_every_offset, orbit_lognorm_table
+from bruteforce import dense_transition, max_log_norm_of_every_offset, orbit_lognorm_table, orbit_walk
 from dichospec.bohl import BohlParams, general_exponents
 from dichospec.errors import ParameterError, SingularMatrixError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
+from systems import SEEDED_BANDS
 from dichospec.transition import (
     WINDOW_CAP,
     ScaledMatrix,
@@ -110,6 +111,22 @@ def test_orbit_lognorms_match_stepwise_enumeration():
     want = x.log_scale + np.log(np.linalg.norm(x.core @ (xi / np.linalg.norm(xi))))
     want += np.log(np.linalg.norm(xi))
     assert log.lognorm_at(-25) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("span", [(0, 300), (-300, 0), (-200, 250)],
+                         ids=["forward", "backward", "both"])
+@pytest.mark.parametrize("shape", ["vector", "block"])
+def test_orbit_lognorms_equal_the_allocating_walk_bit_for_bit(d, span, shape):
+    # the sweep steps through two reused buffers; the arithmetic is that of
+    # a walk that allocates its product, norms and quotient every step
+    bands = {1: ((0.8, 1.3),), **SEEDED_BANDS}[d]
+    seq = MatrixSequence.seeded(d, bands=bands)
+    rng = np.random.default_rng(d)
+    xi = rng.standard_normal(d) if shape == "vector" else rng.standard_normal((d, 5))
+    got = orbit_lognorms(seq, xi, span).lognorms
+    want = orbit_walk(seq, xi, span)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_window_products_match_dense_enumeration():
