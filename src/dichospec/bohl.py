@@ -19,6 +19,7 @@ behavior of systems whose growth differs on the two half-lines.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,14 @@ from .transition import WindowProducts, orbit_lognorms
 DEFAULT_WINDOW = 2048
 DEFAULT_GAP_MIN = 16
 DEFAULT_TAIL_FRACTION = 0.2
+
+
+def _checked_count(value, name: str) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer type
+    raises :class:`ParameterError` (numpy integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,8 @@ class BohlParams:
     two_sided: bool = False
 
     def __post_init__(self):
-        if self.gap_min < 1:
+        _checked_count(self.window, "window")
+        if _checked_count(self.gap_min, "gap_min") < 1:
             raise ParameterError("gap_min must be at least 1")
         if self.window < 2 * self.gap_min:
             raise ParameterError(

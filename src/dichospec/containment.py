@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bohl import BohlParams, _bohl_block, _scalar_tail, bohl_exponents  # noqa: F401 (re-export)
+from .bohl import _checked_count
 from .bundles import SpectralBundleFiber, bundle_fibers, restricted_fiber_system
 from .dichotomy import SpectrumEstimate
 from .errors import ParameterError
@@ -193,10 +194,10 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     sample onto the fastest fiber within a few dozen steps.
     """
     base_tol = _base_tolerance(tolerance, spectrum)
+    if _checked_count(samples_per_fiber, "samples_per_fiber") < 1:
+        raise ParameterError("samples_per_fiber must be at least 1")
     if fibers is None:
         fibers = bundle_fibers(spectrum)
-    if samples_per_fiber < 1:
-        raise ParameterError("samples_per_fiber must be at least 1")
     params = params or BohlParams()
     rng = np.random.default_rng(seed)
     rows: list[SampleRow] = []
@@ -233,7 +234,7 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     the hull of the spectrum (first lower endpoint to last upper one);
     ``tolerance`` (at least 0) is as in :func:`verify_fiber_containment`."""
     base_tol = _base_tolerance(tolerance, spectrum)
-    if samples < 1:
+    if _checked_count(samples, "samples") < 1:
         raise ParameterError("samples must be at least 1")
     params = params or BohlParams()
     vectors = _unit_samples(np.random.default_rng(seed), samples, seq.dimension)

@@ -10,9 +10,10 @@ so that x(m) = X(m, n) x(n) along solutions and the cocycle identity
 X(k, l) X(l, j) = X(k, j) holds for all integers.  Norms of these products
 grow or decay geometrically, so nothing here ever materializes a bare
 product over a long window: matrices are carried as a unit-size core plus
-a natural-log scale (:class:`ScaledMatrix`), orbits are renormalized every
-step (:func:`orbit_lognorms`), and window products over many offsets are
-built by a doubling scheme on normalized factors (:class:`WindowProducts`).
+a natural-log scale (:class:`ScaledMatrix`), orbits are carried through
+chunks of power-of-two-scaled prefix products (:func:`orbit_lognorms`), and
+window products over many offsets are built by a doubling scheme on
+normalized factors (:class:`WindowProducts`).
 """
 from __future__ import annotations
 
@@ -27,6 +28,14 @@ from .sequences import MatrixSequence, _checked_inverses
 
 # Hard cap on the number of factors in a single requested product.
 WINDOW_CAP = 1_000_000
+
+# Largest log condition bound one orbit chunk may reach (see _chunk_length).
+# A carried column then keeps a norm above e^-512 / 4, about 1e-223, so the
+# products that flush to zero below 1e-308 change it by far less than one
+# rounding.
+CHUNK_LOG_CONDITION = 512.0
+
+_LN2 = math.log(2.0)
 
 
 def _rescued_norms(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -170,21 +179,86 @@ class OrbitLog:
         return self.lognorms[self.index_of(n)]
 
 
+def _chunk_length(maps: np.ndarray) -> int:
+    """Steps per chunk of :func:`_sweep` over a (m, d, d) stack of maps.
+
+    isqrt(m) balances the two loops of the sweep.  It is cut so that no
+    chunk sums more than ``CHUNK_LOG_CONDITION`` of
+    d log ||A||_F - log |det A| over its maps: that sum bounds
+    log(sigma_max / sigma_min) of every prefix product of the chunk, so a
+    carried unit column keeps a norm of at least e^-CHUNK_LOG_CONDITION / 4
+    relative to the prefix, far above the underflow threshold.  Each term is
+    at least 0; a singular or overflowing map makes it infinite or NaN and
+    the chunk a single step, as does any map whose own singular values
+    differ by more than e^CHUNK_LOG_CONDITION.
+    """
+    m, d = maps.shape[0], maps.shape[1]
+    k = math.isqrt(m)
+    if k <= 1:
+        return 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fro = _rescued_norms(maps, np.sqrt(np.einsum("lij,lij->l", maps, maps)))
+        worst = float(np.max(d * np.log(fro) - np.linalg.slogdet(maps)[1]))
+    if not worst * k <= CHUNK_LOG_CONDITION:  # a NaN worst lands here too
+        k = max(1, int(CHUNK_LOG_CONDITION / worst)) if math.isfinite(worst) else 1
+    return k
+
+
+def _pow2_scaled(stack: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """``stack`` scaled by the power of two that puts its largest |entry|
+    over ``axes`` in [1/2, 1), and the exponent e with stack = scaled * 2**e.
+    The scaling is exact."""
+    _, exp = np.frexp(np.abs(stack).max(axis=axes, keepdims=True))
+    return np.ldexp(stack, -exp), exp
+
+
 def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """Fill out[k] with the running log-norms of the unit columns of u
     after maps[0], ..., maps[k-1]; out[0] holds the starting log-norms.
 
-    The carried columns step through two (d, S) buffers allocated once:
-    each product goes into ``w`` and its renormalized columns back into
-    ``v``, with the column norms written straight into ``out``.
+    The m maps are cut into C chunks of K steps (:func:`_chunk_length`).
+    First every chunk's prefix products are built in lock-step, K batched
+    products over all C chunks.  Then the (d, S) block is carried through
+    the chunks, C batched products of a chunk's K prefixes with the block
+    it starts from.  That is K + C, about 2 sqrt(m), Python steps for the
+    flops of m single steps.
+
+    Prefixes (of chunks longer than one step) and carried columns are
+    rescaled by powers of two, which is exact, and their exponents are
+    summed as integers, so the only roundings are those of the products
+    and one log per output.  Column
+    norms are taken after the same scaling, so they cannot over- or
+    underflow.
     """
-    v, w = u.copy(), np.empty_like(u)
-    for k, a in enumerate(maps, start=1):
-        np.matmul(a, v, out=w)
-        nrm = np.sqrt(np.einsum("ij,ij->j", w, w), out=out[k])
-        np.divide(w, nrm, out=v)
-    np.log(out[1:], out=out[1:])
-    np.cumsum(out, axis=0, out=out)
+    m, d = maps.shape[0], u.shape[0]
+    if m == 0:
+        return
+    k = _chunk_length(maps)
+    c = -(-m // k)
+    pre = np.empty((c * k, d, d))
+    pre[:m] = maps
+    pre[m:] = np.eye(d)  # pads the last chunk; its rows past m are dropped
+    pre = pre.reshape(c, k, d, d)
+    exps = np.zeros((c, k, 1, 1), dtype=np.int64)
+    # one-step chunks form no product, so their maps stay as given: scaling
+    # diag(1e200, 1e-200) by a power of two would flush 1e-200 to 0
+    if k > 1:
+        pre[:, 0], exps[:, 0] = _pow2_scaled(pre[:, 0], (1, 2))
+    for j in range(1, k):
+        pre[:, j], exps[:, j] = _pow2_scaled(pre[:, j] @ pre[:, j - 1], (1, 2))
+    exps = np.cumsum(exps[:, :, 0], axis=1)  # (c, k, 1): log2 scale of each prefix
+
+    start = np.zeros((1, u.shape[1]), dtype=np.int64)  # log2 scale of v
+    v = u
+    for i in range(c):
+        w, e = _pow2_scaled(pre[i] @ v, 1)  # (k, d, S) and (k, 1, S)
+        e = e[:, 0] + exps[i] + start
+        n = min(k, m - i * k)
+        seg = out[1 + i * k: 1 + i * k + n]
+        np.multiply(e[:n], _LN2, out=seg)
+        seg += 0.5 * np.log(np.einsum("kij,kij->kj", w[:n], w[:n]))
+        v, start = w[-1], e[-1:]
+    out[1:] += out[0]
 
 
 def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
@@ -192,11 +266,22 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
     """log ||X(n, 0) xi|| for n over an integer span containing 0.
 
     ``xi`` is one initial vector or a (d, S) block of them, carried
-    through a single sweep as columns.  The orbit is propagated one step
-    at a time with renormalization after each step, so the log-norms are
-    exact up to rounding while the carried vectors stay unit size.
+    through a single sweep as columns; the span's bounds must be integers.
+
+    Each half of the span, m steps, is carried through chunks of prefix
+    products, not one step at a time (:func:`_sweep`; Benettin et al.
+    renormalize orbits the same way, once per block of steps).  A chunk
+    has min(isqrt(m), K_cond) steps, where K_cond keeps the conditioning
+    of every prefix inside the float range (:func:`_chunk_length`).  The
+    log-norms are exact up to rounding, but they round differently from a
+    walk that renormalizes after every step: the products associate
+    differently, and the scales add up as integer powers of two instead of
+    as one log per step.  On seeded and ill-conditioned systems they agree
+    with a 40-digit walk to within 1e-15 of max(1, |log-norm|).
     """
     lo, hi = int(span[0]), int(span[1])
+    if lo != span[0] or hi != span[1]:
+        raise ParameterError(f"orbit span {tuple(span)} must have integer bounds")
     if not (lo <= 0 <= hi):
         raise ParameterError("orbit span must contain the base time 0")
     if hi - lo > WINDOW_CAP:

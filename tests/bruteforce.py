@@ -9,6 +9,7 @@ and ``refit_verdict`` reuse a ``DichotomyAnalyzer``'s window data, and
 ``max_log_norm_of_every_offset`` a ``WindowProducts``' products.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -157,6 +158,38 @@ def orbit_walk(seq, xi, span):
         np.log(part[1:], out=part[1:])
         np.cumsum(part, axis=0, out=part)
     return out[:, 0] if xi.ndim != 2 else out
+
+
+def orbit_walk_decimal(seq, xi, span, digits=40):
+    """``orbit_lognorms(seq, xi, span).lognorms`` for one vector by a walk
+    in ``digits``-digit decimal arithmetic.
+
+    The maps are the library's floats (the forward window and numpy's
+    inverses of the backward one), converted exactly, so the result
+    differs from the exact orbit of those maps only in the 40th digit.
+    """
+    lo, hi = span
+    ctx = decimal.Context(prec=digits)
+    xi = [ctx.create_decimal(float(x)) for x in np.asarray(xi, dtype=float)]
+    out = np.empty(hi - lo + 1)
+    walks = []
+    if hi > 0:
+        walks.append((seq.window(0, hi - 1), range(-lo + 1, hi - lo + 1)))
+    if lo < 0:
+        walks.append((np.linalg.inv(seq.window(lo, -1))[::-1], range(-lo - 1, -1, -1)))
+    nrm0 = ctx.sqrt(sum(ctx.multiply(x, x) for x in xi))
+    start = ctx.ln(nrm0)
+    out[-lo] = float(start)
+    for maps, rows in walks:
+        v, run = [ctx.divide(x, nrm0) for x in xi], start
+        for a, row in zip(maps, rows):
+            v = [sum(ctx.multiply(ctx.create_decimal(float(a_ij)), x) for a_ij, x in zip(a_i, v))
+                 for a_i in a]
+            nrm = ctx.sqrt(sum(ctx.multiply(x, x) for x in v))
+            v = [ctx.divide(x, nrm) for x in v]
+            run = ctx.add(run, ctx.ln(nrm))
+            out[row] = float(run)
+    return out
 
 
 def qr_walk(seq, lo, hi):

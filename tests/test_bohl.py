@@ -28,8 +28,8 @@ def seeded_2d():
 
 
 def test_axis_solution_of_constant_diagonal():
-    # geometric orbit: both exponents equal the diagonal rate, up to the
-    # rounding drift of ~2000 accumulated logs
+    # geometric orbit: both exponents equal the diagonal rate, up to
+    # rounding
     seq = MatrixSequence.constant(np.diag([2.0, 0.5]))
     est = bohl_exponents(seq, [1.0, 0.0])
     assert est.lower == pytest.approx(2.0, rel=1e-12)
@@ -200,6 +200,14 @@ def test_envelope_csv_and_lookup():
 def test_parameter_and_input_validation():
     with pytest.raises(ParameterError):
         BohlParams(window=20, gap_min=16)
+    for bad in ({"window": 64.5}, {"window": 64.0}, {"window": True},
+                {"gap_min": 8.5}, {"gap_min": True}, {"gap_min": np.float64(8.0)}):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            BohlParams(**bad)
+    numpy_ints = BohlParams(window=np.int64(96), gap_min=np.int32(8))
+    seq = MatrixSequence.constant(np.diag([2.0, 0.5]))
+    assert bohl_exponents(seq, [1.0, 1.0], numpy_ints).upper == \
+        bohl_exponents(seq, [1.0, 1.0], SMALL).upper
     with pytest.raises(ParameterError):
         BohlParams(tail_fraction=0.0)
     with pytest.raises(ParameterError):

@@ -177,6 +177,18 @@ def test_checks_refuse_a_negative_or_nan_tolerance(check):
     assert check(seq, est, tolerance=0.0, **extra).base_tolerance == 0.0
 
 
+@pytest.mark.parametrize("check, key", [(verify_fiber_containment, "samples_per_fiber"),
+                                        (verify_global_containment, "samples")])
+def test_sample_counts_must_be_integers(check, key):
+    seq = diag_2_half_structural()
+    est = estimate_spectrum(seq)
+    for count in (2.5, 3.0, True, "3"):
+        with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+            check(seq, est, params=FAST, **{key: count})
+    report = check(seq, est, params=FAST, **{key: np.int64(2)})
+    assert len(report.rows) == (4 if key == "samples_per_fiber" else 2)
+
+
 def test_reports_are_deterministic_and_batch_exact():
     # every row comes out of one batched orbit per fiber; it must match
     # the per-sample estimator on the same vector

@@ -1,17 +1,21 @@
 import importlib
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bruteforce import dense_transition, max_log_norm_of_every_offset, orbit_lognorm_table, orbit_walk
+from bruteforce import (dense_transition, max_log_norm_of_every_offset, orbit_lognorm_table,
+                        orbit_walk, orbit_walk_decimal)
 from dichospec.bohl import BohlParams, general_exponents
 from dichospec.errors import ParameterError, SingularMatrixError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
-from systems import SEEDED_BANDS
+from systems import SEEDED_BANDS, separated_banded_diagonal
 from dichospec.transition import (
     WINDOW_CAP,
     ScaledMatrix,
     WindowProducts,
+    _chunk_length,
     orbit_lognorms,
     transition,
 )
@@ -117,16 +121,88 @@ def test_orbit_lognorms_match_stepwise_enumeration():
 @pytest.mark.parametrize("span", [(0, 300), (-300, 0), (-200, 250)],
                          ids=["forward", "backward", "both"])
 @pytest.mark.parametrize("shape", ["vector", "block"])
-def test_orbit_lognorms_equal_the_allocating_walk_bit_for_bit(d, span, shape):
-    # the sweep steps through two reused buffers; the arithmetic is that of
-    # a walk that allocates its product, norms and quotient every step
+def test_orbit_lognorms_agree_with_the_per_step_walk(d, span, shape):
+    # the sweep carries the block through chunks of prefix products, so it
+    # rounds differently from a walk that renormalizes after every step
     bands = {1: ((0.8, 1.3),), **SEEDED_BANDS}[d]
     seq = MatrixSequence.seeded(d, bands=bands)
     rng = np.random.default_rng(d)
     xi = rng.standard_normal(d) if shape == "vector" else rng.standard_normal((d, 5))
     got = orbit_lognorms(seq, xi, span).lognorms
     want = orbit_walk(seq, xi, span)
-    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+DECIMAL_SYSTEMS = {
+    "seeded-d1": lambda: MatrixSequence.seeded(1, bands=((0.8, 1.3),)),
+    "seeded-d2": lambda: MatrixSequence.seeded(2, bands=SEEDED_BANDS[2]),
+    "seeded-d6": lambda: MatrixSequence.seeded(6, bands=SEEDED_BANDS[6]),
+    "nonnormal": lambda: MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]]),
+    "jordan": lambda: MatrixSequence.constant([[1.0, 1.0], [0.0, 1.0]]),
+    "diagonal": lambda: separated_banded_diagonal(3),
+}
+
+
+@pytest.mark.parametrize("name", list(DECIMAL_SYSTEMS))
+def test_orbit_lognorms_match_a_decimal_walk(name):
+    seq = DECIMAL_SYSTEMS[name]()
+    xi = np.random.default_rng(5).standard_normal(seq.dimension)
+    span = (-400, 400)
+    got = orbit_lognorms(seq, xi, span).lognorms
+    want = orbit_walk_decimal(seq, xi, span)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("a", [1e10, 1e100, 1e200])
+@pytest.mark.parametrize("xi", [(0.0, 1.0), (1.0, 1.0)], ids=["e2", "diagonal"])
+@pytest.mark.parametrize("span", [(0, 2048), (-2048, 0)], ids=["forward", "backward"])
+def test_orbits_of_a_wide_diagonal_keep_every_digit(a, xi, span):
+    # n steps of diag(a, 1/a) spread its singular values by a^(2n), so
+    # chunks of isqrt(2048) = 45 steps would underflow and are cut short;
+    # a single step spreads them by 1e200 at a = 1e100 and by 1e400, past
+    # the float range, at a = 1e200.  e2 rides the contracting axis
+    # forward and the expanding one backward
+    seq = MatrixSequence.constant(np.diag([a, 1.0 / a]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orbit_lognorms(seq, xi, span).lognorms
+    n = np.arange(span[0], span[1] + 1)
+    want = (-n if xi == (0.0, 1.0) else np.abs(n)) * np.log(a)
+    # X(n, 0)(1, 1) = (a^n, a^-n) has log-norm |n| log a + O(a^-4|n|)
+    moved = n != 0
+    assert np.all(np.abs(got[moved] - want[moved]) <= 1e-13 * np.abs(want[moved]))
+    assert got[~moved] == pytest.approx(np.log(np.hypot(*xi)), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 97, 100, 101, 2025, 2026])
+def test_chunk_edges_agree_with_the_per_step_walk(m):
+    # 97 is prime (one short last chunk), 100 and 2025 are K^2 chunks of K
+    # steps, and 101 and 2026 leave a last chunk of a single step
+    seq = MatrixSequence.seeded(3, bands=SEEDED_BANDS[2])
+    if m >= 4:
+        assert _chunk_length(seq.window(0, m - 1)) == math.isqrt(m)
+    xi = np.random.default_rng(m).standard_normal((2, 3))
+    for span in ((0, m), (-m, 0)):
+        got = orbit_lognorms(seq, xi, span).lognorms
+        want = orbit_walk(seq, xi, span)
+        assert got.shape == want.shape == (m + 1, 3)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_axis_orbits_of_a_diagonal_system_never_leave_their_axis():
+    # rates differ by factors of 1.7 and more, so any rounding that moved
+    # mass onto a faster axis would take over the log-norm within a few
+    # hundred steps; each axis must follow its own scalar sums instead
+    seq = separated_banded_diagonal(11)
+    span = (-2048, 2048)
+    got = orbit_lognorms(seq, np.eye(3), span).lognorms
+    entries = seq.window(span[0], span[1] - 1)[:, np.arange(3), np.arange(3)]
+    logs = np.log(np.abs(entries))
+    want = np.zeros((span[1] - span[0] + 1, 3))
+    want[-span[0] + 1:] = np.cumsum(logs[-span[0]:], axis=0)
+    want[:-span[0]] = -np.cumsum(logs[:-span[0]][::-1], axis=0)[::-1]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_window_products_match_dense_enumeration():
@@ -170,6 +246,10 @@ def test_orbit_rejects_bad_input():
         orbit_lognorms(seq, [0.0, 0.0], (-5, 5))
     with pytest.raises(ParameterError):
         orbit_lognorms(seq, [1.0, 0.0, 0.0], (-5, 5))
+    for span in ((0, 10.7), (-3.9, 4), (0.5, 2)):  # once truncated to integers
+        with pytest.raises(ParameterError, match="integer bounds"):
+            orbit_lognorms(seq, [1.0, 0.0], span)
+    assert orbit_lognorms(seq, [1.0, 0.0], (-3.0, np.int64(4))).span == (-3, 4)
 
 
 def test_diagonal_scalar_systems_agree_with_matrix_route():
