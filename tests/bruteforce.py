@@ -6,7 +6,8 @@ with the package internals beyond pointwise sequence evaluation. Keep it
 dumb; the whole point is independence.  The exceptions are earlier
 constructions kept as references: ``split_candidate_by_rank_sweeps``
 and ``refit_verdict`` reuse a ``DichotomyAnalyzer``'s window data, and
-``max_log_norm_of_every_offset`` a ``WindowProducts``' products.
+``max_log_norm_of_every_offset`` a ``WindowProducts``' products, and
+``orbit_chunk_walk`` takes its chunk length from the library.
 """
 
 import decimal
@@ -19,6 +20,7 @@ from dichospec import dichotomy
 from dichospec.dichotomy import _Candidate, _family_seeds
 from dichospec.errors import SpectrumConsistencyError
 from dichospec.linalg import batched_spectral_norm, frame_sweep, min_principal_angle
+from dichospec.transition import _chunk_length
 
 
 def rng_at(seed, n):
@@ -133,8 +135,9 @@ def orbit_walk(seq, xi, span):
     """``orbit_lognorms(seq, xi, span).lognorms`` by the walk that allocates
     every step: a fresh product, norms and quotient per factor.
 
-    The steps, inverses and summation order are the library's, so the
-    result should equal it bit for bit; only the buffers differ.
+    The steps and inverses are the library's, but the library carries the
+    orbit through chunks of prefix products, so the two agree only up to
+    rounding; ``orbit_chunk_walk`` is the walk that equals it bit for bit.
     """
     lo, hi = span
     xi = np.asarray(xi, dtype=float)
@@ -157,6 +160,52 @@ def orbit_walk(seq, xi, span):
             part[k] = nrm
         np.log(part[1:], out=part[1:])
         np.cumsum(part, axis=0, out=part)
+    return out[:, 0] if xi.ndim != 2 else out
+
+
+def orbit_chunk_walk(seq, xi, span):
+    """``orbit_lognorms(seq, xi, span).lognorms`` by the chunked walk written
+    one chunk and one step at a time, allocating every prefix, product and
+    norm.
+
+    Chunk length, products, power-of-two scalings and summation order are
+    the library's, so the result should equal it bit for bit; only the
+    batching across chunks and the buffers differ.
+    """
+    lo, hi = span
+    xi = np.asarray(xi, dtype=float)
+    block = xi.reshape(-1, 1) if xi.ndim != 2 else xi
+    nrm0 = np.sqrt(np.einsum("ij,ij->j", block, block))
+    u = block / nrm0
+    out = np.empty((hi - lo + 1, block.shape[1]))
+    out[-lo] = np.log(nrm0)
+    walks = []
+    if hi > 0:
+        walks.append((seq.window(0, hi - 1), out[-lo:]))
+    if lo < 0:
+        walks.append((np.linalg.inv(seq.window(lo, -1))[::-1], out[-lo::-1]))
+    for maps, part in walks:
+        k = _chunk_length(maps)
+        v, start = u, np.zeros(block.shape[1], dtype=np.int64)
+        for c0 in range(0, len(maps), k):
+            # prefix products of the chunk, each scaled to a max |entry| in
+            # [1/2, 1); a one-step chunk keeps its map as given
+            prefixes, prev, total = [], None, 0
+            for a in maps[c0:c0 + k]:
+                p = a if prev is None else a @ prev
+                if k > 1:
+                    _, e = np.frexp(np.abs(p).max())
+                    p, total = np.ldexp(p, -e), total + int(e)
+                prefixes.append((p, total))
+                prev = p
+            for j, (p, total) in enumerate(prefixes):
+                w = p @ v
+                _, e = np.frexp(np.abs(w).max(axis=0))
+                w = np.ldexp(w, -e)
+                e = e + total + start
+                part[c0 + j + 1] = e * math.log(2.0) + 0.5 * np.log(np.einsum("ij,ij->j", w, w))
+            v, start = w, e
+        part[1:] += part[0]
     return out[:, 0] if xi.ndim != 2 else out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bruteforce import (dense_transition, max_log_norm_of_every_offset, orbit_lognorm_table,
-                        orbit_walk, orbit_walk_decimal)
+                        orbit_chunk_walk, orbit_walk, orbit_walk_decimal)
 from dichospec.bohl import BohlParams, general_exponents
 from dichospec.errors import ParameterError, SingularMatrixError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
@@ -115,6 +115,23 @@ def test_orbit_lognorms_match_stepwise_enumeration():
     want = x.log_scale + np.log(np.linalg.norm(x.core @ (xi / np.linalg.norm(xi))))
     want += np.log(np.linalg.norm(xi))
     assert log.lognorm_at(-25) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("span", [(0, 300), (-300, 0), (-200, 250)],
+                         ids=["forward", "backward", "both"])
+@pytest.mark.parametrize("shape", ["vector", "block"])
+def test_orbit_lognorms_equal_the_allocating_walk_bit_for_bit(d, span, shape):
+    # the sweep builds every chunk's prefixes in lock-step and writes into
+    # shared buffers; the arithmetic is that of a walk that goes one chunk
+    # and one step at a time, allocating every product and norm
+    bands = {1: ((0.8, 1.3),), **SEEDED_BANDS}[d]
+    seq = MatrixSequence.seeded(d, bands=bands)
+    rng = np.random.default_rng(d)
+    xi = rng.standard_normal(d) if shape == "vector" else rng.standard_normal((d, 5))
+    got = orbit_lognorms(seq, xi, span).lognorms
+    want = orbit_chunk_walk(seq, xi, span)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 6])
