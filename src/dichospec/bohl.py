@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .sequences import MatrixSequence, ScalarSequence, _checked_inverses
+from .linalg import _frobenius_norms
+from .sequences import MatrixSequence, ScalarSequence, _maps_between
 from .transition import WindowProducts, orbit_lognorms
 
 DEFAULT_WINDOW = 2048
@@ -164,6 +165,14 @@ def _estimate(lognorms: np.ndarray, params: BohlParams) -> BohlEstimate:
                         min_rates=min_rates, max_rates=max_rates, params=params)
 
 
+def _unit(xis: np.ndarray) -> np.ndarray:
+    """A vector or the columns of a (d, S) block divided by their norms."""
+    nrm = _frobenius_norms(xis, (0,))
+    if np.any(nrm == 0.0):
+        raise ParameterError("Bohl exponents are undefined for the zero solution")
+    return xis / nrm
+
+
 def bohl_exponents(seq: MatrixSequence, xi: np.ndarray,
                    params: BohlParams | None = None) -> BohlEstimate:
     """Estimate the upper and lower Bohl exponents of the solution through xi.
@@ -173,21 +182,14 @@ def bohl_exponents(seq: MatrixSequence, xi: np.ndarray,
     reproduces the estimate bit for bit.
     """
     params = params or BohlParams()
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    nrm = float(np.linalg.norm(xi))
-    if nrm == 0.0:
-        raise ParameterError("Bohl exponents are undefined for the zero solution")
-    return _estimate(orbit_lognorms(seq, xi / nrm, params.orbit_span()).lognorms, params)
+    xi = _unit(np.asarray(xi, dtype=float).reshape(-1))
+    return _estimate(orbit_lognorms(seq, xi, params.orbit_span()).lognorms, params)
 
 
 def _bohl_block(seq: MatrixSequence, xis: np.ndarray, params: BohlParams):
     """(lower, upper, spread) of :func:`bohl_exponents` for each column of
     a (d, S) block, from one orbit sweep and the tail envelopes only."""
-    nrm = np.linalg.norm(xis, axis=0)
-    if np.any(nrm == 0.0):
-        raise ParameterError("Bohl exponents are undefined for the zero solution")
-    orbit = orbit_lognorms(seq, xis / nrm, params.orbit_span())
-    return _tail_rates(orbit.lognorms, params)
+    return _tail_rates(orbit_lognorms(seq, _unit(xis), params.orbit_span()).lognorms, params)
 
 
 def _scalar_lognorms(u: ScalarSequence, params: BohlParams) -> np.ndarray:
@@ -259,13 +261,12 @@ def general_exponents(seq: MatrixSequence,
     """
     params = params or BohlParams()
     lo, hi = params.orbit_span()
-    factors = seq.window(lo, hi - 1)
     all_gaps = params.gaps()
     count = params.tail_count(len(all_gaps))
     gaps = all_gaps[-count:]
 
-    inverse = WindowProducts(_checked_inverses(factors, lo)[::-1])
-    forward = WindowProducts(factors)
+    inverse = WindowProducts(_maps_between(seq, hi, lo))
+    forward = WindowProducts(_maps_between(seq, lo, hi))
 
     senior_rates = np.empty(len(gaps))
     junior_rates = np.empty(len(gaps))

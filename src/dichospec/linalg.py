@@ -6,25 +6,18 @@ spectral norm (largest singular value) is the norm used everywhere a
 matrix norm appears in reported quantities; a stack of columns takes it
 as the vector 2-norm, without an SVD.
 
-The nullspace step shared by :func:`subspace_intersection` and fiber
-restriction is one batched complete QR of the stacked rows' transpose,
-not an SVD.  Its rank test is certified from R alone: a bound on the
-ratio of the smallest to the largest singular value that, above twice
-``NULLSPACE_RTOL``, proves the singular-value count would find full rank
-too.  Only items the bound cannot certify take the SVD and its count, so
-every rank equals the SVD count.
+This module owns the scaling that keeps norms in floating-point range:
+:func:`_pow2_scaled`, the exact power-of-two scaling, and
+:func:`_frobenius_norms`, the package's one overflow-safe Frobenius,
+column and vector norm, which equals the plain root of summed squares bit
+for bit wherever those squares stay normal.
 
+The nullspace step shared by :func:`subspace_intersection` and fiber
+restriction (:func:`_nullspace`) is one batched complete QR whose rank
+test is certified from R alone, with an SVD count only where it cannot be.
 :func:`frame_sweep` is the one place where orthonormal frames are carried
-along an orbit (discrete QR); every QR walk in the package goes through it.
-Its step calls the two compiled kernels behind ``np.linalg.qr`` directly
-(``qr_r_raw``, the in-place Householder factorization, then
-``qr_reduced``, which forms Q), because on these tiny matrices the
-wrapper's copies, type checks and ``triu`` cost more than both kernels
-together.  They are the same gufuncs, called in the same order on the
-same float64 data under the same ``errstate``, so every output equals
-the wrapper's bit for bit.  Where numpy does not provide ``qr_r_raw``
-(numpy 1.x splits it in two), the step is ``np.linalg.qr`` itself.  Either
-step writes its product, Q and R into buffers the sweep allocates once.
+along an orbit (discrete QR); its step calls the compiled kernels behind
+``np.linalg.qr`` directly, bit for bit as the wrapper does.
 """
 from __future__ import annotations
 
@@ -37,6 +30,37 @@ except ImportError:
 
 SPAN_RTOL = 1e-12  # relative singular-value cutoff for the rank of a span
 NULLSPACE_RTOL = 1e-8  # the same for the stacked rows of a nullspace step
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # normal float range
+
+
+def _pow2_scaled(stack: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """``stack`` scaled by the power of two that puts its largest |entry|
+    over ``axes`` in [1/2, 1), which is exact, and the exponents e (size 1
+    over ``axes``) with stack = scaled * 2**e; e = 0 for a zero item."""
+    _, exp = np.frexp(np.abs(stack).max(axis=axes, keepdims=True))
+    return np.ldexp(stack, -exp), exp
+
+
+def _frobenius_norms(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Root of the summed squares of ``a`` over ``axes``: Frobenius norms
+    of a stack of matrices (axes (1, 2)), 2-norms of columns or a vector.
+
+    The plain value comes first.  Only where its summed squares are not a
+    normal float (overflowed to inf, underflowed to 0 or a subnormal, or
+    NaN) is it recomputed from the item scaled by :func:`_pow2_scaled` and
+    scaled back.  A zero item gives 0; inf and NaN pass through; nothing
+    warns.
+    """
+    letters = "abcdefgh"[: a.ndim]
+    spec = f"{letters},{letters}->" + "".join(c for i, c in enumerate(letters) if i not in axes)
+    squares = np.einsum(spec, a, a)
+    norms = np.sqrt(squares)
+    bad = ~((squares >= _TINY) & (squares <= _HUGE))
+    if bad.any():
+        unit, exp = _pow2_scaled(a, axes)
+        rescued = np.ldexp(np.sqrt(np.einsum(spec, unit, unit)), np.squeeze(exp, axes))
+        norms = np.where(bad, rescued, norms)
+    return norms
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -48,17 +72,14 @@ def batched_spectral_norm(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (m, d, k) stack.
 
     A column (k = 1) has its vector 2-norm as that value, so a stack of
-    columns takes the vector norm instead of an SVD.  Each column is scaled
-    by a power of two near its largest entry first, which is exact, so
-    squaring neither overflows nor underflows where the SVD would not; a
-    1 x 1 item gives its absolute value bit for bit.
+    columns takes :func:`_frobenius_norms` instead of an SVD; it neither
+    overflows nor underflows where the SVD would not, and a 1 x 1 item
+    gives its absolute value bit for bit.
     """
     if stack.size == 0:
         return np.zeros(stack.shape[0])
     if stack.shape[2] == 1:
-        _, exp = np.frexp(np.max(np.abs(stack), axis=(1, 2)))
-        unit = np.ldexp(stack, -exp[:, None, None])
-        return np.ldexp(np.sqrt(np.einsum("lij,lij->l", unit, unit)), exp)
+        return _frobenius_norms(stack, (1, 2))
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 

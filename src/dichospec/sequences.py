@@ -369,6 +369,15 @@ def _checked_inverses(stack: np.ndarray, lo: int) -> np.ndarray:
     return inv
 
 
+def _maps_between(seq: MatrixSequence, a: int, b: int) -> np.ndarray:
+    """The one-step maps that carry time a to time b, in the order they act:
+    A(a), ..., A(b-1) for b > a, the checked A(a-1)^-1, ..., A(b)^-1 for
+    b < a, and none for b = a."""
+    if b == a:
+        return np.empty((0, seq.dimension, seq.dimension))
+    return seq.window(a, b - 1) if b > a else _checked_inverses(seq.window(b, a - 1), b)[::-1]
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Result of :meth:`MatrixSequence.validate`."""

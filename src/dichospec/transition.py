@@ -9,11 +9,16 @@ The two-parameter transition operator is
 so that x(m) = X(m, n) x(n) along solutions and the cocycle identity
 X(k, l) X(l, j) = X(k, j) holds for all integers.  Norms of these products
 grow or decay geometrically, so nothing here ever materializes a bare
-product over a long window: matrices are carried as a unit-size core plus
-a natural-log scale (:class:`ScaledMatrix`), orbits are carried through
-chunks of power-of-two-scaled prefix products (:func:`orbit_lognorms`), and
-window products over many offsets are built by a doubling scheme on
-normalized factors (:class:`WindowProducts`).
+product over a long window.  One sweep (:func:`_sweep`) carries a block of
+columns through chunks of power-of-two-scaled prefix products, about
+2 sqrt(m) Python steps for m maps: :func:`transition` carries the identity
+and returns a unit-size core plus a natural-log scale
+(:class:`ScaledMatrix`), and :func:`orbit_lognorms` carries initial vectors
+and keeps their log-norms.  Both take their maps from
+:func:`dichospec.sequences._maps_between`.  Window products over many
+offsets are built by a doubling scheme on normalized factors
+(:class:`WindowProducts`).  Every norm that must not over- or underflow
+comes from :func:`dichospec.linalg._frobenius_norms`.
 """
 from __future__ import annotations
 
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, WindowCapError
-from .linalg import batched_spectral_norm, spectral_norm
-from .sequences import MatrixSequence, _checked_inverses
+from .linalg import _frobenius_norms, _pow2_scaled, batched_spectral_norm, spectral_norm
+from .sequences import MatrixSequence, _maps_between
 
 # Hard cap on the number of factors in a single requested product.
 WINDOW_CAP = 1_000_000
@@ -38,40 +43,28 @@ CHUNK_LOG_CONDITION = 512.0
 _LN2 = math.log(2.0)
 
 
-def _rescued_norms(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (m, k, k) stack, given their plain values.
-
-    A plain norm (the root of the summed squares) that is inf, or 0 for a
-    nonzero matrix, overflowed or underflowed in the squares; it is
-    recomputed from the matrix scaled by its largest |entry|.  Every other
-    norm keeps its bits.
-    """
-    bad = ~np.isfinite(norms) | (norms == 0.0)
-    if not bad.any():
-        return norms
-    big = np.abs(stack[bad]).max(axis=(1, 2))
-    scaled = stack[bad] / np.where(big > 0.0, big, 1.0)[:, None, None]
-    norms = norms.copy()
-    norms[bad] = big * np.sqrt(np.einsum("lij,lij->l", scaled, scaled))
-    return norms
-
-
-def _frobenius(a: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # an overflowed sum is rescued below
-        plain = np.sqrt([np.square(a).sum()])
-    return float(_rescued_norms(a[None], plain)[0])
+def _integer_bounds(bounds, what: str) -> tuple[int, ...]:
+    """``bounds`` as ints; a fraction, a bool or a non-number raises
+    :class:`ParameterError` (integral floats and numpy integers pass)."""
+    try:
+        ints = tuple(int(b) for b in bounds)
+        if ints == tuple(bounds) and not any(isinstance(b, (bool, np.bool_)) for b in bounds):
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{what} {tuple(bounds)} must have integer bounds")
 
 
 @dataclass(frozen=True)
 class ScaledMatrix:
     """A matrix stored as  exp(log_scale) * core  with unit-size core.
 
-    The core is renormalized after every multiplication (by its Frobenius
-    norm, which for a d-by-d matrix pins the spectral norm of the core to
-    [1/sqrt(d), 1]), so products over arbitrarily long windows stay inside
-    floating point range; only the scalar ``log_scale`` grows.  Reported
-    quantities such as :meth:`log_norm` always refer to the spectral norm
-    of the represented matrix.
+    :meth:`from_matrix` and :meth:`compose` divide the core by its
+    Frobenius norm (spectral norm in [1/sqrt(d), 1]); :func:`transition`
+    scales it by a power of two (largest |entry| in [1/2, 1], spectral norm
+    in [1/2, d]).  Either way only the scalar ``log_scale`` grows over long
+    windows.  Reported quantities such as :meth:`log_norm` always refer to
+    the spectral norm of the represented matrix.
     """
 
     core: np.ndarray
@@ -84,26 +77,15 @@ class ScaledMatrix:
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "ScaledMatrix":
         a = np.asarray(a, dtype=float)
-        nrm = _frobenius(a)
+        nrm = float(_frobenius_norms(a, (0, 1)))
         if nrm == 0.0 or not math.isfinite(nrm):
             raise ParameterError("cannot scale a zero or non-finite matrix")
         return cls(core=a / nrm, log_scale=math.log(nrm))
 
-    @classmethod
-    def _normalized(cls, core: np.ndarray, log_scale: float) -> "ScaledMatrix":
-        """Scaled form of  exp(log_scale) * core  for a product core."""
-        nrm = _frobenius(core)
-        if nrm == 0.0:
-            raise ParameterError("product collapsed to zero")
-        return cls(core=core / nrm, log_scale=log_scale + math.log(nrm))
-
-    def left_multiplied(self, a: np.ndarray) -> "ScaledMatrix":
-        """Scaled form of  a @ self."""
-        return self._normalized(a @ self.core, self.log_scale)
-
     def compose(self, other: "ScaledMatrix") -> "ScaledMatrix":
         """Scaled form of  self @ other."""
-        return self._normalized(self.core @ other.core, self.log_scale + other.log_scale)
+        prod = ScaledMatrix.from_matrix(self.core @ other.core)
+        return ScaledMatrix(prod.core, self.log_scale + other.log_scale + prod.log_scale)
 
     def log_norm(self) -> float:
         """log of the spectral norm of the represented matrix."""
@@ -132,23 +114,26 @@ def transition(seq: MatrixSequence, m: int, n: int) -> ScaledMatrix:
     seq : MatrixSequence
         Coefficient sequence; every factor in the window must be invertible.
     m, n : int
-        Target and base time.  ``m > n`` multiplies forward factors,
-        ``m < n`` multiplies inverse factors, ``m == n`` is the identity.
-        |m - n| over ``WINDOW_CAP`` raises :class:`WindowCapError`.
+        Target and base time, integers: an integral float passes, and a
+        fraction, a bool or a non-number raises :class:`ParameterError`.
+        ``m > n`` multiplies forward factors, ``m < n`` multiplies inverse
+        factors, ``m == n`` is the identity.  |m - n| over ``WINDOW_CAP``
+        raises :class:`WindowCapError`.
+
+    One :func:`_sweep` carries the identity through the maps from n to m,
+    about 2 sqrt(|m - n|) Python steps, and returns each column scaled by
+    its own power of two.  The core keeps each power relative to the
+    largest, which times log 2 is the log scale, so the core's largest
+    |entry| lies in [1/2, 1].  It rounds like :func:`orbit_lognorms`, not
+    like a walk that renormalizes after every step.
     """
-    m, n = int(m), int(n)
+    m, n = _integer_bounds((m, n), "transition times (m, n) =")
     if abs(m - n) > WINDOW_CAP:
         raise WindowCapError(f"requested product over {abs(m - n)} steps exceeds cap {WINDOW_CAP}")
-    acc = ScaledMatrix.identity(seq.dimension)
-    if m > n:
-        factors = seq.window(n, m - 1)
-        for a in factors:
-            acc = acc.left_multiplied(a)
-    elif m < n:
-        inverses = _checked_inverses(seq.window(m, n - 1), m)
-        for j in range(len(inverses) - 1, -1, -1):
-            acc = acc.left_multiplied(inverses[j])
-    return acc
+    d = seq.dimension
+    block, exps = _sweep(_maps_between(seq, n, m), np.eye(d), np.zeros((abs(m - n) + 1, d)))
+    top = int(exps.max())
+    return ScaledMatrix(core=np.ldexp(block, exps - top), log_scale=top * _LN2)
 
 
 @dataclass(frozen=True)
@@ -182,39 +167,31 @@ class OrbitLog:
 def _chunk_length(maps: np.ndarray) -> int:
     """Steps per chunk of :func:`_sweep` over a (m, d, d) stack of maps.
 
-    isqrt(m) balances the two loops of the sweep.  It is cut so that no
-    chunk sums more than ``CHUNK_LOG_CONDITION`` of
-    d log ||A||_F - log |det A| over its maps: that sum bounds
-    log(sigma_max / sigma_min) of every prefix product of the chunk, so a
-    carried unit column keeps a norm of at least e^-CHUNK_LOG_CONDITION / 4
-    relative to the prefix, far above the underflow threshold.  Each term is
-    at least 0; a singular or overflowing map makes it infinite or NaN and
-    the chunk a single step, as does any map whose own singular values
-    differ by more than e^CHUNK_LOG_CONDITION.
+    isqrt(m) balances the sweep's two loops, cut so that no chunk sums
+    more than ``CHUNK_LOG_CONDITION`` of d log ||A||_F - log |det A| (each
+    term at least 0).  That sum bounds log(sigma_max / sigma_min) of every
+    prefix of the chunk, so a carried unit column keeps a norm of at least
+    e^-CHUNK_LOG_CONDITION / 4 relative to its prefix.  A singular or
+    overflowing map, or one whose own singular values differ by more than
+    e^CHUNK_LOG_CONDITION, makes every chunk a single step.
     """
     m, d = maps.shape[0], maps.shape[1]
     k = math.isqrt(m)
     if k <= 1:
         return 1
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fro = _rescued_norms(maps, np.sqrt(np.einsum("lij,lij->l", maps, maps)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fro = _frobenius_norms(maps, (1, 2))
         worst = float(np.max(d * np.log(fro) - np.linalg.slogdet(maps)[1]))
     if not worst * k <= CHUNK_LOG_CONDITION:  # a NaN worst lands here too
         k = max(1, int(CHUNK_LOG_CONDITION / worst)) if math.isfinite(worst) else 1
     return k
 
 
-def _pow2_scaled(stack: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
-    """``stack`` scaled by the power of two that puts its largest |entry|
-    over ``axes`` in [1/2, 1), and the exponent e with stack = scaled * 2**e.
-    The scaling is exact."""
-    _, exp = np.frexp(np.abs(stack).max(axis=axes, keepdims=True))
-    return np.ldexp(stack, -exp), exp
-
-
-def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fill out[k] with the running log-norms of the unit columns of u
     after maps[0], ..., maps[k-1]; out[0] holds the starting log-norms.
+    Returns the final block and its integer exponents e (1, S): the maps'
+    product times u is block * 2**e by columns (u and 0 without maps).
 
     The m maps are cut into C chunks of K steps (:func:`_chunk_length`).
     First every chunk's prefix products are built in lock-step, K batched
@@ -226,13 +203,13 @@ def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     Prefixes (of chunks longer than one step) and carried columns are
     rescaled by powers of two, which is exact, and their exponents are
     summed as integers, so the only roundings are those of the products
-    and one log per output.  Column
-    norms are taken after the same scaling, so they cannot over- or
-    underflow.
+    and one log per output.  Column norms are taken after the same
+    scaling, so they cannot over- or underflow.
     """
     m, d = maps.shape[0], u.shape[0]
+    start = np.zeros((1, u.shape[1]), dtype=np.int64)  # log2 scale of v
     if m == 0:
-        return
+        return u, start
     k = _chunk_length(maps)
     c = -(-m // k)
     pre = np.empty((c * k, d, d))
@@ -248,7 +225,6 @@ def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
         pre[:, j], exps[:, j] = _pow2_scaled(pre[:, j] @ pre[:, j - 1], (1, 2))
     exps = np.cumsum(exps[:, :, 0], axis=1)  # (c, k, 1): log2 scale of each prefix
 
-    start = np.zeros((1, u.shape[1]), dtype=np.int64)  # log2 scale of v
     v = u
     for i in range(c):
         w, e = _pow2_scaled(pre[i] @ v, 1)  # (k, d, S) and (k, 1, S)
@@ -259,6 +235,7 @@ def _sweep(maps: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
         seg += 0.5 * np.log(np.einsum("kij,kij->kj", w[:n], w[:n]))
         v, start = w[-1], e[-1:]
     out[1:] += out[0]
+    return v, start
 
 
 def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
@@ -268,20 +245,15 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
     ``xi`` is one initial vector or a (d, S) block of them, carried
     through a single sweep as columns; the span's bounds must be integers.
 
-    Each half of the span, m steps, is carried through chunks of prefix
-    products, not one step at a time (:func:`_sweep`; Benettin et al.
-    renormalize orbits the same way, once per block of steps).  A chunk
-    has min(isqrt(m), K_cond) steps, where K_cond keeps the conditioning
-    of every prefix inside the float range (:func:`_chunk_length`).  The
-    log-norms are exact up to rounding, but they round differently from a
-    walk that renormalizes after every step: the products associate
-    differently, and the scales add up as integer powers of two instead of
-    as one log per step.  On seeded and ill-conditioned systems they agree
-    with a 40-digit walk to within 1e-15 of max(1, |log-norm|).
+    Each half of the span is one :func:`_sweep` through chunks of prefix
+    products (Benettin et al. renormalize orbits the same way, once per
+    block of steps).  The products associate differently and the scales
+    add up as integer powers of two, so the log-norms round differently
+    from a walk that renormalizes after every step; on seeded and
+    ill-conditioned systems they agree with a 40-digit walk to within
+    1e-15 of max(1, |log-norm|).
     """
-    lo, hi = int(span[0]), int(span[1])
-    if lo != span[0] or hi != span[1]:
-        raise ParameterError(f"orbit span {tuple(span)} must have integer bounds")
+    lo, hi = _integer_bounds(span, "orbit span")
     if not (lo <= 0 <= hi):
         raise ParameterError("orbit span must contain the base time 0")
     if hi - lo > WINDOW_CAP:
@@ -291,7 +263,7 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
     block = xi.reshape(-1, 1) if single else xi
     if block.shape[0] != seq.dimension:
         raise ParameterError(f"xi has length {block.shape[0]}, system dimension is {seq.dimension}")
-    nrm0 = np.sqrt(np.einsum("ij,ij->j", block, block))
+    nrm0 = _frobenius_norms(block, (0,))
     if block.shape[1] == 0 or not np.all((nrm0 > 0.0) & np.isfinite(nrm0)):
         raise ParameterError("initial vectors must be nonzero and finite")
 
@@ -299,18 +271,13 @@ def orbit_lognorms(seq: MatrixSequence, xi: np.ndarray,
     base = -lo  # index of n = 0
     lognorms = np.empty((hi - lo + 1, block.shape[1]))
     lognorms[base] = np.log(nrm0)
-    if hi > 0:
-        _sweep(seq.window(0, hi - 1), u, lognorms[base:])
-    if lo < 0:
-        # stepping from n = -k down to n = -k-1 uses A(-k-1)^-1
-        inverses = _checked_inverses(seq.window(lo, -1), lo)[::-1]
-        _sweep(inverses, u, lognorms[base::-1])
+    _sweep(_maps_between(seq, 0, hi), u, lognorms[base:])
+    _sweep(_maps_between(seq, 0, lo), u, lognorms[base::-1])
 
     if single:
-        lognorms = lognorms[:, 0]
+        lognorms, block = lognorms[:, 0], block[:, 0]
     lognorms.flags.writeable = False
-    return OrbitLog(xi=block[:, 0].copy() if single else block.copy(), start=lo,
-                    lognorms=lognorms)
+    return OrbitLog(xi=block.copy(), start=lo, lognorms=lognorms)
 
 
 def _renormalized(prod: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +310,7 @@ class WindowProducts:
         if m == 0:
             raise ParameterError("factor sequence is empty")
         self.count = m
-        nrm = _rescued_norms(factors, np.sqrt(np.einsum("lij,lij->l", factors, factors)))
+        nrm = _frobenius_norms(factors, (1, 2))
         if np.any(nrm == 0.0):
             raise ParameterError("zero factor in window product sequence")
         cores = factors / nrm[:, None, None]

@@ -19,7 +19,7 @@ from .dichotomy import (DichotomyParams, SpectralInterval, SpectrumEstimate,
                         estimate_spectrum, scalar_spectrum)
 from .errors import ParameterError, ValidationError
 from .linalg import batched_spectral_norm, frame_sweep
-from .sequences import MatrixSequence, ScalarSequence, _checked_inverses
+from .sequences import MatrixSequence, ScalarSequence, _maps_between
 
 SIGNIFICANCE_TOL = 5e-3  # set distance of a significant diagonal's spectrum
 
@@ -95,12 +95,12 @@ def qr_triangularize(seq: MatrixSequence,
     if not lo < 0 < hi:
         raise ParameterError(f"triangularization window {window} must straddle zero")
     d = seq.dimension
-    factors = seq.window(lo, hi - 1)
     # forward of zero walk A(0), A(1), ...; behind zero walk A(-1)^-1,
     # A(-2)^-1, ... and flip.  Both halves run lock-stepped in one sweep,
     # the shorter one padded at its end with identity maps whose output
-    # is dropped.
-    halves = (factors[-lo:], _checked_inverses(factors[:-lo], lo)[::-1])
+    # is dropped.  The backward half comes first, so the lowest bad n is named.
+    backward = _maps_between(seq, 0, lo)
+    halves = (_maps_between(seq, 0, hi), backward)
     maps = np.tile(np.eye(d), (2, max(hi, -lo), 1, 1))
     for half, part in zip(maps, halves):
         half[: len(part)] = part

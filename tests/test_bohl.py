@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,24 @@ def test_initial_vector_scaling_invariance():
     general = bohl_exponents(seq, 3.7 * xi, SMALL)
     assert general.lower == pytest.approx(base.lower, rel=1e-12)
     assert general.upper == pytest.approx(base.upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_vectors_past_the_square_range_keep_power_of_two_homogeneity(size):
+    # the squares of 1e200 overflow and those of 1e-200 underflow; the norm
+    # is still exact, so the normalized vector is (1, 0) bit for bit
+    seq = seeded_2d()
+    unit = bohl_exponents(seq, [1.0, 0.0], SMALL)
+    block = np.array([[size, 1.0, -size], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bohl_exponents(seq, [size, 0.0], SMALL)
+        lower, upper, spread = _bohl_block(seq, block, SMALL)
+    assert got.lower == unit.lower and got.upper == unit.upper
+    assert np.array_equal(got.min_rates, unit.min_rates)
+    assert np.array_equal(got.max_rates, unit.max_rates)
+    assert np.all(lower == unit.lower) and np.all(upper == unit.upper)
+    assert np.all(spread == unit.spread)
 
 
 def test_system_scaling_shifts_rates():

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -495,3 +496,46 @@ def test_column_norms_neither_overflow_nor_underflow(d, scale):
     svd = np.linalg.svd(columns, compute_uv=False)[:, 0]
     assert np.all(np.abs(got - svd) <= 1e-15 * svd)
     assert np.array_equal(batched_spectral_norm(np.zeros((3, d, 1))), np.zeros(3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_frobenius_norms_equal_the_plain_root_of_summed_squares(d):
+    # the package's three layouts: matrices of a stack, columns of a block,
+    # columns of a stack of blocks; entries within e^+-60 of 1 keep their
+    # squares normal, so only the plain value is taken
+    rng = np.random.default_rng(d)
+    for k in sorted({1, 2, d}):
+        s = rng.standard_normal((40, d, k)) * np.exp(rng.uniform(-60.0, 60.0, (40, 1, 1)))
+        assert np.array_equal(linalg._frobenius_norms(s, (1, 2)),
+                              np.sqrt(np.einsum("lij,lij->l", s, s)))
+        assert np.array_equal(linalg._frobenius_norms(s[0], (0,)),
+                              np.sqrt(np.einsum("ij,ij->j", s[0], s[0])))
+        assert np.array_equal(linalg._frobenius_norms(s, (1,)),
+                              np.sqrt(np.einsum("kij,kij->kj", s, s)))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160])
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_frobenius_norms_of_entries_whose_squares_leave_the_normal_range(d, scale):
+    # squares of 1e200 overflow, of 1e-200 flush to 0 and of 1e-160 are
+    # subnormal, a few digits only; the reference scales every item by
+    # one fixed power of two near 1/scale
+    s = np.random.default_rng(d).standard_normal((40, d, d)) * scale
+    k = round(math.log2(scale))
+    unit = np.ldexp(s, -k)
+    want = np.ldexp(np.sqrt(np.einsum("lij,lij->l", unit, unit)), k)
+    got = linalg._frobenius_norms(s, (1, 2))      # warnings fail the test
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    assert np.array_equal(linalg._frobenius_norms(np.zeros((3, d, d)), (1, 2)), np.zeros(3))
+
+
+def test_frobenius_norms_pass_inf_and_nan_through():
+    s = np.ones((4, 2, 3))
+    s[1, 0, 2] = np.inf
+    s[2, 1, 1] = np.nan
+    s[3, 0, 0], s[3, 1, 0] = -np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg._frobenius_norms(s, (1, 2))
+    assert got[0] == math.sqrt(6.0) and got[1] == np.inf
+    assert np.isnan(got[2]) and np.isnan(got[3])

@@ -269,6 +269,90 @@ def test_orbit_rejects_bad_input():
     assert orbit_lognorms(seq, [1.0, 0.0], (-3.0, np.int64(4))).span == (-3, 4)
 
 
+@pytest.mark.parametrize("bad", [3.9, -0.5, True, np.bool_(False), "x", "3", None, math.nan, math.inf],
+                         ids=repr)
+def test_transition_refuses_non_integral_times(bad):
+    # int() once truncated 3.9 to 3 and read True as 1
+    seq = seeded_example()
+    for times in ((bad, 0), (0, bad)):
+        with pytest.raises(ParameterError, match="integer bounds"):
+            transition(seq, *times)
+
+
+def test_orbit_span_refuses_boolean_bounds():
+    # the span goes through the same check as the times of transition()
+    with pytest.raises(ParameterError, match="integer bounds"):
+        orbit_lognorms(MatrixSequence.constant(np.eye(2)), [1.0, 0.0], (False, True))
+
+
+def test_transition_accepts_integral_floats_and_numpy_integers():
+    seq = seeded_example()
+    want = transition(seq, 7, -5)
+    got = transition(seq, 7.0, np.int64(-5))
+    assert np.array_equal(got.core, want.core) and got.log_scale == want.log_scale
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 97, 100, 101, 2025, 2026])
+def test_transition_chunk_edges_match_dense_products(m):
+    # 97 is prime (one short last chunk), 100 and 2025 are K^2 chunks of K
+    # steps, and 101 and 2026 leave a last chunk of a single step.  Log-rates
+    # within +-0.16 of 0 keep X(m, 0) in the float range over 2,026 steps, so
+    # the dense product is a fair reference, and each step's log-condition
+    # term of about 2 keeps K = isqrt(m)
+    seq = MatrixSequence.seeded(5, bands=((0.85, 0.95), (0.97, 1.03), (1.05, 1.15)))
+    if m >= 4:
+        assert _chunk_length(seq.window(0, m - 1)) == math.isqrt(m)
+    for target in (m, -m):
+        got = transition(seq, target, 0).to_matrix()
+        want = dense_transition(seq, target, 0)
+        assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2), target
+
+
+@pytest.mark.parametrize("m", [2048, -2048], ids=["forward", "backward"])
+def test_transition_of_a_wide_diagonal_keeps_every_digit(m):
+    # one step spreads the singular values by 1e400, past the float range,
+    # so the sweep takes one-step chunks and keeps each column's scale as
+    # an integer power of two; the slow column drops out of the core
+    seq = MatrixSequence.constant(np.diag([1e200, 1e-200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transition(seq, m, 0).log_norm()
+    assert got == pytest.approx(2048 * np.log(1e200), rel=1e-13)
+
+
+def test_transition_is_one_sweep(monkeypatch):
+    module = importlib.import_module("dichospec.transition")
+    real = module._sweep
+    calls = []
+
+    def spy(maps, u, out):
+        calls.append(len(maps))
+        return real(maps, u, out)
+
+    monkeypatch.setattr(module, "_sweep", spy)
+    seq = seeded_example()
+    for m, n in ((300, 0), (-300, 0), (7, -5), (-5, 7), (4, 4)):
+        calls.clear()
+        transition(seq, m, n)
+        assert calls == [abs(m - n)], (m, n)
+
+
+@pytest.mark.parametrize("xi", [[1e200, 0.0], [1e-200, 0.0],
+                                [[1e200, 1e-200, 1.0], [0.0, 0.0, 1.0]]],
+                         ids=["huge", "tiny", "mixed-block"])
+def test_orbits_start_from_vectors_whose_squares_leave_the_float_range(xi):
+    # the plain root of summed squares of these vectors is inf or 0
+    seq = MatrixSequence.constant(np.diag([2.0, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orbit_lognorms(seq, xi, (-5, 5)).lognorms
+    n = np.arange(-5, 6)[:, None]
+    block = np.asarray(xi).reshape(2, -1)
+    # X(n, 0) = diag(2^n, 2^-n); hypot neither overflows nor underflows
+    want = np.log(np.hypot(block[0] * 2.0 ** n, block[1] * 2.0 ** -n))
+    assert np.all(np.abs(got.reshape(want.shape) - want) <= 1e-13 * np.abs(want))
+
+
 def test_diagonal_scalar_systems_agree_with_matrix_route():
     u = ScalarSequence.periodic([2.0, 0.5])
     seq = MatrixSequence.diagonal([u])
