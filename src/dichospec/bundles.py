@@ -13,8 +13,11 @@ follows from those complements at each n alone.  Nothing is carried from
 one time to the next, so it commutes with the dynamics to rounding over
 the whole window; conjugating ``P(0)`` with transition matrices would
 amplify its rounding by the rate ratio across the gap at every step.
-Intersecting the families taken on both sides of a spectral gap produces
-the fiber of the spectral bundle attached to the interval in between.
+The fiber of the spectral bundle attached to the interval between two
+gaps is the unstable family of the gap below intersected with the stable
+family of the gap above; in flag coordinates that intersection has a
+closed form (Kuptsov & Parlitz 2012), which fiber restriction reads at
+every time.
 """
 
 from __future__ import annotations
@@ -23,22 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bohl import _checked_count
 from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds
 from .errors import ParameterError, SubspaceError, ValidationError
-from .linalg import (_nullspace, batched_spectral_norm, canonical_basis, frame_sweep,
-                     min_principal_angle, spectral_norm, subspace_intersection)
+from .linalg import (NULLSPACE_RTOL, _nullspace, batched_spectral_norm, canonical_basis,
+                     frame_sweep, min_principal_angle, spectral_norm, subspace_intersection)
 from .sequences import MatrixSequence
 
 IDEMPOTENT_TOL = 1e-9  # largest ||P^2 - P|| a projector family accepts
 CONTAINS_RTOL = 1e-8  # relative residual of a vector that lies in a fiber
 WHITNEY_THRESHOLD = 1e-3  # least sigma_min of stacked fiber bases in a Whitney sum
 # Steps the restriction flag pair is swept outside its window before its
-# rows are kept; fiber restriction defaults to it and projector families
+# flags are kept; fiber restriction defaults to it and projector families
 # use it, so both read the same cached sweep.
 BURN_IN = 128
-# Steps per batched frame_sweep call, and fiber times per stacked nullspace
-# QR, in fiber restriction; stacks over a whole long window cost several
-# MiB of QR buffers.
+# Steps per batched frame_sweep call, and fiber times framed per batch, in
+# fiber restriction; stacks over a whole long window cost several MiB of
+# temporaries.
 _SLICE = 256
 
 
@@ -101,7 +105,7 @@ def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> Projecto
     With s = ``verdict.rank`` and w = ``verdict.window``, the restriction
     flag pair over ``[-w, w]`` (see :func:`restricted_fiber_system`, whose
     cached sweep at burn-in ``BURN_IN`` this shares) gives at each n the
-    rows M = [trailing s columns of F; trailing d - s columns of B]^T.  The
+    rows M = [trailing s columns of F, trailing d - s columns of B]^T.  The
     first block vanishes on the unstable family and the second on the
     stable one, so P(n) = M^-1 diag(I_s, 0) M, one batched inverse over all
     2w + 1 times.  Ranks 0 and d give P = 0 and P = I.  Raises
@@ -114,8 +118,9 @@ def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> Projecto
             f"verdict at gamma={verdict.gamma} is '{verdict.outcome}', not a certificate")
     d, s, w = seq.dimension, verdict.rank, verdict.window
     if 0 < s < d:
-        rows, factors = _restriction_flags(seq, w, BURN_IN)
-        m = np.concatenate([rows[:, 0, d - 1 - s:], rows[:, 1, s - 1:]], axis=1)
+        flags, factors = _restriction_flags(seq, w, BURN_IN)
+        rows = np.swapaxes(flags, 2, 3)
+        m = np.concatenate([rows[:, 0, d - s:], rows[:, 1, s:]], axis=1)
         try:
             projectors = np.linalg.inv(m)[:, :, :s] @ m[:, :s]
         except np.linalg.LinAlgError as exc:
@@ -214,14 +219,14 @@ def bundle_fibers(spectrum: SpectrumEstimate,
 
 def _restriction_flags(seq: MatrixSequence, w: int,
                        burn: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complement rows of the restriction flag pair over ``[-w, w]``.
+    """The restriction flag pair over ``[-w, w]``.
 
     The pair is swept once per key ``(w, burn)`` and kept in the sequence's
     one-entry ``_flag_cache``; a different key replaces the entry, and a
-    build that raises leaves none.  Returns ``rows`` (2w + 1, 2, d - 1, d),
-    whose ``rows[n + w, 0]`` and ``rows[n + w, 1]`` hold the trailing d - 1
-    columns of F and of B at time n, transposed, and the factors
-    A(-w), ..., A(w - 1) the table is read from.
+    build that raises leaves none.  Returns ``flags`` (2w + 1, 2, d, d),
+    whose ``flags[n + w, 0]`` and ``flags[n + w, 1]`` are the full flags F
+    and B at time n, as columns, and the factors A(-w), ..., A(w - 1) the
+    table is read from.
     """
     cache = seq._flag_cache
     entry = cache.get((w, burn))
@@ -236,8 +241,8 @@ def _restriction_flags(seq: MatrixSequence, w: int,
     off = burn - binit  # the seeds sit at times -w - off and w + off
     steps = 2 * w + off
     # after s steps F sits at time s - w - off and B at w + off - s, so for
-    # off <= s <= steps they fill rows s - off and steps - s
-    rows = np.empty((2 * w + 1, 2, d - 1, d))
+    # off <= s <= steps they fill entries s - off and steps - s
+    pair = np.empty((2 * w + 1, 2, d, d))
     flags = np.stack([amplified, contracted[:, ::-1]])
     for start in range(0, steps, _SLICE):
         stop = min(start + _SLICE, steps)
@@ -248,10 +253,10 @@ def _restriction_flags(seq: MatrixSequence, w: int,
         if stop < off:
             continue
         first = max(start, off)
-        kept = np.swapaxes(frames[:, first - start:, :, 1:], 2, 3)
-        rows[first - off: stop - off + 1, 0] = kept[0]
-        rows[steps - stop: steps - first + 1, 1] = kept[1, ::-1]
-    cache[(w, burn)] = entry = (rows, factors[burn: burn + 2 * w])
+        kept = frames[:, first - start:]
+        pair[first - off: stop - off + 1, 0] = kept[0]
+        pair[steps - stop: steps - first + 1, 1] = kept[1, ::-1]
+    cache[(w, burn)] = entry = (pair, factors[burn: burn + 2 * w])
     return entry
 
 
@@ -269,31 +274,34 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     flag construction of covariant Lyapunov vectors (Ginelli et al. 2007).
 
     One lock-stepped :func:`~dichospec.linalg.frame_sweep` carries two full
-    orthonormal flags: F forward on the factors, seeded with the most
-    amplified directions first, and B backward on the inverses, seeded with
-    the most contracted directions first, each from ``burn_in`` steps
-    outside the window.  Neither flag depends on the fiber, so the pair is
-    swept once per (sequence, window, burn-in): the first restriction keeps
-    the trailing d - 1 columns of both flags on the sequence, and later
-    fibers at the same window and burn-in read their rows from them; only
-    the latest (window, burn-in) is kept.  The leading d - r_below columns
-    of F span the family growing past the gap below the fiber, and the
-    leading r_above columns of B the family decaying past the gap above, so
-    the trailing columns of each flag span that family's orthogonal
-    complement.  At every time the fiber is the nullspace of those
-    complement rows, found by the nullspace step shared with
-    :func:`~dichospec.linalg.subspace_intersection`: one batched complete
-    QR per slice of times, whose trailing Q columns are the nullspace where
-    a bound read off R certifies full rank, with the SVD's
-    singular-value count only at times the bound cannot certify, so a time
-    is flagged exactly when that count flags it.  The frame is the
-    span-canonical :func:`~dichospec.linalg.canonical_basis`, so the frame
-    depends on the fiber alone and not on sweep rounding.  The one-step
-    factors of the fiber coordinates are read off those frames.
-    Re-expressing the orbit in the tracked frame at every step removes the
-    leak before it can compound.  A time whose complement rows do not leave
-    a nullspace of the fiber's dimension raises :class:`SubspaceError`
-    naming the first such n.
+    orthonormal flags, each from ``burn_in`` (at least 8) steps outside the
+    window: F forward on the factors, most amplified directions first, and
+    B backward on the inverses, most contracted first.  Neither depends on
+    the fiber, so the pair is swept once per (sequence, window, burn-in)
+    and kept on the sequence for later fibers; only the latest key is kept.
+
+    Between gap ranks r- < r+ the fiber is the family growing past the gap
+    below, span F[:, :d - r-], intersected with the family decaying past
+    the gap above, span B[:, :r+].  In flag coordinates the intersection
+    has a closed form, the idea of the LU method for covariant Lyapunov
+    vectors (Kuptsov & Parlitz 2012): B[:, :r+] for r- = 0, F[:, :d - r-]
+    for r+ = d, and otherwise, with M = F[:, d - r-:]^T B[:, :r+] = [M1 M2],
+    the span of B[:, r-:r+] - B[:, :r-] M1^-1 M2, made orthonormal by a
+    reduced QR.  M1 is a block of the orthogonal F^T B, so sigma_min(M1) is
+    the sine of the smallest angle between the families of the gap below.
+    Times with sigma_min(M1) <= 2 ``NULLSPACE_RTOL`` take the singular-value
+    count of :func:`~dichospec.linalg._nullspace` on the complement rows of
+    both families instead.  That count misses the fiber's dimension only
+    where tan(theta / 2) <= ``NULLSPACE_RTOL``, theta the smallest angle
+    between the two complements; a unit u = F[:, d - r-:] a at angle theta
+    to the second complement, which is orthogonal to B[:, :r+], gives
+    |a^T M1| = |u^T B[:, :r-]| <= sin(theta) <= 2 tan(theta / 2).  So every
+    such time falls back, and the first raises :class:`SubspaceError`
+    naming its n.  Each frame is the span-canonical
+    :func:`~dichospec.linalg.canonical_basis`, which depends on the fiber
+    alone and not on sweep rounding, and the one-step factors of the fiber
+    coordinates are read off those frames.  Re-expressing the orbit in the
+    tracked frame at every step removes the leak before it can compound.
 
     Returns the fiber frame at time zero together with a tabulated k-by-k
     system covering ``[-window, window - 1]``.  The frames are orthonormal,
@@ -307,27 +315,43 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     r_above = spectrum.gap_ranks[index]
     k = r_above - r_below
     d = spectrum.dimension
-    if k == d:
-        return np.eye(d), seq
-    w = int(window)
+    w = _checked_count(window, "window")
     if w < 1:
         raise ParameterError("window must be at least 1")
-    flag_rows, factors = _restriction_flags(seq, w, max(int(burn_in), 8))
+    burn = max(_checked_count(burn_in, "burn_in"), 8)
+    if k == d:
+        return np.eye(d), seq
+    flags, factors = _restriction_flags(seq, w, burn)
 
     fiber_frames = np.empty((2 * w + 1, d, k))
     for start in range(0, 2 * w + 1, _SLICE):
         stop = min(start + _SLICE, 2 * w + 1)
-        # the complement of the family growing past the gap below, then of
-        # the family decaying past the gap above
-        rows = np.concatenate([flag_rows[start: stop, 0, d - 1 - r_below:],
-                               flag_rows[start: stop, 1, r_above - 1:]], axis=1)
-        bases, dims = _nullspace(rows)
-        lost = np.flatnonzero(dims != k)
-        if lost.size:
-            raise SubspaceError(
-                f"fiber {index} lost track at n = {start + lost[0] - w}: the framing "
-                f"families intersect in dimension {dims[lost[0]]}, not {k}")
-        fiber_frames[start: stop] = canonical_basis(bases)
+        f, b = flags[start: stop, 0], flags[start: stop, 1]
+        if r_below == 0:
+            frames = b[:, :, :r_above]
+        elif r_above == d:
+            frames = f[:, :, :d - r_below]
+        else:
+            m = np.swapaxes(f[:, :, d - r_below:], 1, 2) @ b[:, :, :r_above]
+            m1 = m[:, :, :r_below]
+            near = np.linalg.svd(m1, compute_uv=False)[:, -1] <= 2 * NULLSPACE_RTOL
+            # the identity at near times keeps solve from raising; they fall back below
+            x = np.linalg.solve(np.where(near[:, None, None], np.eye(r_below), m1),
+                                m[:, :, r_below:])
+            frames = np.linalg.qr(b[:, :, r_below:r_above] - b[:, :, :r_below] @ x)[0]
+            if near.any():
+                # the complement rows of the family growing past the gap
+                # below, then of the family decaying past the gap above
+                rows = np.swapaxes(np.concatenate([f[near, :, d - r_below:],
+                                                   b[near, :, r_above:]], axis=2), 1, 2)
+                bases, dims = _nullspace(rows)
+                if (dims != k).any():
+                    i = np.argmax(dims != k)
+                    raise SubspaceError(
+                        f"fiber {index} lost track at n = {start + np.flatnonzero(near)[i] - w}: "
+                        f"the framing families intersect in dimension {dims[i]}, not {k}")
+                frames[near] = bases
+        fiber_frames[start: stop] = canonical_basis(frames)
 
     af = factors @ fiber_frames[:-1]
     table = np.swapaxes(fiber_frames[1:], 1, 2) @ af

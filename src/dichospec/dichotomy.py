@@ -48,7 +48,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .bohl import BohlParams, _scalar_tail
+from .bohl import BohlParams, _checked_count, _scalar_tail
 from .errors import (DecayFitError, ParameterError, SpectrumConsistencyError,
                      ValidationError)
 from .linalg import frame_sweep, min_principal_angle
@@ -92,9 +92,9 @@ class DichotomyParams:
     burn_in: int = 128
 
     def __post_init__(self):
-        if self.window < 32:
+        if _checked_count(self.window, "window") < 32:
             raise ParameterError("dichotomy window must be at least 32")
-        if self.burn_in < 8:
+        if _checked_count(self.burn_in, "burn_in") < 8:
             raise ParameterError("burn_in must be at least 8")
 
     @property

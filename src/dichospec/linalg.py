@@ -12,9 +12,9 @@ This module owns the scaling that keeps norms in floating-point range:
 column and vector norm, which equals the plain root of summed squares bit
 for bit wherever those squares stay normal.
 
-The nullspace step shared by :func:`subspace_intersection` and fiber
-restriction (:func:`_nullspace`) is one batched complete QR whose rank
-test is certified from R alone, with an SVD count only where it cannot be.
+The nullspace step :func:`_nullspace`, one batched SVD and its
+singular-value count, serves :func:`subspace_intersection` and the times
+at which fiber restriction's closed form is ill-conditioned.
 :func:`frame_sweep` is the one place where orthonormal frames are carried
 along an orbit (discrete QR); its step calls the compiled kernels behind
 ``np.linalg.qr`` directly, bit for bit as the wrapper does.
@@ -276,49 +276,23 @@ def _nullspace(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A matrix's rank counts its singular values above ``NULLSPACE_RTOL``
     times the largest; a zero matrix, or one without rows, has rank 0.
     Returns ``(bases, dims)``: ``dims`` (m,) holds each nullspace's
-    dimension and ``bases`` (m, d, max(dims)) holds item i's basis in its
-    first ``dims[i]`` columns, zeros after.
-
-    One complete QR of the transposed stack, rows^T = Q R, does the work.
-    R has the rows' singular values, and when the rows have full rank
-    n = min(r, d) the trailing d - n columns of Q span the nullspace.
-    Rank is decided in two steps.  The bound
-    sigma_min / sigma_max >= |det R_1| / ||R||_F^n (R_1 the leading n x n
-    block, sigma_max <= ||R||_F, and the product of the singular values at
-    least |det R_1|) is computed from R alone, and Householder QR gives R
-    to absolute rounding, so the bound sees the small sines of nearly
-    shared directions that cosines would lose (Bjorck & Golub 1973).  A
-    bound above twice ``NULLSPACE_RTOL`` certifies full rank with a margin
-    far wider than rounding, so the singular-value count would find it
-    too.  Only the items it cannot certify (rank deficient, near the
-    cutoff or zero) get a full SVD and the count itself, with the trailing
-    right singular vectors as their basis.  A stack holding an inf or a
-    NaN raises ``LinAlgError`` before any factorization: LAPACK's SVD does
-    not return on an inf, and the bound can certify a wrong rank from it.
+    dimension and ``bases`` (m, d, max(dims)) holds item i's basis, its
+    trailing right singular vectors, in its first ``dims[i]`` columns,
+    zeros after.  A stack holding an inf or a NaN raises ``LinAlgError``
+    before any factorization: LAPACK's SVD does not return on an inf.
     """
     if not np.isfinite(rows).all():
         raise np.linalg.LinAlgError("nullspace of non-finite rows")
-    d = rows.shape[-1]
-    full = min(rows.shape[1], d)
-    q, tri = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")
-    # scaled to a largest entry of 1, so the norm neither overflows nor
-    # underflows and each diagonal factor of the bound is at most 1
-    with np.errstate(all="ignore"):
-        unit = tri / np.max(np.abs(tri), axis=(1, 2), initial=0.0, keepdims=True)
-        bound = (np.prod(np.abs(np.diagonal(unit, axis1=1, axis2=2)), axis=-1)
-                 / np.sqrt(np.einsum("lij,lij->l", unit, unit)) ** full)
-    doubt = np.flatnonzero(~(bound > 2 * NULLSPACE_RTOL))
-    dims = np.full(len(rows), d - full)
-    if not doubt.size:
-        return q[:, :, full:], dims
-    _, s, vt = np.linalg.svd(rows[doubt])
+    m, r, d = rows.shape
+    if r == 0:
+        return np.repeat(np.eye(d)[None], m, axis=0), np.full(m, d)
+    _, s, vt = np.linalg.svd(rows)
     rank = np.sum(s > NULLSPACE_RTOL * s[:, :1], axis=-1)
-    dims[doubt] = d - rank
-    bases = np.zeros((len(rows), d, dims.max()))
-    bases[:, :, : d - full] = q[:, :, full:]
-    for r in set(rank.tolist()):
-        same = rank == r
-        bases[doubt[same], :, : d - r] = np.swapaxes(vt[same, r:], 1, 2)
+    dims = d - rank
+    bases = np.zeros((m, d, dims.max()))
+    for k in set(rank.tolist()):
+        same = rank == k
+        bases[same, :, : d - k] = np.swapaxes(vt[same, k:], 1, 2)
     return bases, dims
 
 
@@ -337,12 +311,10 @@ def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Membership in each span is imposed through the orthogonal complement:
     x lies in span(a) iff comp(a)^T x = 0.  The stacked complement rows go
-    through the nullspace step :func:`_nullspace`, the same step that
-    intersects the flags of :func:`dichospec.bundles.restricted_fiber_system`:
-    a complete QR whose trailing Q columns are the intersection once R
-    certifies the rows' full rank, and the SVD count only where it cannot.
-    The basis is therefore the SVD one's span, not its columns.  An input
-    holding an inf or a NaN raises ``LinAlgError`` before any factorization.
+    through the nullspace step :func:`_nullspace`, the singular-value count
+    that :func:`dichospec.bundles.restricted_fiber_system` also falls back
+    on where its flags are nearly tangent.  An input holding an inf or a
+    NaN raises ``LinAlgError`` before any factorization.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise np.linalg.LinAlgError("intersection of non-finite spans")

@@ -372,9 +372,13 @@ def restricted_by_intersection(seq, r_below, r_above, window, burn_in=128):
     contracted ones, each seeded from the SVD of a short product at its
     end of the window.  The fiber frame of every time in [-window, window]
     is the intersection of the two frames there, and the table entry at n
-    is F(n+1)^T A(n) F(n).  A one-dimensional fiber's frame is turned so
-    that its largest-magnitude entry is positive; wider frames keep the
-    basis the intersection happens to give.
+    is F(n+1)^T A(n) F(n).  A fiber with r_below = 0 is the stable walk's
+    own frame and one with r_above = d the unstable walk's: intersecting
+    with the whole space would take a complement of a complement, which
+    costs about eps times the condition of the splitting.  A
+    one-dimensional fiber's frame is turned so that its largest-magnitude
+    entry is positive; wider frames keep the basis the intersection
+    happens to give.
     """
     def qr_positive(a):
         q, r = np.linalg.qr(a)
@@ -400,8 +404,13 @@ def restricted_by_intersection(seq, r_below, r_above, window, burn_in=128):
     for n in range(w + off, -w - 1, -1):
         stable[n] = s
         s = qr_positive(scipy.linalg.solve(seq.evaluate(n - 1), s))
-    frames = {n: intersection_by_complements(unstable[n], stable[n], d)
-              for n in range(-w, w + 1)}
+    if r_below == 0:
+        frames = {n: stable[n] for n in range(-w, w + 1)}
+    elif r_above == d:
+        frames = {n: unstable[n] for n in range(-w, w + 1)}
+    else:
+        frames = {n: intersection_by_complements(unstable[n], stable[n], d)
+                  for n in range(-w, w + 1)}
     if r_above - r_below == 1:
         frames = {n: f * np.sign(f[np.argmax(np.abs(f[:, 0])), 0]) for n, f in frames.items()}
     table = np.array([frames[n + 1].T @ seq.evaluate(n) @ frames[n] for n in range(-w, w)])

@@ -18,7 +18,7 @@ from dichospec.dichotomy import (DichotomyAnalyzer, DichotomyParams, SpectralInt
 from dichospec.dichotomy import test_dichotomy as dichotomy_verdict
 from dichospec.errors import (ParameterError, SingularMatrixError, SubspaceError,
                               ValidationError)
-from dichospec.linalg import frame_sweep, min_principal_angle, principal_angles
+from dichospec.linalg import _nullspace, frame_sweep, min_principal_angle, principal_angles
 from dichospec.sequences import MatrixSequence
 from bruteforce import restricted_by_intersection
 from systems import SEEDED_BANDS, random_periodic, separated_banded_diagonal
@@ -224,23 +224,49 @@ def test_restricted_system_recovers_exact_fiber_rates():
     assert slow.dimension == fast.dimension == 1
 
 
-def _nonnormal_with_its_spectrum():
-    # the estimate merges {0.5, 2} into one interval here (transversality
-    # is refuted at splitting angle 1.5e-4), so the restriction is checked
-    # against the true gap ranks
-    seq = MatrixSequence.constant([[2.0, 1e4], [0.0, 0.5]])
+def _nonnormal_with_its_spectrum(c=1e4):
+    # the estimate merges {0.5, 2} into one interval at c = 1e4
+    # (transversality is refuted at splitting angle 1.5e-4), so the
+    # restriction is checked against the true gap ranks
+    seq = MatrixSequence.constant([[2.0, c], [0.0, 0.5]])
     est = SpectrumEstimate(intervals=(SpectralInterval(0.5, 0.5), SpectralInterval(2.0, 2.0)),
                            gap_ranks=(0, 1, 2), gap_certificates=(), grid=(),
-                           refine_tol=1e-3, m_hat=1e4, window=256, dimension=2)
+                           refine_tol=1e-3, m_hat=c, window=256, dimension=2)
     return seq, est
+
+
+def _rotation_block_with_its_spectrum():
+    # rates 1/2, a turning plane at rate 1 and 2, coupled upward: the
+    # middle fiber is a plane (k = 2) between gap ranks 1 and 3
+    c, s = np.cos(1.0), np.sin(1.0)
+    seq = MatrixSequence.constant([[0.5, 0.3, 0.1, 0.2], [0.0, c, -s, 0.3],
+                                   [0.0, s, c, 0.1], [0.0, 0.0, 0.0, 2.0]])
+    est = SpectrumEstimate(intervals=tuple(SpectralInterval(r, r) for r in (0.5, 1.0, 2.0)),
+                           gap_ranks=(0, 1, 3, 4), gap_certificates=(), grid=(),
+                           refine_tol=1e-3, m_hat=2.1, window=256, dimension=4)
+    return seq, est
+
+
+@pytest.mark.parametrize("w", [150, 2048])
+@pytest.mark.parametrize("c", [1e2, 1e4, 1e6])
+def test_nonnormal_fibers_carry_their_exact_rates(c, w):
+    # each eigendirection of [[2, c], [0, 1/2]] is a fiber, so the exact
+    # one-step factors are 1/2 and 2; a frame taken as the complement of
+    # the flag's trailing column instead would be off by about c * eps
+    seq, est = _nonnormal_with_its_spectrum(c)
+    _, slow = restricted_fiber_system(seq, est, 1, window=w)
+    _, fast = restricted_fiber_system(seq, est, 2, window=w)
+    assert np.max(np.abs(slow.table - 0.5)) <= 1e-15
+    assert np.all(fast.table == 2.0)
 
 
 @pytest.mark.parametrize("build", [
     *[lambda d=d: MatrixSequence.seeded(5, bands=SEEDED_BANDS[d]) for d in (2, 3, 6)],
     *[lambda d=d: random_periodic(3, d, 3) for d in (2, 3, 6)],
     _nonnormal_with_its_spectrum,
+    _rotation_block_with_its_spectrum,
 ], ids=["seeded-d2", "seeded-d3", "seeded-d6", "periodic-d2", "periodic-d3", "periodic-d6",
-        "nonnormal"])
+        "nonnormal", "rotation-block"])
 def test_restricted_system_matches_the_per_fiber_reference(build):
     # the reference intersects two partial frames at every time; the flag
     # pair must give the same fiber and the same table up to a change of
@@ -360,6 +386,48 @@ def test_restricted_system_names_the_time_it_loses_track():
             restricted_fiber_system(seq, est, 2, window=w, burn_in=burn)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
+
+
+def test_nearly_tangent_flags_fall_back_to_the_nullspace_count(monkeypatch):
+    # constant rates (0.5, 1, 2, 4), except that the factor into n = 100
+    # turns the stable family of fiber 2's gap below, e1, to within 1e-10
+    # of the unstable one, span(e2, e3, e4), and the factor out of it
+    # turns it back; fiber 2 is the line e2 throughout
+    rates = np.diag([0.5, 1.0, 2.0, 4.0])
+    est = estimate_spectrum(MatrixSequence.constant(rates))
+    assert est.gap_ranks == (0, 1, 2, 3, 4)
+    w, burn, n_bad = 200, 128, 100
+    tilt = np.eye(4)
+    tilt[0, 0], tilt[1, 0] = 1e-10, 1.0
+    table = np.stack([rates] * (2 * (w + burn) + 1))
+    table[n_bad - 1 + w + burn] = tilt @ rates
+    table[n_bad + w + burn] = rates @ np.linalg.inv(tilt)
+    seq = MatrixSequence.tabulated(table, start=-w - burn)
+    calls = []
+
+    def counted_nullspace(rows):
+        calls.append(rows.copy())
+        return _nullspace(rows)
+
+    monkeypatch.setattr("dichospec.bundles._nullspace", counted_nullspace)
+    basis, system = restricted_fiber_system(seq, est, 2, window=w, burn_in=burn)
+    # one time falls back, n = 100, on the complement rows of the two families
+    flags = seq._flag_cache[(w, burn)][0][n_bad + w]
+    assert [len(rows) for rows in calls] == [1]
+    assert np.array_equal(calls[0][0], np.concatenate([flags[0, :, 3:], flags[1, :, 2:]], 1).T)
+    want_basis, want_table = restricted_by_intersection(seq, 1, 2, w, burn)
+    assert np.max(np.abs(basis - want_basis)) <= 1e-12
+    assert np.max(np.abs(system.table - want_table)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [{"window": 64.7}, {"window": "64"}, {"window": True},
+                                 {"burn_in": 16.5}, {"burn_in": "16"}, {"burn_in": False}])
+def test_restricted_system_refuses_non_integer_windows(bad):
+    # int() would run these as window 64, 64 and 1 and burn-in 16, 16 and 8
+    seq, est = _nonnormal_with_its_spectrum()
+    with pytest.raises(ParameterError, match="must be an integer"):
+        restricted_fiber_system(seq, est, 1, **{"window": 64, **bad})
+    assert seq._flag_cache == {}
 
 
 def test_restricted_system_rejects_bad_index():

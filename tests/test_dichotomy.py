@@ -144,6 +144,16 @@ def test_gamma_validation():
         dichotomy_verdict(diag_2_half(), -1.5)
 
 
+@pytest.mark.parametrize("bad", [{"window": 300.0}, {"window": 64.7}, {"window": "300"},
+                                 {"window": True}, {"burn_in": 64.5}, {"burn_in": "16"},
+                                 {"burn_in": np.float64(16.0)}])
+def test_dichotomy_params_refuse_non_integer_windows(bad):
+    # refused by name here, not by a bare TypeError inside the analyzer
+    with pytest.raises(ParameterError, match="must be an integer"):
+        DichotomyParams(**bad)
+    assert DichotomyParams(window=np.int64(300), burn_in=np.int32(16)).extent == 316
+
+
 # -- full spectrum estimation -------------------------------------------------
 
 
