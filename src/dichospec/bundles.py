@@ -17,7 +17,7 @@ The fiber of the spectral bundle attached to the interval between two
 gaps is the unstable family of the gap below intersected with the stable
 family of the gap above; in flag coordinates that intersection has a
 closed form (Kuptsov & Parlitz 2012), which fiber restriction reads at
-every time.
+all times of the window in one batch.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ WHITNEY_THRESHOLD = 1e-3  # least sigma_min of stacked fiber bases in a Whitney 
 # flags are kept; fiber restriction defaults to it and projector families
 # use it, so both read the same cached sweep.
 BURN_IN = 128
-# Steps per batched frame_sweep call, and fiber times framed per batch, in
-# fiber restriction; stacks over a whole long window cost several MiB of
-# temporaries.
+# Steps per batched frame_sweep call in the restriction flag sweep; one
+# sweep over a whole long window holds several MiB of maps, inverses and R.
 _SLICE = 256
 
 
@@ -104,8 +103,9 @@ def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> Projecto
 
     With s = ``verdict.rank`` and w = ``verdict.window``, the restriction
     flag pair over ``[-w, w]`` (see :func:`restricted_fiber_system`, whose
-    cached sweep at burn-in ``BURN_IN`` this shares) gives at each n the
-    rows M = [trailing s columns of F, trailing d - s columns of B]^T.  The
+    cached sweep at burn-in ``BURN_IN`` this shares) gives at each n, from
+    the same time-ordered views of F and B, the rows
+    M = [trailing s columns of F, trailing d - s columns of B]^T.  The
     first block vanishes on the unstable family and the second on the
     stable one, so P(n) = M^-1 diag(I_s, 0) M, one batched inverse over all
     2w + 1 times.  Ranks 0 and d give P = 0 and P = I.  Raises
@@ -118,9 +118,9 @@ def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> Projecto
             f"verdict at gamma={verdict.gamma} is '{verdict.outcome}', not a certificate")
     d, s, w = seq.dimension, verdict.rank, verdict.window
     if 0 < s < d:
-        flags, factors = _restriction_flags(seq, w, BURN_IN)
-        rows = np.swapaxes(flags, 2, 3)
-        m = np.concatenate([rows[:, 0, d - s:], rows[:, 1, s:]], axis=1)
+        f, b, factors = _restriction_flags(seq, w, BURN_IN)
+        m = np.concatenate([np.swapaxes(f[:, :, d - s:], 1, 2),
+                            np.swapaxes(b[:, :, s:], 1, 2)], axis=1)
         try:
             projectors = np.linalg.inv(m)[:, :, :s] @ m[:, :s]
         except np.linalg.LinAlgError as exc:
@@ -218,45 +218,37 @@ def bundle_fibers(spectrum: SpectrumEstimate,
 
 
 def _restriction_flags(seq: MatrixSequence, w: int,
-                       burn: int) -> tuple[np.ndarray, np.ndarray]:
+                       burn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The restriction flag pair over ``[-w, w]``.
 
     The pair is swept once per key ``(w, burn)`` and kept in the sequence's
     one-entry ``_flag_cache``; a different key replaces the entry, and a
-    build that raises leaves none.  Returns ``flags`` (2w + 1, 2, d, d),
-    whose ``flags[n + w, 0]`` and ``flags[n + w, 1]`` are the full flags F
-    and B at time n, as columns, and the factors A(-w), ..., A(w - 1) the
-    table is read from.
+    build that raises leaves none.  Returns F and B, (2w + 1, d, d) each,
+    whose ``F[n + w]`` and ``B[n + w]`` are the full flags at time n, as
+    columns, and the factors A(-w), ..., A(w - 1) the table is read from.
+    F and B are time-ordered views of the one array the sweep fills.
     """
     cache = seq._flag_cache
     entry = cache.get((w, burn))
     if entry is not None:
         return entry
     cache.clear()
-    d = seq.dimension
     lo, hi = -w - burn, w + burn
     factors = seq.window(lo, hi - 1)
     binit, amplified, contracted = _family_seeds(
         factors, seq.validate((lo, hi)).m_hat, burn)
     off = burn - binit  # the seeds sit at times -w - off and w + off
     steps = 2 * w + off
-    # after s steps F sits at time s - w - off and B at w + off - s, so for
-    # off <= s <= steps they fill entries s - off and steps - s
-    pair = np.empty((2 * w + 1, 2, d, d))
-    flags = np.stack([amplified, contracted[:, ::-1]])
+    # after s steps F sits at time s - w - off and B at w + off - s
+    swept = np.empty((2, steps + 1, *amplified.shape))
+    swept[:, 0] = amplified, contracted[:, ::-1]
     for start in range(0, steps, _SLICE):
         stop = min(start + _SLICE, steps)
         maps = np.stack([factors[binit + start: binit + stop],
                          np.linalg.inv(factors[burn + steps - stop: burn + steps - start])[::-1]])
-        frames = frame_sweep(maps, flags)[0]
-        flags = frames[:, -1]
-        if stop < off:
-            continue
-        first = max(start, off)
-        kept = frames[:, first - start:]
-        pair[first - off: stop - off + 1, 0] = kept[0]
-        pair[steps - stop: steps - first + 1, 1] = kept[1, ::-1]
-    cache[(w, burn)] = entry = (pair, factors[burn: burn + 2 * w])
+        swept[:, start: stop + 1] = frame_sweep(maps, swept[:, start])[0]
+    cache[(w, burn)] = entry = (swept[0, off:], swept[1, off:][::-1],
+                                factors[burn: burn + 2 * w])
     return entry
 
 
@@ -287,21 +279,25 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     vectors (Kuptsov & Parlitz 2012): B[:, :r+] for r- = 0, F[:, :d - r-]
     for r+ = d, and otherwise, with M = F[:, d - r-:]^T B[:, :r+] = [M1 M2],
     the span of B[:, r-:r+] - B[:, :r-] M1^-1 M2, made orthonormal by a
-    reduced QR.  M1 is a block of the orthogonal F^T B, so sigma_min(M1) is
-    the sine of the smallest angle between the families of the gap below.
-    Times with sigma_min(M1) <= 2 ``NULLSPACE_RTOL`` take the singular-value
-    count of :func:`~dichospec.linalg._nullspace` on the complement rows of
-    both families instead.  That count misses the fiber's dimension only
-    where tan(theta / 2) <= ``NULLSPACE_RTOL``, theta the smallest angle
-    between the two complements; a unit u = F[:, d - r-:] a at angle theta
-    to the second complement, which is orthogonal to B[:, :r+], gives
-    |a^T M1| = |u^T B[:, :r-]| <= sin(theta) <= 2 tan(theta / 2).  So every
-    such time falls back, and the first raises :class:`SubspaceError`
-    naming its n.  Each frame is the span-canonical
-    :func:`~dichospec.linalg.canonical_basis`, which depends on the fiber
-    alone and not on sweep rounding, and the one-step factors of the fiber
-    coordinates are read off those frames.  Re-expressing the orbit in the
-    tracked frame at every step removes the leak before it can compound.
+    reduced QR, one batch over all 2w + 1 times.  M1 is a block of the
+    orthogonal F^T B, so its singular values are at most 1 and
+    |det M1| <= sigma_min(M1), the sine of the smallest angle between the
+    families of the gap below.  Times with |det M1| <= 2 ``NULLSPACE_RTOL``
+    take the singular-value count of :func:`~dichospec.linalg._nullspace`
+    on the complement rows of both families instead.  That count misses
+    the fiber's dimension only where tan(theta / 2) <= ``NULLSPACE_RTOL``,
+    theta the smallest angle between the two complements; a unit
+    u = F[:, d - r-:] a at angle theta to the second complement, which is
+    orthogonal to B[:, :r+], gives |a^T M1| = |u^T B[:, :r-]| <= sin(theta)
+    <= 2 tan(theta / 2), so sigma_min(M1), and with it |det M1|, is at most
+    2 ``NULLSPACE_RTOL`` there.  So every such time falls back, and the
+    first raises :class:`SubspaceError` naming its n; a time flagged only
+    through the determinant gets its fiber from the count.  Each frame is
+    the span-canonical :func:`~dichospec.linalg.canonical_basis`, which
+    depends on the fiber alone and not on sweep rounding, and the one-step
+    factors of the fiber coordinates are read off those frames.
+    Re-expressing the orbit in the tracked frame at every step removes the
+    leak before it can compound.
 
     Returns the fiber frame at time zero together with a tabulated k-by-k
     system covering ``[-window, window - 1]``.  The frames are orthonormal,
@@ -321,48 +317,43 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     burn = max(_checked_count(burn_in, "burn_in"), 8)
     if k == d:
         return np.eye(d), seq
-    flags, factors = _restriction_flags(seq, w, burn)
+    f, b, factors = _restriction_flags(seq, w, burn)
+    if r_below == 0:
+        frames = b[:, :, :r_above]
+    elif r_above == d:
+        frames = f[:, :, :d - r_below]
+    else:
+        m = np.swapaxes(f[:, :, d - r_below:], 1, 2) @ b[:, :, :r_above]
+        m1 = m[:, :, :r_below]
+        near = np.abs(np.linalg.det(m1)) <= 2 * NULLSPACE_RTOL
+        # the identity at near times keeps solve from raising; they fall back below
+        x = np.linalg.solve(np.where(near[:, None, None], np.eye(r_below), m1),
+                            m[:, :, r_below:])
+        frames = np.linalg.qr(b[:, :, r_below:r_above] - b[:, :, :r_below] @ x)[0]
+        if near.any():
+            # the complement rows of the family growing past the gap
+            # below, then of the family decaying past the gap above
+            rows = np.swapaxes(np.concatenate([f[near, :, d - r_below:],
+                                               b[near, :, r_above:]], axis=2), 1, 2)
+            bases, dims = _nullspace(rows)
+            if (dims != k).any():
+                i = np.argmax(dims != k)
+                raise SubspaceError(
+                    f"fiber {index} lost track at n = {np.flatnonzero(near)[i] - w}: "
+                    f"the framing families intersect in dimension {dims[i]}, not {k}")
+            frames[near] = bases
+    frames = canonical_basis(frames)
 
-    fiber_frames = np.empty((2 * w + 1, d, k))
-    for start in range(0, 2 * w + 1, _SLICE):
-        stop = min(start + _SLICE, 2 * w + 1)
-        f, b = flags[start: stop, 0], flags[start: stop, 1]
-        if r_below == 0:
-            frames = b[:, :, :r_above]
-        elif r_above == d:
-            frames = f[:, :, :d - r_below]
-        else:
-            m = np.swapaxes(f[:, :, d - r_below:], 1, 2) @ b[:, :, :r_above]
-            m1 = m[:, :, :r_below]
-            near = np.linalg.svd(m1, compute_uv=False)[:, -1] <= 2 * NULLSPACE_RTOL
-            # the identity at near times keeps solve from raising; they fall back below
-            x = np.linalg.solve(np.where(near[:, None, None], np.eye(r_below), m1),
-                                m[:, :, r_below:])
-            frames = np.linalg.qr(b[:, :, r_below:r_above] - b[:, :, :r_below] @ x)[0]
-            if near.any():
-                # the complement rows of the family growing past the gap
-                # below, then of the family decaying past the gap above
-                rows = np.swapaxes(np.concatenate([f[near, :, d - r_below:],
-                                                   b[near, :, r_above:]], axis=2), 1, 2)
-                bases, dims = _nullspace(rows)
-                if (dims != k).any():
-                    i = np.argmax(dims != k)
-                    raise SubspaceError(
-                        f"fiber {index} lost track at n = {start + np.flatnonzero(near)[i] - w}: "
-                        f"the framing families intersect in dimension {dims[i]}, not {k}")
-                frames[near] = bases
-        fiber_frames[start: stop] = canonical_basis(frames)
-
-    af = factors @ fiber_frames[:-1]
-    table = np.swapaxes(fiber_frames[1:], 1, 2) @ af
-    resid = batched_spectral_norm(af - fiber_frames[1:] @ table)
+    af = factors @ frames[:-1]
+    table = np.swapaxes(frames[1:], 1, 2) @ af
+    resid = batched_spectral_norm(af - frames[1:] @ table)
     worst = float(np.max(resid / np.maximum(batched_spectral_norm(af), 1e-300)))
     if worst > 1e-6:
         raise SubspaceError(
             f"fiber {index} coordinates are not invariant over the window "
             f"(worst relative residual {worst:.3e}); the spectral gaps "
             "framing it are probably too thin for the sweep to converge")
-    return fiber_frames[w].copy(), MatrixSequence.tabulated(table, start=-w)
+    return frames[w].copy(), MatrixSequence.tabulated(table, start=-w)
 
 
 @dataclass(frozen=True)

@@ -553,7 +553,7 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     ranks are not 0 and d, or when refinement finds no fixed point.  If
     no gamma certifies, the probed range is one low-confidence interval.
     """
-    if grid_points < 8:
+    if _checked_count(grid_points, "grid_points") < 8:
         raise ParameterError("grid_points must be at least 8")
     if not (0.0 < refine_tol < 0.5):
         raise ParameterError("refine_tol must lie in (0, 0.5)")

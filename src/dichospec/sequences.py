@@ -129,6 +129,18 @@ def _uniforms(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
     return out.T
 
 
+def _integer_bounds(bounds, what: str) -> tuple[int, ...]:
+    """``bounds`` as ints; a fraction, a bool or a non-number raises
+    :class:`ParameterError` (integral floats and numpy integers pass)."""
+    try:
+        ints = tuple(int(b) for b in bounds)
+        if ints == tuple(bounds) and not any(isinstance(b, (bool, np.bool_)) for b in bounds):
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{what} {tuple(bounds)} must have integer bounds")
+
+
 def _seed_value(seed: int) -> int:
     value = int(seed)
     if value < 0 or value != seed or isinstance(seed, bool):
@@ -257,6 +269,7 @@ class ScalarSequence:
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Values at n = lo..hi inclusive."""
+        lo, hi = _integer_bounds((lo, hi), "window")
         if hi < lo:
             raise ParameterError("window requires lo <= hi")
         n = np.arange(lo, hi + 1)
@@ -587,6 +600,7 @@ class MatrixSequence:
         failed check keeps the old span; a span over 100,000 factors is
         returned but not kept.
         """
+        lo, hi = _integer_bounds((lo, hi), "window")
         if hi < lo:
             raise ParameterError("window requires lo <= hi")
         if self._span is not None:
@@ -608,7 +622,7 @@ class MatrixSequence:
 
     def evaluate(self, n: int) -> np.ndarray:
         """A(n), checked; read from the factor span, else built alone (span unchanged)."""
-        n = int(n)
+        (n,) = _integer_bounds((n,), "time")
         if self._span is not None:
             start, span = self._span
             if start <= n < start + len(span):
@@ -628,7 +642,7 @@ class MatrixSequence:
         overflows (a subnormal A(n) passes the determinant check) raises
         :class:`SingularMatrixError` naming n.
         """
-        lo, hi = int(span[0]), int(span[1])
+        lo, hi = _integer_bounds(span, "validate span")
         if hi < lo:
             raise ParameterError("validate requires lo <= hi")
         p = self.period

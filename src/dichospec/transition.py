@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError, WindowCapError
 from .linalg import _frobenius_norms, _pow2_scaled, batched_spectral_norm, spectral_norm
-from .sequences import MatrixSequence, _maps_between
+from .sequences import MatrixSequence, _integer_bounds, _maps_between
 
 # Hard cap on the number of factors in a single requested product.
 WINDOW_CAP = 1_000_000
@@ -41,18 +41,6 @@ WINDOW_CAP = 1_000_000
 CHUNK_LOG_CONDITION = 512.0
 
 _LN2 = math.log(2.0)
-
-
-def _integer_bounds(bounds, what: str) -> tuple[int, ...]:
-    """``bounds`` as ints; a fraction, a bool or a non-number raises
-    :class:`ParameterError` (integral floats and numpy integers pass)."""
-    try:
-        ints = tuple(int(b) for b in bounds)
-        if ints == tuple(bounds) and not any(isinstance(b, (bool, np.bool_)) for b in bounds):
-            return ints
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ParameterError(f"{what} {tuple(bounds)} must have integer bounds")
 
 
 @dataclass(frozen=True)

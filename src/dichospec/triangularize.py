@@ -19,7 +19,7 @@ from .dichotomy import (DichotomyParams, SpectralInterval, SpectrumEstimate,
                         estimate_spectrum, scalar_spectrum)
 from .errors import ParameterError, ValidationError
 from .linalg import batched_spectral_norm, frame_sweep
-from .sequences import MatrixSequence, ScalarSequence, _maps_between
+from .sequences import MatrixSequence, ScalarSequence, _integer_bounds, _maps_between
 
 SIGNIFICANCE_TOL = 5e-3  # set distance of a significant diagonal's spectrum
 
@@ -91,7 +91,7 @@ def qr_triangularize(seq: MatrixSequence,
     if window is None:
         ext = DichotomyParams().extent + 1
         window = (-ext, ext)
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = _integer_bounds(window, "triangularization window")
     if not lo < 0 < hi:
         raise ParameterError(f"triangularization window {window} must straddle zero")
     d = seq.dimension

@@ -18,7 +18,8 @@ from dichospec.dichotomy import (DichotomyAnalyzer, DichotomyParams, SpectralInt
 from dichospec.dichotomy import test_dichotomy as dichotomy_verdict
 from dichospec.errors import (ParameterError, SingularMatrixError, SubspaceError,
                               ValidationError)
-from dichospec.linalg import _nullspace, frame_sweep, min_principal_angle, principal_angles
+from dichospec.linalg import (NULLSPACE_RTOL, _nullspace, canonical_basis, frame_sweep,
+                              min_principal_angle, principal_angles)
 from dichospec.sequences import MatrixSequence
 from bruteforce import restricted_by_intersection
 from systems import SEEDED_BANDS, random_periodic, separated_banded_diagonal
@@ -388,21 +389,23 @@ def test_restricted_system_names_the_time_it_loses_track():
     assert messages[0] == messages[1]
 
 
-def test_nearly_tangent_flags_fall_back_to_the_nullspace_count(monkeypatch):
-    # constant rates (0.5, 1, 2, 4), except that the factor into n = 100
-    # turns the stable family of fiber 2's gap below, e1, to within 1e-10
-    # of the unstable one, span(e2, e3, e4), and the factor out of it
-    # turns it back; fiber 2 is the line e2 throughout
+_TILT_W, _TILT_BURN, _TILT_N = 200, 128, 100
+
+
+def _tilted_rates(tilt):
+    """Constant rates (0.5, 1, 2, 4) on [-328, 328], except that the factor
+    into n = 100 is tilt @ rates and the one out of it rates @ tilt^-1,
+    with the spectrum of the untilted rates."""
     rates = np.diag([0.5, 1.0, 2.0, 4.0])
     est = estimate_spectrum(MatrixSequence.constant(rates))
     assert est.gap_ranks == (0, 1, 2, 3, 4)
-    w, burn, n_bad = 200, 128, 100
-    tilt = np.eye(4)
-    tilt[0, 0], tilt[1, 0] = 1e-10, 1.0
-    table = np.stack([rates] * (2 * (w + burn) + 1))
-    table[n_bad - 1 + w + burn] = tilt @ rates
-    table[n_bad + w + burn] = rates @ np.linalg.inv(tilt)
-    seq = MatrixSequence.tabulated(table, start=-w - burn)
+    table = np.stack([rates] * (2 * (_TILT_W + _TILT_BURN) + 1))
+    table[_TILT_N - 1 + _TILT_W + _TILT_BURN] = tilt @ rates
+    table[_TILT_N + _TILT_W + _TILT_BURN] = rates @ np.linalg.inv(tilt)
+    return MatrixSequence.tabulated(table, start=-_TILT_W - _TILT_BURN), est
+
+
+def _counted_nullspace(monkeypatch):
     calls = []
 
     def counted_nullspace(rows):
@@ -410,14 +413,73 @@ def test_nearly_tangent_flags_fall_back_to_the_nullspace_count(monkeypatch):
         return _nullspace(rows)
 
     monkeypatch.setattr("dichospec.bundles._nullspace", counted_nullspace)
+    return calls
+
+
+def test_nearly_tangent_flags_fall_back_to_the_nullspace_count(monkeypatch):
+    # the factor into n = 100 turns the stable family of fiber 2's gap
+    # below, e1, to within 1e-10 of the unstable one, span(e2, e3, e4), and
+    # the factor out of it turns it back; fiber 2 is the line e2 throughout
+    w, burn, i = _TILT_W, _TILT_BURN, _TILT_N + _TILT_W
+    tilt = np.eye(4)
+    tilt[0, 0], tilt[1, 0] = 1e-10, 1.0
+    seq, est = _tilted_rates(tilt)
+    calls = _counted_nullspace(monkeypatch)
     basis, system = restricted_fiber_system(seq, est, 2, window=w, burn_in=burn)
     # one time falls back, n = 100, on the complement rows of the two families
-    flags = seq._flag_cache[(w, burn)][0][n_bad + w]
+    f, b, _ = seq._flag_cache[(w, burn)]
     assert [len(rows) for rows in calls] == [1]
-    assert np.array_equal(calls[0][0], np.concatenate([flags[0, :, 3:], flags[1, :, 2:]], 1).T)
+    assert np.array_equal(calls[0][0], np.concatenate([f[i, :, 3:], b[i, :, 2:]], 1).T)
     want_basis, want_table = restricted_by_intersection(seq, 1, 2, w, burn)
     assert np.max(np.abs(basis - want_basis)) <= 1e-12
     assert np.max(np.abs(system.table - want_table)) <= 1e-12
+
+
+def test_small_determinant_alone_falls_back_to_the_nullspace_count(monkeypatch):
+    # the factor into n = 100 tilts the stable family of fiber 3's gap
+    # below, span(e1, e2), to within 1e-4 of the unstable one, span(e3, e4),
+    # in both directions, and the factor out of it tilts it back: M1 at
+    # n = 100 has singular values 1e-4 and 1e-4, above the cutoff, but
+    # determinant 1e-8, below it
+    w, burn, i = _TILT_W, _TILT_BURN, _TILT_N + _TILT_W
+    tilt = np.eye(4)
+    tilt[0, 0] = tilt[1, 1] = 1e-4
+    tilt[2, 0] = tilt[3, 1] = 1.0
+    seq, est = _tilted_rates(tilt)
+    calls = _counted_nullspace(monkeypatch)
+    basis, system = restricted_fiber_system(seq, est, 3, window=w, burn_in=burn)
+    assert [len(rows) for rows in calls] == [1]
+    f, b, _ = seq._flag_cache[(w, burn)]
+    assert np.linalg.svd(f[i, :, 2:].T @ b[i, :, :2], compute_uv=False)[-1] > 2 * NULLSPACE_RTOL
+    assert np.array_equal(calls[0][0], np.concatenate([f[i, :, 2:], b[i, :, 3:]], 1).T)
+    want_basis, want_table = restricted_by_intersection(seq, 2, 3, w, burn)
+    assert np.max(np.abs(basis - want_basis)) <= 1e-12
+    assert np.max(np.abs(system.table - want_table)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.3, 1e-2, 1e-3])
+@pytest.mark.parametrize("a, b", [(0.5, 2.0), (0.8, 1.25), (1.0, 1.1)])
+def test_fibers_that_exist_only_on_z_match_the_exact_lines(a, b, theta):
+    # diag(a, b) behind zero and R diag(b, a) R^T from zero on: the spectrum
+    # is {a, b} (Palmer's lemma), the slow fiber at time zero is the stable
+    # line of the forward half, span(R e2), and the fast one the unstable
+    # line of the backward half, span(e2), theta apart
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    seq = MatrixSequence.piecewise(MatrixSequence.constant(np.diag([a, b])),
+                                   MatrixSequence.constant(rot @ np.diag([b, a]) @ rot.T))
+    est = estimate_spectrum(seq)
+    assert est.gap_ranks == (0, 1, 2)
+    lines = [canonical_basis(rot[:, [1]]), canonical_basis(np.eye(2)[:, [1]])]
+    for fiber, line in zip(bundle_fibers(est), lines):
+        assert np.max(np.abs(fiber.basis - line)) <= 1e-15
+    for w in (256, 2048):
+        for index, line in enumerate(lines, 1):
+            basis, system = restricted_fiber_system(seq, est, index, window=w)
+            assert np.max(np.abs(basis - line)) <= 1e-15
+            rates = system.table[w:, 0, 0] if index == 1 else system.table[:w, 0, 0]
+            rate = a if index == 1 else b
+            assert np.max(np.abs(rates - rate)) <= 1e-15 * rate
 
 
 @pytest.mark.parametrize("bad", [{"window": 64.7}, {"window": "64"}, {"window": True},

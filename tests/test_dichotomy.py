@@ -154,6 +154,13 @@ def test_dichotomy_params_refuse_non_integer_windows(bad):
     assert DichotomyParams(window=np.int64(300), burn_in=np.int32(16)).extent == 316
 
 
+@pytest.mark.parametrize("bad", [48.0, 47.5, "48", True], ids=repr)
+def test_estimate_spectrum_refuses_non_integer_grid_points(bad):
+    # 48.0 once reached np.geomspace and raised a bare TypeError there
+    with pytest.raises(ParameterError, match="grid_points must be an integer"):
+        estimate_spectrum(diag_2_half(), grid_points=bad)
+
+
 # -- full spectrum estimation -------------------------------------------------
 
 

@@ -368,3 +368,42 @@ def test_negative_seeds_are_rejected():
 def test_non_finite_values_and_non_integer_seeds_are_refused(build):
     with pytest.raises(ParameterError):
         build()
+
+
+_FRACTIONAL_MATRIX_CALLS = {
+    "evaluate-2.7": lambda seq: seq.evaluate(2.7),
+    "inverse_at-2.7": lambda seq: seq.inverse_at(2.7),
+    "window-0.5-3": lambda seq: seq.window(0.5, 3),
+    "window-0-3.9": lambda seq: seq.window(0, 3.9),
+    "window-0-true": lambda seq: seq.window(0, True),
+    "validate-0.5-3.9": lambda seq: seq.validate((0.5, 3.9)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_FRACTIONAL_MATRIX_CALLS))
+@pytest.mark.parametrize("kind", sorted(SPAN_KINDS))
+def test_matrix_sequence_refuses_fractional_times(kind, call):
+    # int() once ran these at the truncated times, or raised a bare error
+    seq = SPAN_KINDS[kind]()
+    with pytest.raises(ParameterError, match="integer bounds"):
+        _FRACTIONAL_MATRIX_CALLS[call](seq)
+
+
+@pytest.mark.parametrize("kind", sorted(SPAN_KINDS))
+def test_matrix_sequence_accepts_integral_floats_and_numpy_integers(kind):
+    seq = SPAN_KINDS[kind]()
+    assert np.array_equal(seq.window(np.int64(-3), 4.0), seq.window(-3, 4))
+    assert np.array_equal(seq.evaluate(2.0), seq.evaluate(2))
+    assert np.array_equal(seq.inverse_at(np.int32(2)), seq.inverse_at(2))
+    assert seq.validate((0.0, np.int64(3))) == seq.validate((0, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_KINDS))
+def test_scalar_sequence_refuses_fractional_times(kind):
+    u = SCALAR_KINDS[kind]
+    for call in (lambda: u.value_at(2.7), lambda: u.value_at(1.5), lambda: u.value_at(True),
+                 lambda: u.window(0.5, 3), lambda: u.window(-3, 3.9)):
+        with pytest.raises(ParameterError, match="integer bounds"):
+            call()
+    assert np.array_equal(u.window(np.int64(-3), 4.0), u.window(-3, 4))
+    assert u.value_at(2.0) == u.value_at(2)

@@ -106,6 +106,20 @@ def test_backward_half_validates_its_factors(bad):
     assert err.value.n == -5
 
 
+@pytest.mark.parametrize("window", [(-10.5, 10), (-10, 10.9), (-3, True), (-3, "4")], ids=repr)
+def test_window_refuses_non_integer_bounds(window):
+    # int() once ran the first two as (-10, 10) and the third as (-3, 1)
+    with pytest.raises(ParameterError, match="integer bounds"):
+        qr_triangularize(rotation(0.3), window=window)
+
+
+def test_window_accepts_integral_floats_and_numpy_integers():
+    seq = rotation(0.3)
+    want = qr_triangularize(seq, window=(-10, 10))
+    got = qr_triangularize(seq, window=(-10.0, np.int64(10)))
+    assert got.start == -10 and np.array_equal(got.frames, want.frames)
+
+
 def test_spectrum_is_invariant_under_the_sweep():
     seq = random_periodic(51, d=2, p=2, spread=0.7)
     pair = qr_triangularize(seq)
