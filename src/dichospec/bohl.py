@@ -151,7 +151,7 @@ class BohlEstimate:
         """The CSV text of rows  g, min_rate, max_rate  for convergence plots."""
         rows = ["g,min_rate,max_rate"]
         for g, lo, hi in zip(self.gaps, self.min_rates, self.max_rates):
-            rows.append(f"{int(g)},{lo:.17g},{hi:.17g}")
+            rows.append(f"{int(g)},{float(lo)!r},{float(hi)!r}")
         return "\n".join(rows) + "\n"
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bohl import _checked_count
-from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds
+from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds, _same_dimension
 from .errors import ParameterError, SubspaceError, ValidationError
 from .linalg import (NULLSPACE_RTOL, _nullspace, batched_spectral_norm, canonical_basis,
                      frame_sweep, min_principal_angle, spectral_norm, subspace_intersection)
@@ -110,12 +110,15 @@ def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> Projecto
     stable one, so P(n) = M^-1 diag(I_s, 0) M, one batched inverse over all
     2w + 1 times.  Ranks 0 and d give P = 0 and P = I.  Raises
     :class:`ValidationError` when the verdict is not a certificate (there
-    is no invariant splitting to project onto) and :class:`SubspaceError`
-    when the two families are not transverse at some n.
+    is no invariant splitting to project onto), :class:`ParameterError`
+    when it certifies a system of another dimension, and
+    :class:`SubspaceError` when the two families are not transverse at
+    some n.
     """
     if not verdict.is_certificate:
         raise ValidationError(
             f"verdict at gamma={verdict.gamma} is '{verdict.outcome}', not a certificate")
+    _same_dimension(seq, verdict.stable_basis.shape[0], "the verdict")
     d, s, w = seq.dimension, verdict.rank, verdict.window
     if 0 < s < d:
         f, b, factors = _restriction_flags(seq, w, BURN_IN)
@@ -305,6 +308,7 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     ambient solutions starting on the fiber.  A fiber spanning the whole
     space has nothing to track; the original sequence is returned as is.
     """
+    _same_dimension(seq, spectrum.dimension, "the spectrum")
     if not 1 <= index <= len(spectrum.intervals):
         raise ParameterError(f"fiber index {index} out of range")
     r_below = spectrum.gap_ranks[index - 1]

@@ -294,7 +294,7 @@ def _cmd_oracle(scn: Scenario, out_dir: Path, fmt: str) -> int:
     points = periodic_spectrum_oracle(scn.system)
     payload = {"scenario": scn.name, "period": scn.system.period,
                "points": list(points)}
-    csv_text = "point\n" + "".join(format(p, ".17g") + "\n" for p in points)
+    csv_text = "point\n" + "".join(repr(float(p)) + "\n" for p in points)
     table = ["spectrum points: " + " ".join(f"{p:.10g}" for p in points)]
     _emit(out_dir, f"{scn.name}-oracle", payload, csv_text, fmt, table)
     return 0

@@ -31,7 +31,7 @@ import numpy as np
 from .bohl import BohlParams, _bohl_block, _scalar_tail, bohl_exponents  # noqa: F401 (re-export)
 from .bohl import _checked_count
 from .bundles import SpectralBundleFiber, bundle_fibers, restricted_fiber_system
-from .dichotomy import SpectrumEstimate
+from .dichotomy import SpectrumEstimate, _same_dimension
 from .errors import ParameterError
 from .sequences import MatrixSequence
 
@@ -54,14 +54,12 @@ class SampleRow:
     escalated: bool = False
 
     def csv(self) -> str:
-        xi = ";".join(format(v, ".17g") for v in self.xi)
+        numbers = (self.lower, self.upper, *self.target, self.tolerance, self.margin)
         return ",".join([
             self.label.replace(",", ";"),
             "" if self.fiber_index is None else str(self.fiber_index),
-            xi,
-            format(self.lower, ".17g"), format(self.upper, ".17g"),
-            format(self.target[0], ".17g"), format(self.target[1], ".17g"),
-            format(self.tolerance, ".17g"), format(self.margin, ".17g"),
+            ";".join(repr(float(v)) for v in self.xi),
+            *(repr(float(v)) for v in numbers),
             "pass" if self.passed else "fail",
             "yes" if self.escalated else "no",
         ])
@@ -193,6 +191,7 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     fiber frame across the window; without that, rounding leaks every
     sample onto the fastest fiber within a few dozen steps.
     """
+    _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)
     if _checked_count(samples_per_fiber, "samples_per_fiber") < 1:
         raise ParameterError("samples_per_fiber must be at least 1")
@@ -233,6 +232,7 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     """Check that arbitrary unit vectors keep their Bohl interval inside
     the hull of the spectrum (first lower endpoint to last upper one);
     ``tolerance`` (at least 0) is as in :func:`verify_fiber_containment`."""
+    _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)
     if _checked_count(samples, "samples") < 1:
         raise ParameterError("samples must be at least 1")
@@ -259,6 +259,7 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
     attained within ``tolerance`` (at least 0; default as in
     :func:`verify_fiber_containment`) plus the estimate's spread.
     """
+    _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)
 
     def refused(note: str) -> ContainmentReport:

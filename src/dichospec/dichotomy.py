@@ -239,9 +239,9 @@ class DichotomyVerdict:
     def csv(self) -> str:
         """The row  gamma,outcome,rank,rho,K; an absent value is an empty cell."""
         rank = "" if self.rank is None else str(self.rank)
-        rho = "" if self.rho is None else format(self.rho, ".17g")
-        k = "" if self.K is None else format(self.K, ".17g")
-        return f"{self.gamma:.17g},{self.outcome},{rank},{rho},{k}"
+        rho = "" if self.rho is None else repr(float(self.rho))
+        k = "" if self.K is None else repr(float(self.K))
+        return f"{float(self.gamma)!r},{self.outcome},{rank},{rho},{k}"
 
 
 @dataclass(frozen=True)
@@ -519,6 +519,13 @@ class SpectrumEstimate:
         return "\n".join([_VERDICT_CSV_HEADER, *(v.csv() for v in self.grid)]) + "\n"
 
 
+def _same_dimension(seq: MatrixSequence, dimension: int, what: str) -> None:
+    """Refuse ``what``, computed for a ``dimension``-dimensional system, on ``seq``."""
+    if dimension != seq.dimension:
+        raise ParameterError(f"{what} is for a {dimension}-dimensional system, "
+                             f"not this {seq.dimension}-dimensional sequence")
+
+
 def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
                       refine_tol: float = 1e-3,
                       params: DichotomyParams | None = None,
@@ -552,6 +559,9 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     overlap or their ranks do not increase with gamma, when the edge
     ranks are not 0 and d, or when refinement finds no fixed point.  If
     no gamma certifies, the probed range is one low-confidence interval.
+    A given ``analyzer`` must be built on ``seq`` or an equal sequence,
+    and ``params``, if given too, must be its params; otherwise
+    :class:`ParameterError` is raised.
     """
     if _checked_count(grid_points, "grid_points") < 8:
         raise ParameterError("grid_points must be at least 8")
@@ -559,6 +569,10 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
         raise ParameterError("refine_tol must lie in (0, 0.5)")
     if analyzer is None:
         analyzer = DichotomyAnalyzer(seq, params)
+    elif analyzer.seq is not seq and analyzer.seq != seq:
+        raise ParameterError("the analyzer was built for another sequence")
+    elif params is not None and params != analyzer.params:
+        raise ParameterError(f"params {params} differ from the analyzer's {analyzer.params}")
     d = seq.dimension
     m_hat = analyzer.m_hat
     lo = 1.0 / (m_hat * 1.1)

@@ -49,50 +49,16 @@ _OUTPUT_DEFAULTS: dict[str, Any] = {
 _FORMATS = ("json", "csv", "table")
 
 
-def _canonical_number(x: float) -> str:
-    if isinstance(x, bool):  # bool is an int subclass; keep it out of here
-        raise TypeError("booleans are not numbers in canonical JSON")
-    if isinstance(x, int):
-        return str(x)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite float {x!r} cannot enter a report")
-    s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
-
-
-def canonical_json(obj: Any, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+def canonical_json(obj: Any) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, and every float
+    in Python's shortest round-trip form (``repr``), so ``json.loads``
+    gives back each float bit for bit.  A non-finite float raises
+    :class:`ValueError`.
 
     Reports hashed or diffed across runs must go through this, never
     through ``json.dumps`` directly, so that formatting stays pinned.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return _canonical_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [canonical_json(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            if not isinstance(k, str):
-                raise TypeError(f"canonical JSON keys must be strings, got {k!r}")
-            items.append(inner + json.dumps(k) + ": " + canonical_json(obj[k], indent + 1))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,8 @@ class ScalarSequence:
             raise ParameterError("tabulated scalar table must be a nonempty finite 1-d array")
         arr = arr.copy()
         arr.flags.writeable = False
-        return cls(kind="tabulated", table=arr, start=int(start))
+        (start,) = _integer_bounds((start,), "tabulated start")
+        return cls(kind="tabulated", table=arr, start=start)
 
     # -- evaluation --------------------------------------------------------
 
@@ -521,7 +522,8 @@ class MatrixSequence:
             raise ParameterError("tabulated entries must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
-        return cls(dimension=arr.shape[1], kind="tabulated", table=arr, start=int(start))
+        (start,) = _integer_bounds((start,), "tabulated start")
+        return cls(dimension=arr.shape[1], kind="tabulated", table=arr, start=start)
 
     # -- evaluation --------------------------------------------------------
 

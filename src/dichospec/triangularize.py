@@ -75,7 +75,7 @@ class KinematicPair:
         rows = ["n," + ",".join(f"u{i + 1}{i + 1}" for i in range(self.dimension))]
         diag = np.diagonal(self.upper.table, axis1=1, axis2=2)
         for k, n in enumerate(range(lo, hi + 1)):
-            rows.append(f"{n}," + ",".join(format(v, ".17g") for v in diag[k]))
+            rows.append(f"{n}," + ",".join(repr(float(v)) for v in diag[k]))
         return "\n".join(rows) + "\n"
 
 

@@ -496,3 +496,25 @@ def test_restricted_system_rejects_bad_index():
     est = estimate_spectrum(diag_2_half())
     with pytest.raises(ParameterError):
         restricted_fiber_system(diag_2_half(), est, 3, window=32)
+
+
+def _rates_3d():
+    return MatrixSequence.constant(np.diag([0.5, 1.0, 2.0]))
+
+
+def test_projector_family_refuses_a_verdict_of_another_system():
+    # a rank-2 certificate of a 3-d system once gave 513 identity projectors
+    verdict = DichotomyAnalyzer(_rates_3d()).verdict(1.5)
+    assert verdict.is_certificate and verdict.rank == 2
+    with pytest.raises(ParameterError, match="3-dimensional system, not this 2-dimensional"):
+        projector_family(MatrixSequence.constant([[0.5, 1.0], [0.0, 2.0]]), verdict)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_restricted_system_refuses_a_spectrum_of_another_system(index):
+    # fiber 1 once came back and fiber 2 raised a bare LinAlgError
+    est = estimate_spectrum(_rates_3d())
+    seq = MatrixSequence.constant([[0.5, 1.0], [0.0, 2.0]])
+    with pytest.raises(ParameterError, match="3-dimensional system, not this 2-dimensional"):
+        restricted_fiber_system(seq, est, index, window=64)
+    assert seq._flag_cache == {}

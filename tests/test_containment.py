@@ -295,3 +295,18 @@ def test_row_csv_layout():
     assert lines[0] == ("label,fiber,xi,bohl_lower,bohl_upper,target_lower,"
                         "target_upper,tolerance,margin,verdict,escalated")
     assert len(lines) == len(report.rows) + 1
+
+
+@pytest.mark.parametrize("check", [
+    lambda est: verify_fiber_containment(
+        MatrixSequence.constant([[0.5, 1.0], [0.0, 2.0]]), est, params=FAST),
+    lambda est: verify_global_containment(
+        MatrixSequence.constant([[0.5, 1.0], [0.0, 2.0]]), est, params=FAST),
+    lambda est: verify_endpoint_attainability(MatrixSequence.diagonal(
+        [ScalarSequence.constant(0.5), ScalarSequence.constant(2.0)]), est),
+], ids=["fiber", "global", "endpoint"])
+def test_checks_refuse_a_spectrum_of_another_system(check):
+    # a bare LinAlgError, a pass and six failed rows before
+    est = estimate_spectrum(MatrixSequence.constant(np.diag([0.5, 1.0, 2.0])))
+    with pytest.raises(ParameterError, match="3-dimensional system, not this 2-dimensional"):
+        check(est)

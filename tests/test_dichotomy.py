@@ -419,7 +419,8 @@ class ScriptedAnalyzer:
 
 
 def _scripted(d, analyzer):
-    return estimate_spectrum(MatrixSequence.constant(np.eye(d)), analyzer=analyzer)
+    analyzer.seq = MatrixSequence.constant(np.eye(d))
+    return estimate_spectrum(analyzer.seq, analyzer=analyzer)
 
 
 G = ScriptedAnalyzer.grid
@@ -577,3 +578,22 @@ def test_verdict_csv_header():
     assert len(lines) == len(est.grid) + 1
     gammas = [float(line.split(",")[0]) for line in lines[1:]]
     assert gammas == sorted(gammas)
+
+
+def test_estimate_spectrum_refuses_an_analyzer_of_another_sequence():
+    # the analyzer's own intervals, [0.3, 0.3] and about [3, 3], came back
+    analyzer = DichotomyAnalyzer(MatrixSequence.constant(np.diag([0.3, 3.0])))
+    with pytest.raises(ParameterError, match="another sequence"):
+        estimate_spectrum(MatrixSequence.constant(np.diag([0.5, 2.0])), analyzer=analyzer)
+    # an equal sequence built apart is the same system
+    est = estimate_spectrum(MatrixSequence.constant(np.diag([0.3, 3.0])), analyzer=analyzer)
+    assert est.gap_ranks == (0, 1, 2)
+
+
+def test_estimate_spectrum_refuses_params_its_analyzer_does_not_use():
+    # window 64 was ignored next to an analyzer at window 256
+    seq = diag_2_half()
+    analyzer = DichotomyAnalyzer(seq)
+    with pytest.raises(ParameterError, match="differ from the analyzer"):
+        estimate_spectrum(seq, params=DichotomyParams(window=64), analyzer=analyzer)
+    assert estimate_spectrum(seq, params=DichotomyParams(), analyzer=analyzer).window == 256

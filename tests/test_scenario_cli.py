@@ -2,17 +2,21 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from dichospec.bohl import bohl_exponents
+from dichospec.bohl import BohlParams, bohl_exponents
 from dichospec.cli import main
-from dichospec.dichotomy import estimate_spectrum
+from dichospec.containment import SampleRow
+from dichospec.dichotomy import DichotomyVerdict, estimate_spectrum, periodic_spectrum_oracle
 from dichospec.scenario import (
     Scenario,
     ScenarioError,
     canonical_json,
     load_scenario,
 )
+from dichospec.sequences import MatrixSequence
+from dichospec.triangularize import qr_triangularize
 
 SCENARIO_DIR = resources.files("dichospec") / "scenarios"
 
@@ -53,7 +57,7 @@ def test_canonical_json_is_key_order_independent():
 def test_canonical_json_keeps_float_identity():
     text = canonical_json({"pi": math.pi, "one": 1.0, "n": 3})
     decoded = json.loads(text)
-    assert decoded["pi"] == math.pi  # 17 significant digits round-trip
+    assert decoded["pi"] == math.pi  # the shortest repr round-trips
     assert isinstance(decoded["one"], float)
     assert isinstance(decoded["n"], int)
 
@@ -61,6 +65,67 @@ def test_canonical_json_keeps_float_identity():
 def test_canonical_json_rejects_non_finite():
     with pytest.raises(ValueError):
         canonical_json({"x": float("inf")})
+
+
+def test_canonical_json_is_the_standard_encoder():
+    payload = {"b": [1, 2.5, {"z": None, "a": True}], "a": {"s": "x\u00e9", "t": []},
+               "c": (0.1, -0.0, 1e16), "d": {}}
+    assert canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_canonical_json_prints_floats_in_shortest_round_trip_form():
+    text = canonical_json([0.1, 1e16, -0.0, np.float64(0.2)])
+    assert text.split() == ["[", "0.1,", "1e+16,", "-0.0,", "0.2", "]"]
+
+
+def _exact(cells, values):
+    """Each CSV cell parses back to its float bit for bit, in ``repr`` form."""
+    assert cells == [repr(float(v)) for v in values]
+    assert [float(c).hex() for c in cells] == [float(v).hex() for v in values]
+
+
+def _verdict_cells(_tmp_path):
+    v = DichotomyVerdict(gamma=0.1, outcome="certificate", window=256, rank=1,
+                         rho=np.float64(1 / 3), K=1e16)
+    cells = v.csv().split(",")
+    _exact([cells[0], *cells[3:]], [0.1, 1 / 3, 1e16])
+
+
+def _sample_row_cells(_tmp_path):
+    row = SampleRow(label="s", fiber_index=1, xi=(np.float64(0.1), -0.0), lower=1 / 3,
+                    upper=2 / 3, target=(0.2, 0.7), tolerance=1e-3, margin=-5e-324,
+                    passed=False)
+    cells = row.csv().split(",")
+    _exact(cells[2].split(";") + cells[3:9], [0.1, -0.0, 1 / 3, 2 / 3, 0.2, 0.7, 1e-3, -5e-324])
+
+
+def _envelope_cells(_tmp_path):
+    est = bohl_exponents(MatrixSequence.constant([[0.5, 1.0], [0.0, 2.0]]), [1.0, 1.0],
+                         BohlParams(window=256))
+    rows = [r.split(",") for r in est.envelopes_to_csv().splitlines()[1:]]
+    _exact([r[1] for r in rows], est.min_rates)
+    _exact([r[2] for r in rows], est.max_rates)
+
+
+def _diagonal_cells(_tmp_path):
+    pair = qr_triangularize(MatrixSequence.constant([[0.5, 1.0], [0.0, 2.0]]), (-8, 8))
+    rows = [r.split(",")[1:] for r in pair.diagonal_to_csv().splitlines()[1:]]
+    diag = np.diagonal(pair.upper.table, axis1=1, axis2=2)
+    _exact(sum(rows, []), diag.ravel())
+
+
+def _oracle_cells(tmp_path):
+    path = bundled("autonomous-diagonal")
+    assert main(["oracle", path, "--out", str(tmp_path), "--format", "table"]) == 0
+    cells = (tmp_path / "autonomous-diagonal-oracle.csv").read_text().splitlines()[1:]
+    _exact(cells, periodic_spectrum_oracle(load_scenario(path).system))
+
+
+@pytest.mark.parametrize("writer", [_verdict_cells, _sample_row_cells, _envelope_cells,
+                                    _diagonal_cells, _oracle_cells],
+                         ids=["verdict", "sample-row", "envelopes", "diagonal", "oracle"])
+def test_csv_float_cells_parse_back_to_the_exact_floats(tmp_path, writer):
+    writer(tmp_path)
 
 
 # -- scenarios -----------------------------------------------------------------
@@ -74,6 +139,14 @@ def test_bundled_scenarios_load_and_round_trip():
         assert scn.name == name
         again = Scenario.from_payload(json.loads(scn.dumps()))
         assert again.dumps() == scn.dumps()
+
+
+@pytest.mark.parametrize("name", sorted(p.name[: -len(".json")] for p in SCENARIO_DIR.iterdir()
+                                        if p.name.endswith(".json")))
+def test_bundled_scenario_files_are_what_the_writer_writes(name):
+    path = bundled(name)
+    with open(path) as f:
+        assert f.read() == load_scenario(path).dumps()
 
 
 def test_scenario_defaults_and_overrides(tmp_path):

@@ -407,3 +407,25 @@ def test_scalar_sequence_refuses_fractional_times(kind):
             call()
     assert np.array_equal(u.window(np.int64(-3), 4.0), u.window(-3, 4))
     assert u.value_at(2.0) == u.value_at(2)
+
+
+_TABULATED = {
+    "matrix": lambda start: MatrixSequence.tabulated(np.stack([np.eye(2)] * 4), start=start),
+    "scalar": lambda start: ScalarSequence.tabulated([1.0, 2.0], start=start),
+}
+
+
+@pytest.mark.parametrize("start", [2.7, -1.5, True, np.bool_(False), "3"])
+@pytest.mark.parametrize("cls", sorted(_TABULATED))
+def test_tabulated_refuses_a_non_integer_start(cls, start):
+    # int() once truncated the start, so the table was read at shifted times
+    with pytest.raises(ParameterError, match="integer bounds"):
+        _TABULATED[cls](start)
+
+
+@pytest.mark.parametrize("cls", sorted(_TABULATED))
+def test_tabulated_accepts_integral_float_and_numpy_integer_starts(cls):
+    for start in (-3.0, np.int64(-3), np.int32(-3)):
+        seq = _TABULATED[cls](start)
+        assert seq.start == -3 and type(seq.start) is int
+        assert seq == _TABULATED[cls](-3)
