@@ -31,8 +31,7 @@ FAILURE_EXIT = 1
 
 def _xi_arg(text: str) -> tuple[float, ...]:
     try:
-        parts = [p for p in text.replace(",", " ").split() if p]
-        values = tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in text.replace(",", " ").split())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"--xi expects numbers, got {text!r}") from exc
     if not values:
@@ -59,23 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "table"), default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
-                   help="estimate the dichotomy spectrum")
-    bohl = sub.add_parser("bohl", parents=[common],
-                          help="Bohl exponents of one starting vector")
-    bohl.add_argument("--xi", type=_xi_arg, required=True,
-                      help="starting vector, comma separated")
-    dich = sub.add_parser("dichotomy", parents=[common],
-                          help="test one scaling for an exponential dichotomy")
-    dich.add_argument("--gamma", type=float, required=True)
-    sub.add_parser("bundles", parents=[common],
-                   help="spectral bundle fibers and Whitney sum check")
-    sub.add_parser("triangularize", parents=[common],
-                   help="QR triangularization and diagonal significance")
-    sub.add_parser("verify", parents=[common],
-                   help="run the containment checks; exit 1 on failure")
-    sub.add_parser("oracle", parents=[common],
-                   help="Floquet spectrum points of a periodic system")
+    commands = {name: sub.add_parser(name, parents=[common], help=text)
+                for name, (_, text) in _COMMANDS.items()}
+    commands["bohl"].add_argument("--xi", type=_xi_arg, required=True,
+                                  help="starting vector, comma separated")
+    commands["dichotomy"].add_argument("--gamma", type=float, required=True)
     return parser
 
 
@@ -213,47 +200,43 @@ def _spectrum(scn: Scenario) -> SpectrumEstimate:
                              params=scn.dichotomy_params())
 
 
-def _cmd_spectrum(scn: Scenario, out_dir: Path, fmt: str) -> int:
+_Output = tuple[dict[str, Any], str | None, list[str], int]  # payload, CSV, table, exit code
+
+
+def _cmd_spectrum(scn: Scenario, args: argparse.Namespace) -> _Output:
     est = _spectrum(scn)
-    _emit(out_dir, f"{scn.name}-spectrum", spectrum_payload(scn.name, est),
-          est.verdicts_to_csv(), fmt, _interval_table(est))
-    return 0
+    return spectrum_payload(scn.name, est), est.verdicts_to_csv(), _interval_table(est), 0
 
 
-def _cmd_bohl(scn: Scenario, out_dir: Path, fmt: str, xi) -> int:
-    est = bohl_exponents(scn.system, list(xi), scn.bohl_params())
+def _cmd_bohl(scn: Scenario, args: argparse.Namespace) -> _Output:
+    est = bohl_exponents(scn.system, list(args.xi), scn.bohl_params())
     table = [f"upper Bohl exponent {est.upper:.10g}",
              f"lower Bohl exponent {est.lower:.10g}",
              f"envelope spread     {est.spread:.3e}"]
-    _emit(out_dir, f"{scn.name}-bohl", bohl_payload(scn.name, xi, est),
-          est.envelopes_to_csv(), fmt, table)
-    return 0
+    return bohl_payload(scn.name, args.xi, est), est.envelopes_to_csv(), table, 0
 
 
-def _cmd_dichotomy(scn: Scenario, out_dir: Path, fmt: str, gamma: float) -> int:
-    verdict = test_dichotomy(scn.system, gamma, scn.dichotomy_params())
+def _cmd_dichotomy(scn: Scenario, args: argparse.Namespace) -> _Output:
+    verdict = test_dichotomy(scn.system, args.gamma, scn.dichotomy_params())
     payload = {"scenario": scn.name, **_verdict_payload(verdict, bases=True)}
     csv_text = f"{_VERDICT_CSV_HEADER}\n{verdict.csv()}\n"
-    table = [f"gamma {gamma:.10g}: {verdict.outcome}"
+    table = [f"gamma {args.gamma:.10g}: {verdict.outcome}"
              + (f" (rank {verdict.rank}, rho {verdict.rho:.6g}, K {verdict.K:.6g})"
                 if verdict.is_certificate else f" ({verdict.reason})")]
-    _emit(out_dir, f"{scn.name}-dichotomy", payload, csv_text, fmt, table)
-    return 0
+    return payload, csv_text, table, 0
 
 
-def _cmd_bundles(scn: Scenario, out_dir: Path, fmt: str) -> int:
+def _cmd_bundles(scn: Scenario, args: argparse.Namespace) -> _Output:
     fibers = bundle_fibers(_spectrum(scn))
     whitney = whitney_sum_check(fibers)
     table = [f"{len(fibers)} fiber(s)"]
     for f in fibers:
         table.append(f"  fiber {f.index}: dimension {f.dimension}")
     table.extend(whitney.rows())
-    _emit(out_dir, f"{scn.name}-bundles", fibers_payload(scn.name, fibers, whitney),
-          None, fmt, table)
-    return 0
+    return fibers_payload(scn.name, fibers, whitney), None, table, 0
 
 
-def _cmd_triangularize(scn: Scenario, out_dir: Path, fmt: str) -> int:
+def _cmd_triangularize(scn: Scenario, args: argparse.Namespace) -> _Output:
     params = scn.dichotomy_params()
     # the significance check estimates the spectrum over +-params.extent
     ext = params.extent + 1
@@ -264,12 +247,10 @@ def _cmd_triangularize(scn: Scenario, out_dir: Path, fmt: str) -> int:
     payload["orthogonality_max"] = pair.orthogonality_max()
     table = rep.rows() + [f"sweep residual {payload['residual_max']:.3e}, "
                           f"frame orthogonality {payload['orthogonality_max']:.3e}"]
-    _emit(out_dir, f"{scn.name}-triangularize", payload,
-          pair.diagonal_to_csv(), fmt, table)
-    return 0
+    return payload, pair.diagonal_to_csv(), table, 0
 
 
-def _cmd_verify(scn: Scenario, out_dir: Path, fmt: str) -> int:
+def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> _Output:
     a = scn.analysis
     est = _spectrum(scn)
     common = dict(tolerance=a["tolerance"], seed=a["seed"],
@@ -286,18 +267,30 @@ def _cmd_verify(scn: Scenario, out_dir: Path, fmt: str) -> int:
                "reports": [containment_payload(r) for r in reports]}
     csv_text = "".join(r.rows_to_csv() for r in reports if r.rows)
     table = [r.summary() for r in reports]
-    _emit(out_dir, f"{scn.name}-verify", payload, csv_text, fmt, table)
-    return FAILURE_EXIT if any(r.status == "fail" for r in reports) else 0
+    code = FAILURE_EXIT if any(r.status == "fail" for r in reports) else 0
+    return payload, csv_text, table, code
 
 
-def _cmd_oracle(scn: Scenario, out_dir: Path, fmt: str) -> int:
+def _cmd_oracle(scn: Scenario, args: argparse.Namespace) -> _Output:
     points = periodic_spectrum_oracle(scn.system)
     payload = {"scenario": scn.name, "period": scn.system.period,
                "points": list(points)}
     csv_text = "point\n" + "".join(repr(float(p)) + "\n" for p in points)
     table = ["spectrum points: " + " ".join(f"{p:.10g}" for p in points)]
-    _emit(out_dir, f"{scn.name}-oracle", payload, csv_text, fmt, table)
-    return 0
+    return payload, csv_text, table, 0
+
+
+# name -> (command, help text), in `--help` order.  Only _cmd_* functions go here: they
+# look library names up in this module when called, so a wrapper bound there runs.
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "estimate the dichotomy spectrum"),
+    "bohl": (_cmd_bohl, "Bohl exponents of one starting vector"),
+    "dichotomy": (_cmd_dichotomy, "test one scaling for an exponential dichotomy"),
+    "bundles": (_cmd_bundles, "spectral bundle fibers and Whitney sum check"),
+    "triangularize": (_cmd_triangularize, "QR triangularization and diagonal significance"),
+    "verify": (_cmd_verify, "run the containment checks; exit 1 on failure"),
+    "oracle": (_cmd_oracle, "Floquet spectrum points of a periodic system"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -309,46 +302,23 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         scn = load_scenario(args.scenario)
-        overrides = {
-            "grid_points": args.grid_points,
-            "refine_tol": args.refine_tol,
-            "tail_fraction": args.tail_fraction,
-            "two_sided": args.two_sided,
-            "seed": args.seed,
-            "escalate": args.escalate,
-            "out": args.out,
-            "format": args.format,
-        }
-        if args.window is not None:
-            if args.command == "bohl":
-                overrides["bohl_window"] = args.window
-            else:
-                overrides["window"] = args.window
+        # each common flag's destination is the scenario key it overrides
+        overrides = {key: value for key, value in vars(args).items()
+                     if key in scn.analysis or key in scn.output}
+        if args.command == "bohl":
+            overrides["bohl_window"] = overrides.pop("window")
         scn = scn.with_overrides(**overrides)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    out_dir = Path(scn.output["out"])
-    fmt = scn.output["format"]
     try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(scn, out_dir, fmt)
-        if args.command == "bohl":
-            return _cmd_bohl(scn, out_dir, fmt, args.xi)
-        if args.command == "dichotomy":
-            return _cmd_dichotomy(scn, out_dir, fmt, args.gamma)
-        if args.command == "bundles":
-            return _cmd_bundles(scn, out_dir, fmt)
-        if args.command == "triangularize":
-            return _cmd_triangularize(scn, out_dir, fmt)
-        if args.command == "verify":
-            return _cmd_verify(scn, out_dir, fmt)
-        if args.command == "oracle":
-            return _cmd_oracle(scn, out_dir, fmt)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        payload, csv_text, table, code = _COMMANDS[args.command][0](scn, args)
     except DichospecError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
+    _emit(Path(scn.output["out"]), f"{scn.name}-{args.command}", payload, csv_text,
+          scn.output["format"], table)
+    return code
 
 
 if __name__ == "__main__":

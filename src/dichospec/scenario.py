@@ -71,6 +71,10 @@ class Scenario:
     output: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the name is every artifact's stem, so it must be a plain file name
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
+            raise ScenarioError(f"scenario name {self.name!r} is not a file name")
         object.__setattr__(self, "analysis",
                            _normalize(self.analysis, _ANALYSIS_DEFAULTS, "analysis"))
         object.__setattr__(self, "output",

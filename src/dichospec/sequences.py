@@ -34,7 +34,7 @@ numpy's per-index seeding in vectorized integer arithmetic, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable
 
 import numpy as np
@@ -195,14 +195,18 @@ def _lcm_or_none(periods: Iterable[int | None]) -> int | None:
 
 
 def _sequence_eq(a, b) -> bool:
-    """``__eq__`` of both sequence classes: tabulated sequences compare
-    their tables, every other kind its payload."""
+    """``__eq__`` of both sequence classes: equal fields, arrays by value."""
     if not isinstance(b, type(a)):
         return NotImplemented
-    if a.kind == "tabulated" or b.kind == "tabulated":
-        return (a.kind == b.kind and a.start == b.start
-                and np.array_equal(a.table, b.table))
-    return a.to_payload() == b.to_payload()
+    return all(_value_eq(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def _value_eq(x, y) -> bool:
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(_value_eq, x, y))
+    return x == y
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,7 +471,7 @@ class MatrixSequence:
                    negative=negative, nonnegative=nonnegative)
 
     @classmethod
-    def diagonal(cls, entries: Iterable[ScalarSequence]) -> "MatrixSequence":
+    def _diagonal(cls, entries: Iterable[ScalarSequence]) -> "MatrixSequence":
         ent = tuple(entries)
         if not ent:
             raise ParameterError("diagonal kind needs at least one entry sequence")
@@ -738,3 +742,8 @@ class MatrixSequence:
         return seq
 
     __eq__ = _sequence_eq
+
+
+# bound after the dataclass took the default (None) of the upper-triangular
+# ``diagonal`` field, which an instance's own value shadows
+MatrixSequence.diagonal = MatrixSequence._diagonal

@@ -597,3 +597,13 @@ def test_estimate_spectrum_refuses_params_its_analyzer_does_not_use():
     with pytest.raises(ParameterError, match="differ from the analyzer"):
         estimate_spectrum(seq, params=DichotomyParams(window=64), analyzer=analyzer)
     assert estimate_spectrum(seq, params=DichotomyParams(), analyzer=analyzer).window == 256
+
+
+def test_estimate_spectrum_takes_an_analyzer_of_an_equal_tabulated_system():
+    # comparing the two sequences raised: tabulated entries have no payload
+    def build():
+        return MatrixSequence.diagonal([ScalarSequence.tabulated(np.full(1200, r), -600)
+                                        for r in (0.5, 2.0)])
+    a, b = build(), build()
+    est = estimate_spectrum(b, analyzer=DichotomyAnalyzer(a))
+    assert est.intervals == estimate_spectrum(a).intervals

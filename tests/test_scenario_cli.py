@@ -337,6 +337,8 @@ def test_cli_verify_fails_loudly_on_impossible_tolerance(tmp_path):
     scn = write_scenario(tmp_path, "diag-small", payload)
     rc = main(["verify", scn, "--out", str(tmp_path), "--format", "table"])
     assert rc == 1
+    # the reports behind the failure are still written
+    assert (tmp_path / "diag-small-verify.json").exists()
 
 
 def test_cli_refuses_a_negative_tolerance_with_exit_3(tmp_path, capsys):
@@ -359,6 +361,44 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == 3
     # help is not an error
     assert main(["--help"]) == 0
+
+
+_COMMAND_FLAGS = {"spectrum": [], "bohl": ["--xi", "1,1"], "dichotomy": ["--gamma", "1.0"],
+                  "bundles": [], "triangularize": [], "verify": [], "oracle": []}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+def test_cli_writes_each_artifact_once_and_prints_it(tmp_path, capsys, command):
+    argv = [command, bundled("autonomous-diagonal"), *_COMMAND_FLAGS[command],
+            "--out", str(tmp_path), "--format"]
+    json_path = tmp_path / f"autonomous-diagonal-{command}.json"
+    csv_path = tmp_path / f"autonomous-diagonal-{command}.csv"
+    printed = {}
+    for fmt in ("json", "csv", "table"):
+        assert main(argv + [fmt]) == 0
+        printed[fmt] = capsys.readouterr().out
+    assert printed["json"] == json_path.read_text()
+    if command == "bundles":
+        assert sorted(p.name for p in tmp_path.iterdir()) == [json_path.name]
+        assert printed["csv"] == printed["table"]
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([json_path.name, csv_path.name])
+        assert printed["csv"] == csv_path.read_text()
+    if command == "oracle":
+        # a validation error inside the command writes nothing
+        assert main([command, bundled("piecewise-scalar"), "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "piecewise-scalar-oracle.json").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", 7, "sub/dir", "nul\0byte"])
+def test_cli_refuses_a_scenario_name_that_is_not_a_file_name(tmp_path, capsys, name):
+    # the name is the artifact stem: "../escaped" wrote beside --out
+    payload = small_diag_payload()
+    payload["name"] = name
+    path = write_scenario(tmp_path, "named", payload)
+    assert main(["dichotomy", path, "--gamma", "1", "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["named.json"]
 
 
 def _constant_payload(**analysis):

@@ -429,3 +429,36 @@ def test_tabulated_accepts_integral_float_and_numpy_integer_starts(cls):
         seq = _TABULATED[cls](start)
         assert seq.start == -3 and type(seq.start) is int
         assert seq == _TABULATED[cls](-3)
+
+
+def _with_tabulated_entry(table, start=0):
+    return MatrixSequence.upper_triangular(
+        [ScalarSequence.constant(2.0), ScalarSequence.tabulated(table, start)], {})
+
+
+def test_sequences_with_tabulated_entries_compare_by_value():
+    # == once compared payloads, and a tabulated entry has none
+    u = _with_tabulated_entry(np.ones(5))
+    assert u == u
+    assert _with_tabulated_entry(np.ones(5)) == u
+    assert MatrixSequence.diagonal([ScalarSequence.tabulated(np.ones(5), 0)] * 2) == \
+        MatrixSequence.diagonal([ScalarSequence.tabulated(np.ones(5), 0)] * 2)
+    assert _with_tabulated_entry(np.full(5, 2.0)) != u
+    assert _with_tabulated_entry(np.ones(5), start=1) != u
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MatrixSequence.constant(np.eye(2)),
+    lambda: MatrixSequence.periodic([np.eye(2), 2 * np.eye(2)]),
+    lambda: MatrixSequence.piecewise(MatrixSequence.constant(np.eye(2)),
+                                     MatrixSequence.constant(2 * np.eye(2))),
+    lambda: MatrixSequence.diagonal([ScalarSequence.constant(2.0)]),
+    lambda: MatrixSequence.seeded(11, bands=((0.4, 0.5), (1.6, 2.0))),
+    lambda: MatrixSequence.tabulated(np.stack([np.eye(2)] * 4), start=0),
+], ids=["constant", "periodic", "piecewise", "diagonal", "seeded-random", "tabulated"])
+def test_the_diagonal_field_is_none_outside_upper_triangular(build):
+    # the field once defaulted to the bound diagonal constructor
+    seq = build()
+    assert seq.diagonal is None
+    assert "bound method" not in repr(seq)
+    assert MatrixSequence.diagonal([ScalarSequence.constant(2.0)]).kind == "diagonal"
