@@ -17,7 +17,8 @@ singular-value count, serves :func:`subspace_intersection` and the times
 at which fiber restriction's closed form is ill-conditioned.
 :func:`frame_sweep` is the one place where orthonormal frames are carried
 along an orbit (discrete QR); its step calls the compiled kernels behind
-``np.linalg.qr`` directly, bit for bit as the wrapper does.
+``np.linalg.qr`` directly, bit for bit, under one ``errstate`` per sweep
+that a floating-point event answers with a replay of a plain QR loop.
 """
 from __future__ import annotations
 
@@ -99,11 +100,9 @@ def _qr_kernels(a: np.ndarray, q: np.ndarray) -> None:
     """QR of a float64 (..., d, k) stack, k <= d, as ``np.linalg.qr``
     computes it: ``a`` is factorized in place, so R is its leading k rows
     (with the Householder vectors still below the diagonal), and Q is
-    written into ``q``."""
-    with np.errstate(call=_raise_qr_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        tau = _qr_r_raw(a, signature="d->d")
-        _qr_reduced(a, tau, signature="dd->d", out=q)
+    written into ``q``.  :func:`frame_sweep` sets the ``errstate``."""
+    tau = _qr_r_raw(a, signature="d->d")
+    _qr_reduced(a, tau, signature="dd->d", out=q)
 
 
 def _qr_wrapped(a: np.ndarray, q: np.ndarray) -> None:
@@ -138,12 +137,20 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     next frame of the history.  It equals ``np.linalg.qr`` bit for bit.
     After the loop R is read from the leading k rows of the factorized
     products, whose Householder vectors below the diagonal are zeroed with
-    the rest of that triangle.  The product is formed outside the kernels'
-    ``errstate``, as the wrapper forms it, so an overflow in it still
-    warns.  ``maps`` is converted to float64 once, so the product the
-    kernels factorize in place is the array R is read from.  Where numpy
-    lacks ``qr_r_raw`` (numpy 1.x) the step is ``np.linalg.qr``, whose Q
-    and R fill the same buffers.
+    the rest of that triangle.  ``maps`` is converted to float64 once, so
+    the product the kernels factorize in place is the array R is read from.
+    Where numpy lacks ``qr_r_raw`` (numpy 1.x) the step is
+    ``np.linalg.qr``, whose Q and R fill the same buffers.
+
+    The step loop runs under one ``np.errstate`` whose callback only notes
+    that an event fired (one per step would cost about a fifth of a step).
+    The first event, or an exception after it, ends that loop, and the
+    sweep is replayed from step 0 as a plain ``np.linalg.qr`` loop runs:
+    each product under the caller's ``errstate``, each QR under the
+    wrapper's.  So an overflow, invalid value or underflow in a product
+    warns or raises as it does there, and a failed factorization raises
+    ``LinAlgError``.  ``errstate`` changes the reporting, not the
+    arithmetic, so the replay writes the same bits.
 
     The step loop runs a plain Householder QR and the sign convention of
     :func:`qr_positive` is imposed once afterwards, through the running
@@ -165,9 +172,24 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     frames = np.empty((b, m + 1, *q0.shape[1:]))
     products = np.empty((b, m, *q0.shape[1:]))
     frames[:, 0] = q0
-    for i in range(m):
-        np.matmul(maps[:, i], frames[:, i], out=products[:, i])
-        _qr_step(products[:, i], frames[:, i + 1])
+    fired = []
+    try:
+        with np.errstate(all="call", call=lambda err, flag: fired.append(err)):
+            for i in range(m):
+                np.matmul(maps[:, i], frames[:, i], out=products[:, i])
+                _qr_step(products[:, i], frames[:, i + 1])
+                if fired:
+                    break
+    except Exception:
+        if not fired:
+            raise
+    if fired:
+        # the plain np.linalg.qr loop, so the event reaches the caller
+        for i in range(m):
+            np.matmul(maps[:, i], frames[:, i], out=products[:, i])
+            with np.errstate(call=_raise_qr_error, invalid="call",
+                             over="ignore", divide="ignore", under="ignore"):
+                _qr_step(products[:, i], frames[:, i + 1])
     factors = products[:, :, :k]
     steps = np.sign(np.diagonal(factors, axis1=2, axis2=3))
     # c[i + 1] is the product of the signs since the last zero one: the

@@ -131,13 +131,14 @@ class Scenario:
             system = MatrixSequence.from_payload(payload["system"])
         except DichospecError as exc:
             raise ScenarioError(f"bad system section: {exc}") from exc
-        analysis = dict(payload.get("analysis") or {})
-        # "jobs", a worker count from before containment samples ran as
-        # one batch per group, still loads from older files and is dropped
-        analysis.pop("jobs", None)
-        return cls(name=payload.get("name") or name or "scenario",
-                   system=system, analysis=analysis,
-                   output=dict(payload.get("output") or {}))
+        analysis = payload.get("analysis", {})
+        if isinstance(analysis, dict):
+            # "jobs", a worker count from before containment samples ran as
+            # one batch per group, still loads from older files and is dropped
+            analysis = {k: v for k, v in analysis.items() if k != "jobs"}
+        # only an absent name falls back to the stem; a falsy one is checked
+        return cls(name=payload.get("name", name or "scenario"),
+                   system=system, analysis=analysis, output=payload.get("output", {}))
 
     def dumps(self) -> str:
         return canonical_json(self.to_payload()) + "\n"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dichospec.dichotomy import estimate_spectrum
 from dichospec.linalg import (_complement_rows, _nullspace, batched_spectral_norm, canonical_basis,
                               frame_sweep, min_principal_angle, principal_angles, qr_positive,
                               subspace_intersection)
+from dichospec.scenario import load_scenario
 from dichospec.sequences import MatrixSequence
 from systems import SEEDED_BANDS
 
@@ -245,8 +247,9 @@ def _infinite_maps():
 @pytest.mark.parametrize("maps", [np.full((3, 3, 3), 1.5e308), _infinite_maps()],
                          ids=["overflow", "inf"])
 def test_non_finite_products_warn_as_a_plain_qr_loop_does(path, maps):
-    # the product of a step is formed outside the QR kernels' errstate, so
-    # its overflow or invalid value warns, as np.linalg.qr's caller sees it
+    # the sweep notes the event and replays its steps with each product
+    # formed outside the QR kernels' errstate, so the overflow or invalid
+    # value warns, as np.linalg.qr's caller sees it
     q0 = frame(3, seed=7)[:, :2]
     with _step_path(path):
         message = _warning_raised(lambda: frame_sweep(maps, q0))
@@ -258,6 +261,74 @@ def test_non_finite_products_warn_as_a_plain_qr_loop_does(path, maps):
     assert not np.all(np.isfinite(frames))
     assert np.array_equal(np.isfinite(frames), np.isfinite(want))
     assert np.array_equal(frames[~np.isfinite(frames)], want[~np.isfinite(want)], equal_nan=True)
+
+
+@contextlib.contextmanager
+def _counted_steps(path):
+    """Each _qr_step call on the step path, as True where it ran under the
+    QR kernels' own errstate, which only the per-step replay sets."""
+    with _step_path(path), pytest.MonkeyPatch.context() as mp:
+        calls, step = [], linalg._qr_step
+
+        def counted(a, q):
+            calls.append(np.geterrcall() is linalg._raise_qr_error)
+            step(a, q)
+
+        mp.setattr(linalg, "_qr_step", counted)
+        yield calls
+
+
+@pytest.mark.parametrize("path", STEP_PATHS)
+def test_a_finite_sweep_steps_once_and_an_event_replays_it_from_step_0(path):
+    with _counted_steps(path) as calls:
+        frame_sweep(_sweep_maps(6, seed=41), frame(6, seed=7)[:, :3])
+    assert calls == [False] * 40
+    with _counted_steps(path) as calls, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        frame_sweep(_infinite_maps(), frame(3, seed=7)[:, :2])
+    # the product of step 1 is invalid: that step ends the sweep, and all
+    # four steps run again
+    assert calls == [False] * 2 + [True] * 4
+
+
+@pytest.mark.parametrize("path", STEP_PATHS)
+def test_a_callers_raising_errstate_raises_as_a_plain_qr_loop_does(path):
+    maps = np.full((3, 3, 3), 1.5e308)
+    q0 = frame(3, seed=7)[:, :2]
+    with _step_path(path), np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError) as got:
+            frame_sweep(maps, q0)
+        with pytest.raises(FloatingPointError) as want:
+            _qr_loop_frames(maps, q0)
+    assert str(got.value) == str(want.value) == "overflow encountered in matmul"
+
+
+@pytest.mark.parametrize("path", STEP_PATHS)
+def test_underflowing_products_warn_as_a_plain_qr_loop_does(path):
+    # subnormal products underflow, which numpy ignores unless asked
+    maps = _sweep_maps(3, m=4, seed=5) * 1e-310
+    q0 = frame(3, seed=7)[:, :2]
+    with _step_path(path), np.errstate(under="warn"):
+        message = _warning_raised(lambda: frame_sweep(maps, q0))
+        assert message == _warning_raised(lambda: _qr_loop_frames(maps, q0))
+    assert message == "underflow encountered in matmul"
+
+
+@pytest.mark.parametrize("path", STEP_PATHS)
+def test_bundled_scenarios_sweep_without_a_replay(path):
+    # a replay doubles a sweep's cost, so no sweep of a bundled scenario's
+    # spectrum estimate or fiber restriction may record a floating-point event
+    scenarios = resources.files("dichospec") / "scenarios"
+    for entry in sorted(p for p in scenarios.iterdir() if p.name.endswith(".json")):
+        with resources.as_file(entry) as file:
+            scn = load_scenario(file)
+        with _counted_steps(path) as calls:
+            est = estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
+                                    refine_tol=scn.analysis["refine_tol"],
+                                    params=scn.dichotomy_params())
+            for i in range(1, len(est.intervals) + 1):
+                restricted_fiber_system(scn.system, est, i, window=scn.bohl_params().window)
+        assert calls and not any(calls), scn.name
 
 
 @pytest.mark.parametrize("path", STEP_PATHS)

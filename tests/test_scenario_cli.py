@@ -390,7 +390,7 @@ def test_cli_writes_each_artifact_once_and_prints_it(tmp_path, capsys, command):
         assert not (tmp_path / "piecewise-scalar-oracle.json").exists()
 
 
-@pytest.mark.parametrize("name", ["../escaped", 7, "sub/dir", "nul\0byte"])
+@pytest.mark.parametrize("name", ["../escaped", 7, "sub/dir", "nul\0byte", "", 0, False, None])
 def test_cli_refuses_a_scenario_name_that_is_not_a_file_name(tmp_path, capsys, name):
     # the name is the artifact stem: "../escaped" wrote beside --out
     payload = small_diag_payload()
@@ -399,6 +399,28 @@ def test_cli_refuses_a_scenario_name_that_is_not_a_file_name(tmp_path, capsys, n
     assert main(["dichotomy", path, "--gamma", "1", "--out", str(tmp_path / "out")]) == 2
     assert "scenario error" in capsys.readouterr().err
     assert [p.name for p in tmp_path.rglob("*")] == ["named.json"]
+
+
+def test_a_scenario_without_a_name_is_named_after_its_file(tmp_path):
+    payload = small_diag_payload()
+    del payload["name"]
+    assert load_scenario(write_scenario(tmp_path, "stem", payload)).name == "stem"
+
+
+@pytest.mark.parametrize("section", ["analysis", "output"])
+@pytest.mark.parametrize("value", [[["window", 64]], "xy", [], 0, False, None],
+                         ids=["pairs", "string", "empty-list", "zero", "false", "null"])
+def test_cli_refuses_a_section_that_is_not_an_object(tmp_path, capsys, section, value):
+    # a list of pairs loaded as a dict, a string escaped as a bare
+    # ValueError, and the falsy values loaded the defaults
+    payload = small_diag_payload()
+    payload[section] = value
+    path = write_scenario(tmp_path, "bad", payload)
+    with pytest.raises(ScenarioError, match=f"{section} section must be a JSON object"):
+        load_scenario(path)
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _constant_payload(**analysis):
