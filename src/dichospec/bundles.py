@@ -137,13 +137,18 @@ def projector_family(seq: MatrixSequence, verdict: DichotomyVerdict) -> Projecto
 
 @dataclass(frozen=True)
 class SpectralBundleFiber:
-    """Time-zero fiber attached to the ``index``-th spectral interval."""
+    """Time-zero fiber attached to the ``index``-th spectral interval (from 1)."""
 
     index: int
     basis: np.ndarray
     dimension: int
 
     def __post_init__(self) -> None:
+        try:
+            if _checked_count(self.index, "fiber index") < 1:
+                raise ParameterError(f"fiber index must be at least 1, got {self.index}")
+        except ParameterError as exc:
+            raise ValidationError(str(exc)) from exc
         if self.basis.ndim != 2 or self.basis.shape[1] != self.dimension:
             raise ValidationError(
                 f"fiber basis shape {self.basis.shape} does not carry "
@@ -255,6 +260,13 @@ def _restriction_flags(seq: MatrixSequence, w: int,
     return entry
 
 
+def _fiber_index(spectrum: SpectrumEstimate, index) -> int:
+    """``index`` checked as an integer from 1 to the interval count of ``spectrum``."""
+    if not 1 <= _checked_count(index, "fiber index") <= len(spectrum.intervals):
+        raise ParameterError(f"fiber index {index} out of range 1..{len(spectrum.intervals)}")
+    return int(index)
+
+
 def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
                             index: int, *, window: int,
                             burn_in: int = BURN_IN) -> tuple[np.ndarray, MatrixSequence]:
@@ -309,8 +321,7 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     space has nothing to track; the original sequence is returned as is.
     """
     _same_dimension(seq, spectrum.dimension, "the spectrum")
-    if not 1 <= index <= len(spectrum.intervals):
-        raise ParameterError(f"fiber index {index} out of range")
+    index = _fiber_index(spectrum, index)
     r_below = spectrum.gap_ranks[index - 1]
     r_above = spectrum.gap_ranks[index]
     k = r_above - r_below

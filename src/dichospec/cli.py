@@ -3,8 +3,8 @@
 Every command takes a scenario file, applies flag overrides (flags win),
 runs one analysis, prints a report in the chosen format and drops the
 machine-readable artifacts next to it.  Exit codes: 0 success, 1 hard
-containment failure, 2 usage or scenario-format error, 3 validation
-failure during analysis.
+containment failure, 2 usage, scenario-format or output error, 3
+validation failure during analysis.
 """
 
 from __future__ import annotations
@@ -316,8 +316,12 @@ def main(argv: list[str] | None = None) -> int:
     except DichospecError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
-    _emit(Path(scn.output["out"]), f"{scn.name}-{args.command}", payload, csv_text,
-          scn.output["format"], table)
+    try:
+        _emit(Path(scn.output["out"]), f"{scn.name}-{args.command}", payload, csv_text,
+              scn.output["format"], table)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     return code
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bohl import BohlParams, _bohl_block, _scalar_tail, bohl_exponents  # noqa: F401 (re-export)
 from .bohl import _checked_count
-from .bundles import SpectralBundleFiber, bundle_fibers, restricted_fiber_system
+from .bundles import SpectralBundleFiber, _fiber_index, bundle_fibers, restricted_fiber_system
 from .dichotomy import SpectrumEstimate, _same_dimension
 from .errors import ParameterError
 from .sequences import MatrixSequence
@@ -178,11 +178,12 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     """Check that vectors inside each fiber keep their Bohl interval
     inside the matching spectral interval.
 
-    Fibers default to :func:`bundle_fibers` of the estimate.  Each sample
-    is a unit vector with seeded Gaussian coordinates in the fiber basis;
-    the claim passes when ``[lower, upper]`` of its Bohl estimate lies in
-    the target interval inflated by the tolerance: ``tolerance`` (at
-    least 0; by default ``TOLERANCE_FACTOR`` times the spectrum's
+    Fibers default to :func:`bundle_fibers` of the estimate; a fiber index
+    outside the estimate's intervals raises :class:`ParameterError`.  Each
+    sample is a unit vector with seeded Gaussian coordinates in the fiber
+    basis; the claim passes when ``[lower, upper]`` of its Bohl estimate
+    lies in the target interval inflated by the tolerance: ``tolerance``
+    (at least 0; by default ``TOLERANCE_FACTOR`` times the spectrum's
     ``refine_tol``) plus the spread of the estimate.  With ``escalate`` a
     failing sample is retried once at four times the Bohl window.
 
@@ -201,7 +202,7 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     rng = np.random.default_rng(seed)
     rows: list[SampleRow] = []
     for fiber in fibers:
-        interval = spectrum.intervals[fiber.index - 1]
+        interval = spectrum.intervals[_fiber_index(spectrum, fiber.index) - 1]
         coeffs = _unit_samples(rng, samples_per_fiber, fiber.dimension)
         if seq.kind == "diagonal":
             # coordinate axes are exactly invariant, so the raw system

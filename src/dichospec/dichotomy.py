@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -136,12 +136,22 @@ class DichotomyParams:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fitted constants for a decay law  lognorm <= log K + gap * log rho."""
+    """Decay law  log-norm <= log_k + gap * slope,  i.e. norm <= K rho^gap,
+    fitted to ``samples`` samples; ``residual`` is the largest deviation of
+    the slope-fitting samples from their least-squares line."""
 
-    K: float
-    rho: float
+    slope: float
     residual: float
+    log_k: float
     samples: int
+
+    @property
+    def K(self) -> float:
+        return math.exp(min(self.log_k, 700.0))
+
+    @property
+    def rho(self) -> float:
+        return math.exp(self.slope)
 
     @property
     def failed(self) -> bool:
@@ -149,19 +159,7 @@ class DecayFit:
         return not (self.rho < 1.0)
 
 
-class _DecayLine(NamedTuple):
-    """Decay law  log-norm <= log_k + gap * slope  in log form."""
-
-    slope: float
-    residual: float
-    log_k: float
-
-    @property
-    def K(self) -> float:
-        return math.exp(min(self.log_k, 700.0))
-
-
-def _decay_line(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> _DecayLine:
+def _decay_line(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> DecayFit:
     """Decay law  log-norm <= log K + gap log rho  fitted to samples at ``gaps``.
 
     Slope and residual come from a least-squares line over the
@@ -172,7 +170,7 @@ def _decay_line(gaps: np.ndarray, values: np.ndarray, tail_mask: np.ndarray) -> 
     coef, *_ = np.linalg.lstsq(np.stack([np.ones_like(xs), xs], axis=1), ys, rcond=None)
     intercept, slope = float(coef[0]), float(coef[1])
     residual = float(np.max(np.abs(ys - (intercept + slope * xs))))
-    return _DecayLine(slope, residual, float(np.max(values - slope * gaps)))
+    return DecayFit(slope, residual, float(np.max(values - slope * gaps)), len(gaps))
 
 
 def fit_decay_constants(samples) -> DecayFit:
@@ -204,9 +202,7 @@ def fit_decay_constants(samples) -> DecayFit:
     g = np.array(gaps)
     if np.ptp(g) == 0.0:
         raise DecayFitError("decay samples must span at least two distinct gaps")
-    line = _decay_line(g, np.array(values), np.ones(len(g), dtype=bool))
-    return DecayFit(K=line.K, rho=math.exp(line.slope), residual=line.residual,
-                    samples=len(g))
+    return _decay_line(g, np.array(values), np.ones(len(g), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -258,8 +254,8 @@ class _Candidate:
     stable_env: np.ndarray | None    # per-gap max log ||X(m+g,m)| stable||
     unstable_env: np.ndarray | None  # per-gap max log ||X(m,m+g)| unstable||
     angle: float
-    stable_fit: _DecayLine | None
-    unstable_fit: _DecayLine | None
+    stable_fit: DecayFit | None
+    unstable_fit: DecayFit | None
 
 
 def _family_seeds(factors: np.ndarray, m_hat: float,
@@ -336,7 +332,7 @@ class DichotomyAnalyzer:
         wp = WindowProducts(factors)
         return np.array([wp.max_log_norm(int(g))[0] for g in self._gaps])
 
-    def _fit(self, env: np.ndarray | None) -> _DecayLine | None:
+    def _fit(self, env: np.ndarray | None) -> DecayFit | None:
         """An envelope's decay law at gamma = 1; slopes from the aligned tail gaps."""
         return None if env is None else _decay_line(self._gapsf, env, self._slope_mask)
 
@@ -533,12 +529,14 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     """Estimate the dichotomy spectrum as ordered intervals with gap ranks.
 
     A logarithmic grid spanning the certified norm bound with 10% margin
-    is probed first.  Then, until a fixed point, any adjacent probe pair
-    that brackets a structure change (certificate/in-spectrum flip, or a
-    rank jump between certificates hiding a spectral interval narrower
-    than the grid) is split at its geometric midpoint, down to relative
-    width refine_tol / 4, so endpoints err by at most about
-    gamma * refine_tol / 4 plus the verdict blur DELTA_FIT.
+    is probed first.  Then each adjacent grid pair that brackets a
+    structure change (certificate/in-spectrum flip, or a rank jump between
+    certificates hiding a spectral interval narrower than the grid) is
+    bisected: split at its geometric midpoint, and each half that still
+    brackets a change split again, while it is wider than refine_tol / 4
+    relative and its midpoint is a float strictly between its ends.  So
+    endpoints err by at most about gamma * refine_tol / 4 (or the float
+    spacing, for a smaller refine_tol) plus the verdict blur DELTA_FIT.
 
     The dichotomy rank is constant on each resolvent component and rises
     across every spectral interval (Aulbach & Siegmund, J. Difference
@@ -556,9 +554,9 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     neighbouring level set is a stand-in or spans several runs, a
     neighbouring gap certificate is low-confidence, or it was clamped to
     a point.  :class:`SpectrumConsistencyError` is raised when level sets
-    overlap or their ranks do not increase with gamma, when the edge
-    ranks are not 0 and d, or when refinement finds no fixed point.  If
-    no gamma certifies, the probed range is one low-confidence interval.
+    overlap or their ranks do not increase with gamma, or when the edge
+    ranks are not 0 and d.  If no gamma certifies, the probed range is
+    one low-confidence interval.
     A given ``analyzer`` must be built on ``seq`` or an equal sequence,
     and ``params``, if given too, must be its params; otherwise
     :class:`ParameterError` is raised.
@@ -581,34 +579,17 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
         lo /= 1.05
         hi *= 1.05
 
-    probes: dict[float, DichotomyVerdict] = {}
-
-    def at(g: float) -> DichotomyVerdict:
-        if g not in probes:
-            probes[g] = analyzer.verdict(g)
-        return probes[g]
-
-    for g in np.geomspace(lo, hi, grid_points):
-        at(float(g))
-
-    tol4 = refine_tol / 4.0
-    for _ in range(200):
-        keys = sorted(probes)
-        fresh = []
-        for x, y in zip(keys, keys[1:]):
-            if y / x - 1.0 <= tol4:
-                continue
-            vx, vy = probes[x], probes[y]
-            flip = vx.outcome != vy.outcome
-            jump = vx.is_certificate and vy.is_certificate and vx.rank != vy.rank
-            if flip or jump:
-                fresh.append(math.sqrt(x * y))
-        if not fresh:
-            break
-        for g in fresh:
-            at(g)
-    else:
-        raise SpectrumConsistencyError("endpoint refinement did not reach a fixed point")
+    probes = {g: analyzer.verdict(g) for g in map(float, np.geomspace(lo, hi, grid_points))}
+    keys = sorted(probes)
+    brackets = list(zip(keys, keys[1:]))
+    while brackets:
+        x, y = brackets.pop()
+        m = math.sqrt(x * y)
+        vx, vy = probes[x], probes[y]
+        if (y / x - 1.0 > refine_tol / 4.0 and x < m < y
+                and (vx.outcome, vx.rank) != (vy.outcome, vy.rank)):
+            probes[m] = analyzer.verdict(m)
+            brackets += [(x, m), (m, y)]
 
     keys = sorted(probes)
     verdicts = [probes[k] for k in keys]

@@ -79,9 +79,6 @@ class Scenario:
                            _normalize(self.analysis, _ANALYSIS_DEFAULTS, "analysis"))
         object.__setattr__(self, "output",
                            _normalize(self.output, _OUTPUT_DEFAULTS, "output"))
-        if self.output["format"] not in _FORMATS:
-            raise ScenarioError(
-                f"output format {self.output['format']!r} not one of {_FORMATS}")
 
     # -- parameter views -----------------------------------------------------
 
@@ -157,7 +154,8 @@ def _normalize(section: dict[str, Any], defaults: dict[str, Any],
     """Defaults merged with ``section``; a field of the wrong type raises
     :class:`ScenarioError` naming it.  Integer fields take integral floats
     (64.0 loads as 64) and the seed must be nonnegative; float fields must
-    be finite or, for ``tolerance``, null.  Ranges are left to the library.
+    be finite or, for ``tolerance``, null; ``out`` must be a string and
+    ``format`` one of ``_FORMATS``.  Ranges are left to the library.
     """
     if not isinstance(section, dict):
         raise ScenarioError(f"{label} section must be a JSON object")
@@ -176,6 +174,10 @@ def _normalize(section: dict[str, Any], defaults: dict[str, Any],
             ok, want = real or key == "tolerance" and value is None, "a real number"
         elif key in ("two_sided", "escalate"):
             ok, want = isinstance(value, bool), "true or false"
+        elif key == "out":
+            ok, want = isinstance(value, str), "a string"
+        elif key == "format":
+            ok, want = value in _FORMATS, f"one of {_FORMATS}"
         else:
             continue
         if not ok:

@@ -168,8 +168,8 @@ def test_whitney_sum_passes_on_clean_splitting():
 
 
 def test_whitney_sum_rejects_duplicated_fiber():
-    fiber = SpectralBundleFiber(index=0, basis=axis(0), dimension=1)
-    twin = SpectralBundleFiber(index=1, basis=axis(0), dimension=1)
+    fiber = SpectralBundleFiber(index=1, basis=axis(0), dimension=1)
+    twin = SpectralBundleFiber(index=2, basis=axis(0), dimension=1)
     report = whitney_sum_check([fiber, twin])
     assert not report.passed
     assert report.dimension_sum == 2
@@ -177,7 +177,7 @@ def test_whitney_sum_rejects_duplicated_fiber():
 
 
 def test_whitney_sum_rejects_missing_dimension():
-    fiber = SpectralBundleFiber(index=0, basis=axis(0, d=3), dimension=1)
+    fiber = SpectralBundleFiber(index=1, basis=axis(0, d=3), dimension=1)
     report = whitney_sum_check([fiber])
     assert not report.passed
 
@@ -204,7 +204,14 @@ def test_gap_without_certificate_is_refused_by_name(monkeypatch):
 
 def test_fiber_basis_must_be_orthonormal():
     with pytest.raises(ValidationError):
-        SpectralBundleFiber(index=0, basis=np.array([[2.0], [0.0]]), dimension=1)
+        SpectralBundleFiber(index=1, basis=np.array([[2.0], [0.0]]), dimension=1)
+
+
+@pytest.mark.parametrize("index", [1.5, True, -1, 0])
+def test_fiber_index_must_be_a_positive_integer(index):
+    with pytest.raises(ValidationError, match="fiber index"):
+        SpectralBundleFiber(index=index, basis=axis(0), dimension=1)
+    assert SpectralBundleFiber(index=np.int64(2), basis=axis(0), dimension=1).index == 2
 
 
 def test_restricted_system_recovers_exact_fiber_rates():
@@ -496,6 +503,14 @@ def test_restricted_system_rejects_bad_index():
     est = estimate_spectrum(diag_2_half())
     with pytest.raises(ParameterError):
         restricted_fiber_system(diag_2_half(), est, 3, window=32)
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_restricted_system_takes_integer_fiber_indices_only(index):
+    # True was taken as fiber 1 and 1.0 raised a bare TypeError
+    est = estimate_spectrum(diag_2_half())
+    with pytest.raises(ParameterError, match="fiber index must be an integer"):
+        restricted_fiber_system(diag_2_half(), est, index, window=32)
 
 
 def _rates_3d():

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from bruteforce import bohl_enumerate, orbit_lognorm_table
 from dichospec.bohl import BohlParams, bohl_exponents, scalar_bohl
+from dichospec.bundles import SpectralBundleFiber
 from dichospec.containment import (
     TOLERANCE_FACTOR,
     _group_rows,
@@ -47,6 +50,18 @@ def test_fiber_containment_on_autonomous_diagonal():
     assert report.pass_rate == 1.0
     assert report.base_tolerance == pytest.approx(TOLERANCE_FACTOR * est.refine_tol)
     assert "pass" in report.summary()
+
+
+def test_fiber_containment_refuses_a_fiber_index_outside_the_intervals():
+    # on a diagonal system a fiber of index 0 was checked against the last
+    # interval and one of index 3 raised a bare IndexError
+    seq = diag_2_half_structural()
+    est = estimate_spectrum(seq)
+    slow = np.eye(2)[:, [1]]
+    for fiber in (SpectralBundleFiber(index=3, basis=slow, dimension=1),
+                  SimpleNamespace(index=0, basis=slow, dimension=1)):
+        with pytest.raises(ParameterError, match=f"fiber index {fiber.index} out of range 1..2"):
+            verify_fiber_containment(seq, est, (fiber,), samples_per_fiber=2, params=FAST)
 
 
 def test_global_containment_covers_mixed_vectors():

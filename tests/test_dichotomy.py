@@ -1,4 +1,5 @@
 import bisect
+import math
 from itertools import groupby
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from bruteforce import (floquet_moduli, refit_verdict, spectrum_by_merging,
                         split_candidate_by_rank_sweeps)
 from dichospec.dichotomy import (
+    DecayFit,
     DichotomyAnalyzer,
     DichotomyParams,
     DichotomyVerdict,
@@ -102,6 +104,21 @@ def test_fit_input_validation():
         fit_decay_constants([((0, 5), -1.0)] + [(g, -float(g)) for g in range(10)])
 
 
+def test_fits_and_the_analyzer_table_share_one_decay_record():
+    fit = fit_decay_constants([(g, np.log(3.0) + g * np.log(0.8)) for g in range(2, 50, 3)])
+    assert fit.samples == 16
+    assert (fit.K, fit.rho) == (math.exp(fit.log_k), math.exp(fit.slope))
+    # at gamma = 1 a verdict reads its rank's two fits unshifted
+    analyzer = DichotomyAnalyzer(diag_2_half())
+    v = analyzer.verdict(1.0)
+    cand = analyzer._candidate(v.rank)
+    fits = (cand.stable_fit, cand.unstable_fit)
+    assert all(isinstance(f, DecayFit) and f.samples == len(analyzer._gaps) for f in fits)
+    assert v.rho == max(f.rho for f in fits)
+    assert v.K == max(1.0, *(f.K for f in fits))
+    assert v.residual == max(f.residual for f in fits)
+
+
 # -- single-gamma verdicts ---------------------------------------------------
 
 
@@ -174,6 +191,23 @@ def test_autonomous_diagonal_spectrum():
     assert est.dimension == 2
     assert not est.degenerate
     assert len(est.gap_certificates) == 3
+
+
+@pytest.mark.parametrize("refine_tol", [5e-16, 1e-16])
+def test_refine_tol_below_float_resolution_stops_at_adjacent_floats(refine_tol):
+    # a cap of 200 bisection rounds used to refuse both tolerances
+    est = estimate_spectrum(MatrixSequence.constant(np.diag([0.5, 2.0])), refine_tol=refine_tol)
+    assert len(est.intervals) == 2
+    for iv, point in zip(est.intervals, (0.5, 2.0)):
+        assert iv.contains(point)
+    # every bracket of a structure change is refined as far as floats allow
+    changes = 0
+    for vx, vy in zip(est.grid, est.grid[1:]):
+        if (vx.outcome, vx.rank) != (vy.outcome, vy.rank):
+            x, y = vx.gamma, vy.gamma
+            assert y / x - 1.0 <= refine_tol / 4.0 or not x < math.sqrt(x * y) < y
+            changes += 1
+    assert changes >= 4
 
 
 def test_rotation_spectrum_is_a_point():

@@ -22,11 +22,11 @@ re-seeded or trimmed.
 import numpy as np
 import pytest
 
-from dichospec.dichotomy import estimate_spectrum
+from dichospec.dichotomy import estimate_spectrum, periodic_spectrum_oracle
 from dichospec.errors import SingularMatrixError
 from dichospec.sequences import MatrixSequence
 
-from systems import ROSTER_DIMENSIONS, hard_roster
+from systems import ROSTER_DIMENSIONS, hard_roster, random_periodic
 
 POINT_RTOL = 2e-3
 
@@ -94,3 +94,23 @@ def test_hard_system_against_its_oracle(seq, points, pinned):
         assert category in ("flagged-merge", "correct")
     else:
         assert category == "correct"
+
+
+# acceptance criterion 3 draws these 20 periodic systems and passes all of
+# them within its 5e-3 symmetric containment, which is wider than the two
+# false gaps below: each splits a complex pair's one Floquet point in two
+CRITERION_3_FALSE_GAPS = (13, 17)
+
+
+def _criterion_3_case(i):
+    d, p = 1 + i % 3, 1 + i % 4
+    marks = ()
+    if i in CRITERION_3_FALSE_GAPS:
+        marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason="false-gap")
+    return pytest.param(random_periodic(100 + i, d, p, spread=0.6), id=f"i{i}-d{d}-p{p}",
+                        marks=marks)
+
+
+@pytest.mark.parametrize("seq", [_criterion_3_case(i) for i in range(20)])
+def test_criterion_3_system_has_one_interval_per_floquet_point(seq):
+    assert classify(estimate_spectrum(seq), periodic_spectrum_oracle(seq)) == "correct"

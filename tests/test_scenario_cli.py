@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 from importlib import resources
@@ -7,9 +9,12 @@ import pytest
 
 from dichospec.bohl import BohlParams, bohl_exponents
 from dichospec.cli import main
-from dichospec.containment import SampleRow
-from dichospec.dichotomy import DichotomyVerdict, estimate_spectrum, periodic_spectrum_oracle
+from dichospec.containment import (SampleRow, verify_fiber_containment,
+                                   verify_global_containment)
+from dichospec.dichotomy import (DichotomyParams, DichotomyVerdict, estimate_spectrum,
+                                 periodic_spectrum_oracle)
 from dichospec.scenario import (
+    _ANALYSIS_DEFAULTS,
     Scenario,
     ScenarioError,
     canonical_json,
@@ -159,6 +164,36 @@ def test_scenario_defaults_and_overrides(tmp_path):
     assert bumped.analysis["seed"] == scn.analysis["seed"]  # None is "keep"
     with pytest.raises(ScenarioError):
         scn.with_overrides(not_a_field=1)
+
+
+def test_scenario_defaults_are_the_library_defaults():
+    # a scenario states every parameter; each default must stay the one
+    # the library call would use, so a change on one side alone fails
+    def fields(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    def defaults(*functions, name):
+        return [inspect.signature(f).parameters[name].default for f in functions]
+
+    dichotomy, bohl = fields(DichotomyParams), fields(BohlParams)
+    checks = (verify_fiber_containment, verify_global_containment)
+    twins = {
+        "window": [dichotomy["window"]], "burn_in": [dichotomy["burn_in"]],
+        "grid_points": defaults(estimate_spectrum, name="grid_points"),
+        "refine_tol": defaults(estimate_spectrum, name="refine_tol"),
+        "bohl_window": [bohl["window"]], "gap_min": [bohl["gap_min"]],
+        "tail_fraction": [bohl["tail_fraction"]], "two_sided": [bohl["two_sided"]],
+        "samples": defaults(verify_global_containment, name="samples"),
+        "samples_per_fiber": defaults(verify_fiber_containment, name="samples_per_fiber"),
+        "tolerance": defaults(*checks, name="tolerance"),
+        "seed": defaults(*checks, name="seed"),
+        "escalate": defaults(*checks, name="escalate"),
+    }
+    assert sorted(twins) == sorted(_ANALYSIS_DEFAULTS)
+    for key, values in twins.items():
+        default = _ANALYSIS_DEFAULTS[key]
+        for value in values:
+            assert (default, type(default)) == (value, type(value)), key
 
 
 def test_scenario_rejects_unknown_fields(tmp_path):
@@ -421,6 +456,37 @@ def test_cli_refuses_a_section_that_is_not_an_object(tmp_path, capsys, section, 
     assert main(["verify", path, "--out", str(tmp_path / "out")]) == 2
     assert "scenario error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [5, None, ["a"]], ids=["number", "null", "list"])
+def test_cli_refuses_an_output_directory_that_is_not_a_string(tmp_path, capsys, monkeypatch, out):
+    # each ran the whole analysis and then ended in a TypeError, exit 1
+    monkeypatch.chdir(tmp_path)
+    payload = small_diag_payload()
+    payload["output"] = {"out": out}
+    path = write_scenario(tmp_path, "bad-out", payload)
+    assert main(["verify", path]) == 2
+    assert "'out' must be a string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["bad-out.json"]
+
+
+def test_cli_exits_2_when_artifacts_cannot_be_written(tmp_path, capsys):
+    # exit 1 would read as a containment failure
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    path = write_scenario(tmp_path, "diag-small", small_diag_payload())
+    assert main(["verify", path, "--out", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ") and captured.out == ""
+
+
+def test_cli_spectrum_refines_to_float_resolution(tmp_path, capsys):
+    # a refine_tol below float spacing once exited 3 from a round cap
+    argv = ["spectrum", bundled("seeded-pair-d2"), "--refine-tol", "1e-16",
+            "--out", str(tmp_path), "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["refine_tol"] == 1e-16 and len(payload["intervals"]) == 2
 
 
 def _constant_payload(**analysis):
