@@ -7,9 +7,9 @@ liminf of the windowed geometric growth rates
 
 as the gap g grows.  The estimator samples every gap g in [gap_min, window],
 records the extremal rates over all window offsets m, and aggregates the
-largest tail_fraction of the gaps: the upper exponent is the max of the
-per-gap maxima over that tail, the lower exponent the min of the per-gap
-minima.  The per-gap envelopes are kept on the result for convergence
+largest ``TAIL_FRACTION`` (a fifth) of the gaps: the upper exponent is the
+max of the per-gap maxima over that tail, the lower exponent the min of the
+per-gap minima.  The per-gap envelopes are kept on the result for convergence
 diagnostics, since the underlying limits carry no convergence rate.
 
 Offsets m range over [0, window - g] by default.  The ``two_sided`` flag
@@ -29,9 +29,7 @@ from .linalg import _frobenius_norms
 from .sequences import MatrixSequence, ScalarSequence, _maps_between
 from .transition import WindowProducts, orbit_lognorms
 
-DEFAULT_WINDOW = 2048
-DEFAULT_GAP_MIN = 16
-DEFAULT_TAIL_FRACTION = 0.2
+TAIL_FRACTION = 0.2
 
 
 def _checked_count(value, name: str) -> int:
@@ -42,9 +40,16 @@ def _checked_count(value, name: str) -> int:
     return int(value)
 
 
+def _checked_flag(value, name: str) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a bool or ``np.bool_``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be True or False, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BohlParams:
-    """Window layout shared by all growth-rate estimators.
+    """Window layout shared by all growth-rate estimators; their limsup and
+    liminf aggregates read the top ``TAIL_FRACTION`` of the gaps (:meth:`tail_gaps`).
 
     window
         Largest gap sampled; orbits are evaluated on [0, window] (one-sided)
@@ -52,16 +57,12 @@ class BohlParams:
     gap_min
         Smallest gap entering the envelopes; short gaps only measure
         single-step noise.
-    tail_fraction
-        Fraction (from the top) of the sampled gaps used for the limsup and
-        liminf aggregates.
     two_sided
-        Extend window offsets over the negative half-line as well.
+        Extend window offsets over the negative half-line as well (a bool).
     """
 
-    window: int = DEFAULT_WINDOW
-    gap_min: int = DEFAULT_GAP_MIN
-    tail_fraction: float = DEFAULT_TAIL_FRACTION
+    window: int = 2048
+    gap_min: int = 16
     two_sided: bool = False
 
     def __post_init__(self):
@@ -71,14 +72,14 @@ class BohlParams:
         if self.window < 2 * self.gap_min:
             raise ParameterError(
                 f"window {self.window} too small: need window >= 2 * gap_min = {2 * self.gap_min}")
-        if not (0.0 < self.tail_fraction < 1.0):
-            raise ParameterError("tail_fraction must lie strictly between 0 and 1")
+        _checked_flag(self.two_sided, "two_sided")
 
     def gaps(self) -> np.ndarray:
         return np.arange(self.gap_min, self.window + 1)
 
-    def tail_count(self, n_gaps: int) -> int:
-        return max(1, int(round(self.tail_fraction * n_gaps)))
+    def tail_gaps(self) -> np.ndarray:
+        gaps = self.gaps()
+        return gaps[-max(1, int(round(TAIL_FRACTION * len(gaps)))):]
 
     def orbit_span(self) -> tuple[int, int]:
         return (-self.window, self.window) if self.two_sided else (0, self.window)
@@ -107,8 +108,7 @@ def _tail(min_rates: np.ndarray, max_rates: np.ndarray):
 def _tail_rates(lognorms: np.ndarray, params: BohlParams):
     """(lower, upper, spread) of :class:`BohlEstimate` per column; only
     the aggregation tail of the gaps enters them, so only it is built."""
-    gaps = params.gaps()
-    return _tail(*_envelopes(lognorms, gaps[-params.tail_count(len(gaps)):]))
+    return _tail(*_envelopes(lognorms, params.tail_gaps()))
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,14 @@ class BohlEstimate:
                 f"lower estimate {self.lower} exceeds upper estimate {self.upper}")
 
     @property
-    def tail_slice(self) -> slice:
-        return slice(len(self.gaps) - self.params.tail_count(len(self.gaps)), len(self.gaps))
-
-    @property
     def spread(self) -> float:
         """Residual variation of the envelopes over the aggregation tail.
 
         Measures how far the tail rates are from having converged; useful as
         an additive tolerance when comparing against other estimates.
         """
-        t = self.tail_slice
-        return float(_tail(self.min_rates[t], self.max_rates[t])[2])
+        count = len(self.params.tail_gaps())
+        return float(_tail(self.min_rates[-count:], self.max_rates[-count:])[2])
 
     def envelope_at(self, g: int) -> tuple[float, float]:
         idx = np.searchsorted(self.gaps, g)
@@ -159,7 +155,7 @@ def _estimate(lognorms: np.ndarray, params: BohlParams) -> BohlEstimate:
     """:class:`BohlEstimate` of one orbit's log-norms, envelopes at every gap."""
     gaps = params.gaps()
     min_rates, max_rates = _envelopes(lognorms, gaps)
-    count = params.tail_count(len(gaps))
+    count = len(params.tail_gaps())
     lower, upper, _ = _tail(min_rates[-count:], max_rates[-count:])
     return BohlEstimate(upper=float(upper), lower=float(lower), gaps=gaps,
                         min_rates=min_rates, max_rates=max_rates, params=params)
@@ -261,9 +257,7 @@ def general_exponents(seq: MatrixSequence,
     """
     params = params or BohlParams()
     lo, hi = params.orbit_span()
-    all_gaps = params.gaps()
-    count = params.tail_count(len(all_gaps))
-    gaps = all_gaps[-count:]
+    gaps = params.tail_gaps()
 
     inverse = WindowProducts(_maps_between(seq, hi, lo))
     forward = WindowProducts(_maps_between(seq, lo, hi))

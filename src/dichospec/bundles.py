@@ -31,7 +31,7 @@ from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds, _same_
 from .errors import ParameterError, SubspaceError, ValidationError
 from .linalg import (NULLSPACE_RTOL, _nullspace, batched_spectral_norm, canonical_basis,
                      frame_sweep, min_principal_angle, spectral_norm, subspace_intersection)
-from .sequences import MatrixSequence
+from .sequences import MatrixSequence, _integer_bounds
 
 IDEMPOTENT_TOL = 1e-9  # largest ||P^2 - P|| a projector family accepts
 CONTAINS_RTOL = 1e-8  # relative residual of a vector that lies in a fiber
@@ -82,6 +82,7 @@ class ProjectorFamily:
         return (self.projectors.shape[0] - 1) // 2
 
     def _index(self, n: int, last: int) -> int:
+        (n,) = _integer_bounds((n,), "projector time")
         w = self.window
         if not -w <= n <= last:
             raise ParameterError(f"n = {n} lies outside the projector window [{-w}, {last}]")

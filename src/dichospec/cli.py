@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .bohl import BohlEstimate, bohl_exponents
+from .bohl import TAIL_FRACTION, BohlEstimate, bohl_exponents
 from .bundles import WhitneyReport, bundle_fibers, whitney_sum_check
 from .containment import (ContainmentReport, verify_endpoint_attainability,
                           verify_fiber_containment, verify_global_containment)
@@ -48,9 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("scenario", help="path to a scenario JSON file")
     common.add_argument("--window", type=int, default=None,
                         help="analysis window (for `bohl`, the Bohl window)")
-    common.add_argument("--grid-points", type=int, default=None)
     common.add_argument("--refine-tol", type=float, default=None)
-    common.add_argument("--tail-fraction", type=float, default=None)
     common.add_argument("--two-sided", action="store_true", default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--escalate", action="store_true", default=None)
@@ -110,7 +108,7 @@ def bohl_payload(name: str, xi, est: BohlEstimate) -> dict[str, Any]:
         "upper": est.upper,
         "spread": est.spread,
         "params": {"window": p.window, "gap_min": p.gap_min,
-                   "tail_fraction": p.tail_fraction, "two_sided": p.two_sided},
+                   "tail_fraction": TAIL_FRACTION, "two_sided": p.two_sided},
     }
 
 
@@ -165,18 +163,21 @@ def containment_payload(rep: ContainmentReport) -> dict[str, Any]:
 
 def _emit(out_dir: Path, stem: str, payload: dict[str, Any],
           csv_text: str | None, fmt: str, table_lines: list[str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = canonical_json(payload) + "\n"
-    (out_dir / f"{stem}.json").write_text(doc)
-    if csv_text is not None:
-        (out_dir / f"{stem}.csv").write_text(csv_text)
-    if fmt == "json":
-        sys.stdout.write(doc)
-    elif fmt == "csv" and csv_text is not None:
-        sys.stdout.write(csv_text)
-    else:
-        for line in table_lines:
-            print(line)
+    written: list[Path] = []
+    try:  # a failed write removes what this run wrote, so it leaves no artifact
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, text in ((out_dir / f"{stem}.json", doc), (out_dir / f"{stem}.csv", csv_text)):
+            if text is not None:
+                with open(path, "w") as f:
+                    written.append(path)
+                    f.write(text)
+        report = {"json": doc, "csv": csv_text}.get(fmt)
+        sys.stdout.write("".join(f"{line}\n" for line in table_lines) if report is None else report)
+    except OSError:
+        for p in written:
+            p.unlink()
+        raise
 
 
 def _interval_table(est: SpectrumEstimate) -> list[str]:
@@ -195,8 +196,7 @@ def _interval_table(est: SpectrumEstimate) -> list[str]:
 # -- command bodies -------------------------------------------------------------
 
 def _spectrum(scn: Scenario) -> SpectrumEstimate:
-    return estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
-                             refine_tol=scn.analysis["refine_tol"],
+    return estimate_spectrum(scn.system, refine_tol=scn.analysis["refine_tol"],
                              params=scn.dichotomy_params())
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bohl import BohlParams, _bohl_block, _scalar_tail, bohl_exponents  # noqa: F401 (re-export)
-from .bohl import _checked_count
+from .bohl import _checked_count, _checked_flag
 from .bundles import SpectralBundleFiber, _fiber_index, bundle_fibers, restricted_fiber_system
 from .dichotomy import SpectrumEstimate, _same_dimension
 from .errors import ParameterError
@@ -196,6 +196,7 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     base_tol = _base_tolerance(tolerance, spectrum)
     if _checked_count(samples_per_fiber, "samples_per_fiber") < 1:
         raise ParameterError("samples_per_fiber must be at least 1")
+    _checked_flag(escalate, "escalate")
     if fibers is None:
         fibers = bundle_fibers(spectrum)
     params = params or BohlParams()
@@ -237,6 +238,7 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     base_tol = _base_tolerance(tolerance, spectrum)
     if _checked_count(samples, "samples") < 1:
         raise ParameterError("samples must be at least 1")
+    _checked_flag(escalate, "escalate")
     params = params or BohlParams()
     vectors = _unit_samples(np.random.default_rng(seed), samples, seq.dimension)
     rows = _group_rows(seq, "global sample", None, vectors, vectors, spectrum.hull,

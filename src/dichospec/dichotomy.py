@@ -75,6 +75,8 @@ THETA_MIN = 1e-3
 RHO_SPLIT = 0.95
 DELTA_FIT = 1e-4
 RESID_MAX = 0.75
+# Points of the logarithmic gamma grid that estimate_spectrum probes first.
+GRID_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -522,18 +524,17 @@ def _same_dimension(seq: MatrixSequence, dimension: int, what: str) -> None:
                              f"not this {seq.dimension}-dimensional sequence")
 
 
-def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
-                      refine_tol: float = 1e-3,
+def estimate_spectrum(seq: MatrixSequence, *, refine_tol: float = 1e-3,
                       params: DichotomyParams | None = None,
                       analyzer: DichotomyAnalyzer | None = None) -> SpectrumEstimate:
     """Estimate the dichotomy spectrum as ordered intervals with gap ranks.
 
-    A logarithmic grid spanning the certified norm bound with 10% margin
-    is probed first.  Then each adjacent grid pair that brackets a
-    structure change (certificate/in-spectrum flip, or a rank jump between
-    certificates hiding a spectral interval narrower than the grid) is
-    bisected: split at its geometric midpoint, and each half that still
-    brackets a change split again, while it is wider than refine_tol / 4
+    A GRID_POINTS-point logarithmic grid spanning the certified norm bound
+    with 10% margin is probed first.  Then each adjacent grid pair that
+    brackets a structure change (certificate/in-spectrum flip, or a rank
+    jump between certificates hiding a spectral interval narrower than the
+    grid) is bisected: split at its geometric midpoint, and each half that
+    still brackets a change split again, while wider than refine_tol / 4
     relative and its midpoint is a float strictly between its ends.  So
     endpoints err by at most about gamma * refine_tol / 4 (or the float
     spacing, for a smaller refine_tol) plus the verdict blur DELTA_FIT.
@@ -561,8 +562,6 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
     and ``params``, if given too, must be its params; otherwise
     :class:`ParameterError` is raised.
     """
-    if _checked_count(grid_points, "grid_points") < 8:
-        raise ParameterError("grid_points must be at least 8")
     if not (0.0 < refine_tol < 0.5):
         raise ParameterError("refine_tol must lie in (0, 0.5)")
     if analyzer is None:
@@ -579,7 +578,7 @@ def estimate_spectrum(seq: MatrixSequence, *, grid_points: int = 48,
         lo /= 1.05
         hi *= 1.05
 
-    probes = {g: analyzer.verdict(g) for g in map(float, np.geomspace(lo, hi, grid_points))}
+    probes = {g: analyzer.verdict(g) for g in map(float, np.geomspace(lo, hi, GRID_POINTS))}
     keys = sorted(probes)
     brackets = list(zip(keys, keys[1:]))
     while brackets:

@@ -1,8 +1,8 @@
 """Scenario files: one system plus its analysis and output choices.
 
 A scenario is a JSON document with three sections.  ``system`` uses the
-sequence payload format, ``analysis`` collects every tunable the library
-exposes, ``output`` says where and how reports land.  Loading normalizes
+sequence payload format, ``analysis`` the settings the commands pass to
+the library, ``output`` where and how reports land.  Loading normalizes
 all defaults so a serialized scenario states every parameter explicitly
 and round-trips bit for bit.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .bohl import BohlParams
-from .dichotomy import DichotomyParams
+from .bohl import TAIL_FRACTION, BohlParams
+from .dichotomy import GRID_POINTS, DichotomyParams
 from .errors import DichospecError
 from .sequences import MatrixSequence
 
@@ -28,11 +28,9 @@ class ScenarioError(DichospecError):
 _ANALYSIS_DEFAULTS: dict[str, Any] = {
     "window": 256,
     "burn_in": 128,
-    "grid_points": 48,
     "refine_tol": 1e-3,
     "bohl_window": 2048,
     "gap_min": 16,
-    "tail_fraction": 0.2,
     "two_sided": False,
     "samples": 50,
     "samples_per_fiber": 20,
@@ -40,6 +38,9 @@ _ANALYSIS_DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "escalate": False,
 }
+
+# analysis keys older files carry, dropped on load: key -> the one value allowed (None: any)
+_RETIRED_FIELDS = {"jobs": None, "grid_points": GRID_POINTS, "tail_fraction": TAIL_FRACTION}
 
 _OUTPUT_DEFAULTS: dict[str, Any] = {
     "out": ".",
@@ -89,7 +90,6 @@ class Scenario:
     def bohl_params(self) -> BohlParams:
         return BohlParams(window=self.analysis["bohl_window"],
                           gap_min=self.analysis["gap_min"],
-                          tail_fraction=self.analysis["tail_fraction"],
                           two_sided=self.analysis["two_sided"])
 
     def with_overrides(self, **overrides: Any) -> "Scenario":
@@ -130,9 +130,11 @@ class Scenario:
             raise ScenarioError(f"bad system section: {exc}") from exc
         analysis = payload.get("analysis", {})
         if isinstance(analysis, dict):
-            # "jobs", a worker count from before containment samples ran as
-            # one batch per group, still loads from older files and is dropped
-            analysis = {k: v for k, v in analysis.items() if k != "jobs"}
+            for key, fixed in _RETIRED_FIELDS.items():
+                if key in analysis and fixed is not None and analysis[key] != fixed:
+                    raise ScenarioError(f"analysis field {key!r} is fixed at {fixed!r}, "
+                                        f"got {analysis[key]!r}")
+            analysis = {k: v for k, v in analysis.items() if k not in _RETIRED_FIELDS}
         # only an absent name falls back to the stem; a falsy one is checked
         return cls(name=payload.get("name", name or "scenario"),
                    system=system, analysis=analysis, output=payload.get("output", {}))
@@ -144,9 +146,9 @@ class Scenario:
         Path(path).write_text(self.dumps())
 
 
-_INT_FIELDS = ("window", "burn_in", "grid_points", "bohl_window", "gap_min",
-               "samples", "samples_per_fiber", "seed")
-_FLOAT_FIELDS = ("refine_tol", "tail_fraction", "tolerance")
+_INT_FIELDS = ("window", "burn_in", "bohl_window", "gap_min", "samples",
+               "samples_per_fiber", "seed")
+_FLOAT_FIELDS = ("refine_tol", "tolerance")
 
 
 def _normalize(section: dict[str, Any], defaults: dict[str, Any],

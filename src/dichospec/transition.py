@@ -142,6 +142,7 @@ class OrbitLog:
         return self.start, self.start + len(self.lognorms) - 1
 
     def index_of(self, n: int) -> int:
+        (n,) = _integer_bounds((n,), "orbit time")
         lo, hi = self.span
         if not (lo <= n <= hi):
             raise ParameterError(f"n={n} outside orbit span [{lo}, {hi}]")

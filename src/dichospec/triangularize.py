@@ -48,7 +48,7 @@ class KinematicPair:
         return (self.start, self.start + self.upper.table.shape[0] - 1)
 
     def frame(self, n: int) -> np.ndarray:
-        i = n - self.start
+        i = _integer_bounds((n,), "frame index")[0] - self.start
         if not 0 <= i < self.frames.shape[0]:
             raise ParameterError(f"frame index {n} outside window {self.window}")
         return self.frames[i]

@@ -10,6 +10,7 @@ from bruteforce import (
     scalar_bohl_enumerate,
 )
 from dichospec.bohl import (
+    TAIL_FRACTION,
     BohlParams,
     _bohl_block,
     _scalar_tail,
@@ -74,7 +75,7 @@ def test_estimator_matches_direct_enumeration():
         table = orbit_lognorm_table(seq, xi / np.linalg.norm(xi), lo, hi)
         want_lower, want_upper = bohl_enumerate(
             table, -lo, params.window, params.gap_min,
-            params.tail_fraction, params.two_sided)
+            TAIL_FRACTION, params.two_sided)
         assert est.lower == pytest.approx(want_lower, rel=1e-12)
         assert est.upper == pytest.approx(want_upper, rel=1e-12)
 
@@ -88,7 +89,7 @@ def test_scalar_estimator_matches_direct_enumeration():
         for params in (SMALL, SMALL_TWO_SIDED):
             got = scalar_bohl(u, params)
             want = scalar_bohl_enumerate(u, params.window, params.gap_min,
-                                         params.tail_fraction, params.two_sided)
+                                         TAIL_FRACTION, params.two_sided)
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -97,7 +98,7 @@ def test_general_exponents_match_dense_svd_enumeration():
     params = BohlParams(window=48, gap_min=8)
     ge = general_exponents(seq, params)
     want_junior, want_senior = general_exponents_enumerate(
-        seq, 48, 8, params.tail_fraction)
+        seq, 48, 8, TAIL_FRACTION)
     assert ge.senior == pytest.approx(want_senior, rel=1e-10)
     assert ge.junior == pytest.approx(want_junior, rel=1e-10)
 
@@ -217,6 +218,13 @@ def test_envelope_csv_and_lookup():
         est.envelope_at(97)
 
 
+@pytest.mark.parametrize("flag", ["no", "yes", 0, 1, None], ids=repr)
+def test_two_sided_must_be_a_bool(flag):
+    # "no" once read as true, so offsets ran over the negative half-line
+    with pytest.raises(ParameterError, match="two_sided must be True or False"):
+        BohlParams(window=64, two_sided=flag)
+
+
 def test_parameter_and_input_validation():
     with pytest.raises(ParameterError):
         BohlParams(window=20, gap_min=16)
@@ -228,8 +236,7 @@ def test_parameter_and_input_validation():
     seq = MatrixSequence.constant(np.diag([2.0, 0.5]))
     assert bohl_exponents(seq, [1.0, 1.0], numpy_ints).upper == \
         bohl_exponents(seq, [1.0, 1.0], SMALL).upper
-    with pytest.raises(ParameterError):
-        BohlParams(tail_fraction=0.0)
+    assert BohlParams(window=64, two_sided=np.bool_(True)).orbit_span() == (-64, 64)
     with pytest.raises(ParameterError):
         bohl_exponents(MatrixSequence.constant(np.eye(2)), [0.0, 0.0], SMALL)
     with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bruteforce import bohl_enumerate, orbit_lognorm_table
-from dichospec.bohl import BohlParams, bohl_exponents, scalar_bohl
+from dichospec.bohl import TAIL_FRACTION, BohlParams, bohl_exponents, scalar_bohl
 from dichospec.bundles import SpectralBundleFiber
 from dichospec.containment import (
     TOLERANCE_FACTOR,
@@ -95,7 +95,7 @@ def test_rows_match_direct_enumeration():
         xi = np.array(row.xi)
         table = orbit_lognorm_table(seq, xi, -96, 96)
         want_lower, want_upper = bohl_enumerate(
-            table, 96, 96, 8, params.tail_fraction, True)
+            table, 96, 96, 8, TAIL_FRACTION, True)
         assert row.lower == pytest.approx(want_lower, rel=1e-12)
         assert row.upper == pytest.approx(want_upper, rel=1e-12)
 
@@ -202,6 +202,17 @@ def test_sample_counts_must_be_integers(check, key):
             check(seq, est, params=FAST, **{key: count})
     report = check(seq, est, params=FAST, **{key: np.int64(2)})
     assert len(report.rows) == (4 if key == "samples_per_fiber" else 2)
+
+
+@pytest.mark.parametrize("check", [verify_fiber_containment, verify_global_containment])
+def test_escalate_must_be_a_bool(check):
+    # "no" once escalated like True, or ended in a bare numpy TypeError
+    seq = diag_2_half_structural()
+    est = estimate_spectrum(seq)
+    for flag in ("no", "yes", 1, None):
+        with pytest.raises(ParameterError, match="escalate must be True or False"):
+            check(seq, est, params=FAST, escalate=flag)
+    assert check(seq, est, params=FAST, escalate=np.bool_(True)).status == "pass"
 
 
 def test_reports_are_deterministic_and_batch_exact():

@@ -323,8 +323,7 @@ def test_bundled_scenarios_sweep_without_a_replay(path):
         with resources.as_file(entry) as file:
             scn = load_scenario(file)
         with _counted_steps(path) as calls:
-            est = estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
-                                    refine_tol=scn.analysis["refine_tol"],
+            est = estimate_spectrum(scn.system, refine_tol=scn.analysis["refine_tol"],
                                     params=scn.dichotomy_params())
             for i in range(1, len(est.intervals) + 1):
                 restricted_fiber_system(scn.system, est, i, window=scn.bohl_params().window)

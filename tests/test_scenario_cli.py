@@ -7,12 +7,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dichospec.bohl import BohlParams, bohl_exponents
+from dichospec.bohl import TAIL_FRACTION, BohlParams, bohl_exponents
 from dichospec.cli import main
 from dichospec.containment import (SampleRow, verify_fiber_containment,
                                    verify_global_containment)
-from dichospec.dichotomy import (DichotomyParams, DichotomyVerdict, estimate_spectrum,
-                                 periodic_spectrum_oracle)
+from dichospec.dichotomy import (GRID_POINTS, DichotomyParams, DichotomyVerdict,
+                                 estimate_spectrum, periodic_spectrum_oracle)
 from dichospec.scenario import (
     _ANALYSIS_DEFAULTS,
     Scenario,
@@ -179,17 +179,16 @@ def test_scenario_defaults_are_the_library_defaults():
     checks = (verify_fiber_containment, verify_global_containment)
     twins = {
         "window": [dichotomy["window"]], "burn_in": [dichotomy["burn_in"]],
-        "grid_points": defaults(estimate_spectrum, name="grid_points"),
         "refine_tol": defaults(estimate_spectrum, name="refine_tol"),
         "bohl_window": [bohl["window"]], "gap_min": [bohl["gap_min"]],
-        "tail_fraction": [bohl["tail_fraction"]], "two_sided": [bohl["two_sided"]],
+        "two_sided": [bohl["two_sided"]],
         "samples": defaults(verify_global_containment, name="samples"),
         "samples_per_fiber": defaults(verify_fiber_containment, name="samples_per_fiber"),
         "tolerance": defaults(*checks, name="tolerance"),
         "seed": defaults(*checks, name="seed"),
         "escalate": defaults(*checks, name="escalate"),
     }
-    assert sorted(twins) == sorted(_ANALYSIS_DEFAULTS)
+    assert sorted(twins) == sorted(_ANALYSIS_DEFAULTS) and len(twins) == 11
     for key, values in twins.items():
         default = _ANALYSIS_DEFAULTS[key]
         for value in values:
@@ -315,8 +314,7 @@ def test_cli_dichotomy_csv_is_the_spectrum_grid_row(tmp_path, capsys):
 
 
 def _scenario_spectrum(scn):
-    return estimate_spectrum(scn.system, grid_points=scn.analysis["grid_points"],
-                             refine_tol=scn.analysis["refine_tol"],
+    return estimate_spectrum(scn.system, refine_tol=scn.analysis["refine_tol"],
                              params=scn.dichotomy_params())
 
 
@@ -350,21 +348,49 @@ def test_cli_verify_is_deterministic(tmp_path):
                         "endpoint-attainability": "pass"}
 
 
-def test_scenario_jobs_key_is_an_ignored_legacy_field(tmp_path):
-    # "jobs" once capped containment worker threads; files that still
-    # carry it load, drop it, and verify to the same bytes
+# retired analysis key -> (a value it loads at, a value it is refused at);
+# "jobs" once capped containment worker threads and loads at any value
+_RETIRED = {"jobs": (4, None), "grid_points": (GRID_POINTS, 96),
+            "tail_fraction": (TAIL_FRACTION, 0.3)}
+
+
+@pytest.mark.parametrize("key", sorted(_RETIRED))
+def test_scenario_retired_analysis_keys(tmp_path, capsys, key):
+    # files written before a key was retired still load, drop it and
+    # verify to the same bytes; any other value of a fixed key is refused
+    fixed, other = _RETIRED[key]
     plain = write_scenario(tmp_path, "diag-small", small_diag_payload())
     legacy_dir = tmp_path / "legacy"
     legacy_dir.mkdir()
-    legacy = write_scenario(legacy_dir, "diag-small", small_diag_payload(jobs=4))
-    assert "jobs" not in load_scenario(legacy).analysis
+    legacy = write_scenario(legacy_dir, "diag-small", small_diag_payload(**{key: fixed}))
+    assert key not in load_scenario(legacy).analysis
     assert load_scenario(legacy).dumps() == load_scenario(plain).dumps()
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["verify", plain, "--out", str(out_a), "--format", "json"]) == 0
     assert main(["verify", legacy, "--out", str(out_b), "--format", "json"]) == 0
     for name in ("diag-small-verify.json", "diag-small-verify.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    assert main(["verify", plain, "--jobs", "2", "--out", str(out_a)]) == 2
+    if other is None:  # any value loads
+        any_value = write_scenario(tmp_path, "any", small_diag_payload(**{key: [1]}))
+        assert key not in load_scenario(any_value).analysis
+        return
+    capsys.readouterr()
+    refused = write_scenario(tmp_path, "refused", small_diag_payload(**{key: other}))
+    with pytest.raises(ScenarioError, match=f"'{key}' is fixed at {fixed!r}, got {other!r}"):
+        load_scenario(refused)
+    assert main(["verify", refused, "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: ")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--grid-points", "48"],
+                                  ["--tail-fraction", "0.2"]], ids=lambda f: f[0])
+def test_cli_refuses_retired_flags(tmp_path, capsys, flag):
+    path = write_scenario(tmp_path, "diag-small", small_diag_payload())
+    out = tmp_path / "out"
+    assert main(["verify", path, *flag, "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_verify_fails_loudly_on_impossible_tolerance(tmp_path):
@@ -478,6 +504,30 @@ def test_cli_exits_2_when_artifacts_cannot_be_written(tmp_path, capsys):
     assert main(["verify", path, "--out", str(blocker)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("output error: ") and captured.out == ""
+
+
+class _BrokenStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("failure", ["csv-is-a-directory", "stdout-is-closed"])
+def test_cli_output_error_leaves_no_artifact(tmp_path, capsys, monkeypatch, failure, fmt):
+    # the JSON artifact was once left behind when the CSV could not be written
+    out = tmp_path / "out"
+    out.mkdir()
+    if failure == "csv-is-a-directory":
+        (out / "autonomous-diagonal-spectrum.csv").mkdir()
+    else:
+        monkeypatch.setattr("sys.stdout", _BrokenStdout())
+    argv = ["spectrum", bundled("autonomous-diagonal"), "--out", str(out), "--format", fmt]
+    assert main(argv) == 2
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ") and captured.out == ""
+    left = [] if failure == "stdout-is-closed" else ["autonomous-diagonal-spectrum.csv"]
+    assert sorted(p.name for p in out.iterdir()) == left
 
 
 def test_cli_spectrum_refines_to_float_resolution(tmp_path, capsys):

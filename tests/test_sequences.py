@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from bruteforce import matrix_window_by_index, norm_scan, scalar_value_by_index
+from dichospec.bundles import ProjectorFamily
 from dichospec.errors import ParameterError, SingularMatrixError, ValidationError
 from dichospec.sequences import MatrixSequence, ScalarSequence
+from dichospec.transition import OrbitLog
+from dichospec.triangularize import qr_triangularize
 
 RESIDUAL_TOL = 1e-12
 
@@ -407,6 +410,34 @@ def test_scalar_sequence_refuses_fractional_times(kind):
             call()
     assert np.array_equal(u.window(np.int64(-3), 4.0), u.window(-3, 4))
     assert u.value_at(2.0) == u.value_at(2)
+
+
+# time accessors of the results built on sequences, each on a window that holds n = 0, 1, 2
+_TIME_ACCESSORS = {
+    "ProjectorFamily.at": lambda: ProjectorFamily(
+        1.0, 1, np.stack([np.diag([1.0, 0.0])] * 7), np.stack([np.diag([2.0, 0.5])] * 6)).at,
+    "ProjectorFamily.commutation_residual": lambda: ProjectorFamily(
+        1.0, 1, np.stack([np.diag([1.0, 0.0])] * 7),
+        np.stack([np.diag([2.0, 0.5])] * 6)).commutation_residual,
+    "KinematicPair.frame": lambda: qr_triangularize(
+        MatrixSequence.constant([[0.5, 1.0], [0.0, 2.0]]), (-3, 3)).frame,
+    "OrbitLog.lognorm_at": lambda: OrbitLog(np.ones(2), -3, np.arange(7.0) ** 2).lognorm_at,
+}
+
+
+@pytest.mark.parametrize("n", [True, np.bool_(True), 1.5, np.float64(0.5)], ids=repr)
+@pytest.mark.parametrize("accessor", sorted(_TIME_ACCESSORS))
+def test_time_accessors_refuse_non_integer_times(accessor, n):
+    # True once read the value at n = 1, and 1.5 ended in a bare IndexError
+    with pytest.raises(ParameterError, match="integer bounds"):
+        _TIME_ACCESSORS[accessor]()(n)
+
+
+@pytest.mark.parametrize("accessor", sorted(_TIME_ACCESSORS))
+def test_time_accessors_take_integral_floats_and_numpy_integers(accessor):
+    at = _TIME_ACCESSORS[accessor]()
+    for n in (2.0, np.float64(2.0), np.int64(2), np.int32(2)):
+        assert np.array_equal(at(n), at(2))
 
 
 _TABULATED = {
