@@ -184,10 +184,11 @@ def bundle_fibers(spectrum: SpectrumEstimate,
     it.  Certificates default to the per-gap representatives picked during
     spectrum estimation; a degenerate estimate carries none, and a gap
     whose rank a grid edge stood in for carries ``None``.  Both are
-    rejected, as there is no splitting to intersect.  Each basis is the
-    span-canonical :func:`~dichospec.linalg.canonical_basis`, so it does
-    not depend on the column order or signs the intersection happens to
-    produce.
+    rejected, as there is no splitting to intersect; a certificate of a
+    system of another dimension raises :class:`ParameterError`.  Each
+    basis is the span-canonical :func:`~dichospec.linalg.canonical_basis`,
+    so it does not depend on the column order or signs the intersection
+    happens to produce.
     """
     certs = spectrum.gap_certificates if certificates is None else tuple(certificates)
     expected_count = len(spectrum.intervals) + 1
@@ -202,6 +203,10 @@ def bundle_fibers(spectrum: SpectrumEstimate,
         if not cert.is_certificate:
             raise SubspaceError(
                 f"gap verdict at gamma={cert.gamma} is not a certificate")
+        if cert.stable_basis.shape[0] != spectrum.dimension:
+            raise ParameterError(
+                f"certificate at gamma={cert.gamma} is for a {cert.stable_basis.shape[0]}-"
+                f"dimensional system, not this {spectrum.dimension}-dimensional spectrum")
         if cert.rank != rank:
             raise SubspaceError(
                 f"certificate at gamma={cert.gamma} has rank {cert.rank}, "

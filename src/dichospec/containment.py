@@ -257,12 +257,16 @@ def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimat
     outright.  Upper triangular systems are accepted when their diagonal
     is significant (see :func:`dichospec.triangularize.diagonal_significance`,
     computed here when not supplied); anything else is refused rather than
-    guessed at.  Coordinate Bohl data are two-sided estimates at the
-    default :class:`~dichospec.bohl.BohlParams` window.  An endpoint is
-    attained within ``tolerance`` (at least 0; default as in
-    :func:`verify_fiber_containment`) plus the estimate's spread.
+    guessed at.  A supplied ``significance`` report of a system of another
+    dimension raises :class:`ParameterError`.  Coordinate Bohl data are
+    two-sided estimates at the default :class:`~dichospec.bohl.BohlParams`
+    window.  An endpoint is attained within ``tolerance`` (at least 0;
+    default as in :func:`verify_fiber_containment`) plus the estimate's
+    spread.
     """
     _same_dimension(seq, spectrum.dimension, "the spectrum")
+    if significance is not None:
+        _same_dimension(seq, significance.spectrum.dimension, "the significance report")
     base_tol = _base_tolerance(tolerance, spectrum)
 
     def refused(note: str) -> ContainmentReport:

@@ -23,13 +23,15 @@ each side:
    the flags' R factors are the one-step factors restricted to these
    frames, small s x s matrices.
 3. Per-gap maxima of restricted product norms (forward on the stable
-   family, backward on the unstable family) are assembled once per rank
-   by a doubling scheme, and each side's decay law is fitted to them once,
-   at gamma = 1: its log-slope, tail residual and log K.  Scaling by gamma
-   adds -/+ gap * log(gamma) to the log-envelopes, which shifts the
-   least-squares slope by -/+ log(gamma) and leaves the residual and
-   log K as they are, so a verdict reads rho = exp(slope -/+ log(gamma))
-   and the rest off this per-rank table, without fitting anything.
+   family, backward on the unstable family) are assembled for every rank
+   0..d by a doubling scheme when the analyzer is built, and each side's
+   decay law is fitted to them once, at gamma = 1: its log-slope, tail
+   residual and log K; the factor stacks and flags are then dropped.
+   Scaling by gamma adds -/+ gap * log(gamma) to the log-envelopes, which
+   shifts the least-squares slope by -/+ log(gamma) and leaves the
+   residual and log K as they are, so a verdict reads rho =
+   exp(slope -/+ log(gamma)) and the rest off this per-rank table,
+   without fitting anything.
 4. A candidate certifies when both fitted decay rates stay below
    1 - DELTA_FIT, the envelope is straight over the fitting tail
    (residual gate), and the stable/unstable frames at time 0 are
@@ -42,6 +44,7 @@ values of long products, which float arithmetic cannot resolve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Mapping
@@ -244,10 +247,11 @@ class DichotomyVerdict:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """Rank-s splitting data, independent of gamma.
+    """Rank-s splitting data, independent of gamma: one entry of the table.
 
     Each side's envelope has its decay law fitted at gamma = 1; a side the
-    rank does not have (stable for s = 0, unstable for s = d) is None.
+    rank does not have (stable for s = 0, unstable for s = d) is None.  The
+    bases are read-only, as every verdict of the rank hands them out.
     """
 
     rank: int
@@ -278,37 +282,59 @@ def _family_seeds(factors: np.ndarray, m_hat: float,
     return binit, np.linalg.svd(first)[0], np.linalg.svd(last)[2].conj().T
 
 
+def _candidate(rank: int, stable_basis: np.ndarray, unstable_basis: np.ndarray,
+               stable_steps: np.ndarray | None, unstable_steps: np.ndarray | None,
+               gaps: np.ndarray, tail_mask: np.ndarray) -> _Candidate:
+    """The rank's table entry from its families at time 0 and their one-step
+    factors for n in [-N, N): forward on the stable family, backward on the
+    unstable one (latest first), None for a side the rank does not have.
+    Envelopes are taken at ``gaps`` and fitted with slopes from the
+    ``tail_mask`` gaps (step 3 of the module docstring).
+    """
+    def side(steps):
+        if steps is None:
+            return None, None
+        wp = WindowProducts(steps)
+        env = np.array([wp.max_log_norm(int(g))[0] for g in gaps])
+        return env, _decay_line(gaps.astype(float), env, tail_mask)
+
+    stable_basis, unstable_basis = stable_basis.copy(), unstable_basis.copy()
+    for basis in (stable_basis, unstable_basis):
+        basis.flags.writeable = False
+    (stable_env, stable_fit), (unstable_env, unstable_fit) = side(stable_steps), side(unstable_steps)
+    return _Candidate(rank=rank, stable_basis=stable_basis, unstable_basis=unstable_basis,
+                      stable_env=stable_env, unstable_env=unstable_env,
+                      angle=(min_principal_angle(stable_basis, unstable_basis)
+                             if 0 < rank < len(stable_basis) else math.pi / 2),
+                      stable_fit=stable_fit, unstable_fit=unstable_fit)
+
+
 class DichotomyAnalyzer:
     """Shared window data answering dichotomy queries for every gamma.
 
-    Construction validates the sequence and runs the one QR sweep of the
-    rates and the flag pair; each rank's envelopes are built lazily from
-    slices of the flags on first use, fitted once and cached, so a full
-    spectrum sweep costs little more than a single verdict per distinct
-    rank.
+    Construction validates the sequence, runs the one QR sweep of the
+    rates and the flag pair, and builds from it the table entry of every
+    rank 0..d: the families at time 0, their envelopes and decay laws.  A
+    built analyzer keeps only ``seq``, ``params``, ``m_hat``, the two rate
+    vectors and this table; every verdict reads the table and fits nothing.
     """
 
     def __init__(self, seq: MatrixSequence, params: DichotomyParams | None = None):
         self.seq = seq
         self.params = params or DichotomyParams()
         ext = self.params.extent
-        self._ext = ext
-        self._factors = seq.window(-ext, ext - 1)
-        self._inverses = np.linalg.inv(self._factors)
+        factors = seq.window(-ext, ext - 1)
+        inverses = np.linalg.inv(factors)
         self.m_hat = seq.validate((-ext, ext)).m_hat
-        self._gaps, self._slope_mask = self.params.fit_gaps()
-        self._gapsf = self._gaps.astype(float)
-        self._candidates: dict[int, _Candidate] = {}
         # the rate sweeps and, for d > 1, the flags B and F (steps 1-2 of
         # the module docstring); shorter items are padded with identity maps
         d, n_win, eye = seq.dimension, self.params.window, np.eye(seq.dimension)
-        parts, seeds = [self._factors[ext:], self._inverses[ext - 1::-1]], [eye, eye]
+        parts, seeds = [factors[ext:], inverses[ext - 1::-1]], [eye, eye]
         if d > 1:
             binit, amplified, contracted = _family_seeds(
-                self._factors, self.m_hat, self.params.burn_in // 2)
+                factors, self.m_hat, self.params.burn_in // 2)
             off = ext - binit  # after j steps B sits at time off - j, F at j - off
-            parts += [self._inverses[ext - n_win: ext + off][::-1],
-                      self._factors[ext - off: ext + n_win]]
+            parts += [inverses[ext - n_win: ext + off][::-1], factors[ext - off: ext + n_win]]
             seeds += [contracted[:, ::-1], amplified]
         maps = np.tile(eye, (len(parts), max(map(len, parts)), 1, 1))
         for item, part in zip(maps, parts):
@@ -316,59 +342,23 @@ class DichotomyAnalyzer:
         frames, r = frame_sweep(maps, np.stack(seeds))
         self._forward_rates, self._backward_rates = np.log(
             np.diagonal(r[:2, ext // 2: ext], axis1=2, axis2=3)).mean(axis=1)
+        # each rank's families at time 0 and their steps for n in [-N, N)
+        usable = slice(self.params.burn_in, self.params.burn_in + 2 * n_win)
+        shapes = [(np.zeros((d, 0)), eye, None, inverses[usable][::-1])]
         if d > 1:
-            # the flags at time 0 and their steps from n to n + 1 for n in
-            # [-N, N), B's in forward time order
-            self._flags = frames[2:, off].copy()
-            steps = r[2:, off - n_win: off + n_win]
-            self._flag_steps = (steps[0, ::-1].copy(), steps[1].copy())
-
-    # -- construction helpers -------------------------------------------------
-
-    def _usable(self, stack: np.ndarray) -> np.ndarray:
-        """The 2N entries of a per-step stack that fall in [-N, N)."""
-        burn = self.params.burn_in
-        return stack[burn: burn + 2 * self.params.window]
-
-    def _env_values(self, factors: np.ndarray) -> np.ndarray:
-        wp = WindowProducts(factors)
-        return np.array([wp.max_log_norm(int(g))[0] for g in self._gaps])
-
-    def _fit(self, env: np.ndarray | None) -> DecayFit | None:
-        """An envelope's decay law at gamma = 1; slopes from the aligned tail gaps."""
-        return None if env is None else _decay_line(self._gapsf, env, self._slope_mask)
-
-    def _candidate(self, s: int) -> _Candidate:
-        if s in self._candidates:
-            return self._candidates[s]
-        d = self.seq.dimension
-        if s == 0:
-            stable_basis, unstable_basis = np.zeros((d, 0)), np.eye(d)
-            stable_env, angle = None, math.pi / 2
-            unstable_env = self._env_values(self._usable(self._inverses)[::-1])
-        elif s == d:
-            stable_basis, unstable_basis = np.eye(d), np.zeros((d, 0))
-            stable_env = self._env_values(self._usable(self._factors))
-            unstable_env, angle = None, math.pi / 2
-        else:
             # a Householder column depends only on the columns before it, so
             # the leading s columns of B and the leading d - s of F, with the
-            # leading blocks of their R factors, are the rank-s stable and
-            # unstable families and their restricted steps.
-            # A(n) Vs(n) = Vs(n+1) G(n)^-1 gives the restricted forward
-            # factors; backward norms on the unstable family come from
-            # products of the inverted one-step factors in reversed order
-            u = d - s
-            stable_basis, unstable_basis = self._flags[0][:, :s].copy(), self._flags[1][:, :u].copy()
-            stable_r, unstable_r = self._flag_steps
-            stable_env = self._env_values(np.linalg.inv(stable_r[:, :s, :s]))
-            unstable_env = self._env_values(np.linalg.inv(unstable_r[:, :u, :u])[::-1])
-            angle = min_principal_angle(stable_basis, unstable_basis)
-        cand = _Candidate(rank=s, stable_basis=stable_basis, unstable_basis=unstable_basis,
-                          stable_env=stable_env, unstable_env=unstable_env, angle=angle,
-                          stable_fit=self._fit(stable_env), unstable_fit=self._fit(unstable_env))
-        self._candidates[s] = cand
-        return cand
+            # leading blocks of their R factors (B's in forward time order),
+            # are the rank-s families and their restricted steps:
+            # A(n) Vs(n) = Vs(n+1) G(n)^-1 gives the stable forward factors,
+            # and the unstable side's backward ones are inverted R blocks
+            flags, steps = frames[2:, off], r[2:, off - n_win: off + n_win]
+            shapes += [(flags[0][:, :s], flags[1][:, :d - s], np.linalg.inv(steps[0, ::-1, :s, :s]),
+                        np.linalg.inv(steps[1, :, :d - s, :d - s])[::-1]) for s in range(1, d)]
+        shapes.append((eye, np.zeros((d, 0)), factors[usable], None))
+        gaps, tail_mask = self.params.fit_gaps()
+        self._table = tuple(_candidate(s, *shape, gaps, tail_mask)
+                            for s, shape in enumerate(shapes))
 
     # -- per-gamma verdicts ----------------------------------------------------
 
@@ -381,10 +371,13 @@ class DichotomyAnalyzer:
         side decays at rho = exp(slope - log gamma), the unstable side at
         exp(slope + log gamma), and the residual and K = exp(min(log K,
         700)) do not depend on gamma.  The first rank that passes every
-        gate certifies.
+        gate certifies.  A gamma that is a bool, not a real number, or not
+        positive and finite raises :class:`ParameterError`.
         """
-        if not (gamma > 0.0) or not math.isfinite(gamma):
-            raise ParameterError("gamma must be a positive finite real")
+        if (isinstance(gamma, (bool, np.bool_)) or not isinstance(gamma, numbers.Real)
+                or not (gamma > 0.0) or not math.isfinite(gamma)):
+            raise ParameterError(f"gamma must be a positive finite real, got {gamma!r}")
+        gamma = float(gamma)
         p = self.params
         d = self.seq.dimension
         lg = math.log(gamma)
@@ -400,7 +393,7 @@ class DichotomyAnalyzer:
         best_violation = math.inf
         decay_ok_but_tangent = False
         for s in ranks:
-            cand = self._candidate(s)
+            cand = self._table[s]
             fits = [(f, shift) for f, shift in ((cand.stable_fit, -lg), (cand.unstable_fit, lg))
                     if f is not None]
             rho = max(math.exp(f.slope + shift) for f, shift in fits)

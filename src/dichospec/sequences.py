@@ -141,6 +141,15 @@ def _integer_bounds(bounds, what: str) -> tuple[int, ...]:
     raise ParameterError(f"{what} {tuple(bounds)} must have integer bounds")
 
 
+def _scalar_entries(entries, what: str) -> tuple["ScalarSequence", ...]:
+    """``entries`` as a tuple, each checked to be a :class:`ScalarSequence`."""
+    ent = tuple(entries)
+    for e in ent:
+        if not isinstance(e, ScalarSequence):
+            raise ParameterError(f"{what} must be a ScalarSequence, got {e!r}")
+    return ent
+
+
 def _seed_value(seed: int) -> int:
     value = int(seed)
     if value < 0 or value != seed or isinstance(seed, bool):
@@ -472,7 +481,7 @@ class MatrixSequence:
 
     @classmethod
     def _diagonal(cls, entries: Iterable[ScalarSequence]) -> "MatrixSequence":
-        ent = tuple(entries)
+        ent = _scalar_entries(entries, "diagonal entry")
         if not ent:
             raise ParameterError("diagonal kind needs at least one entry sequence")
         return cls(dimension=len(ent), kind="diagonal", entries=ent)
@@ -481,7 +490,7 @@ class MatrixSequence:
     def upper_triangular(cls, diagonal: Iterable[ScalarSequence],
                          offdiagonal: dict[tuple[int, int], ScalarSequence] | None = None,
                          ) -> "MatrixSequence":
-        diag = tuple(diagonal)
+        diag = _scalar_entries(diagonal, "diagonal entry")
         d = len(diag)
         if d == 0:
             raise ParameterError("upper-triangular kind needs diagonal entries")
@@ -491,6 +500,7 @@ class MatrixSequence:
                 raise ParameterError(
                     f"off-diagonal index ({i}, {j}) must be integers with 0 <= i < j < d")
             off.append((int(i), int(j), entry))
+        _scalar_entries((entry for *_, entry in off), "off-diagonal entry")
         return cls(dimension=d, kind="upper-triangular", diagonal=diag,
                    offdiagonal=tuple(off))
 

@@ -314,8 +314,9 @@ class WindowProducts:
             h *= 2
 
     def products(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized cores and log scales of all length-g window products."""
-        g = int(g)
+        """Normalized cores and log scales of all length-g window products;
+        ``g`` is an integer (an integral float passes, as in :func:`transition`)."""
+        (g,) = _integer_bounds((g,), "gap")
         if not (1 <= g <= self.count):
             raise ParameterError(f"gap {g} outside [1, {self.count}]")
         npos = self.count - g + 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bohl import BohlParams
 from .dichotomy import (DichotomyParams, SpectralInterval, SpectrumEstimate,
-                        estimate_spectrum, scalar_spectrum)
+                        _same_dimension, estimate_spectrum, scalar_spectrum)
 from .errors import ParameterError, ValidationError
 from .linalg import batched_spectral_norm, frame_sweep
 from .sequences import MatrixSequence, ScalarSequence, _integer_bounds, _maps_between
@@ -54,7 +54,9 @@ class KinematicPair:
         return self.frames[i]
 
     def residual_max(self, seq: MatrixSequence) -> float:
-        """max_n || A(n) F(n) - F(n+1) U(n) || over the window."""
+        """max_n || A(n) F(n) - F(n+1) U(n) || over the window; ``seq`` of
+        another dimension raises :class:`ParameterError`."""
+        _same_dimension(seq, self.dimension, "the kinematic pair")
         lo, hi = self.window
         r = seq.window(lo, hi) @ self.frames[:-1] - self.frames[1:] @ self.upper.table
         return float(batched_spectral_norm(r).max())
@@ -203,9 +205,13 @@ def diagonal_significance(source: "KinematicPair | MatrixSequence", *,
     diagonally significant when the two agree as sets within
     ``SIGNIFICANCE_TOL`` (5e-3; mutual one-sided coverage).  Each diagonal
     entry must stay away from zero, otherwise its Bohl data is undefined
-    and a :class:`ValidationError` names the offending coordinate.
+    and a :class:`ValidationError` names the offending coordinate.  A
+    given ``spectrum`` of a system of another dimension raises
+    :class:`ParameterError`.
     """
     upper, diags = _resolve_triangular(source)
+    if spectrum is not None:
+        _same_dimension(upper, spectrum.dimension, "the spectrum")
     params = params or DichotomyParams()
     ext = params.extent
     if upper.kind == "tabulated":

@@ -17,9 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from dichospec import dichotomy
-from dichospec.dichotomy import _Candidate, _family_seeds
+from dichospec.dichotomy import _candidate, _family_seeds
 from dichospec.errors import SpectrumConsistencyError
-from dichospec.linalg import batched_spectral_norm, frame_sweep, min_principal_angle
+from dichospec.linalg import batched_spectral_norm, frame_sweep
 from dichospec.transition import _chunk_length
 
 
@@ -425,25 +425,21 @@ def split_candidate_by_rank_sweeps(analyzer, s):
     +off, seeded with the s most contracted directions (most contracted
     last), and the unstable family forward on the factors from -off,
     seeded with the d - s most amplified.  It reuses the analyzer's window,
-    seeds and envelope assembly, so it checks only that slicing one flag
-    pair gives the same families and restricted factors.
+    seeds, fit gaps and table-entry builder, so it checks only that slicing
+    one flag pair gives the same families and restricted factors.
     """
-    d, ext, n_win = analyzer.seq.dimension, analyzer._ext, analyzer.params.window
+    d, ext, n_win = analyzer.seq.dimension, analyzer.params.extent, analyzer.params.window
+    factors = analyzer.seq.window(-ext, ext - 1)
+    inverses = np.linalg.inv(factors)
     binit, amplified, contracted = _family_seeds(
-        analyzer._factors, analyzer.m_hat, analyzer.params.burn_in // 2)
+        factors, analyzer.m_hat, analyzer.params.burn_in // 2)
     off = ext - binit
     # flipped, qs[i] sits at time i - n_win; qu[i] sits at time i - off
-    qs, gs = frame_sweep(analyzer._inverses[ext - n_win: ext + off][::-1], contracted[:, d - s:])
+    qs, gs = frame_sweep(inverses[ext - n_win: ext + off][::-1], contracted[:, d - s:])
     qs, gs = qs[::-1], gs[::-1]
-    qu, ru = frame_sweep(analyzer._factors[ext - off: ext + n_win], amplified[:, : d - s])
-    stable_basis, unstable_basis = qs[n_win], qu[off]
-    stable_env = analyzer._env_values(np.linalg.inv(gs[:2 * n_win]))
-    unstable_env = analyzer._env_values(np.linalg.inv(ru[off - n_win:])[::-1])
-    return _Candidate(rank=s, stable_basis=stable_basis, unstable_basis=unstable_basis,
-                      stable_env=stable_env, unstable_env=unstable_env,
-                      angle=min_principal_angle(stable_basis, unstable_basis),
-                      stable_fit=analyzer._fit(stable_env),
-                      unstable_fit=analyzer._fit(unstable_env))
+    qu, ru = frame_sweep(factors[ext - off: ext + n_win], amplified[:, : d - s])
+    return _candidate(s, qs[n_win], qu[off], np.linalg.inv(gs[:2 * n_win]),
+                      np.linalg.inv(ru[off - n_win:])[::-1], *analyzer.params.fit_gaps())
 
 
 def refit_verdict(analyzer, gamma):
@@ -453,10 +449,11 @@ def refit_verdict(analyzer, gamma):
     rank it fits the scaled envelopes env - g log(gamma) (stable) and
     env + g log(gamma) (unstable) by least squares over the slope gaps,
     then applies the same gates in the same rank order.  It reuses the
-    analyzer's rates and candidate envelopes, so it checks only that
+    analyzer's rates and table envelopes, so it checks only that
     reading the table equals refitting, up to rounding.
     """
-    gaps, mask = analyzer._gapsf, analyzer._slope_mask
+    gaps, mask = analyzer.params.fit_gaps()
+    gaps = gaps.astype(float)
     d, lg = analyzer.seq.dimension, math.log(gamma)
 
     def fit(values):
@@ -475,7 +472,7 @@ def refit_verdict(analyzer, gamma):
                    key=lambda r: (abs(r - s0), r))
     certified, best, tangent = [], math.inf, False
     for s in ranks:
-        cand = analyzer._candidate(s)
+        cand = analyzer._table[s]
         fits = []
         if s > 0:
             fits.append(fit(cand.stable_env - gaps * lg))

@@ -533,3 +533,13 @@ def test_restricted_system_refuses_a_spectrum_of_another_system(index):
     with pytest.raises(ParameterError, match="3-dimensional system, not this 2-dimensional"):
         restricted_fiber_system(seq, est, index, window=64)
     assert seq._flag_cache == {}
+
+
+def test_bundle_fibers_refuse_certificates_of_another_system():
+    # three-dimensional fibers once came back for a two-dimensional spectrum
+    est = estimate_spectrum(MatrixSequence.constant(np.diag([0.5, 2.0])))
+    analyzer = DichotomyAnalyzer(_rates_3d())
+    certs = tuple(analyzer.verdict(g) for g in (0.3, 0.7, 1.5))
+    assert [c.rank for c in certs] == list(est.gap_ranks) == [0, 1, 2]
+    with pytest.raises(ParameterError, match="3-dimensional system, not this 2-dimensional"):
+        bundle_fibers(est, certificates=certs)

@@ -180,6 +180,19 @@ def test_endpoint_refusals():
     assert "not significant" in refused.notes[0]
 
 
+def test_endpoint_check_refuses_a_significance_report_of_another_system():
+    # a significant report of a 3-d system once let this 2-d system pass
+    tri = MatrixSequence.upper_triangular(
+        diagonal=[ScalarSequence.constant(2.0), ScalarSequence.constant(0.5)],
+        offdiagonal={(0, 1): ScalarSequence.constant(1.0)})
+    other = estimate_spectrum(MatrixSequence.constant(np.diag([0.5, 1.0, 2.0])))
+    report = SignificanceReport(spectrum=other, coordinate_intervals=other.intervals,
+                                union=other.intervals, symmetric_difference=0.0,
+                                tolerance=5e-3, significant=True)
+    with pytest.raises(ParameterError, match="3-dimensional system, not this 2-dimensional"):
+        verify_endpoint_attainability(tri, estimate_spectrum(tri), significance=report)
+
+
 @pytest.mark.parametrize("check", [verify_fiber_containment, verify_global_containment,
                                    verify_endpoint_attainability])
 def test_checks_refuse_a_negative_or_nan_tolerance(check):

@@ -7,6 +7,8 @@ import pytest
 
 from bruteforce import (floquet_moduli, refit_verdict, spectrum_by_merging,
                         split_candidate_by_rank_sweeps)
+from dichospec import dichotomy
+from dichospec.bundles import bundle_fibers
 from dichospec.dichotomy import (
     GRID_POINTS,
     DecayFit,
@@ -112,9 +114,10 @@ def test_fits_and_the_analyzer_table_share_one_decay_record():
     # at gamma = 1 a verdict reads its rank's two fits unshifted
     analyzer = DichotomyAnalyzer(diag_2_half())
     v = analyzer.verdict(1.0)
-    cand = analyzer._candidate(v.rank)
+    cand = analyzer._table[v.rank]
     fits = (cand.stable_fit, cand.unstable_fit)
-    assert all(isinstance(f, DecayFit) and f.samples == len(analyzer._gaps) for f in fits)
+    gaps, _ = analyzer.params.fit_gaps()
+    assert all(isinstance(f, DecayFit) and f.samples == len(gaps) for f in fits)
     assert v.rho == max(f.rho for f in fits)
     assert v.K == max(1.0, *(f.K for f in fits))
     assert v.residual == max(f.residual for f in fits)
@@ -160,6 +163,22 @@ def test_gamma_validation():
         dichotomy_verdict(diag_2_half(), 0.0)
     with pytest.raises(ParameterError):
         dichotomy_verdict(diag_2_half(), -1.5)
+
+
+@pytest.mark.parametrize("gamma", [True, np.bool_(True), "1.0", 1.0 + 0j, np.complex128(1.0), None])
+def test_gamma_must_be_a_real_number(gamma):
+    # True once certified at gamma = 1 with the bool as its gamma, and a
+    # string or complex gamma ended in a bare TypeError
+    with pytest.raises(ParameterError, match="gamma must be a positive finite real"):
+        dichotomy_verdict(diag_2_half(), gamma)
+
+
+def test_verdicts_store_gamma_as_a_float():
+    analyzer = DichotomyAnalyzer(diag_2_half())
+    want = analyzer.verdict(1.0)
+    for gamma in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+        got = analyzer.verdict(gamma)
+        assert type(got.gamma) is float and got.csv() == want.csv()
 
 
 @pytest.mark.parametrize("bad", [{"window": 300.0}, {"window": 64.7}, {"window": "300"},
@@ -310,8 +329,60 @@ def test_all_split_ranks_share_one_sweep(monkeypatch):
         calls.clear()
         analyzer = DichotomyAnalyzer(seq)
         estimate_spectrum(seq, analyzer=analyzer)
-        assert len(analyzer._candidates) > 2  # some split rank was built
+        # every rank, split ones among them, was built
+        assert [c.rank for c in analyzer._table] == list(range(seq.dimension + 1))
         assert len(calls) == 1 and calls[0][0] == 4
+
+
+def test_construction_builds_every_rank_and_estimation_builds_none(monkeypatch):
+    # the whole table is built at construction, one envelope per side each
+    # rank has; estimate_spectrum then only reads it
+    built, envelopes = [], []
+    build_entry, products = dichotomy._candidate, dichotomy.WindowProducts
+
+    def counted_entry(rank, *args):
+        built.append(rank)
+        return build_entry(rank, *args)
+
+    def counted_products(factors):
+        envelopes.append(factors.shape)
+        return products(factors)
+
+    monkeypatch.setattr(dichotomy, "_candidate", counted_entry)
+    monkeypatch.setattr(dichotomy, "WindowProducts", counted_products)
+    for seq in (piecewise_scalar(), diag_2_half(), MatrixSequence.seeded(5, bands=SEEDED_BANDS[3])):
+        d = seq.dimension
+        built.clear()
+        envelopes.clear()
+        analyzer = DichotomyAnalyzer(seq)
+        assert built == list(range(d + 1)) and len(envelopes) == 2 * d
+        assert len(analyzer._table) == d + 1
+        built.clear()
+        envelopes.clear()
+        estimate_spectrum(seq, analyzer=analyzer)
+        assert built == [] and envelopes == []
+    # the analyzer keeps its inputs, the rates and the table, nothing else
+    assert sorted(vars(analyzer)) == ["_backward_rates", "_forward_rates", "_table",
+                                      "m_hat", "params", "seq"]
+
+
+def test_table_bases_are_read_only():
+    # a verdict's bases are the table's: writing one once changed every
+    # later verdict of its rank and made the spectrum's fibers inconsistent
+    seq = diag_2_half()
+    analyzer = DichotomyAnalyzer(seq)
+    est = estimate_spectrum(seq, analyzer=analyzer)
+    fibers = bundle_fibers(est)
+    v = analyzer.verdict(1.0)
+    for basis in (v.stable_basis, v.unstable_basis):
+        with pytest.raises(ValueError, match="read-only"):
+            basis[:] = 0.0
+    again = estimate_spectrum(seq, analyzer=analyzer)
+    assert again.verdicts_to_csv() == est.verdicts_to_csv()
+    for got, want in zip(bundle_fibers(again), fibers):
+        assert np.array_equal(got.basis, want.basis)
+    assert not any(b.flags.writeable for c in analyzer._table
+                   for b in (c.stable_basis, c.unstable_basis))
 
 
 @pytest.mark.parametrize("build", [
@@ -331,7 +402,7 @@ def test_split_candidates_match_per_rank_sweeps(build):
         return q @ q.T
 
     for s in range(1, seq.dimension):
-        got, want = analyzer._candidate(s), split_candidate_by_rank_sweeps(analyzer, s)
+        got, want = analyzer._table[s], split_candidate_by_rank_sweeps(analyzer, s)
         for env, ref in ((got.stable_env, want.stable_env),
                          (got.unstable_env, want.unstable_env)):
             assert np.all(np.abs(env - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))

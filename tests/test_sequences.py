@@ -454,6 +454,22 @@ def test_tabulated_refuses_a_non_integer_start(cls, start):
         _TABULATED[cls](start)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MatrixSequence.diagonal([0.5, 2.0]),
+    lambda: MatrixSequence.diagonal([ScalarSequence.constant(0.5), np.float64(2.0)]),
+    lambda: MatrixSequence.upper_triangular([0.5, 2.0]),
+    lambda: MatrixSequence.upper_triangular(
+        [ScalarSequence.constant(0.5), ScalarSequence.constant(2.0)], {(0, 1): 1.0}),
+    lambda: MatrixSequence.diagonal([MatrixSequence.constant([[2.0]])]),
+], ids=["diagonal-floats", "diagonal-one-float", "triangular-diagonal-floats",
+        "triangular-off-diagonal-float", "diagonal-matrix-sequence"])
+def test_triangular_constructors_refuse_entries_that_are_not_scalar_sequences(build):
+    # such a system once built and failed at its first evaluation with an
+    # AttributeError
+    with pytest.raises(ParameterError, match="must be a ScalarSequence"):
+        build()
+
+
 @pytest.mark.parametrize("cls", sorted(_TABULATED))
 def test_tabulated_accepts_integral_float_and_numpy_integer_starts(cls):
     for start in (-3.0, np.int64(-3), np.int32(-3)):

@@ -427,6 +427,17 @@ def test_max_log_norm_takes_svds_only_near_its_bound(monkeypatch):
         assert items[0] == 1 and sum(items) < (400 - g + 1) // 2, (g, items)
 
 
+@pytest.mark.parametrize("gap", [2.5, True, np.bool_(True), "3", None])
+def test_window_products_refuse_a_non_integer_gap(gap):
+    # int() once truncated the gap, so 2.5 read the products of length 2
+    wp = WindowProducts(np.random.default_rng(3).normal(size=(40, 2, 2)) + 2.0 * np.eye(2))
+    for method in (wp.products, wp.max_log_norm):
+        with pytest.raises(ParameterError, match="integer bounds"):
+            method(gap)
+    for integral in (4.0, np.int64(4), np.int32(4)):
+        assert wp.max_log_norm(integral) == wp.max_log_norm(4)
+
+
 def test_frobenius_norms_neither_overflow_nor_vanish(recwarn):
     seq = MatrixSequence.constant(np.diag([1e200, 1e-200]))
     est = general_exponents(seq, BohlParams(window=4, gap_min=1))

@@ -201,6 +201,21 @@ def test_full_matrix_kind_must_be_swept_first():
         diagonal_significance(rotation(0.3))
 
 
+def test_significance_refuses_a_spectrum_of_another_system():
+    # such a spectrum was once reported as not significant
+    est = estimate_spectrum(MatrixSequence.constant(np.diag([0.5, 1.0, 2.0])))
+    diag = MatrixSequence.diagonal([ScalarSequence.constant(0.5), ScalarSequence.constant(2.0)])
+    with pytest.raises(ParameterError, match="3-dimensional system, not this 2-dimensional"):
+        diagonal_significance(diag, spectrum=est)
+
+
+def test_residual_refuses_a_sequence_of_another_dimension():
+    # a bare numpy ValueError before
+    pair = qr_triangularize(rotation(0.4), window=(-12, 12))
+    with pytest.raises(ParameterError, match="2-dimensional system, not this 3-dimensional"):
+        pair.residual_max(MatrixSequence.constant(np.diag([0.5, 1.0, 2.0])))
+
+
 def test_vanishing_diagonal_entry_is_named():
     table = [1.0] * 1024
     table[600] = 0.0  # n = 88 for start = -512
