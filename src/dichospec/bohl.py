@@ -87,15 +87,41 @@ class BohlParams:
 
 def _envelopes(lognorms: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-gap (min, max) of exp((L[m+g] - L[m]) / g) over all offsets m,
-    for one orbit (len,) or one orbit per column (len, S)."""
-    lo = np.empty((len(gaps),) + lognorms.shape[1:])
-    hi = np.empty_like(lo)
-    for i, g in enumerate(gaps):
-        diffs = lognorms[g:] - lognorms[:-g]
-        # division by g > 0 is monotone, so it commutes with min and max
-        lo[i] = diffs.min(axis=0) / g
-        hi[i] = diffs.max(axis=0) / g
-    return np.exp(lo), np.exp(hi)
+    for one orbit (len,) or one orbit per column (len, S).
+
+    ``gaps`` must be consecutive and ascending, g0, g0 + 1, ..., each at
+    least 1 and below len, as :meth:`BohlParams.gaps` and ``tail_gaps``
+    are.  The loop runs over whichever axis is shorter.  When the
+    smallest gap has no more offsets (len - g0) than there are gaps, that
+    is when the largest gap is len - 1, as on every one-sided orbit, it
+    runs over offsets m: L[m+g0 : len] - L[m] is the row of offset m over
+    the gaps, and elementwise minimum and maximum fold it into the running
+    envelopes.  Otherwise (two-sided orbits) it runs over gaps, with one
+    reduction over all offsets per gap.  Both take the same differences,
+    and min and max are exact whatever order they see them in; division
+    by g > 0 is monotone, so it commutes with both and happens once at the
+    end.  The two paths therefore give the same bits.
+    """
+    n, g0 = len(gaps), int(gaps[0])
+    count = len(lognorms) - g0  # offsets of the smallest gap
+    if count <= n:
+        lo = lognorms[g0: g0 + n] - lognorms[0]
+        hi = lo.copy()
+        row = np.empty_like(lo)
+        for m in range(1, count):
+            k = count - m  # gaps g0 .. len - 1 - m have offset m
+            np.subtract(lognorms[m + g0: m + g0 + k], lognorms[m], out=row[:k])
+            np.minimum(lo[:k], row[:k], out=lo[:k])
+            np.maximum(hi[:k], row[:k], out=hi[:k])
+    else:
+        lo = np.empty((n,) + lognorms.shape[1:])
+        hi = np.empty_like(lo)
+        for i, g in enumerate(gaps):
+            diffs = lognorms[g:] - lognorms[:-g]
+            lo[i] = diffs.min(axis=0)
+            hi[i] = diffs.max(axis=0)
+    scale = gaps.reshape((n,) + (1,) * (lo.ndim - 1))
+    return np.exp(lo / scale), np.exp(hi / scale)
 
 
 def _tail(min_rates: np.ndarray, max_rates: np.ndarray):

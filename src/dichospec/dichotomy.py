@@ -372,12 +372,18 @@ class DichotomyAnalyzer:
         exp(slope + log gamma), and the residual and K = exp(min(log K,
         700)) do not depend on gamma.  The first rank that passes every
         gate certifies.  A gamma that is a bool, not a real number, or not
-        positive and finite raises :class:`ParameterError`.
+        positive and finite as a float (10**400 is not) raises
+        :class:`ParameterError`.
         """
-        if (isinstance(gamma, (bool, np.bool_)) or not isinstance(gamma, numbers.Real)
-                or not (gamma > 0.0) or not math.isfinite(gamma)):
+        value = math.nan
+        if not isinstance(gamma, (bool, np.bool_)) and isinstance(gamma, numbers.Real):
+            try:
+                value = float(gamma)
+            except OverflowError:
+                pass
+        if not (value > 0.0 and math.isfinite(value)):
             raise ParameterError(f"gamma must be a positive finite real, got {gamma!r}")
-        gamma = float(gamma)
+        gamma = value
         p = self.params
         d = self.seq.dimension
         lg = math.log(gamma)

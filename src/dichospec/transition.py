@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, WindowCapError
-from .linalg import _frobenius_norms, _pow2_scaled, batched_spectral_norm, spectral_norm
+from .linalg import (_frobenius_norms, _gram_eigen_bounds, _pow2_scaled, batched_spectral_norm,
+                     spectral_norm)
 from .sequences import MatrixSequence, _integer_bounds, _maps_between
 
 # Hard cap on the number of factors in a single requested product.
@@ -343,19 +344,39 @@ class WindowProducts:
     def max_log_norm(self, g: int) -> tuple[float, int]:
         """Max over offsets of log ||P_g(l)|| (spectral norm) and the arg max.
 
-        The spectral norm is at most the Frobenius norm, so log ||P_g(l)||
-        <= logs[l] + log ||core_l||_F.  Only offsets whose bound reaches the
-        exact value at the bound's arg max, less a rounding allowance, get an
-        SVD.  Every matrix of a stacked SVD runs the same kernel and the kept
-        offsets stay in order, so value and index equal those of an SVD of
-        every offset, bit for bit, ties to the first offset included.
+        Two upper bounds decide which offsets need an SVD.  The spectral
+        norm is at most the Frobenius norm, so log ||P_g(l)|| <= logs[l] +
+        log ||core_l||_F; the exact value at this bound's arg max is the
+        floor.  The offsets whose Frobenius bound reaches the floor, less
+        an allowance of 1e-9 (1 + |floor|) for rounding, are bounded again
+        by the tighter :func:`~dichospec.linalg._gram_eigen_bounds` (for
+        k = 1 the Frobenius bound is already exact), and only those that
+        still reach it get an SVD; when the floor's own offset is the only
+        one left, the floor is the answer.  An offset dropped by either
+        bound lies below the floor by more than any rounding of the bound
+        or the SVD, so it cannot hold the maximum.  A survivor whose core
+        and log scale equal the floor's bit for bit (constant and periodic
+        factors give many) has the floor's value at a later offset, since
+        the bound's arg max is the first of equal bounds, so it is dropped
+        before the Gram bound.  Every matrix of a stacked SVD runs the same
+        kernel and the kept offsets stay in order, so value and index equal
+        those of an SVD of every offset, bit for bit, ties to the first
+        offset included.
         """
         cores, logs = self.products(g)
         upper = logs + 0.5 * np.log(np.einsum("lij,lij->l", cores, cores))
         top = int(np.argmax(upper))
         floor = float(np.log(batched_spectral_norm(cores[top: top + 1]))[0] + logs[top])
+        reach = floor - 1e-9 * (1.0 + abs(floor))
         # a NaN floor compares false everywhere and keeps every offset
-        keep = np.flatnonzero(~(upper < floor - 1e-9 * (1.0 + abs(floor))))
+        keep = np.flatnonzero(~(upper < reach))
+        if len(keep) > 1 and cores.shape[1] > 1:
+            twin = (logs[keep] == logs[top]) & (cores[keep] == cores[top]).all(axis=(1, 2))
+            keep = keep[~twin | (keep == top)]
+            tight = logs[keep] + 0.5 * np.log(_gram_eigen_bounds(cores[keep]))
+            keep = keep[~(tight < reach)]
+        if len(keep) == 1 and keep[0] == top:
+            return floor, top
         vals = np.log(batched_spectral_norm(cores[keep])) + logs[keep]
         pos = int(np.argmax(vals))
         return float(vals[pos]), int(keep[pos])

@@ -6,8 +6,9 @@ with the package internals beyond pointwise sequence evaluation. Keep it
 dumb; the whole point is independence.  The exceptions are earlier
 constructions kept as references: ``split_candidate_by_rank_sweeps``
 and ``refit_verdict`` reuse a ``DichotomyAnalyzer``'s window data, and
-``max_log_norm_of_every_offset`` a ``WindowProducts``' products, and
-``orbit_chunk_walk`` takes its chunk length from the library.
+``max_log_norm_of_every_offset`` a ``WindowProducts``' products,
+``orbit_chunk_walk`` takes its chunk length from the library, and
+``envelopes_by_gap`` is the per-gap loop ``bohl._envelopes`` once ran.
 """
 
 import decimal
@@ -302,6 +303,18 @@ def scalar_bohl_enumerate(u, window, gap_min, tail_fraction, two_sided=True):
         min_rates[idx] = np.exp(sums.min())
     tail = max(1, int(round(tail_fraction * len(gaps))))
     return float(min_rates[-tail:].min()), float(max_rates[-tail:].max())
+
+
+def envelopes_by_gap(lognorms, gaps):
+    """bohl._envelopes as one min and one max over all offsets per gap,
+    for one orbit (len,) or one orbit per column (len, S)."""
+    lo = np.empty((len(gaps),) + lognorms.shape[1:])
+    hi = np.empty_like(lo)
+    for i, g in enumerate(gaps):
+        diffs = lognorms[g:] - lognorms[:-g]
+        lo[i] = diffs.min(axis=0) / g
+        hi[i] = diffs.max(axis=0) / g
+    return np.exp(lo), np.exp(hi)
 
 
 def general_exponents_enumerate(seq, window, gap_min, tail_fraction, two_sided=False):

@@ -5,6 +5,7 @@ import pytest
 
 from bruteforce import (
     bohl_enumerate,
+    envelopes_by_gap,
     general_exponents_enumerate,
     orbit_lognorm_table,
     scalar_bohl_enumerate,
@@ -13,6 +14,7 @@ from dichospec.bohl import (
     TAIL_FRACTION,
     BohlParams,
     _bohl_block,
+    _envelopes,
     _scalar_tail,
     bohl_exponents,
     general_exponents,
@@ -305,3 +307,42 @@ def test_tail_rates_equal_the_full_estimate_fields():
     u = ScalarSequence.seeded(9, (0.6, 1.3))
     est = scalar_bohl_estimate(u, SMALL_TWO_SIDED)
     assert _scalar_tail(u, SMALL_TWO_SIDED) == (est.lower, est.upper, est.spread)
+
+
+def _walks(length, columns, seed=0):
+    """Random-walk log-norms, (length,) or (length, columns), starting at 0;
+    the integer steps of the last column make many differences tie."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(scale=0.3, size=(length - 1, columns)) + rng.uniform(-0.2, 0.2, columns)
+    steps[:, -1] = rng.integers(-1, 2, size=length - 1)
+    return np.concatenate([np.zeros((1, columns)), np.cumsum(steps, axis=0)])
+
+
+@pytest.mark.parametrize("params",
+                         [BohlParams(), BohlParams(window=300, gap_min=8, two_sided=True)],
+                         ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("which", ["tail_gaps", "gaps"])
+def test_envelopes_equal_the_per_gap_loop(params, which):
+    lo, hi = params.orbit_span()
+    gaps = getattr(params, which)()
+    block = _walks(hi - lo + 1, 20)
+    for lognorms in (block, block[:, 0], block[:, -1]):
+        got = _envelopes(lognorms, gaps)
+        want = envelopes_by_gap(lognorms, gaps)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("length, first, last", [
+    (2049, 1642, 2048),  # the default one-sided tail: 407 offsets of gap 1642, 407 gaps
+    (2050, 1642, 2048),  # one more offset than gaps
+    (2049, 1642, 2047),  # one gap fewer
+    (2049, 1641, 2048),  # one gap more at the bottom: 408 offsets and 408 gaps
+])
+def test_envelopes_equal_the_per_gap_loop_at_the_switch_point(length, first, last):
+    # one offset fewer than gaps would need a gap of ``length``, which has no offset
+    gaps = np.arange(first, last + 1)
+    block = _walks(length, 20, seed=1)
+    for lognorms in (block, block[:, 0]):
+        got = _envelopes(lognorms, gaps)
+        want = envelopes_by_gap(lognorms, gaps)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -165,10 +165,12 @@ def test_gamma_validation():
         dichotomy_verdict(diag_2_half(), -1.5)
 
 
-@pytest.mark.parametrize("gamma", [True, np.bool_(True), "1.0", 1.0 + 0j, np.complex128(1.0), None])
+@pytest.mark.parametrize("gamma", [True, np.bool_(True), "1.0", 1.0 + 0j, np.complex128(1.0), None,
+                                   pytest.param(10**400, id="10**400")])
 def test_gamma_must_be_a_real_number(gamma):
-    # True once certified at gamma = 1 with the bool as its gamma, and a
-    # string or complex gamma ended in a bare TypeError
+    # True once certified at gamma = 1 with the bool as its gamma, a string
+    # or complex gamma ended in a bare TypeError, and an int too large for a
+    # float in a bare OverflowError
     with pytest.raises(ParameterError, match="gamma must be a positive finite real"):
         dichotomy_verdict(diag_2_half(), gamma)
 

@@ -381,6 +381,25 @@ def _nonnormal_stack(rng, m, k, coupling):
     return upper + diag[:, :, None] * np.eye(k)
 
 
+def _near_orthogonal_stack():
+    """400 random orthogonal 3 x 3 factors, each column scaled by
+    exp(U(-0.05, 0.05)): every Frobenius bound sits about sqrt(3) above
+    its spectral norm, so that bound alone keeps every offset."""
+    rng = np.random.default_rng(11)
+    q = np.linalg.qr(rng.normal(size=(400, 3, 3)))[0]
+    return q * np.exp(rng.uniform(-0.05, 0.05, size=(400, 1, 3)))
+
+
+def _period_three_stack(rng):
+    """A period-3 sequence of 3 x 3 factors whose entries move by a few
+    units in the last place: equal offsets mod 3 tie to rounding."""
+    base = np.array([[[1.5, 0.7, 0.0], [0.0, 0.8, 0.3], [0.2, 0.0, 1.1]],
+                     [[0.9, 0.0, 0.4], [0.5, 1.2, 0.0], [0.0, 0.6, 0.7]],
+                     [[1.1, 0.3, 0.2], [0.0, 0.9, 0.5], [0.4, 0.0, 1.3]]])
+    stack = np.tile(base, (60, 1, 1))
+    return stack * (1.0 + 2.0**-52 * rng.integers(-2, 3, size=stack.shape))
+
+
 MAX_LOG_NORM_STACKS = {
     "constant": lambda rng: np.stack([[[2.0, 1.0], [0.0, 0.5]]] * 40),
     "k1": lambda rng: np.exp(rng.uniform(-1.0, 1.0, size=(60, 1, 1))),
@@ -392,6 +411,8 @@ MAX_LOG_NORM_STACKS = {
     "near-rank-one": lambda rng: (np.einsum("li,lj->lij", rng.normal(size=(80, 3)),
                                             rng.normal(size=(80, 3)))
                                   + 1e-9 * rng.normal(size=(80, 3, 3))),
+    "near-orthogonal-3x3": lambda rng: _near_orthogonal_stack(),
+    "period-3-near-ties": _period_three_stack,
 }
 
 
@@ -425,6 +446,20 @@ def test_max_log_norm_takes_svds_only_near_its_bound(monkeypatch):
         items.clear()
         wp.max_log_norm(g)
         assert items[0] == 1 and sum(items) < (400 - g + 1) // 2, (g, items)
+    # the Frobenius bound alone keeps every offset here; the Gram bound
+    # leaves at most a quarter of them to an SVD
+    wp = WindowProducts(_near_orthogonal_stack())
+    for g in (1, 2, 4, 8):
+        items.clear()
+        wp.max_log_norm(g)
+        assert items[0] == 1 and sum(items) <= (400 - g + 1) // 4, (g, items)
+    # every product of a constant stack equals the first bit for bit, so the
+    # floor is the only SVD
+    wp = WindowProducts(MAX_LOG_NORM_STACKS["constant"](rng))
+    for g in (1, 2, 3, 5):
+        items.clear()
+        assert wp.max_log_norm(g) == max_log_norm_of_every_offset(wp, g)
+        assert items == [1], (g, items)
 
 
 @pytest.mark.parametrize("gap", [2.5, True, np.bool_(True), "3", None])
