@@ -9,12 +9,16 @@ Three checks, each producing a :class:`ContainmentReport`:
 * endpoint attainability: for systems with trustworthy diagonal data,
   every interval endpoint is witnessed by a coordinate Bohl exponent.
 
-Samples are estimated in groups (one per fiber, or the global set): a
-group's vectors are the columns of one d x S block carried through a
-single orbit sweep, and only the aggregation tail of the gaps is
-enveloped, since a row reads only the lower and upper exponents and the
-tail spread.  Columns equal per-vector :func:`dichospec.bohl.bohl_exponents`
-up to rounding.  Escalation re-runs a group's failing columns as a
+Samples are estimated in groups, one per orbit system: the global set,
+all fibers of a diagonal system (each samples the system itself), and
+each fiber of any other kind (each has its own restricted table).  A
+group's vectors are the columns of one block carried through a single
+orbit sweep, each distinct direction once (a one-dimensional fiber's
+samples are all +-1 times one vector), and only the aggregation tail of
+the gaps is enveloped, since a row reads only the lower and upper
+exponents and the tail spread.  Columns equal per-vector
+:func:`dichospec.bohl.bohl_exponents` up to rounding.  Escalation runs
+after every group's first block: a group's failing columns run as a
 second block at four times the window.
 
 All sampling is driven by an explicit seed, so reports are reproducible
@@ -107,33 +111,48 @@ def _default_id(seq: MatrixSequence) -> str:
     return "-".join(parts)
 
 
-def _group_rows(seq: MatrixSequence, label: str, fiber_index: int | None,
-                orbit_vecs: np.ndarray, report_xis: np.ndarray,
-                target: tuple[float, float], base_tol: float,
-                params: BohlParams, escalate: bool,
-                wide_system=None) -> list[SampleRow]:
-    """Rows ``<label> 1``, ``<label> 2``, ... for the rows of ``orbit_vecs``.
+def _group_rows(groups, base_tol: float, params: BohlParams,
+                escalate: bool) -> list[SampleRow]:
+    """Rows of ``groups``, a list of ``(system, wide_system, samples)``.
 
-    The group's orbits run as one block.  With ``escalate`` the failing
-    samples are re-run as a second block at four times the window, on
-    ``wide_system()`` when given and on ``seq`` otherwise.
+    Each sample is a ``(label, fiber_index, orbit_vec, xi, target)``
+    tuple: ``orbit_vec`` starts the orbit in the coordinates of
+    ``system``, and the row reports the ambient vector ``xi`` against its
+    own ``target`` interval.  A group's orbits run as one block (see
+    :func:`dichospec.bohl._bohl_block`), and every group's block runs
+    before any escalation.  With ``escalate`` a group's failing samples
+    then run together as a second block at four times the window, on
+    ``wide_system()`` when given and on ``system`` otherwise.
+
+    Columns of a block do not interact, and on the systems whose groups
+    hold several fibers (diagonal ones) every sum of a product has a
+    single nonzero term, so grouping and merged escalation give each row
+    the bits of a block per fiber.  Margins and tolerances are taken
+    sample by sample with the same operations as for one target.
     """
-    lower, upper, spread = _bohl_block(seq, orbit_vecs.T, params)
-    tol = base_tol + spread
-    margin = np.minimum(lower - target[0] + tol, target[1] + tol - upper)
-    escalated = (margin < 0.0) & escalate
-    if escalated.any():
-        wide_seq = seq if wide_system is None else wide_system()
-        lower[escalated], upper[escalated], spread[escalated] = _bohl_block(
-            wide_seq, orbit_vecs[escalated].T, replace(params, window=4 * params.window))
+    firsts = []
+    for system, _, samples in groups:
+        vecs = np.array([vec for _, _, vec, _, _ in samples]).T
+        firsts.append((vecs, *_bohl_block(system, vecs, params)))
+    wide = replace(params, window=4 * params.window)
+    rows: list[SampleRow] = []
+    for (system, wide_system, samples), (vecs, lower, upper, spread) in zip(groups, firsts):
+        a, b = np.array([target for *_, target in samples]).T
         tol = base_tol + spread
-        margin = np.minimum(lower - target[0] + tol, target[1] + tol - upper)
-    return [SampleRow(label=f"{label} {s}", fiber_index=fiber_index, xi=tuple(xi),
-                      lower=lo, upper=hi, target=target, tolerance=t,
-                      margin=m, passed=m >= 0.0, escalated=e)
-            for s, (xi, lo, hi, t, m, e) in enumerate(zip(
-                report_xis, lower.tolist(), upper.tolist(), tol.tolist(),
-                margin.tolist(), escalated.tolist()), start=1)]
+        margin = np.minimum(lower - a + tol, b + tol - upper)
+        escalated = (margin < 0.0) & escalate
+        if escalated.any():
+            wide_seq = system if wide_system is None else wide_system()
+            lower[escalated], upper[escalated], spread[escalated] = _bohl_block(
+                wide_seq, vecs[:, escalated], wide)
+            tol = base_tol + spread
+            margin = np.minimum(lower - a + tol, b + tol - upper)
+        rows += [SampleRow(label=label, fiber_index=index, xi=tuple(xi), lower=lo, upper=hi,
+                           target=target, tolerance=t, margin=m, passed=m >= 0.0, escalated=e)
+                 for (label, index, _, xi, target), lo, hi, t, m, e in zip(
+                     samples, lower.tolist(), upper.tolist(), tol.tolist(),
+                     margin.tolist(), escalated.tolist())]
+    return rows
 
 
 def _report(seq: MatrixSequence, check: str, rows: list[SampleRow],
@@ -187,10 +206,10 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     ``refine_tol``) plus the spread of the estimate.  With ``escalate`` a
     failing sample is retried once at four times the Bohl window.
 
-    Diagonal systems are sampled directly.  Any other kind goes through
-    :func:`dichospec.bundles.restricted_fiber_system`, which tracks the
-    fiber frame across the window; without that, rounding leaks every
-    sample onto the fastest fiber within a few dozen steps.
+    Diagonal systems are sampled directly, all fibers in one block.  Any
+    other kind goes through :func:`dichospec.bundles.restricted_fiber_system`,
+    which tracks the fiber frame across the window; without that, rounding
+    leaks every sample onto the fastest fiber within a few dozen steps.
     """
     _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)
@@ -201,26 +220,31 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
         fibers = bundle_fibers(spectrum)
     params = params or BohlParams()
     rng = np.random.default_rng(seed)
-    rows: list[SampleRow] = []
+    groups = []
     for fiber in fibers:
         interval = spectrum.intervals[_fiber_index(spectrum, fiber.index) - 1]
         coeffs = _unit_samples(rng, samples_per_fiber, fiber.dimension)
+        wide_system = None
         if seq.kind == "diagonal":
             # coordinate axes are exactly invariant, so the raw system
             # tracks any fiber without leaking onto faster ones
-            basis, orbit_system = fiber.basis, seq
+            basis, system = fiber.basis, seq
         else:
-            basis, orbit_system = restricted_fiber_system(
+            basis, system = restricted_fiber_system(
                 seq, spectrum, fiber.index, window=params.window)
+            if system is not seq:
+                wide_system = lambda index=fiber.index: restricted_fiber_system(  # noqa: E731
+                    seq, spectrum, index, window=4 * params.window)[1]
         xis = np.array([basis @ c for c in coeffs])
-        orbit_vecs, wide = xis, None
-        if orbit_system is not seq:
-            orbit_vecs = coeffs
-            wide = lambda: restricted_fiber_system(  # noqa: E731
-                seq, spectrum, fiber.index, window=4 * params.window)[1]
-        rows += _group_rows(orbit_system, f"fiber {fiber.index} sample", fiber.index,
-                            orbit_vecs, xis, (interval.a, interval.b), base_tol,
-                            params, escalate, wide)
+        samples = [(f"fiber {fiber.index} sample {s}", fiber.index, v, xi,
+                    (interval.a, interval.b))
+                   for s, (v, xi) in enumerate(zip(xis if system is seq else coeffs, xis),
+                                               start=1)]
+        if groups and groups[-1][0] is system:  # fibers sampled on one system
+            groups[-1][2].extend(samples)
+        else:
+            groups.append((system, wide_system, samples))
+    rows = _group_rows(groups, base_tol, params, escalate)
     return _report(seq, "fiber-containment", rows, base_tol, system_id)
 
 
@@ -241,8 +265,9 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     _checked_flag(escalate, "escalate")
     params = params or BohlParams()
     vectors = _unit_samples(np.random.default_rng(seed), samples, seq.dimension)
-    rows = _group_rows(seq, "global sample", None, vectors, vectors, spectrum.hull,
-                       base_tol, params, escalate)
+    group = [(f"global sample {s}", None, v, v, spectrum.hull)
+             for s, v in enumerate(vectors, start=1)]
+    rows = _group_rows([(seq, None, group)], base_tol, params, escalate)
     return _report(seq, "global-containment", rows, base_tol, system_id)
 
 

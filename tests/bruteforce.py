@@ -7,21 +7,26 @@ dumb; the whole point is independence.  The exceptions are earlier
 constructions kept as references: ``split_candidate_by_rank_sweeps``
 and ``refit_verdict`` reuse a ``DichotomyAnalyzer``'s window data, and
 ``max_log_norm_of_every_offset`` a ``WindowProducts``' products,
-``orbit_chunk_walk`` takes its chunk length from the library, and
-``envelopes_by_gap`` is the per-gap loop ``bohl._envelopes`` once ran.
+``orbit_chunk_walk`` takes its chunk length from the library,
+``envelopes_by_gap`` is the per-gap loop ``bohl._envelopes`` once ran, and
+``fiber_containment_by_fiber`` is the per-fiber loop of
+``verify_fiber_containment`` on the library's orbits and envelopes.
 """
 
 import decimal
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
-from dichospec import dichotomy
+from dichospec import containment, dichotomy
+from dichospec.bohl import _tail_rates, _unit
+from dichospec.bundles import bundle_fibers, restricted_fiber_system
 from dichospec.dichotomy import _candidate, _family_seeds
 from dichospec.errors import SpectrumConsistencyError
 from dichospec.linalg import batched_spectral_norm, frame_sweep
-from dichospec.transition import _chunk_length
+from dichospec.transition import _chunk_length, orbit_lognorms
 
 
 def rng_at(seed, n):
@@ -315,6 +320,54 @@ def envelopes_by_gap(lognorms, gaps):
         lo[i] = diffs.min(axis=0) / g
         hi[i] = diffs.max(axis=0) / g
     return np.exp(lo), np.exp(hi)
+
+
+def fiber_containment_by_fiber(seq, spectrum, *, samples_per_fiber=20, tolerance=None,
+                               seed=0, params=None, escalate=False):
+    """verify_fiber_containment's report as its per-fiber loop made it:
+    one block per fiber, every column swept as given, and a fiber's
+    failing samples re-run at the 4x window before the next fiber is
+    sampled (the restriction is rebuilt for each)."""
+    base_tol = containment._base_tolerance(tolerance, spectrum)
+    params = params or containment.BohlParams()
+    wide = replace(params, window=4 * params.window)
+    rng = np.random.default_rng(seed)
+
+    def block(system, vecs, p):
+        return _tail_rates(orbit_lognorms(system, _unit(vecs.T), p.orbit_span()).lognorms, p)
+
+    rows = []
+    for fiber in bundle_fibers(spectrum):
+        interval = spectrum.intervals[fiber.index - 1]
+        a, b = interval.a, interval.b
+        coeffs = containment._unit_samples(rng, samples_per_fiber, fiber.dimension)
+        if seq.kind == "diagonal":
+            basis, system = fiber.basis, seq
+        else:
+            basis, system = restricted_fiber_system(seq, spectrum, fiber.index,
+                                                    window=params.window)
+        xis = np.array([basis @ c for c in coeffs])
+        vecs = xis if system is seq else coeffs
+        lower, upper, spread = block(system, vecs, params)
+        tol = base_tol + spread
+        margin = np.minimum(lower - a + tol, b + tol - upper)
+        escalated = (margin < 0.0) & escalate
+        if escalated.any():
+            if system is not seq:
+                system = restricted_fiber_system(seq, spectrum, fiber.index,
+                                                 window=wide.window)[1]
+            lower[escalated], upper[escalated], spread[escalated] = block(
+                system, vecs[escalated], wide)
+            tol = base_tol + spread
+            margin = np.minimum(lower - a + tol, b + tol - upper)
+        for s, (xi, lo, hi, t, m, e) in enumerate(zip(
+                xis, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist(),
+                escalated.tolist()), start=1):
+            rows.append(containment.SampleRow(
+                label=f"fiber {fiber.index} sample {s}", fiber_index=fiber.index,
+                xi=tuple(xi), lower=lo, upper=hi, target=(a, b), tolerance=t,
+                margin=m, passed=m >= 0.0, escalated=e))
+    return containment._report(seq, "fiber-containment", rows, base_tol, None)
 
 
 def general_exponents_enumerate(seq, window, gap_min, tail_fraction, two_sided=False):

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bruteforce import bohl_enumerate, orbit_lognorm_table
+from bruteforce import bohl_enumerate, fiber_containment_by_fiber, orbit_lognorm_table
+from dichospec import bundles
 from dichospec.bohl import TAIL_FRACTION, BohlParams, bohl_exponents, scalar_bohl
 from dichospec.bundles import SpectralBundleFiber
 from dichospec.containment import (
@@ -13,7 +15,7 @@ from dichospec.containment import (
     verify_fiber_containment,
     verify_global_containment,
 )
-from dichospec.dichotomy import estimate_spectrum
+from dichospec.dichotomy import DichotomyAnalyzer, DichotomyParams, estimate_spectrum
 from dichospec.errors import ParameterError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.triangularize import SignificanceReport
@@ -269,9 +271,10 @@ def test_escalation_reruns_only_the_failing_samples_of_a_batch():
     small = BohlParams(window=64, gap_min=8)
     wide = BohlParams(window=256, gap_min=8)
     vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
-    args = (seq, "sample", None, vecs, vecs, (0.45, 0.55), 1e-3, small)
-    first = _group_rows(*args, escalate=False)
-    rows = _group_rows(*args, escalate=True)
+    groups = [(seq, None, [(f"sample {s}", None, v, v, (0.45, 0.55))
+                           for s, v in enumerate(vecs, start=1)])]
+    first = _group_rows(groups, 1e-3, small, escalate=False)
+    rows = _group_rows(groups, 1e-3, small, escalate=True)
     assert [r.passed for r in first] == [True, False, True, False]
     assert [r.escalated for r in rows] == [False, True, False, True]
     for before, after in zip(first, rows):
@@ -282,6 +285,98 @@ def test_escalation_reruns_only_the_failing_samples_of_a_batch():
             assert abs(after.tolerance - 1e-3 - single.spread) <= 1e-12
         else:
             assert after == before
+
+
+def roster_case():
+    # the criterion-5 recipe: a seeded d = 3 diagonal system, whose three
+    # fibers are one-dimensional, certified on a window covering the Bohl one
+    seq = separated_banded_diagonal(4)
+    est = estimate_spectrum(seq, analyzer=DichotomyAnalyzer(
+        seq, DichotomyParams(window=896, burn_in=128)))
+    return seq, est, dict(samples_per_fiber=20, params=BohlParams(window=1024))
+
+
+def two_dimensional_fiber_case():
+    # the bands of axes 1 and 3 overlap, so fiber 1 spans both axes
+    seq = MatrixSequence.diagonal([ScalarSequence.seeded(21, (0.4, 0.5)),
+                                   ScalarSequence.seeded(22, (1.6, 2.0)),
+                                   ScalarSequence.seeded(23, (0.42, 0.48))])
+    est = estimate_spectrum(seq)
+    assert [f.dimension for f in bundles.bundle_fibers(est)] == [2, 1]
+    return seq, est, dict(samples_per_fiber=8, params=FAST)
+
+
+def narrowed(est):
+    """``est`` with every interval shrunk to its left endpoint."""
+    return replace(est, intervals=tuple(replace(iv, b=iv.a) for iv in est.intervals))
+
+
+def forced_seeded_case():
+    # a full system with one-dimensional fibers, each on its own restricted
+    # table; at tolerance 0 the narrowed targets of fibers 1 and 3 fail and
+    # force escalation
+    seq = MatrixSequence.seeded(5, [(0.3, 0.36), (0.6, 0.7), (1.2, 1.4)])
+    return seq, narrowed(estimate_spectrum(seq)), dict(
+        samples_per_fiber=5, tolerance=0.0, params=FAST)
+
+
+def forced_diagonal_case():
+    # every interval 1 % too high: each fiber fails, and as all fibers of a
+    # diagonal system form one group, their samples escalate as one block
+    seq, est, kwargs = roster_case()
+    shifted = tuple(replace(iv, a=1.01 * iv.a, b=1.01 * iv.b) for iv in est.intervals)
+    return seq, replace(est, intervals=shifted), dict(
+        kwargs, samples_per_fiber=6, tolerance=0.0)
+
+
+@pytest.mark.parametrize("escalate", [False, True], ids=["plain", "escalate"])
+@pytest.mark.parametrize("case", [roster_case, two_dimensional_fiber_case,
+                                  forced_seeded_case, forced_diagonal_case],
+                         ids=["roster", "two-dim-fiber", "forced-seeded", "forced-diagonal"])
+def test_grouped_rows_equal_the_per_fiber_loop(case, escalate):
+    # grouping fibers by orbit system, merging repeated directions and
+    # escalating after every first block keep every row's bits
+    seq, est, kwargs = case()
+    got = verify_fiber_containment(seq, est, escalate=escalate, **kwargs)
+    want = fiber_containment_by_fiber(seq, est, escalate=escalate, **kwargs)
+    assert got.rows_to_csv() == want.rows_to_csv()
+    assert got.rows == want.rows and got.notes == want.notes
+    if case in (forced_seeded_case, forced_diagonal_case):
+        # samples of several fibers fail, and with escalate they are re-run
+        assert len({r.fiber_index for r in got.rows if r.escalated or not r.passed}) >= 2
+        assert any(r.escalated for r in got.rows) == escalate
+
+
+def test_one_dimensional_fiber_rows_share_their_bits():
+    # the premise of merging directions: the samples of a one-dimensional
+    # fiber are +-1 times one vector, and their orbits swept side by side
+    # give every row the same lower, upper and tolerance bits
+    for seq, est, kwargs in (roster_case(), forced_seeded_case()):
+        report = fiber_containment_by_fiber(seq, est, **kwargs)
+        for index in (1, 2, 3):
+            rows = [r for r in report.rows if r.fiber_index == index]
+            assert len({(r.lower, r.upper, r.tolerance) for r in rows}) == 1
+            assert len({tuple(np.abs(r.xi)) for r in rows}) == 1
+
+
+def test_forced_escalation_sweeps_each_restriction_window_once(monkeypatch):
+    # escalating fiber i at 4w used to evict the window-w flags that fiber
+    # i + 1 still needed, so the sweeps ran w, 4w, w, 4w
+    sweeps = []
+    real = bundles._restriction_flags
+
+    def spy(seq, w, burn):
+        if (w, burn) not in seq._flag_cache:
+            sweeps.append(w)
+        return real(seq, w, burn)
+
+    monkeypatch.setattr(bundles, "_restriction_flags", spy)
+    seq, est, kwargs = forced_seeded_case()
+    kwargs["params"] = BohlParams(window=512)
+    report = verify_fiber_containment(seq, est, escalate=True, **kwargs)
+    assert sum(r.escalated for r in report.rows) >= 2 * kwargs["samples_per_fiber"]
+    assert len({r.fiber_index for r in report.rows if r.escalated}) >= 2
+    assert sweeps == [512, 2048]
 
 
 def test_fiber_sampling_tracks_slow_fibers_of_full_systems():
