@@ -36,7 +36,7 @@ for name in autonomous-diagonal periodic-scalar rotation triangular-constant; do
   run "$out" "$name" oracle
 done
 for name in autonomous-diagonal seeded-pair-d2; do
-  run "$out/two-sided" "$name" verify --two-sided --escalate
+  run "$out/two-sided" "$name" verify --two-sided
   run "$out/two-sided" "$name" bohl --xi 1,1 --two-sided
   run "$out/float-resolution" "$name" spectrum --refine-tol 1e-16
 done

@@ -5,9 +5,10 @@ liminf of the windowed geometric growth rates
 
     (||X(m+g, 0) xi|| / ||X(m, 0) xi||)^(1/g)
 
-as the gap g grows.  The estimator samples every gap g in [gap_min, window],
-records the extremal rates over all window offsets m, and aggregates the
-largest ``TAIL_FRACTION`` (a fifth) of the gaps: the upper exponent is the
+as the gap g grows.  The estimator samples every gap g in [GAP_MIN, window]
+(``GAP_MIN`` is 16: shorter gaps only measure single-step noise), records
+the extremal rates over all window offsets m, and aggregates the largest
+``TAIL_FRACTION`` (a fifth) of the gaps: the upper exponent is the
 max of the per-gap maxima over that tail, the lower exponent the min of the
 per-gap minima.  The per-gap envelopes are kept on the result for convergence
 diagnostics, since the underlying limits carry no convergence rate.
@@ -30,6 +31,7 @@ from .sequences import MatrixSequence, ScalarSequence, _maps_between
 from .transition import WindowProducts, orbit_lognorms
 
 TAIL_FRACTION = 0.2
+GAP_MIN = 16
 
 
 def _checked_count(value, name: str) -> int:
@@ -48,34 +50,28 @@ def _checked_flag(value, name: str) -> None:
 
 @dataclass(frozen=True)
 class BohlParams:
-    """Window layout shared by all growth-rate estimators; their limsup and
-    liminf aggregates read the top ``TAIL_FRACTION`` of the gaps (:meth:`tail_gaps`).
+    """Window layout shared by all growth-rate estimators: they sample the
+    gaps ``GAP_MIN`` to ``window`` (:meth:`gaps`), and their limsup and liminf
+    aggregates read the top ``TAIL_FRACTION`` of them (:meth:`tail_gaps`).
 
     window
-        Largest gap sampled; orbits are evaluated on [0, window] (one-sided)
-        or [-window, window] (two-sided).
-    gap_min
-        Smallest gap entering the envelopes; short gaps only measure
-        single-step noise.
+        Largest gap sampled, at least 2 ``GAP_MIN``; orbits are evaluated
+        on [0, window] (one-sided) or [-window, window] (two-sided).
     two_sided
         Extend window offsets over the negative half-line as well (a bool).
     """
 
     window: int = 2048
-    gap_min: int = 16
     two_sided: bool = False
 
     def __post_init__(self):
-        _checked_count(self.window, "window")
-        if _checked_count(self.gap_min, "gap_min") < 1:
-            raise ParameterError("gap_min must be at least 1")
-        if self.window < 2 * self.gap_min:
+        if _checked_count(self.window, "window") < 2 * GAP_MIN:
             raise ParameterError(
-                f"window {self.window} too small: need window >= 2 * gap_min = {2 * self.gap_min}")
+                f"window {self.window} too small: need window >= 2 * GAP_MIN = {2 * GAP_MIN}")
         _checked_flag(self.two_sided, "two_sided")
 
     def gaps(self) -> np.ndarray:
-        return np.arange(self.gap_min, self.window + 1)
+        return np.arange(GAP_MIN, self.window + 1)
 
     def tail_gaps(self) -> np.ndarray:
         gaps = self.gaps()
@@ -188,8 +184,11 @@ def _estimate(lognorms: np.ndarray, params: BohlParams) -> BohlEstimate:
 
 
 def _unit(xis: np.ndarray) -> np.ndarray:
-    """A vector or the columns of a (d, S) block divided by their norms."""
-    nrm = _frobenius_norms(xis, (0,))
+    """A vector or the columns of a (d, S) block divided by their norms;
+    a zero or non-finite one raises :class:`ParameterError`."""
+    nrm = _frobenius_norms(xis, (0,))  # inf or NaN for a non-finite column
+    if not np.isfinite(nrm).all():
+        raise ParameterError("Bohl exponents need a finite initial vector")
     if np.any(nrm == 0.0):
         raise ParameterError("Bohl exponents are undefined for the zero solution")
     return xis / nrm

@@ -29,8 +29,9 @@ import numpy as np
 from .bohl import _checked_count
 from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds, _same_dimension
 from .errors import ParameterError, SubspaceError, ValidationError
-from .linalg import (NULLSPACE_RTOL, _nullspace, batched_spectral_norm, canonical_basis,
-                     frame_sweep, min_principal_angle, spectral_norm, subspace_intersection)
+from .linalg import (NULLSPACE_RTOL, _nullspace, _pow2_scaled, batched_spectral_norm,
+                     canonical_basis, frame_sweep, min_principal_angle, spectral_norm,
+                     subspace_intersection)
 from .sequences import MatrixSequence, _integer_bounds
 
 IDEMPOTENT_TOL = 1e-9  # largest ||P^2 - P|| a projector family accepts
@@ -165,8 +166,10 @@ class SpectralBundleFiber:
         return self.basis.shape[0]
 
     def contains(self, vector: np.ndarray) -> bool:
-        """Whether ``vector`` lies in the fiber, up to relative residual ``CONTAINS_RTOL``."""
-        v = np.asarray(vector, dtype=float)
+        """Whether ``vector`` lies in the fiber, up to relative residual
+        ``CONTAINS_RTOL``; the answer does not change when ``vector`` is
+        scaled by a power of two."""
+        v = _pow2_scaled(np.asarray(vector, dtype=float), None)[0]  # no overflow or underflow
         scale = float(np.linalg.norm(v))
         if scale == 0.0:
             return True

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .bohl import TAIL_FRACTION, BohlEstimate, bohl_exponents
+from .bohl import GAP_MIN, TAIL_FRACTION, BohlEstimate, bohl_exponents
 from .bundles import WhitneyReport, bundle_fibers, whitney_sum_check
 from .containment import (ContainmentReport, verify_endpoint_attainability,
                           verify_fiber_containment, verify_global_containment)
@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--refine-tol", type=float, default=None)
     common.add_argument("--two-sided", action="store_true", default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--escalate", action="store_true", default=None)
     common.add_argument("--out", default=None, help="artifact directory")
     common.add_argument("--format", choices=("json", "csv", "table"), default=None)
 
@@ -107,7 +106,7 @@ def bohl_payload(name: str, xi, est: BohlEstimate) -> dict[str, Any]:
         "lower": est.lower,
         "upper": est.upper,
         "spread": est.spread,
-        "params": {"window": p.window, "gap_min": p.gap_min,
+        "params": {"window": p.window, "gap_min": GAP_MIN,
                    "tail_fraction": TAIL_FRACTION, "two_sided": p.two_sided},
     }
 
@@ -254,8 +253,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> _Output:
     a = scn.analysis
     est = _spectrum(scn)
     common = dict(tolerance=a["tolerance"], seed=a["seed"],
-                  params=scn.bohl_params(), escalate=a["escalate"],
-                  system_id=scn.name)
+                  params=scn.bohl_params(), system_id=scn.name)
     reports = [
         verify_fiber_containment(scn.system, est,
                                  samples_per_fiber=a["samples_per_fiber"], **common),

@@ -17,9 +17,8 @@ orbit sweep, each distinct direction once (a one-dimensional fiber's
 samples are all +-1 times one vector), and only the aggregation tail of
 the gaps is enveloped, since a row reads only the lower and upper
 exponents and the tail spread.  Columns equal per-vector
-:func:`dichospec.bohl.bohl_exponents` up to rounding.  Escalation runs
-after every group's first block: a group's failing columns run as a
-second block at four times the window.
+:func:`dichospec.bohl.bohl_exponents` up to rounding.  Each sample is
+measured once, at the window of the given :class:`BohlParams`.
 
 All sampling is driven by an explicit seed, so reports are reproducible
 bit for bit.  Tolerances combine the spectrum refinement tolerance with
@@ -28,12 +27,12 @@ the finite-window spread of each Bohl estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bohl import BohlParams, _bohl_block, _scalar_tail, bohl_exponents  # noqa: F401 (re-export)
-from .bohl import _checked_count, _checked_flag
+from .bohl import _checked_count
 from .bundles import SpectralBundleFiber, _fiber_index, bundle_fibers, restricted_fiber_system
 from .dichotomy import SpectrumEstimate, _same_dimension
 from .errors import ParameterError
@@ -55,7 +54,7 @@ class SampleRow:
     tolerance: float
     margin: float
     passed: bool
-    escalated: bool = False
+    escalated: bool = False  # always False: every sample is measured once
 
     def csv(self) -> str:
         numbers = (self.lower, self.upper, *self.target, self.tolerance, self.margin)
@@ -111,58 +110,40 @@ def _default_id(seq: MatrixSequence) -> str:
     return "-".join(parts)
 
 
-def _group_rows(groups, base_tol: float, params: BohlParams,
-                escalate: bool) -> list[SampleRow]:
-    """Rows of ``groups``, a list of ``(system, wide_system, samples)``.
+def _group_rows(groups, base_tol: float, params: BohlParams) -> list[SampleRow]:
+    """Rows of ``groups``, a list of ``(system, samples)``.
 
     Each sample is a ``(label, fiber_index, orbit_vec, xi, target)``
     tuple: ``orbit_vec`` starts the orbit in the coordinates of
     ``system``, and the row reports the ambient vector ``xi`` against its
     own ``target`` interval.  A group's orbits run as one block (see
-    :func:`dichospec.bohl._bohl_block`), and every group's block runs
-    before any escalation.  With ``escalate`` a group's failing samples
-    then run together as a second block at four times the window, on
-    ``wide_system()`` when given and on ``system`` otherwise.
+    :func:`dichospec.bohl._bohl_block`).
 
     Columns of a block do not interact, and on the systems whose groups
     hold several fibers (diagonal ones) every sum of a product has a
-    single nonzero term, so grouping and merged escalation give each row
-    the bits of a block per fiber.  Margins and tolerances are taken
-    sample by sample with the same operations as for one target.
+    single nonzero term, so grouping gives each row the bits of a block
+    per fiber.  Margins and tolerances are taken sample by sample with
+    the same operations as for one target.
     """
-    firsts = []
-    for system, _, samples in groups:
-        vecs = np.array([vec for _, _, vec, _, _ in samples]).T
-        firsts.append((vecs, *_bohl_block(system, vecs, params)))
-    wide = replace(params, window=4 * params.window)
     rows: list[SampleRow] = []
-    for (system, wide_system, samples), (vecs, lower, upper, spread) in zip(groups, firsts):
+    for system, samples in groups:
+        vecs = np.array([vec for _, _, vec, _, _ in samples]).T
+        lower, upper, spread = _bohl_block(system, vecs, params)
         a, b = np.array([target for *_, target in samples]).T
         tol = base_tol + spread
         margin = np.minimum(lower - a + tol, b + tol - upper)
-        escalated = (margin < 0.0) & escalate
-        if escalated.any():
-            wide_seq = system if wide_system is None else wide_system()
-            lower[escalated], upper[escalated], spread[escalated] = _bohl_block(
-                wide_seq, vecs[:, escalated], wide)
-            tol = base_tol + spread
-            margin = np.minimum(lower - a + tol, b + tol - upper)
         rows += [SampleRow(label=label, fiber_index=index, xi=tuple(xi), lower=lo, upper=hi,
-                           target=target, tolerance=t, margin=m, passed=m >= 0.0, escalated=e)
-                 for (label, index, _, xi, target), lo, hi, t, m, e in zip(
-                     samples, lower.tolist(), upper.tolist(), tol.tolist(),
-                     margin.tolist(), escalated.tolist())]
+                           target=target, tolerance=t, margin=m, passed=m >= 0.0)
+                 for (label, index, _, xi, target), lo, hi, t, m in zip(
+                     samples, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist())]
     return rows
 
 
 def _report(seq: MatrixSequence, check: str, rows: list[SampleRow],
             base_tol: float, system_id: str | None) -> ContainmentReport:
-    escalations = sum(r.escalated for r in rows)
-    notes = (f"{escalations} sample(s) re-run at 4x window",) if escalations else ()
     status = "pass" if all(r.passed for r in rows) else "fail"
     return ContainmentReport(system_id=system_id or _default_id(seq), check=check,
-                             rows=tuple(rows), base_tolerance=base_tol,
-                             status=status, notes=notes)
+                             rows=tuple(rows), base_tolerance=base_tol, status=status)
 
 
 def _base_tolerance(tolerance: float | None, spectrum: SpectrumEstimate) -> float:
@@ -192,59 +173,63 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                              tolerance: float | None = None,
                              seed: int = 0,
                              params: BohlParams | None = None,
-                             escalate: bool = False,
                              system_id: str | None = None) -> ContainmentReport:
     """Check that vectors inside each fiber keep their Bohl interval
     inside the matching spectral interval.
 
-    Fibers default to :func:`bundle_fibers` of the estimate; a fiber index
-    outside the estimate's intervals raises :class:`ParameterError`.  Each
-    sample is a unit vector with seeded Gaussian coordinates in the fiber
-    basis; the claim passes when ``[lower, upper]`` of its Bohl estimate
-    lies in the target interval inflated by the tolerance: ``tolerance``
-    (at least 0; by default ``TOLERANCE_FACTOR`` times the spectrum's
-    ``refine_tol``) plus the spread of the estimate.  With ``escalate`` a
-    failing sample is retried once at four times the Bohl window.
+    Fibers default to :func:`bundle_fibers` of the estimate.  A fiber
+    index outside the estimate's intervals, a basis of another ambient
+    dimension than the system's, or a fiber dimension other than its
+    interval's gap-rank jump raises :class:`ParameterError`.  Each sample
+    is a unit vector with seeded Gaussian coordinates in the fiber basis;
+    the claim passes when ``[lower, upper]`` of its Bohl estimate lies in
+    the target interval inflated by the tolerance: ``tolerance`` (at
+    least 0; by default ``TOLERANCE_FACTOR`` times the spectrum's
+    ``refine_tol``) plus the spread of the estimate.  Each sample is
+    measured once, at the window of ``params``.
 
-    Diagonal systems are sampled directly, all fibers in one block.  Any
-    other kind goes through :func:`dichospec.bundles.restricted_fiber_system`,
-    which tracks the fiber frame across the window; without that, rounding
-    leaks every sample onto the fastest fiber within a few dozen steps.
+    Diagonal systems are sampled directly in the given bases, all fibers
+    in one block.  Any other kind goes through
+    :func:`dichospec.bundles.restricted_fiber_system`, which tracks the
+    fiber frame across the window and samples in that frame, not in the
+    given basis; without it, rounding leaks every sample onto the fastest
+    fiber within a few dozen steps.
     """
     _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)
     if _checked_count(samples_per_fiber, "samples_per_fiber") < 1:
         raise ParameterError("samples_per_fiber must be at least 1")
-    _checked_flag(escalate, "escalate")
     if fibers is None:
         fibers = bundle_fibers(spectrum)
     params = params or BohlParams()
     rng = np.random.default_rng(seed)
     groups = []
     for fiber in fibers:
-        interval = spectrum.intervals[_fiber_index(spectrum, fiber.index) - 1]
+        index = _fiber_index(spectrum, fiber.index)
+        _same_dimension(seq, fiber.basis.shape[0], f"fiber {index}")
+        rank_jump = spectrum.gap_ranks[index] - spectrum.gap_ranks[index - 1]
+        if fiber.dimension != rank_jump:
+            raise ParameterError(f"fiber {index} has dimension {fiber.dimension}, "
+                                 f"not the {rank_jump} of its gap ranks")
+        interval = spectrum.intervals[index - 1]
         coeffs = _unit_samples(rng, samples_per_fiber, fiber.dimension)
-        wide_system = None
         if seq.kind == "diagonal":
             # coordinate axes are exactly invariant, so the raw system
             # tracks any fiber without leaking onto faster ones
             basis, system = fiber.basis, seq
         else:
             basis, system = restricted_fiber_system(
-                seq, spectrum, fiber.index, window=params.window)
-            if system is not seq:
-                wide_system = lambda index=fiber.index: restricted_fiber_system(  # noqa: E731
-                    seq, spectrum, index, window=4 * params.window)[1]
+                seq, spectrum, index, window=params.window)
         xis = np.array([basis @ c for c in coeffs])
-        samples = [(f"fiber {fiber.index} sample {s}", fiber.index, v, xi,
+        samples = [(f"fiber {index} sample {s}", index, v, xi,
                     (interval.a, interval.b))
                    for s, (v, xi) in enumerate(zip(xis if system is seq else coeffs, xis),
                                                start=1)]
         if groups and groups[-1][0] is system:  # fibers sampled on one system
-            groups[-1][2].extend(samples)
+            groups[-1][1].extend(samples)
         else:
-            groups.append((system, wide_system, samples))
-    rows = _group_rows(groups, base_tol, params, escalate)
+            groups.append((system, samples))
+    rows = _group_rows(groups, base_tol, params)
     return _report(seq, "fiber-containment", rows, base_tol, system_id)
 
 
@@ -253,7 +238,6 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                               tolerance: float | None = None,
                               seed: int = 0,
                               params: BohlParams | None = None,
-                              escalate: bool = False,
                               system_id: str | None = None) -> ContainmentReport:
     """Check that arbitrary unit vectors keep their Bohl interval inside
     the hull of the spectrum (first lower endpoint to last upper one);
@@ -262,12 +246,11 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     base_tol = _base_tolerance(tolerance, spectrum)
     if _checked_count(samples, "samples") < 1:
         raise ParameterError("samples must be at least 1")
-    _checked_flag(escalate, "escalate")
     params = params or BohlParams()
     vectors = _unit_samples(np.random.default_rng(seed), samples, seq.dimension)
     group = [(f"global sample {s}", None, v, v, spectrum.hull)
              for s, v in enumerate(vectors, start=1)]
-    rows = _group_rows([(seq, None, group)], base_tol, params, escalate)
+    rows = _group_rows([(seq, group)], base_tol, params)
     return _report(seq, "global-containment", rows, base_tol, system_id)
 
 

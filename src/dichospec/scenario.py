@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .bohl import TAIL_FRACTION, BohlParams
+from .bohl import GAP_MIN, TAIL_FRACTION, BohlParams
 from .dichotomy import GRID_POINTS, DichotomyParams
 from .errors import DichospecError
 from .sequences import MatrixSequence
@@ -30,17 +30,16 @@ _ANALYSIS_DEFAULTS: dict[str, Any] = {
     "burn_in": 128,
     "refine_tol": 1e-3,
     "bohl_window": 2048,
-    "gap_min": 16,
     "two_sided": False,
     "samples": 50,
     "samples_per_fiber": 20,
     "tolerance": None,
     "seed": 0,
-    "escalate": False,
 }
 
 # analysis keys older files carry, dropped on load: key -> the one value allowed (None: any)
-_RETIRED_FIELDS = {"jobs": None, "grid_points": GRID_POINTS, "tail_fraction": TAIL_FRACTION}
+_RETIRED_FIELDS = {"jobs": None, "grid_points": GRID_POINTS, "tail_fraction": TAIL_FRACTION,
+                   "escalate": False, "gap_min": GAP_MIN}
 
 _OUTPUT_DEFAULTS: dict[str, Any] = {
     "out": ".",
@@ -89,7 +88,6 @@ class Scenario:
 
     def bohl_params(self) -> BohlParams:
         return BohlParams(window=self.analysis["bohl_window"],
-                          gap_min=self.analysis["gap_min"],
                           two_sided=self.analysis["two_sided"])
 
     def with_overrides(self, **overrides: Any) -> "Scenario":
@@ -131,9 +129,12 @@ class Scenario:
         analysis = payload.get("analysis", {})
         if isinstance(analysis, dict):
             for key, fixed in _RETIRED_FIELDS.items():
-                if key in analysis and fixed is not None and analysis[key] != fixed:
+                value = analysis.get(key, fixed)
+                # a bool matches only a bool, so 0 is not false and true is not 1
+                if fixed is not None and (value != fixed or
+                                          isinstance(value, bool) != isinstance(fixed, bool)):
                     raise ScenarioError(f"analysis field {key!r} is fixed at {fixed!r}, "
-                                        f"got {analysis[key]!r}")
+                                        f"got {value!r}")
             analysis = {k: v for k, v in analysis.items() if k not in _RETIRED_FIELDS}
         # only an absent name falls back to the stem; a falsy one is checked
         return cls(name=payload.get("name", name or "scenario"),
@@ -146,8 +147,7 @@ class Scenario:
         Path(path).write_text(self.dumps())
 
 
-_INT_FIELDS = ("window", "burn_in", "bohl_window", "gap_min", "samples",
-               "samples_per_fiber", "seed")
+_INT_FIELDS = ("window", "burn_in", "bohl_window", "samples", "samples_per_fiber", "seed")
 _FLOAT_FIELDS = ("refine_tol", "tolerance")
 
 
@@ -174,7 +174,7 @@ def _normalize(section: dict[str, Any], defaults: dict[str, Any],
         elif key in _FLOAT_FIELDS:
             real = number and (isinstance(value, int) or math.isfinite(value))
             ok, want = real or key == "tolerance" and value is None, "a real number"
-        elif key in ("two_sided", "escalate"):
+        elif key == "two_sided":
             ok, want = isinstance(value, bool), "true or false"
         elif key == "out":
             ok, want = isinstance(value, str), "a string"

@@ -15,7 +15,6 @@ and ``refit_verdict`` reuse a ``DichotomyAnalyzer``'s window data, and
 
 import decimal
 import math
-from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -323,18 +322,12 @@ def envelopes_by_gap(lognorms, gaps):
 
 
 def fiber_containment_by_fiber(seq, spectrum, *, samples_per_fiber=20, tolerance=None,
-                               seed=0, params=None, escalate=False):
+                               seed=0, params=None):
     """verify_fiber_containment's report as its per-fiber loop made it:
-    one block per fiber, every column swept as given, and a fiber's
-    failing samples re-run at the 4x window before the next fiber is
-    sampled (the restriction is rebuilt for each)."""
+    one block per fiber, every column swept as given."""
     base_tol = containment._base_tolerance(tolerance, spectrum)
     params = params or containment.BohlParams()
-    wide = replace(params, window=4 * params.window)
     rng = np.random.default_rng(seed)
-
-    def block(system, vecs, p):
-        return _tail_rates(orbit_lognorms(system, _unit(vecs.T), p.orbit_span()).lognorms, p)
 
     rows = []
     for fiber in bundle_fibers(spectrum):
@@ -348,25 +341,16 @@ def fiber_containment_by_fiber(seq, spectrum, *, samples_per_fiber=20, tolerance
                                                     window=params.window)
         xis = np.array([basis @ c for c in coeffs])
         vecs = xis if system is seq else coeffs
-        lower, upper, spread = block(system, vecs, params)
+        lower, upper, spread = _tail_rates(orbit_lognorms(
+            system, _unit(vecs.T), params.orbit_span()).lognorms, params)
         tol = base_tol + spread
         margin = np.minimum(lower - a + tol, b + tol - upper)
-        escalated = (margin < 0.0) & escalate
-        if escalated.any():
-            if system is not seq:
-                system = restricted_fiber_system(seq, spectrum, fiber.index,
-                                                 window=wide.window)[1]
-            lower[escalated], upper[escalated], spread[escalated] = block(
-                system, vecs[escalated], wide)
-            tol = base_tol + spread
-            margin = np.minimum(lower - a + tol, b + tol - upper)
-        for s, (xi, lo, hi, t, m, e) in enumerate(zip(
-                xis, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist(),
-                escalated.tolist()), start=1):
+        for s, (xi, lo, hi, t, m) in enumerate(zip(
+                xis, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist()), start=1):
             rows.append(containment.SampleRow(
                 label=f"fiber {fiber.index} sample {s}", fiber_index=fiber.index,
                 xi=tuple(xi), lower=lo, upper=hi, target=(a, b), tolerance=t,
-                margin=m, passed=m >= 0.0, escalated=e))
+                margin=m, passed=m >= 0.0))
     return containment._report(seq, "fiber-containment", rows, base_tol, None)
 
 

@@ -12,6 +12,7 @@ from bruteforce import (
 )
 from dichospec import bohl
 from dichospec.bohl import (
+    GAP_MIN,
     TAIL_FRACTION,
     BohlParams,
     _bohl_block,
@@ -28,8 +29,8 @@ from dichospec.errors import ParameterError, ValidationError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.transition import orbit_lognorms
 
-SMALL = BohlParams(window=96, gap_min=8)
-SMALL_TWO_SIDED = BohlParams(window=96, gap_min=8, two_sided=True)
+SMALL = BohlParams(window=96)
+SMALL_TWO_SIDED = BohlParams(window=96, two_sided=True)
 
 
 def seeded_2d():
@@ -80,7 +81,7 @@ def test_estimator_matches_direct_enumeration():
         lo, hi = params.orbit_span()
         table = orbit_lognorm_table(seq, xi / np.linalg.norm(xi), lo, hi)
         want_lower, want_upper = bohl_enumerate(
-            table, -lo, params.window, params.gap_min,
+            table, -lo, params.window, GAP_MIN,
             TAIL_FRACTION, params.two_sided)
         assert est.lower == pytest.approx(want_lower, rel=1e-12)
         assert est.upper == pytest.approx(want_upper, rel=1e-12)
@@ -94,17 +95,17 @@ def test_scalar_estimator_matches_direct_enumeration():
     for u in sequences:
         for params in (SMALL, SMALL_TWO_SIDED):
             got = scalar_bohl(u, params)
-            want = scalar_bohl_enumerate(u, params.window, params.gap_min,
+            want = scalar_bohl_enumerate(u, params.window, GAP_MIN,
                                          TAIL_FRACTION, params.two_sided)
             assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_general_exponents_match_dense_svd_enumeration():
     seq = seeded_2d()
-    params = BohlParams(window=48, gap_min=8)
+    params = BohlParams(window=48)
     ge = general_exponents(seq, params)
     want_junior, want_senior = general_exponents_enumerate(
-        seq, 48, 8, TAIL_FRACTION)
+        seq, 48, GAP_MIN, TAIL_FRACTION)
     assert ge.senior == pytest.approx(want_senior, rel=1e-10)
     assert ge.junior == pytest.approx(want_junior, rel=1e-10)
 
@@ -178,7 +179,7 @@ def test_scalar_route_consistent_with_matrix_route():
 
 def test_solution_rates_bounded_by_general_exponents():
     seq = seeded_2d()
-    params = BohlParams(window=64, gap_min=8)
+    params = BohlParams(window=64)
     ge = general_exponents(seq, params)
     rng = np.random.default_rng(0)
     for _ in range(6):
@@ -232,13 +233,15 @@ def test_two_sided_must_be_a_bool(flag):
 
 
 def test_parameter_and_input_validation():
-    with pytest.raises(ParameterError):
-        BohlParams(window=20, gap_min=16)
-    for bad in ({"window": 64.5}, {"window": 64.0}, {"window": True},
-                {"gap_min": 8.5}, {"gap_min": True}, {"gap_min": np.float64(8.0)}):
+    with pytest.raises(ParameterError, match="need window >= 2 \\* GAP_MIN = 32"):
+        BohlParams(window=2 * GAP_MIN - 1)
+    assert BohlParams(window=2 * GAP_MIN).gaps()[0] == GAP_MIN == 16
+    with pytest.raises(TypeError):  # a constant now, not a setting
+        BohlParams(window=96, gap_min=8)
+    for bad in ({"window": 64.5}, {"window": 64.0}, {"window": True}):
         with pytest.raises(ParameterError, match="must be an integer"):
             BohlParams(**bad)
-    numpy_ints = BohlParams(window=np.int64(96), gap_min=np.int32(8))
+    numpy_ints = BohlParams(window=np.int64(96))
     seq = MatrixSequence.constant(np.diag([2.0, 0.5]))
     assert bohl_exponents(seq, [1.0, 1.0], numpy_ints).upper == \
         bohl_exponents(seq, [1.0, 1.0], SMALL).upper
@@ -247,6 +250,15 @@ def test_parameter_and_input_validation():
         bohl_exponents(MatrixSequence.constant(np.eye(2)), [0.0, 0.0], SMALL)
     with pytest.raises(ValidationError):
         scalar_bohl(ScalarSequence.tabulated([1.0, 0.0] + [1.0] * 200, start=0), SMALL)
+
+
+@pytest.mark.parametrize("xi", [[np.inf, 0.0], [1.0, -np.inf], [np.nan, 1.0], [np.inf, np.nan]],
+                         ids=["inf", "-inf", "nan", "inf-nan"])
+def test_non_finite_initial_vectors_are_refused_before_dividing(xi):
+    # the norm was divided out first: inf / inf warned "invalid value
+    # encountered in divide", which the suite turns into an error
+    with pytest.raises(ParameterError, match="finite initial vector"):
+        bohl_exponents(MatrixSequence.constant(np.eye(2)), xi, SMALL)
 
 
 # -- batched estimator ---------------------------------------------------------
@@ -382,7 +394,7 @@ def _walks(length, columns, seed=0):
 
 
 @pytest.mark.parametrize("params",
-                         [BohlParams(), BohlParams(window=300, gap_min=8, two_sided=True)],
+                         [BohlParams(), BohlParams(window=300, two_sided=True)],
                          ids=["one-sided", "two-sided"])
 @pytest.mark.parametrize("which", ["tail_gaps", "gaps"])
 def test_envelopes_equal_the_per_gap_loop(params, which):

@@ -124,6 +124,19 @@ def test_autonomous_diagonal_fibers_align_with_axes():
     assert not fibers[0].contains(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("v", [[1.0, 1e-5], [1.0, 0.1], [1.0, 1e-7], [1.0, 1e-9],
+                               [-3.0, 2e-12], [0.5, 0.0], [0.0, 0.0]], ids=repr)
+def test_fiber_membership_ignores_power_of_two_scaling(v):
+    # the norms once overflowed or vanished (and warned), so [1e200, 1e195]
+    # and [1e-170, 1e-171] read as lying in span(e1) while [1, 1e-5] did not
+    fiber = SpectralBundleFiber(index=1, basis=np.eye(2)[:, [0]], dimension=1)
+    v = np.array(v)
+    for k in (-1000, -600, 600, 1000):
+        assert fiber.contains(2.0 ** k * v) == fiber.contains(v)
+    assert not fiber.contains(np.array([1e200, 1e195]))
+    assert not fiber.contains(np.array([1e-170, 1e-171]))
+
+
 def test_rotation_fiber_is_the_whole_plane():
     est = estimate_spectrum(quarter_turn())
     fibers = bundle_fibers(est)

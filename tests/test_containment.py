@@ -6,11 +6,10 @@ import pytest
 
 from bruteforce import bohl_enumerate, fiber_containment_by_fiber, orbit_lognorm_table
 from dichospec import bundles
-from dichospec.bohl import TAIL_FRACTION, BohlParams, bohl_exponents, scalar_bohl
+from dichospec.bohl import GAP_MIN, TAIL_FRACTION, BohlParams, bohl_exponents, scalar_bohl
 from dichospec.bundles import SpectralBundleFiber
 from dichospec.containment import (
     TOLERANCE_FACTOR,
-    _group_rows,
     verify_endpoint_attainability,
     verify_fiber_containment,
     verify_global_containment,
@@ -90,14 +89,14 @@ def test_mixed_vector_attains_both_hull_endpoints():
 
 def test_rows_match_direct_enumeration():
     seq = piecewise_scalar()
-    params = BohlParams(window=96, gap_min=8, two_sided=True)
+    params = BohlParams(window=96, two_sided=True)
     est = estimate_spectrum(seq)
     report = verify_global_containment(seq, est, samples=3, seed=5, params=params)
     for row in report.rows:
         xi = np.array(row.xi)
         table = orbit_lognorm_table(seq, xi, -96, 96)
         want_lower, want_upper = bohl_enumerate(
-            table, 96, 96, 8, TAIL_FRACTION, True)
+            table, 96, 96, GAP_MIN, TAIL_FRACTION, True)
         assert row.lower == pytest.approx(want_lower, rel=1e-12)
         assert row.upper == pytest.approx(want_upper, rel=1e-12)
 
@@ -219,17 +218,6 @@ def test_sample_counts_must_be_integers(check, key):
     assert len(report.rows) == (4 if key == "samples_per_fiber" else 2)
 
 
-@pytest.mark.parametrize("check", [verify_fiber_containment, verify_global_containment])
-def test_escalate_must_be_a_bool(check):
-    # "no" once escalated like True, or ended in a bare numpy TypeError
-    seq = diag_2_half_structural()
-    est = estimate_spectrum(seq)
-    for flag in ("no", "yes", 1, None):
-        with pytest.raises(ParameterError, match="escalate must be True or False"):
-            check(seq, est, params=FAST, escalate=flag)
-    assert check(seq, est, params=FAST, escalate=np.bool_(True)).status == "pass"
-
-
 def test_reports_are_deterministic_and_batch_exact():
     # every row comes out of one batched orbit per fiber; it must match
     # the per-sample estimator on the same vector
@@ -244,47 +232,6 @@ def test_reports_are_deterministic_and_batch_exact():
         assert abs(row.lower - single.lower) <= 1e-12
         assert abs(row.upper - single.upper) <= 1e-12
         assert abs(row.tolerance - first.base_tolerance - single.spread) <= 1e-12
-
-
-def test_escalation_retries_failures_at_larger_window():
-    # check a system against the spectrum of a slower one: every sample
-    # genuinely violates the target, so escalation has work to do
-    seq = MatrixSequence.diagonal([ScalarSequence.constant(2.0)])
-    slower = MatrixSequence.diagonal([ScalarSequence.constant(1.5)])
-    est = estimate_spectrum(slower)
-    small = BohlParams(window=128)
-    base = verify_global_containment(seq, est, samples=6, params=small)
-    escalated = verify_global_containment(seq, est, samples=6, params=small,
-                                          escalate=True)
-    assert not base.passed
-    failed_labels = {r.label for r in base.failures()}
-    retried = {r.label for r in escalated.rows if r.escalated}
-    assert retried == failed_labels == {f"global sample {i}" for i in range(1, 7)}
-    assert any("4x window" in note for note in escalated.notes)
-    assert not escalated.passed  # a larger window cannot fix a wrong target
-
-
-def test_escalation_reruns_only_the_failing_samples_of_a_batch():
-    # axis e2 decays at 0.5 and meets the target; e1 and a mix grow at 2
-    # and miss it, so only those two are re-run at the 4x window
-    seq = diag_2_half()
-    small = BohlParams(window=64, gap_min=8)
-    wide = BohlParams(window=256, gap_min=8)
-    vecs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
-    groups = [(seq, None, [(f"sample {s}", None, v, v, (0.45, 0.55))
-                           for s, v in enumerate(vecs, start=1)])]
-    first = _group_rows(groups, 1e-3, small, escalate=False)
-    rows = _group_rows(groups, 1e-3, small, escalate=True)
-    assert [r.passed for r in first] == [True, False, True, False]
-    assert [r.escalated for r in rows] == [False, True, False, True]
-    for before, after in zip(first, rows):
-        if after.escalated:
-            single = bohl_exponents(seq, np.array(after.xi), wide)
-            assert abs(after.lower - single.lower) <= 1e-12
-            assert abs(after.upper - single.upper) <= 1e-12
-            assert abs(after.tolerance - 1e-3 - single.spread) <= 1e-12
-        else:
-            assert after == before
 
 
 def roster_case():
@@ -313,8 +260,7 @@ def narrowed(est):
 
 def forced_seeded_case():
     # a full system with one-dimensional fibers, each on its own restricted
-    # table; at tolerance 0 the narrowed targets of fibers 1 and 3 fail and
-    # force escalation
+    # table; at tolerance 0 the narrowed targets of fibers 1 and 3 fail
     seq = MatrixSequence.seeded(5, [(0.3, 0.36), (0.6, 0.7), (1.2, 1.4)])
     return seq, narrowed(estimate_spectrum(seq)), dict(
         samples_per_fiber=5, tolerance=0.0, params=FAST)
@@ -322,29 +268,28 @@ def forced_seeded_case():
 
 def forced_diagonal_case():
     # every interval 1 % too high: each fiber fails, and as all fibers of a
-    # diagonal system form one group, their samples escalate as one block
+    # diagonal system form one group, their failing samples share one block
     seq, est, kwargs = roster_case()
     shifted = tuple(replace(iv, a=1.01 * iv.a, b=1.01 * iv.b) for iv in est.intervals)
     return seq, replace(est, intervals=shifted), dict(
         kwargs, samples_per_fiber=6, tolerance=0.0)
 
 
-@pytest.mark.parametrize("escalate", [False, True], ids=["plain", "escalate"])
 @pytest.mark.parametrize("case", [roster_case, two_dimensional_fiber_case,
                                   forced_seeded_case, forced_diagonal_case],
                          ids=["roster", "two-dim-fiber", "forced-seeded", "forced-diagonal"])
-def test_grouped_rows_equal_the_per_fiber_loop(case, escalate):
-    # grouping fibers by orbit system, merging repeated directions and
-    # escalating after every first block keep every row's bits
+def test_grouped_rows_equal_the_per_fiber_loop(case):
+    # grouping fibers by orbit system and merging repeated directions
+    # keep every row's bits
     seq, est, kwargs = case()
-    got = verify_fiber_containment(seq, est, escalate=escalate, **kwargs)
-    want = fiber_containment_by_fiber(seq, est, escalate=escalate, **kwargs)
+    got = verify_fiber_containment(seq, est, **kwargs)
+    want = fiber_containment_by_fiber(seq, est, **kwargs)
     assert got.rows_to_csv() == want.rows_to_csv()
-    assert got.rows == want.rows and got.notes == want.notes
+    assert got.rows == want.rows and got.notes == want.notes == ()
+    assert not any(r.escalated for r in got.rows)  # each sample is measured once
     if case in (forced_seeded_case, forced_diagonal_case):
-        # samples of several fibers fail, and with escalate they are re-run
-        assert len({r.fiber_index for r in got.rows if r.escalated or not r.passed}) >= 2
-        assert any(r.escalated for r in got.rows) == escalate
+        # samples of several fibers fail, and their failures stand
+        assert len({r.fiber_index for r in got.failures()}) >= 2
 
 
 def test_one_dimensional_fiber_rows_share_their_bits():
@@ -360,8 +305,9 @@ def test_one_dimensional_fiber_rows_share_their_bits():
 
 
 def test_forced_escalation_sweeps_each_restriction_window_once(monkeypatch):
-    # escalating fiber i at 4w used to evict the window-w flags that fiber
-    # i + 1 still needed, so the sweeps ran w, 4w, w, 4w
+    # failing samples are no longer re-measured at 4w, so the three
+    # restrictions of the forced case read one sweep at the Bohl window
+    # (escalation once swept w, 4w, w, 4w, and later w, 4w)
     sweeps = []
     real = bundles._restriction_flags
 
@@ -373,10 +319,10 @@ def test_forced_escalation_sweeps_each_restriction_window_once(monkeypatch):
     monkeypatch.setattr(bundles, "_restriction_flags", spy)
     seq, est, kwargs = forced_seeded_case()
     kwargs["params"] = BohlParams(window=512)
-    report = verify_fiber_containment(seq, est, escalate=True, **kwargs)
-    assert sum(r.escalated for r in report.rows) >= 2 * kwargs["samples_per_fiber"]
-    assert len({r.fiber_index for r in report.rows if r.escalated}) >= 2
-    assert sweeps == [512, 2048]
+    report = verify_fiber_containment(seq, est, **kwargs)
+    assert len(report.failures()) >= 2 * kwargs["samples_per_fiber"]
+    assert len({r.fiber_index for r in report.failures()}) >= 2
+    assert sweeps == [512]
 
 
 def test_fiber_sampling_tracks_slow_fibers_of_full_systems():
@@ -395,18 +341,38 @@ def test_fiber_sampling_tracks_slow_fibers_of_full_systems():
     assert fast_rows and all(r.lower > 1.0 for r in fast_rows)
 
 
-def test_fiber_escalation_rebuilds_the_restriction():
-    # wrong targets again, now on a kind that goes through the tracked
-    # restriction: the retry has to rebuild it at the 4x window
+def test_fiber_check_fails_wrong_targets_on_a_restricted_kind():
+    # the spectrum of a slower system, on a kind that goes through the
+    # tracked restriction: every sample is measured once, and it fails
     seq = MatrixSequence.constant([[2.0, 1.0], [0.0, 0.5]])
     other = MatrixSequence.constant([[1.7, 1.0], [0.0, 0.6]])
     est = estimate_spectrum(other)
     report = verify_fiber_containment(seq, est, samples_per_fiber=2,
-                                      params=BohlParams(window=48),
-                                      escalate=True)
-    assert not report.passed
-    assert all(r.escalated for r in report.failures())
-    assert any("4x window" in note for note in report.notes)
+                                      params=BohlParams(window=48))
+    assert report.status == "fail" and report.notes == ()
+    assert {r.fiber_index for r in report.failures()} == {1, 2}
+    assert not any(r.escalated for r in report.rows)
+
+
+def test_fiber_check_refuses_fibers_of_another_shape():
+    # kinds other than diagonal sample in the tracked frame, not the given
+    # basis, so two fibers of a 3-dimensional system once passed here
+    seq = MatrixSequence.seeded(0, [(0.4, 0.5), (1.5, 2.0)])
+    est = estimate_spectrum(seq)
+    foreign = bundles.bundle_fibers(estimate_spectrum(
+        MatrixSequence.constant(np.diag([0.45, 1.0, 1.8]))))
+    with pytest.raises(ParameterError,
+                       match="fiber 1 is for a 3-dimensional system, not this 2-dimensional"):
+        verify_fiber_containment(seq, est, foreign[:2], samples_per_fiber=3, params=FAST)
+    # right ambient dimension, but two-dimensional where the gap ranks
+    # 0 and 1 leave room for one dimension
+    whole = SpectralBundleFiber(index=1, basis=np.eye(2), dimension=2)
+    for check_seq in (seq, diag_2_half_structural()):
+        check_est = estimate_spectrum(check_seq)
+        with pytest.raises(ParameterError, match="fiber 1 has dimension 2, not the 1 of its gap"):
+            verify_fiber_containment(check_seq, check_est, (whole,), params=FAST)
+    own = bundles.bundle_fibers(est)
+    assert verify_fiber_containment(seq, est, own, samples_per_fiber=3, params=FAST).rows
 
 
 def test_fiber_rows_reduce_to_scalar_rates_on_diagonal_systems():

@@ -14,7 +14,7 @@ from systems import separated_banded_diagonal
 
 dichotomy_verdict.__test__ = False
 
-SMALL = BohlParams(window=96, gap_min=8)
+SMALL = BohlParams(window=96)
 
 relaxed = settings(deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dichospec.bohl import TAIL_FRACTION, BohlParams, bohl_exponents
+from dichospec.bohl import GAP_MIN, TAIL_FRACTION, BohlParams, bohl_exponents
 from dichospec.cli import main
 from dichospec.containment import (SampleRow, verify_fiber_containment,
                                    verify_global_containment)
@@ -180,15 +180,13 @@ def test_scenario_defaults_are_the_library_defaults():
     twins = {
         "window": [dichotomy["window"]], "burn_in": [dichotomy["burn_in"]],
         "refine_tol": defaults(estimate_spectrum, name="refine_tol"),
-        "bohl_window": [bohl["window"]], "gap_min": [bohl["gap_min"]],
-        "two_sided": [bohl["two_sided"]],
+        "bohl_window": [bohl["window"]], "two_sided": [bohl["two_sided"]],
         "samples": defaults(verify_global_containment, name="samples"),
         "samples_per_fiber": defaults(verify_fiber_containment, name="samples_per_fiber"),
         "tolerance": defaults(*checks, name="tolerance"),
         "seed": defaults(*checks, name="seed"),
-        "escalate": defaults(*checks, name="escalate"),
     }
-    assert sorted(twins) == sorted(_ANALYSIS_DEFAULTS) and len(twins) == 11
+    assert sorted(twins) == sorted(_ANALYSIS_DEFAULTS) and len(twins) == 9
     for key, values in twins.items():
         default = _ANALYSIS_DEFAULTS[key]
         for value in values:
@@ -247,6 +245,7 @@ def test_cli_bohl_window_flag_targets_bohl(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["params"]["window"] == 512
+    assert doc["params"]["gap_min"] == GAP_MIN == 16
     assert doc["upper"] == pytest.approx(2.0, rel=1e-9)
     assert doc["lower"] == pytest.approx(2.0, rel=1e-9)
 
@@ -351,7 +350,8 @@ def test_cli_verify_is_deterministic(tmp_path):
 # retired analysis key -> (a value it loads at, a value it is refused at);
 # "jobs" once capped containment worker threads and loads at any value
 _RETIRED = {"jobs": (4, None), "grid_points": (GRID_POINTS, 96),
-            "tail_fraction": (TAIL_FRACTION, 0.3)}
+            "tail_fraction": (TAIL_FRACTION, 0.3), "escalate": (False, True),
+            "gap_min": (GAP_MIN, 8)}
 
 
 @pytest.mark.parametrize("key", sorted(_RETIRED))
@@ -384,7 +384,8 @@ def test_scenario_retired_analysis_keys(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--grid-points", "48"],
-                                  ["--tail-fraction", "0.2"]], ids=lambda f: f[0])
+                                  ["--tail-fraction", "0.2"], ["--escalate"]],
+                         ids=lambda f: f[0])
 def test_cli_refuses_retired_flags(tmp_path, capsys, flag):
     path = write_scenario(tmp_path, "diag-small", small_diag_payload())
     out = tmp_path / "out"
@@ -406,6 +407,16 @@ def test_cli_refuses_a_negative_tolerance_with_exit_3(tmp_path, capsys):
     path = write_scenario(tmp_path, "diag-small", small_diag_payload(tolerance=-1))
     assert main(["verify", path, "--out", str(tmp_path), "--format", "table"]) == 3
     assert "tolerance must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi", ["inf,0", "1,-inf", "nan,1"])
+def test_cli_refuses_a_non_finite_xi_with_exit_3(tmp_path, capsys, xi):
+    # inf / inf once warned "invalid value encountered in divide" first
+    out = tmp_path / "out"
+    assert main(["bohl", bundled("rotation"), "--xi", xi, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "validation error: Bohl exponents need a finite initial vector\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_exit_codes(tmp_path):
@@ -547,7 +558,7 @@ def _constant_payload(**analysis):
 @pytest.mark.parametrize("field,value", [
     ("window", "abc"), ("window", None), ("window", 64.9), ("samples", True),
     ("refine_tol", "x"), ("tail_fraction", False), ("tolerance", float("nan")), ("seed", -1),
-    ("two_sided", "yes"), ("escalate", 1),
+    ("two_sided", "yes"), ("escalate", 1), ("escalate", 0), ("gap_min", 16.5),
 ])
 def test_cli_rejects_malformed_analysis_fields(tmp_path, capsys, field, value):
     path = write_scenario(tmp_path, "bad", _constant_payload(**{field: value}))

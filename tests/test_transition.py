@@ -370,8 +370,11 @@ def test_overflowing_inverses_raise_naming_the_index():
     with pytest.raises(SingularMatrixError) as err:
         orbit_lognorms(seq, [1.0, 0.0], (-2, 0))
     assert err.value.n == -1
+    # the same four factors inside identities, as the smallest Bohl window is 32
+    wide = MatrixSequence.tabulated([np.eye(2)] * 30 + [np.eye(2), bad, np.eye(2), bad]
+                                    + [np.eye(2)] * 30, start=-32)
     with pytest.raises(SingularMatrixError) as err:
-        general_exponents(seq, BohlParams(window=2, gap_min=1, two_sided=True))
+        general_exponents(wide, BohlParams(window=32, two_sided=True))
     assert err.value.n == -1
 
 
@@ -475,7 +478,7 @@ def test_window_products_refuse_a_non_integer_gap(gap):
 
 def test_frobenius_norms_neither_overflow_nor_vanish(recwarn):
     seq = MatrixSequence.constant(np.diag([1e200, 1e-200]))
-    est = general_exponents(seq, BohlParams(window=4, gap_min=1))
+    est = general_exponents(seq, BohlParams(window=32))
     assert est.senior == pytest.approx(1e200, rel=1e-12)
     assert est.junior == pytest.approx(1e-200, rel=1e-12)
     assert transition(seq, 3, 0).log_norm() == pytest.approx(3 * np.log(1e200), rel=1e-14)

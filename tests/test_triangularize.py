@@ -135,7 +135,7 @@ def test_solution_rates_survive_the_sweep():
     # frames are orthogonal and F(0) = I, so each solution keeps its norms
     seq = MatrixSequence.seeded(6, bands=((0.6, 0.8), (1.3, 1.7)))
     pair = qr_triangularize(seq, window=(-96, 96))
-    params = BohlParams(window=96, gap_min=8, two_sided=True)
+    params = BohlParams(window=96, two_sided=True)
     for xi in ([1.0, 0.0], [0.3, -1.0]):
         original = bohl_exponents(seq, xi, params)
         swept = bohl_exponents(pair.upper, xi, params)
