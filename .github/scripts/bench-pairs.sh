@@ -11,8 +11,13 @@
 # missing): for each end-to-end metric of BENCHMARK.json, each side's
 # median and quartiles over its runs, its bound, and in how many pairs the
 # working tree read better (ties count for neither side); each side's
-# failed operations per run; and whether every run of both sides wrote the
-# same result fingerprint.
+# failed operations per run; whether every run of both sides wrote the
+# same result fingerprint; every fingerprint field, by operation and path,
+# whose value differs between the first run of REV and the first run of the
+# working tree (`fingerprint_moves`); and the largest relative move
+# |change - base| / max(|base|, |change|) over the moved fields whose two
+# values both parse as numbers, or 0 when there are none
+# (`largest_relative_move`).
 set -eo pipefail
 rev=${1:?usage: bench-pairs.sh REV WORKLOAD SEED PAIRS OUT}
 workload=${2:?usage: bench-pairs.sh REV WORKLOAD SEED PAIRS OUT}
@@ -46,6 +51,7 @@ done
 
 python3 - "$tmp/runs" "$pairs" "$out" "$rev" "$(git rev-parse "$rev")" <<'EOF'
 import json
+import math
 import os
 import statistics
 import sys
@@ -69,6 +75,40 @@ for spec in bench["end_to_end"]:
                      "base": summary(values["base"]), "change": summary(values["change"]),
                      "change_better_pairs": sum(sign * (c - b) < 0 for b, c in
                                                 zip(values["base"], values["change"]))}
+
+
+def leaves(value, path=""):
+    """(path, leaf) pairs of a fingerprint value; lists index as [i]."""
+    if isinstance(value, dict):
+        return [pair for key, item in value.items() for pair in leaves(item, f"{path}.{key}")]
+    if isinstance(value, list):
+        return [pair for i, item in enumerate(value) for pair in leaves(item, f"{path}[{i}]")]
+    return [(path, value)]
+
+
+def number(value):
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+moves, largest = [], 0.0
+base_fp, change_fp = sides["base"][0]["fingerprint"], sides["change"][0]["fingerprint"]
+for op in sorted(set(base_fp) | set(change_fp)):
+    before, after = dict(leaves(base_fp.get(op))), dict(leaves(change_fp.get(op)))
+    for path in sorted(set(before) | set(after)):
+        b, c = before.get(path), after.get(path)
+        if b == c:
+            continue
+        moves.append({"operation": op, "path": path.lstrip("."), "base": b, "change": c})
+        nb, nc = number(b), number(c)
+        if nb is not None and nc is not None:  # "0" against "0.0" is no move
+            scale = max(abs(nb), abs(nc))
+            rel = abs(nc - nb) / scale if scale else 0.0
+            largest = max(largest, rel if rel == rel else math.inf)  # NaN or inf: inf
 first = sides["base"][0]
 record = {"workload": first["workload"], "seed": first["seed"], "seconds": first["seconds"],
           "trace": first["trace"], "pairs": pairs, "base": rev, "base_commit": sha,
@@ -78,7 +118,8 @@ record = {"workload": first["workload"], "seed": first["seed"], "seconds": first
           "failed": {side: [r["failed"] for r in recs] for side, recs in sides.items()},
           "attempted": {side: [r["attempted"] for r in recs] for side, recs in sides.items()},
           "fingerprints_equal": all(r["fingerprint"] == first["fingerprint"]
-                                    for recs in sides.values() for r in recs)}
+                                    for recs in sides.values() for r in recs),
+          "fingerprint_moves": moves, "largest_relative_move": largest}
 records = json.load(open(out)) if os.path.exists(out) else []
 records.append(record)
 with open(out, "w") as fh:
@@ -88,5 +129,6 @@ for name, m in metrics.items():
     print(f"{record['workload']} seed {record['seed']} {name}: base {m['base']['median']:.4f} "
           f"({m['base']['q1']:.4f}-{m['base']['q3']:.4f}) -> change {m['change']['median']:.4f}, "
           f"change better in {m['change_better_pairs']}/{pairs}")
-print(f"fingerprints equal: {record['fingerprints_equal']}")
+print(f"fingerprints equal: {record['fingerprints_equal']}; {len(moves)} field(s) moved, "
+      f"largest relative move {largest:.3g}")
 EOF

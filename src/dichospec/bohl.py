@@ -209,27 +209,9 @@ def bohl_exponents(seq: MatrixSequence, xi: np.ndarray,
 
 def _bohl_block(seq: MatrixSequence, xis: np.ndarray, params: BohlParams):
     """(lower, upper, spread) of :func:`bohl_exponents` for each column of
-    a (d, S) block, from one orbit sweep and the tail envelopes only.
-
-    Each distinct direction is swept and enveloped once: a unit column
-    equal to an earlier one, or to its negation (+0 and -0 alike), reads
-    that column's results.  Under round-to-nearest the orbit of -u is the
-    exact negation of the orbit of u, so the two log-norm columns are the
-    same bits.  Sample blocks repeat a direction only on one-dimensional
-    fibers and d = 1 systems, whose orbits run on diagonal maps or 1 x 1
-    tables, where every sum of a product has a single nonzero term; there
-    the width of the block changes no bit either.  A block of distinct
-    columns is swept as given.
-    """
-    units = _unit(xis)
-    lead = units[np.argmax(units != 0.0, axis=0), np.arange(units.shape[1])]
-    signed = np.where(lead < 0.0, -units, units) + 0.0  # + 0.0 turns -0 into +0
-    slots: dict[bytes, int] = {}  # distinct columns in order of first appearance
-    slot = np.array([slots.setdefault(col.tobytes(), len(slots)) for col in signed.T])
-    first = np.unique(slot, return_index=True)[1]
-    rates = _tail_rates(orbit_lognorms(seq, units[:, first],
-                                       params.orbit_span()).lognorms, params)
-    return tuple(r[slot] for r in rates)
+    a (d, S) block, swept as given, from one orbit sweep and the tail
+    envelopes only."""
+    return _tail_rates(orbit_lognorms(seq, _unit(xis), params.orbit_span()).lognorms, params)
 
 
 def _scalar_lognorms(u: ScalarSequence, params: BohlParams) -> np.ndarray:

@@ -157,6 +157,8 @@ class SpectralBundleFiber:
                 f"dimension {self.dimension}")
         if self.dimension < 1:
             raise ValidationError("spectral bundle fibers are nontrivial by construction")
+        if not np.isfinite(self.basis).all():
+            raise ValidationError("fiber basis is not finite")
         gram = self.basis.T @ self.basis
         if spectral_norm(gram - np.eye(self.dimension)) > 1e-8:
             raise ValidationError("fiber basis is not orthonormal")
@@ -168,8 +170,12 @@ class SpectralBundleFiber:
     def contains(self, vector: np.ndarray) -> bool:
         """Whether ``vector`` lies in the fiber, up to relative residual
         ``CONTAINS_RTOL``; the answer does not change when ``vector`` is
-        scaled by a power of two."""
-        v = _pow2_scaled(np.asarray(vector, dtype=float), None)[0]  # no overflow or underflow
+        scaled by a power of two.  A non-finite vector or one of another
+        length than the ambient dimension raises :class:`ParameterError`."""
+        v = np.asarray(vector, dtype=float).reshape(-1)
+        if v.shape != (self.ambient_dimension,) or not np.isfinite(v).all():
+            raise ParameterError(f"need a finite vector of length {self.ambient_dimension}")
+        v = _pow2_scaled(v, None)[0]  # no overflow or underflow
         scale = float(np.linalg.norm(v))
         if scale == 0.0:
             return True

@@ -9,16 +9,18 @@ Three checks, each producing a :class:`ContainmentReport`:
 * endpoint attainability: for systems with trustworthy diagonal data,
   every interval endpoint is witnessed by a coordinate Bohl exponent.
 
+Every vector of a one-dimensional fiber or a d = 1 system is a multiple
+of one vector and has its Bohl exponents, so it is checked once, in one
+row; ``samples_per_fiber`` and ``samples`` apply from dimension 2.
 Samples are estimated in groups, one per orbit system: the global set,
 all fibers of a diagonal system (each samples the system itself), and
 each fiber of any other kind (each has its own restricted table).  A
 group's vectors are the columns of one block carried through a single
-orbit sweep, each distinct direction once (a one-dimensional fiber's
-samples are all +-1 times one vector), and only the aggregation tail of
-the gaps is enveloped, since a row reads only the lower and upper
-exponents and the tail spread.  Columns equal per-vector
-:func:`dichospec.bohl.bohl_exponents` up to rounding.  Each sample is
-measured once, at the window of the given :class:`BohlParams`.
+orbit sweep, and only the aggregation tail of the gaps is enveloped,
+since a row reads only the lower and upper exponents and the tail
+spread.  Columns equal per-vector :func:`dichospec.bohl.bohl_exponents`
+up to rounding.  Each sample is measured once, at the window of the
+given :class:`BohlParams`.
 
 All sampling is driven by an explicit seed, so reports are reproducible
 bit for bit.  Tolerances combine the spectrum refinement tolerance with
@@ -147,15 +149,20 @@ def _report(seq: MatrixSequence, check: str, rows: list[SampleRow],
 
 
 def _base_tolerance(tolerance: float | None, spectrum: SpectrumEstimate) -> float:
-    """The given tolerance, or TOLERANCE_FACTOR times the refinement one."""
+    """The given tolerance, or TOLERANCE_FACTOR times the refinement one;
+    a bool, or a value that is negative, infinite or NaN, raises
+    :class:`ParameterError`."""
     if tolerance is None:
         return TOLERANCE_FACTOR * spectrum.refine_tol
-    if not tolerance >= 0.0:
-        raise ParameterError(f"tolerance must be at least 0, got {tolerance}")
+    if isinstance(tolerance, (bool, np.bool_)) or not 0.0 <= tolerance < np.inf:
+        raise ParameterError(f"tolerance must be at least 0 and finite, got {tolerance}")
     return tolerance
 
 
 def _unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` seeded Gaussian unit vectors as rows; for dim = 1 only (1.0)."""
+    if dim == 1:
+        return np.ones((1, 1))
     out = np.empty((count, dim))
     for i in range(count):
         v = rng.standard_normal(dim)
@@ -180,13 +187,15 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     Fibers default to :func:`bundle_fibers` of the estimate.  A fiber
     index outside the estimate's intervals, a basis of another ambient
     dimension than the system's, or a fiber dimension other than its
-    interval's gap-rank jump raises :class:`ParameterError`.  Each sample
-    is a unit vector with seeded Gaussian coordinates in the fiber basis;
-    the claim passes when ``[lower, upper]`` of its Bohl estimate lies in
-    the target interval inflated by the tolerance: ``tolerance`` (at
-    least 0; by default ``TOLERANCE_FACTOR`` times the spectrum's
-    ``refine_tol``) plus the spread of the estimate.  Each sample is
-    measured once, at the window of ``params``.
+    interval's gap-rank jump raises :class:`ParameterError`.  A
+    one-dimensional fiber is checked once, on its basis vector; from
+    dimension 2 each of ``samples_per_fiber`` samples is a unit vector with
+    seeded Gaussian coordinates in the fiber basis.  A claim passes when
+    ``[lower, upper]`` of its Bohl estimate lies in the target interval
+    inflated by the tolerance: ``tolerance`` (at least 0; by default
+    ``TOLERANCE_FACTOR`` times the spectrum's ``refine_tol``) plus the
+    spread of the estimate.  Each sample is measured once, at the window
+    of ``params``.
 
     Diagonal systems are sampled directly in the given bases, all fibers
     in one block.  Any other kind goes through
@@ -241,6 +250,7 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                               system_id: str | None = None) -> ContainmentReport:
     """Check that arbitrary unit vectors keep their Bohl interval inside
     the hull of the spectrum (first lower endpoint to last upper one);
+    a d = 1 system is checked once, on the vector (1.0);
     ``tolerance`` (at least 0) is as in :func:`verify_fiber_containment`."""
     _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)

@@ -9,8 +9,9 @@ and ``refit_verdict`` reuse a ``DichotomyAnalyzer``'s window data, and
 ``max_log_norm_of_every_offset`` a ``WindowProducts``' products,
 ``orbit_chunk_walk`` takes its chunk length from the library,
 ``envelopes_by_gap`` is the per-gap loop ``bohl._envelopes`` once ran, and
-``fiber_containment_by_fiber`` is the per-fiber loop of
-``verify_fiber_containment`` on the library's orbits and envelopes.
+``fiber_containment_by_fiber`` (with ``fiber_rows_by_sweep``) is the
+per-fiber loop of ``verify_fiber_containment`` on the library's orbits
+and envelopes.
 """
 
 import decimal
@@ -324,34 +325,42 @@ def envelopes_by_gap(lognorms, gaps):
 def fiber_containment_by_fiber(seq, spectrum, *, samples_per_fiber=20, tolerance=None,
                                seed=0, params=None):
     """verify_fiber_containment's report as its per-fiber loop made it:
-    one block per fiber, every column swept as given."""
+    one block per fiber, every column swept as given; a one-dimensional
+    fiber is one row, on its basis vector, and draws no sample."""
     base_tol = containment._base_tolerance(tolerance, spectrum)
     params = params or containment.BohlParams()
     rng = np.random.default_rng(seed)
-
     rows = []
     for fiber in bundle_fibers(spectrum):
-        interval = spectrum.intervals[fiber.index - 1]
-        a, b = interval.a, interval.b
-        coeffs = containment._unit_samples(rng, samples_per_fiber, fiber.dimension)
-        if seq.kind == "diagonal":
-            basis, system = fiber.basis, seq
-        else:
-            basis, system = restricted_fiber_system(seq, spectrum, fiber.index,
-                                                    window=params.window)
-        xis = np.array([basis @ c for c in coeffs])
-        vecs = xis if system is seq else coeffs
-        lower, upper, spread = _tail_rates(orbit_lognorms(
-            system, _unit(vecs.T), params.orbit_span()).lognorms, params)
-        tol = base_tol + spread
-        margin = np.minimum(lower - a + tol, b + tol - upper)
-        for s, (xi, lo, hi, t, m) in enumerate(zip(
-                xis, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist()), start=1):
-            rows.append(containment.SampleRow(
-                label=f"fiber {fiber.index} sample {s}", fiber_index=fiber.index,
-                xi=tuple(xi), lower=lo, upper=hi, target=(a, b), tolerance=t,
-                margin=m, passed=m >= 0.0))
+        coeffs = (np.ones((1, 1)) if fiber.dimension == 1 else
+                  containment._unit_samples(rng, samples_per_fiber, fiber.dimension))
+        rows += fiber_rows_by_sweep(seq, spectrum, fiber, coeffs, base_tol, params)
     return containment._report(seq, "fiber-containment", rows, base_tol, None)
+
+
+def fiber_rows_by_sweep(seq, spectrum, fiber, coeffs, base_tol, params):
+    """Rows of the vectors with coordinates ``coeffs`` (one per row) in
+    ``fiber``'s basis, or in its tracked frame off the diagonal kind, from
+    one orbit sweep of them all."""
+    interval = spectrum.intervals[fiber.index - 1]
+    a, b = interval.a, interval.b
+    if seq.kind == "diagonal":
+        basis, system = fiber.basis, seq
+    else:
+        basis, system = restricted_fiber_system(seq, spectrum, fiber.index,
+                                                window=params.window)
+    xis = np.array([basis @ c for c in coeffs])
+    vecs = xis if system is seq else coeffs
+    lower, upper, spread = _tail_rates(orbit_lognorms(
+        system, _unit(vecs.T), params.orbit_span()).lognorms, params)
+    tol = base_tol + spread
+    margin = np.minimum(lower - a + tol, b + tol - upper)
+    return [containment.SampleRow(
+        label=f"fiber {fiber.index} sample {s}", fiber_index=fiber.index,
+        xi=tuple(xi), lower=lo, upper=hi, target=(a, b), tolerance=t,
+        margin=m, passed=m >= 0.0)
+        for s, (xi, lo, hi, t, m) in enumerate(zip(
+            xis, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist()), start=1)]
 
 
 def general_exponents_enumerate(seq, window, gap_min, tail_fraction, two_sided=False):

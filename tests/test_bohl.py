@@ -10,7 +10,6 @@ from bruteforce import (
     orbit_lognorm_table,
     scalar_bohl_enumerate,
 )
-from dichospec import bohl
 from dichospec.bohl import (
     GAP_MIN,
     TAIL_FRACTION,
@@ -18,8 +17,6 @@ from dichospec.bohl import (
     _bohl_block,
     _envelopes,
     _scalar_tail,
-    _tail_rates,
-    _unit,
     bohl_exponents,
     general_exponents,
     scalar_bohl,
@@ -27,7 +24,6 @@ from dichospec.bohl import (
 )
 from dichospec.errors import ParameterError, ValidationError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
-from dichospec.transition import orbit_lognorms
 
 SMALL = BohlParams(window=96)
 SMALL_TWO_SIDED = BohlParams(window=96, two_sided=True)
@@ -306,65 +302,6 @@ def test_batch_columns_match_single_vectors_on_restricted_fiber():
     assert fiber_system.kind == "tabulated" and fiber_system.dimension == 2
     block = np.random.default_rng(2).standard_normal((2, 4))
     _assert_columns_match_single(fiber_system, block, SMALL_TWO_SIDED)
-
-
-def _swept_as_given(seq, block, params):
-    """(lower, upper, spread) of every column of ``block``, each swept."""
-    return _tail_rates(orbit_lognorms(seq, _unit(block), params.orbit_span()).lognorms, params)
-
-
-def _diagonal_d3():
-    # axes and combinations of two axes; their -1 multiples hold -0 entries
-    seq = MatrixSequence.diagonal([ScalarSequence.seeded(5, (0.4, 0.5)),
-                                   ScalarSequence.seeded(6, (0.9, 1.1)),
-                                   ScalarSequence.seeded(7, (1.8, 2.2))])
-    distinct = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.6],
-                         [0.0, 1.0, 0.0, 1.0, 0.8, 0.0],
-                         [0.0, 0.0, 1.0, 0.0, -0.6, 0.8]])
-    return seq, distinct
-
-
-def _restricted_line():
-    # the 1 x 1 tabulated table of a one-dimensional fiber of a full system
-    from dichospec.bundles import restricted_fiber_system
-    from dichospec.dichotomy import estimate_spectrum
-
-    seq = MatrixSequence.seeded(5, [(0.3, 0.36), (0.6, 0.7), (1.2, 1.4)])
-    _, table = restricted_fiber_system(seq, estimate_spectrum(seq), 2, window=SMALL.window)
-    assert table.kind == "tabulated" and table.dimension == 1
-    return table, np.ones((1, 1))
-
-
-def _scalar_system():
-    return MatrixSequence.diagonal([ScalarSequence.seeded(8, (0.7, 1.3))]), np.ones((1, 1))
-
-
-@pytest.mark.parametrize("params", [SMALL, SMALL_TWO_SIDED], ids=["one-sided", "two-sided"])
-@pytest.mark.parametrize("system", [_diagonal_d3, _restricted_line, _scalar_system],
-                         ids=["diagonal-d3", "restricted-1x1", "scalar-d1"])
-def test_merged_directions_keep_the_bits(system, params, monkeypatch):
-    # repeated, negated and power-of-two scaled columns, and copies with -0
-    # for +0, read the results of their first copy, and those equal both a sweep of the distinct
-    # columns alone and a sweep of every column as given
-    seq, distinct = system()
-    k = distinct.shape[1]
-    signed_zeros = np.where(distinct == 0.0, -0.0, distinct)
-    block = np.concatenate([distinct, -distinct, 0.5 * distinct[:, ::-1], signed_zeros], axis=1)
-    copied = np.concatenate([np.arange(k), np.arange(k), np.arange(k)[::-1], np.arange(k)])
-    widths = []
-
-    def spy(seq, xi, span):
-        widths.append(xi.shape[1])
-        return orbit_lognorms(seq, xi, span)
-
-    monkeypatch.setattr(bohl, "orbit_lognorms", spy)
-    merged = _bohl_block(seq, block, params)
-    assert widths == [k]  # one sweep, of the distinct columns only
-    for got, alone, every in zip(merged, _swept_as_given(seq, distinct, params),
-                                 _swept_as_given(seq, block, params)):
-        assert got.shape == (block.shape[1],)
-        assert np.array_equal(got, alone[copied])
-        assert np.array_equal(got, every)
 
 
 def test_batch_input_errors_keep_their_types():

@@ -137,6 +137,27 @@ def test_fiber_membership_ignores_power_of_two_scaling(v):
     assert not fiber.contains(np.array([1e-170, 1e-171]))
 
 
+@pytest.mark.parametrize("basis", [[[np.nan], [0.0]], [[np.inf], [0.0]], [[-np.inf], [0.0]],
+                                   [[1.0, 0.0], [0.0, np.nan]]], ids=repr)
+def test_fiber_refuses_a_non_finite_basis(basis):
+    # a NaN basis raised numpy's "SVD did not converge", and [[inf], [0]]
+    # passed as orthonormal
+    basis = np.array(basis)
+    with pytest.raises(ValidationError, match="fiber basis is not finite"):
+        SpectralBundleFiber(index=1, basis=basis, dimension=basis.shape[1])
+
+
+@pytest.mark.parametrize("v", [[np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0], [1.0, np.nan],
+                               [1.0, 0.0, 0.0], [1.0], []], ids=repr)
+def test_fiber_membership_refuses_non_finite_or_misshapen_vectors(v):
+    # [inf, 0] warned "invalid value encountered in matmul", [nan, 0] read
+    # as not in the fiber, and a length-3 vector raised numpy's ValueError
+    fiber = SpectralBundleFiber(index=1, basis=np.eye(2)[:, [0]], dimension=1)
+    with pytest.raises(ParameterError, match="need a finite vector of length 2"):
+        fiber.contains(np.array(v))
+    assert fiber.contains([3.0, 0.0]) and not fiber.contains([0.0, 1.0])
+
+
 def test_rotation_fiber_is_the_whole_plane():
     est = estimate_spectrum(quarter_turn())
     fibers = bundle_fibers(est)

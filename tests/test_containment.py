@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bruteforce import bohl_enumerate, fiber_containment_by_fiber, orbit_lognorm_table
+from bruteforce import (bohl_enumerate, fiber_containment_by_fiber, fiber_rows_by_sweep,
+                        orbit_lognorm_table)
 from dichospec import bundles
 from dichospec.bohl import GAP_MIN, TAIL_FRACTION, BohlParams, bohl_exponents, scalar_bohl
 from dichospec.bundles import SpectralBundleFiber
@@ -46,7 +47,7 @@ def test_fiber_containment_on_autonomous_diagonal():
     report = verify_fiber_containment(seq, est, samples_per_fiber=10, params=FAST)
     assert report.passed
     assert report.check == "fiber-containment"
-    assert len(report.rows) == 20
+    assert [r.fiber_index for r in report.rows] == [1, 2]  # one row per 1-d fiber
     assert all(r.margin > 0 for r in report.rows)
     assert report.pass_rate == 1.0
     assert report.base_tolerance == pytest.approx(TOLERANCE_FACTOR * est.refine_tol)
@@ -99,6 +100,22 @@ def test_rows_match_direct_enumeration():
             table, 96, 96, GAP_MIN, TAIL_FRACTION, True)
         assert row.lower == pytest.approx(want_lower, rel=1e-12)
         assert row.upper == pytest.approx(want_upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [FAST, BohlParams(window=512, two_sided=True)],
+                         ids=["one-sided", "two-sided"])
+def test_global_check_of_a_d1_system_is_one_row(params):
+    # every vector of a d = 1 system is a multiple of (1.0); 50 rows once
+    # repeated its bits
+    seq = piecewise_scalar()
+    est = estimate_spectrum(seq)
+    report = verify_global_containment(seq, est, samples=50, seed=3, params=params)
+    row, = report.rows
+    assert row.label == "global sample 1" and row.xi == (1.0,)
+    for xi in ([1.0], [-1.0]):
+        single = bohl_exponents(seq, np.array(xi), params)
+        assert abs(row.lower - single.lower) <= 1e-12
+        assert abs(row.upper - single.upper) <= 1e-12
 
 
 def test_periodic_hull_agrees_with_monodromy_points():
@@ -199,7 +216,8 @@ def test_endpoint_check_refuses_a_significance_report_of_another_system():
 def test_checks_refuse_a_negative_or_nan_tolerance(check):
     seq = diag_2_half_structural()
     est = estimate_spectrum(seq)
-    for tolerance in (-1.0, -1e-300, float("nan")):
+    # an infinite tolerance passed any target, and True was kept as a bool
+    for tolerance in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf"), True):
         with pytest.raises(ParameterError, match="tolerance must be at least 0"):
             check(seq, est, tolerance=tolerance)
     extra = {} if check is verify_endpoint_attainability else {"params": FAST}
@@ -209,13 +227,17 @@ def test_checks_refuse_a_negative_or_nan_tolerance(check):
 @pytest.mark.parametrize("check, key", [(verify_fiber_containment, "samples_per_fiber"),
                                         (verify_global_containment, "samples")])
 def test_sample_counts_must_be_integers(check, key):
-    seq = diag_2_half_structural()
+    # a two-dimensional fiber at 0.5 beside a one-dimensional one at 2, so
+    # both counts set a number of rows
+    seq = MatrixSequence.diagonal([ScalarSequence.constant(2.0), ScalarSequence.constant(0.5),
+                                   ScalarSequence.constant(0.5)])
     est = estimate_spectrum(seq)
+    assert [f.dimension for f in bundles.bundle_fibers(est)] == [2, 1]
     for count in (2.5, 3.0, True, "3"):
         with pytest.raises(ParameterError, match=f"{key} must be an integer"):
             check(seq, est, params=FAST, **{key: count})
     report = check(seq, est, params=FAST, **{key: np.int64(2)})
-    assert len(report.rows) == (4 if key == "samples_per_fiber" else 2)
+    assert len(report.rows) == (2 + 1 if key == "samples_per_fiber" else 2)
 
 
 def test_reports_are_deterministic_and_batch_exact():
@@ -279,8 +301,7 @@ def forced_diagonal_case():
                                   forced_seeded_case, forced_diagonal_case],
                          ids=["roster", "two-dim-fiber", "forced-seeded", "forced-diagonal"])
 def test_grouped_rows_equal_the_per_fiber_loop(case):
-    # grouping fibers by orbit system and merging repeated directions
-    # keep every row's bits
+    # grouping fibers by orbit system keeps every row's bits
     seq, est, kwargs = case()
     got = verify_fiber_containment(seq, est, **kwargs)
     want = fiber_containment_by_fiber(seq, est, **kwargs)
@@ -292,16 +313,29 @@ def test_grouped_rows_equal_the_per_fiber_loop(case):
         assert len({r.fiber_index for r in got.failures()}) >= 2
 
 
-def test_one_dimensional_fiber_rows_share_their_bits():
-    # the premise of merging directions: the samples of a one-dimensional
-    # fiber are +-1 times one vector, and their orbits swept side by side
-    # give every row the same lower, upper and tolerance bits
-    for seq, est, kwargs in (roster_case(), forced_seeded_case()):
-        report = fiber_containment_by_fiber(seq, est, **kwargs)
-        for index in (1, 2, 3):
-            rows = [r for r in report.rows if r.fiber_index == index]
-            assert len({(r.lower, r.upper, r.tolerance) for r in rows}) == 1
-            assert len({tuple(np.abs(r.xi)) for r in rows}) == 1
+@pytest.mark.parametrize("two_sided", [False, True], ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("case", [roster_case, forced_seeded_case],
+                         ids=["diagonal", "restricted"])
+def test_one_dimensional_fibers_are_checked_once(case, two_sided):
+    # every vector of a one-dimensional fiber is c times one vector b, so
+    # the fiber gets one row, on b, whose bits are those of the sweeps of
+    # +b and of -b alike
+    seq, est, kwargs = case()
+    params = BohlParams(window=FAST.window, two_sided=two_sided)
+    kwargs = dict(kwargs, params=params)
+    report = verify_fiber_containment(seq, est, **kwargs)
+    assert [r.fiber_index for r in report.rows] == [1, 2, 3]
+    base_tol = report.base_tolerance
+    for row, fiber in zip(report.rows, bundles.bundle_fibers(est)):
+        assert row.label == f"fiber {fiber.index} sample 1"
+        plus, = fiber_rows_by_sweep(seq, est, fiber, np.ones((1, 1)), base_tol, params)
+        minus, = fiber_rows_by_sweep(seq, est, fiber, -np.ones((1, 1)), base_tol, params)
+        assert row == plus
+        assert minus.xi == tuple(-x for x in row.xi)
+        assert replace(minus, xi=row.xi) == row
+    if seq.kind == "diagonal":
+        assert [r.xi for r in report.rows] == [tuple(f.basis[:, 0])
+                                               for f in bundles.bundle_fibers(est)]
 
 
 def test_forced_escalation_sweeps_each_restriction_window_once(monkeypatch):
@@ -320,7 +354,7 @@ def test_forced_escalation_sweeps_each_restriction_window_once(monkeypatch):
     seq, est, kwargs = forced_seeded_case()
     kwargs["params"] = BohlParams(window=512)
     report = verify_fiber_containment(seq, est, **kwargs)
-    assert len(report.failures()) >= 2 * kwargs["samples_per_fiber"]
+    assert len(report.failures()) >= 2  # one row per one-dimensional fiber
     assert len({r.fiber_index for r in report.failures()}) >= 2
     assert sweeps == [512]
 

@@ -347,6 +347,20 @@ def test_cli_verify_is_deterministic(tmp_path):
                         "endpoint-attainability": "pass"}
 
 
+@pytest.mark.parametrize("name", sorted(p.name[: -len(".json")] for p in SCENARIO_DIR.iterdir()
+                                        if p.name.endswith(".json")))
+def test_verify_rows_count_directions(tmp_path, capsys, name):
+    # a one-dimensional fiber or a d = 1 system once gave 20 or 50 rows of
+    # one direction (+-b); now no two sampled rows share a fiber and |xi|
+    main(["verify", bundled(name), "--out", str(tmp_path), "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    sampled = [r for r in doc["reports"] if r["check"] != "endpoint-attainability"]
+    assert len(sampled) == 2
+    for report in sampled:
+        keys = [(row["fiber"], tuple(abs(x) for x in row["xi"])) for row in report["rows"]]
+        assert report["rows"] and len(set(keys)) == len(keys)
+
+
 # retired analysis key -> (a value it loads at, a value it is refused at);
 # "jobs" once capped containment worker threads and loads at any value
 _RETIRED = {"jobs": (4, None), "grid_points": (GRID_POINTS, 96),
