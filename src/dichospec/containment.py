@@ -2,25 +2,25 @@
 
 Three checks, each producing a :class:`ContainmentReport`:
 
-* fiber containment: Bohl intervals of vectors sampled inside each
-  spectral bundle fiber land in the fiber's spectral interval;
-* global containment: Bohl intervals of arbitrary vectors land in the
-  hull of the spectrum;
+* fiber containment: Bohl intervals of vectors inside each spectral
+  bundle fiber land in the fiber's spectral interval;
+* global containment: Bohl intervals of every solution land in the hull
+  of the spectrum, checked on the fiber directions, which span the
+  whole space (a Whitney sum);
 * endpoint attainability: for systems with trustworthy diagonal data,
   every interval endpoint is witnessed by a coordinate Bohl exponent.
 
-Every vector of a one-dimensional fiber or a d = 1 system is a multiple
-of one vector and has its Bohl exponents, so it is checked once, in one
-row; ``samples_per_fiber`` and ``samples`` apply from dimension 2.
-Samples are estimated in groups, one per orbit system: the global set,
-all fibers of a diagonal system (each samples the system itself), and
-each fiber of any other kind (each has its own restricted table).  A
-group's vectors are the columns of one block carried through a single
-orbit sweep, and only the aggregation tail of the gaps is enveloped,
-since a row reads only the lower and upper exponents and the tail
-spread.  Columns equal per-vector :func:`dichospec.bohl.bohl_exponents`
-up to rounding.  Each sample is measured once, at the window of the
-given :class:`BohlParams`.
+Every vector of a one-dimensional fiber is a multiple of one vector and
+has its Bohl exponents, so such a fiber is checked once, in one row;
+``samples_per_fiber`` and ``samples`` count seeded unit vectors inside a
+fiber of dimension 2 or more.  Rows are estimated in groups, one per
+orbit system: all fibers of a diagonal system, or each fiber of any
+other kind on its own restricted table.  A group's vectors are the
+columns of one block carried through a single orbit sweep, and only the
+aggregation tail of the gaps is enveloped, since a row reads only the
+lower and upper exponents and the tail spread.  Columns equal
+per-vector :func:`dichospec.bohl.bohl_exponents` up to rounding.  Each
+sample is measured once, at the window of the given :class:`BohlParams`.
 
 All sampling is driven by an explicit seed, so reports are reproducible
 bit for bit.  Tolerances combine the spectrum refinement tolerance with
@@ -29,6 +29,7 @@ the finite-window spread of each Bohl estimate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .bohl import _checked_count
 from .bundles import SpectralBundleFiber, _fiber_index, bundle_fibers, restricted_fiber_system
 from .dichotomy import SpectrumEstimate, _same_dimension
 from .errors import ParameterError
-from .sequences import MatrixSequence
+from .sequences import MatrixSequence, _seed_value
 
 TOLERANCE_FACTOR = 5.0
 
@@ -112,35 +113,6 @@ def _default_id(seq: MatrixSequence) -> str:
     return "-".join(parts)
 
 
-def _group_rows(groups, base_tol: float, params: BohlParams) -> list[SampleRow]:
-    """Rows of ``groups``, a list of ``(system, samples)``.
-
-    Each sample is a ``(label, fiber_index, orbit_vec, xi, target)``
-    tuple: ``orbit_vec`` starts the orbit in the coordinates of
-    ``system``, and the row reports the ambient vector ``xi`` against its
-    own ``target`` interval.  A group's orbits run as one block (see
-    :func:`dichospec.bohl._bohl_block`).
-
-    Columns of a block do not interact, and on the systems whose groups
-    hold several fibers (diagonal ones) every sum of a product has a
-    single nonzero term, so grouping gives each row the bits of a block
-    per fiber.  Margins and tolerances are taken sample by sample with
-    the same operations as for one target.
-    """
-    rows: list[SampleRow] = []
-    for system, samples in groups:
-        vecs = np.array([vec for _, _, vec, _, _ in samples]).T
-        lower, upper, spread = _bohl_block(system, vecs, params)
-        a, b = np.array([target for *_, target in samples]).T
-        tol = base_tol + spread
-        margin = np.minimum(lower - a + tol, b + tol - upper)
-        rows += [SampleRow(label=label, fiber_index=index, xi=tuple(xi), lower=lo, upper=hi,
-                           target=target, tolerance=t, margin=m, passed=m >= 0.0)
-                 for (label, index, _, xi, target), lo, hi, t, m in zip(
-                     samples, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist())]
-    return rows
-
-
 def _report(seq: MatrixSequence, check: str, rows: list[SampleRow],
             base_tol: float, system_id: str | None) -> ContainmentReport:
     status = "pass" if all(r.passed for r in rows) else "fail"
@@ -150,12 +122,13 @@ def _report(seq: MatrixSequence, check: str, rows: list[SampleRow],
 
 def _base_tolerance(tolerance: float | None, spectrum: SpectrumEstimate) -> float:
     """The given tolerance, or TOLERANCE_FACTOR times the refinement one;
-    a bool, or a value that is negative, infinite or NaN, raises
-    :class:`ParameterError`."""
+    a bool, anything else that is not a real number, or a value that is
+    negative, infinite or NaN, raises :class:`ParameterError`."""
     if tolerance is None:
         return TOLERANCE_FACTOR * spectrum.refine_tol
-    if isinstance(tolerance, (bool, np.bool_)) or not 0.0 <= tolerance < np.inf:
-        raise ParameterError(f"tolerance must be at least 0 and finite, got {tolerance}")
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+            or not 0.0 <= tolerance < np.inf):
+        raise ParameterError(f"tolerance must be at least 0 and finite, got {tolerance!r}")
     return tolerance
 
 
@@ -174,6 +147,65 @@ def _unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return out
 
 
+def _sampled_report(seq: MatrixSequence, spectrum: SpectrumEstimate,
+                    fibers: tuple[SpectralBundleFiber, ...] | None, check: str,
+                    count: int, count_name: str, tolerance: float | None, seed: int,
+                    params: BohlParams | None, system_id: str | None) -> ContainmentReport:
+    """The fiber or the global report: rows on each fiber's directions,
+    held against its interval or, for the global check, the hull.  The
+    fibers on one orbit system run as one block (see
+    :func:`dichospec.bohl._bohl_block`); its columns do not interact, and
+    on a diagonal system every sum of a product has a single nonzero
+    term, so each row keeps the bits of a block per fiber."""
+    _same_dimension(seq, spectrum.dimension, "the spectrum")
+    base_tol = _base_tolerance(tolerance, spectrum)
+    if _checked_count(count, count_name) < 1:
+        raise ParameterError(f"{count_name} must be at least 1")
+    rng = np.random.default_rng(_seed_value(seed))
+    if fibers is None:
+        fibers = bundle_fibers(spectrum)
+    params = params or BohlParams()
+    whole = check == "global-containment"
+    groups, n = [], 0
+    for fiber in fibers:
+        index = _fiber_index(spectrum, fiber.index)
+        _same_dimension(seq, fiber.basis.shape[0], f"fiber {index}")
+        rank_jump = spectrum.gap_ranks[index] - spectrum.gap_ranks[index - 1]
+        if fiber.dimension != rank_jump:
+            raise ParameterError(f"fiber {index} has dimension {fiber.dimension}, "
+                                 f"not the {rank_jump} of its gap ranks")
+        interval = spectrum.intervals[index - 1]
+        coeffs = _unit_samples(rng, count, fiber.dimension)
+        if seq.kind == "diagonal":
+            # coordinate axes are exactly invariant, so the raw system
+            # tracks any fiber without leaking onto faster ones
+            basis, system = fiber.basis, seq
+        else:
+            basis, system = restricted_fiber_system(
+                seq, spectrum, index, window=params.window)
+        xis = np.array([basis @ c for c in coeffs])
+        samples = [(f"global sample {n + s}" if whole else f"fiber {index} sample {s}",
+                    index, v, xi, spectrum.hull if whole else (interval.a, interval.b))
+                   for s, (v, xi) in enumerate(zip(xis if system is seq else coeffs, xis),
+                                               start=1)]
+        n += len(samples)
+        if groups and groups[-1][0] is system:  # fibers sampled on one system
+            groups[-1][1].extend(samples)
+        else:
+            groups.append((system, samples))
+    rows = []
+    for system, samples in groups:
+        lower, upper, spread = _bohl_block(system, np.array([s[2] for s in samples]).T, params)
+        a, b = np.array([s[4] for s in samples]).T
+        tol = base_tol + spread
+        margin = np.minimum(lower - a + tol, b + tol - upper)
+        rows += [SampleRow(label=label, fiber_index=index, xi=tuple(xi), lower=lo, upper=hi,
+                           target=target, tolerance=t, margin=m, passed=m >= 0.0)
+                 for (label, index, _, xi, target), lo, hi, t, m in zip(
+                     samples, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist())]
+    return _report(seq, check, rows, base_tol, system_id)
+
+
 def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                              fibers: tuple[SpectralBundleFiber, ...] | None = None,
                              *, samples_per_fiber: int = 20,
@@ -184,62 +216,28 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     """Check that vectors inside each fiber keep their Bohl interval
     inside the matching spectral interval.
 
-    Fibers default to :func:`bundle_fibers` of the estimate.  A fiber
-    index outside the estimate's intervals, a basis of another ambient
-    dimension than the system's, or a fiber dimension other than its
-    interval's gap-rank jump raises :class:`ParameterError`.  A
-    one-dimensional fiber is checked once, on its basis vector; from
-    dimension 2 each of ``samples_per_fiber`` samples is a unit vector with
-    seeded Gaussian coordinates in the fiber basis.  A claim passes when
-    ``[lower, upper]`` of its Bohl estimate lies in the target interval
-    inflated by the tolerance: ``tolerance`` (at least 0; by default
+    Fibers default to :func:`bundle_fibers` of the estimate, which raises
+    :class:`~dichospec.errors.SubspaceError` on an estimate without them.
+    A fiber index outside the estimate's intervals, a basis of another
+    ambient dimension than the system's, a fiber dimension other than its
+    interval's gap-rank jump, or a ``seed`` that is not a nonnegative
+    integer raises :class:`ParameterError`.  A one-dimensional fiber is
+    checked once, on its basis vector; from dimension 2 each of
+    ``samples_per_fiber`` samples is a unit vector with seeded Gaussian
+    coordinates in the fiber basis.  A claim passes when ``[lower, upper]``
+    of its Bohl estimate lies in the target interval inflated by
+    ``tolerance`` (a real number, at least 0; by default
     ``TOLERANCE_FACTOR`` times the spectrum's ``refine_tol``) plus the
-    spread of the estimate.  Each sample is measured once, at the window
-    of ``params``.
+    spread of the estimate.
 
-    Diagonal systems are sampled directly in the given bases, all fibers
-    in one block.  Any other kind goes through
-    :func:`dichospec.bundles.restricted_fiber_system`, which tracks the
-    fiber frame across the window and samples in that frame, not in the
-    given basis; without it, rounding leaks every sample onto the fastest
-    fiber within a few dozen steps.
+    Diagonal systems are sampled in the given bases, all fibers in one
+    block.  Any other kind is sampled in the frame that
+    :func:`dichospec.bundles.restricted_fiber_system` tracks across the
+    window, not in the given basis; without it, rounding leaks every
+    sample onto the fastest fiber within a few dozen steps.
     """
-    _same_dimension(seq, spectrum.dimension, "the spectrum")
-    base_tol = _base_tolerance(tolerance, spectrum)
-    if _checked_count(samples_per_fiber, "samples_per_fiber") < 1:
-        raise ParameterError("samples_per_fiber must be at least 1")
-    if fibers is None:
-        fibers = bundle_fibers(spectrum)
-    params = params or BohlParams()
-    rng = np.random.default_rng(seed)
-    groups = []
-    for fiber in fibers:
-        index = _fiber_index(spectrum, fiber.index)
-        _same_dimension(seq, fiber.basis.shape[0], f"fiber {index}")
-        rank_jump = spectrum.gap_ranks[index] - spectrum.gap_ranks[index - 1]
-        if fiber.dimension != rank_jump:
-            raise ParameterError(f"fiber {index} has dimension {fiber.dimension}, "
-                                 f"not the {rank_jump} of its gap ranks")
-        interval = spectrum.intervals[index - 1]
-        coeffs = _unit_samples(rng, samples_per_fiber, fiber.dimension)
-        if seq.kind == "diagonal":
-            # coordinate axes are exactly invariant, so the raw system
-            # tracks any fiber without leaking onto faster ones
-            basis, system = fiber.basis, seq
-        else:
-            basis, system = restricted_fiber_system(
-                seq, spectrum, index, window=params.window)
-        xis = np.array([basis @ c for c in coeffs])
-        samples = [(f"fiber {index} sample {s}", index, v, xi,
-                    (interval.a, interval.b))
-                   for s, (v, xi) in enumerate(zip(xis if system is seq else coeffs, xis),
-                                               start=1)]
-        if groups and groups[-1][0] is system:  # fibers sampled on one system
-            groups[-1][1].extend(samples)
-        else:
-            groups.append((system, samples))
-    rows = _group_rows(groups, base_tol, params)
-    return _report(seq, "fiber-containment", rows, base_tol, system_id)
+    return _sampled_report(seq, spectrum, fibers, "fiber-containment", samples_per_fiber,
+                           "samples_per_fiber", tolerance, seed, params, system_id)
 
 
 def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
@@ -248,20 +246,21 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
                               seed: int = 0,
                               params: BohlParams | None = None,
                               system_id: str | None = None) -> ContainmentReport:
-    """Check that arbitrary unit vectors keep their Bohl interval inside
-    the hull of the spectrum (first lower endpoint to last upper one);
-    a d = 1 system is checked once, on the vector (1.0);
-    ``tolerance`` (at least 0) is as in :func:`verify_fiber_containment`."""
-    _same_dimension(seq, spectrum.dimension, "the spectrum")
-    base_tol = _base_tolerance(tolerance, spectrum)
-    if _checked_count(samples, "samples") < 1:
-        raise ParameterError("samples must be at least 1")
-    params = params or BohlParams()
-    vectors = _unit_samples(np.random.default_rng(seed), samples, seq.dimension)
-    group = [(f"global sample {s}", None, v, v, spectrum.hull)
-             for s, v in enumerate(vectors, start=1)]
-    rows = _group_rows([(seq, group)], base_tol, params)
-    return _report(seq, "global-containment", rows, base_tol, system_id)
+    """Check that every solution keeps its Bohl interval inside the hull
+    of the spectrum (first lower endpoint to last upper one).
+
+    The fibers of :func:`bundle_fibers` form a Whitney sum of the whole
+    space with bounded projectors, so a solution's Bohl interval lies in
+    the hull of its fiber components' intervals (Dieci & Van Vleck,
+    J. Dynam. Differential Equations 19, 2007).  So the rows are those of
+    :func:`verify_fiber_containment`, with ``samples`` vectors inside a
+    fiber of dimension 2 or more, each held against the hull and carrying
+    its fiber's index; a d = 1 system is one row, on (1.0).  An estimate
+    without fibers (a degenerate one) raises
+    :class:`~dichospec.errors.SubspaceError`.
+    """
+    return _sampled_report(seq, spectrum, None, "global-containment", samples,
+                           "samples", tolerance, seed, params, system_id)
 
 
 def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimate,

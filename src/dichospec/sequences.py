@@ -34,6 +34,7 @@ numpy's per-index seeding in vectorized integer arithmetic, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable
 
@@ -151,7 +152,7 @@ def _scalar_entries(entries, what: str) -> tuple["ScalarSequence", ...]:
 
 
 def _seed_value(seed: int) -> int:
-    value = int(seed)
+    value = int(seed) if isinstance(seed, numbers.Real) and abs(seed) < math.inf else -1
     if value < 0 or value != seed or isinstance(seed, bool):
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     return value

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +16,10 @@ from dichospec.containment import (
     verify_fiber_containment,
     verify_global_containment,
 )
-from dichospec.dichotomy import DichotomyAnalyzer, DichotomyParams, estimate_spectrum
-from dichospec.errors import ParameterError
+from dichospec.dichotomy import (DichotomyAnalyzer, DichotomyParams, SpectralInterval,
+                                 estimate_spectrum)
+from dichospec.errors import ParameterError, SubspaceError
+from dichospec.scenario import load_scenario
 from dichospec.sequences import MatrixSequence, ScalarSequence
 from dichospec.triangularize import SignificanceReport
 from systems import random_periodic, separated_banded_diagonal
@@ -67,16 +70,60 @@ def test_fiber_containment_refuses_a_fiber_index_outside_the_intervals():
 
 
 def test_global_containment_covers_mixed_vectors():
+    # the rows sit on the fiber directions, and every mixed vector keeps
+    # its Bohl interval inside the range of the rows
     seq = diag_2_half()
     est = estimate_spectrum(seq)
-    report = verify_global_containment(
-        seq, est, samples=8, params=BohlParams(window=512, two_sided=True))
+    params = BohlParams(window=512, two_sided=True)
+    report = verify_global_containment(seq, est, samples=8, params=params)
     assert report.passed
+    assert [r.fiber_index for r in report.rows] == [1, 2]
     lo, hi = est.hull
     for row in report.rows:
         assert row.target == (lo, hi)
         assert row.lower >= lo - row.tolerance
         assert row.upper <= hi + row.tolerance
+    floor = min(r.lower - r.tolerance for r in report.rows)
+    ceiling = max(r.upper + r.tolerance for r in report.rows)
+    mixed = np.random.default_rng(8).standard_normal((8, 2))
+    assert np.all(mixed != 0.0)
+    for xi in mixed:
+        single = bohl_exponents(seq, xi, params)
+        assert floor <= single.lower <= single.upper <= ceiling
+
+
+def test_global_check_reaches_the_bottom_fiber():
+    # on autonomous-diagonal's system the first interval moved up 4 %: its
+    # fiber's row leaves the hull, where 50 one-sided samples of the plane
+    # all read the top fiber's rates and passed
+    scn = load_scenario(str(resources.files("dichospec") / "scenarios"
+                            / "autonomous-diagonal.json"))
+    est = estimate_spectrum(scn.system, refine_tol=scn.analysis["refine_tol"],
+                            params=scn.dichotomy_params())
+    first = est.intervals[0]
+    moved = replace(est, intervals=(replace(first, a=1.04 * first.a, b=1.04 * first.b),
+                                    *est.intervals[1:]))
+    params = scn.bohl_params()
+    assert not params.two_sided
+    assert verify_global_containment(scn.system, est, params=params).passed
+    report = verify_global_containment(scn.system, moved, params=params)
+    assert report.status == "fail"
+    failed, = report.failures()
+    assert failed.fiber_index == 1 and failed.xi == (0.0, 1.0)
+    assert failed.lower < moved.hull[0] - failed.tolerance
+
+
+@pytest.mark.parametrize("check", [verify_fiber_containment, verify_global_containment],
+                         ids=["fiber", "global"])
+def test_sampled_checks_refuse_an_estimate_without_fibers(check):
+    # a degenerate estimate certifies no gap, so it has no fibers to
+    # check on; the global check once sampled the plane against its hull
+    seq = diag_2_half()
+    est = estimate_spectrum(seq)
+    degenerate = replace(est, intervals=(SpectralInterval(*est.hull, low_confidence=True),),
+                         gap_ranks=(0, 2), gap_certificates=(), degenerate=True)
+    with pytest.raises(SubspaceError, match="need 2 gap certificates"):
+        check(seq, degenerate, params=FAST)
 
 
 def test_mixed_vector_attains_both_hull_endpoints():
@@ -217,7 +264,9 @@ def test_checks_refuse_a_negative_or_nan_tolerance(check):
     seq = diag_2_half_structural()
     est = estimate_spectrum(seq)
     # an infinite tolerance passed any target, and True was kept as a bool
-    for tolerance in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf"), True):
+    # "0.1" and 1j ended in a bare TypeError
+    for tolerance in (-1.0, -1e-300, float("nan"), float("inf"), -float("inf"), True,
+                      "0.1", 1j):
         with pytest.raises(ParameterError, match="tolerance must be at least 0"):
             check(seq, est, tolerance=tolerance)
     extra = {} if check is verify_endpoint_attainability else {"params": FAST}
@@ -237,7 +286,20 @@ def test_sample_counts_must_be_integers(check, key):
         with pytest.raises(ParameterError, match=f"{key} must be an integer"):
             check(seq, est, params=FAST, **{key: count})
     report = check(seq, est, params=FAST, **{key: np.int64(2)})
-    assert len(report.rows) == (2 + 1 if key == "samples_per_fiber" else 2)
+    assert [r.fiber_index for r in report.rows] == [1, 1, 2]
+
+
+@pytest.mark.parametrize("check", [verify_fiber_containment, verify_global_containment],
+                         ids=["fiber", "global"])
+def test_sampled_checks_refuse_a_seed_that_is_not_a_nonnegative_integer(check):
+    # numpy raised a ValueError or a TypeError, True seeded as 1 and None
+    # drew an unseeded generator
+    seq = diag_2_half_structural()
+    est = estimate_spectrum(seq)
+    for seed in (-1, 1.5, "3", True, None, float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="seed must be a nonnegative integer"):
+            check(seq, est, seed=seed, params=FAST)
+    assert check(seq, est, seed=np.int64(3), params=FAST).passed
 
 
 def test_reports_are_deterministic_and_batch_exact():

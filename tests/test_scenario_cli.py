@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dichospec.bohl import GAP_MIN, TAIL_FRACTION, BohlParams, bohl_exponents
+from dichospec.bundles import bundle_fibers
 from dichospec.cli import main
 from dichospec.containment import (SampleRow, verify_fiber_containment,
                                    verify_global_containment)
@@ -347,18 +348,53 @@ def test_cli_verify_is_deterministic(tmp_path):
                         "endpoint-attainability": "pass"}
 
 
-@pytest.mark.parametrize("name", sorted(p.name[: -len(".json")] for p in SCENARIO_DIR.iterdir()
-                                        if p.name.endswith(".json")))
+BUNDLED = sorted(p.name[: -len(".json")] for p in SCENARIO_DIR.iterdir()
+                 if p.name.endswith(".json"))
+
+
+def _verify_reports(tmp_path, capsys, name, *flags):
+    main(["verify", bundled(name), "--out", str(tmp_path), "--format", "json", *flags])
+    return {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_verify_rows_count_directions(tmp_path, capsys, name):
     # a one-dimensional fiber or a d = 1 system once gave 20 or 50 rows of
-    # one direction (+-b); now no two sampled rows share a fiber and |xi|
-    main(["verify", bundled(name), "--out", str(tmp_path), "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    sampled = [r for r in doc["reports"] if r["check"] != "endpoint-attainability"]
-    assert len(sampled) == 2
-    for report in sampled:
-        keys = [(row["fiber"], tuple(abs(x) for x in row["xi"])) for row in report["rows"]]
-        assert report["rows"] and len(set(keys)) == len(keys)
+    # one direction (+-b); now no two sampled rows share a fiber and |xi|.
+    # Both checks count rows per fiber: 1 on a one-dimensional fiber, else
+    # samples_per_fiber or samples (the global check once drew 50 vectors
+    # of the whole space on every d >= 2 system)
+    reports = _verify_reports(tmp_path, capsys, name)
+    scn = load_scenario(bundled(name))
+    dims = [f.dimension for f in bundle_fibers(estimate_spectrum(
+        scn.system, refine_tol=scn.analysis["refine_tol"], params=scn.dichotomy_params()))]
+    for check, key in (("fiber-containment", "samples_per_fiber"),
+                       ("global-containment", "samples")):
+        rows = reports[check]["rows"]
+        keys = [(row["fiber"], tuple(abs(x) for x in row["xi"])) for row in rows]
+        assert rows and len(set(keys)) == len(keys)
+        want = [i for i, k in enumerate(dims, start=1)
+                for _ in range(1 if k == 1 else scn.analysis[key])]
+        assert [row["fiber"] for row in rows] == want
+
+
+@pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_global_rows_of_one_dimensional_fibers_are_the_fiber_rows(tmp_path, capsys, name, flags):
+    # the global check holds the fiber directions against the hull, so a
+    # one-dimensional fiber's global row is its fiber row, bit for bit
+    reports = _verify_reports(tmp_path, capsys, name, *flags)
+    fiber_rows = reports["fiber-containment"]["rows"]
+    global_rows = reports["global-containment"]["rows"]
+    by_fiber = {}
+    for row in fiber_rows:
+        by_fiber.setdefault(row["fiber"], []).append(row)
+    keys = ("lower", "upper", "xi", "fiber")
+    lines = [rows[0] for rows in by_fiber.values() if len(rows) == 1]
+    assert lines or name == "rotation"
+    for row in lines:
+        twin, = [g for g in global_rows if g["fiber"] == row["fiber"]]
+        assert [twin[k] for k in keys] == [row[k] for k in keys]
 
 
 # retired analysis key -> (a value it loads at, a value it is refused at);

@@ -363,11 +363,14 @@ def test_negative_seeds_are_rejected():
     lambda: MatrixSequence.seeded(1, bands=((0.4, 0.5), (1.6, 2.0)), eps=float("nan")),
     lambda: ScalarSequence.seeded(1.5, (0.5, 0.8)),
     lambda: MatrixSequence.seeded(True, bands=((0.4, 0.5), (1.6, 2.0))),
+    # a bare TypeError and OverflowError from int()
+    lambda: ScalarSequence.seeded(None, (0.5, 0.8)),
+    lambda: MatrixSequence.seeded(float("inf"), bands=((0.4, 0.5), (1.6, 2.0))),
     lambda: MatrixSequence.upper_triangular(
         [ScalarSequence.constant(2.0), ScalarSequence.constant(0.5)],
         {(0.5, 1.9): ScalarSequence.constant(1.0)}),
 ], ids=["constant-nan", "constant-inf", "tabulated-nan", "eps-nan", "seed-1.5", "seed-true",
-        "offdiagonal-index-0.5"])
+        "seed-none", "seed-inf", "offdiagonal-index-0.5"])
 def test_non_finite_values_and_non_integer_seeds_are_refused(build):
     with pytest.raises(ParameterError):
         build()
