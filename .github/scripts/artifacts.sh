@@ -9,11 +9,15 @@
 #
 # `bohl --xi 1,1` needs a d = 2 system.  `oracle` is the only command that
 # reaches transition(); it runs on the four periodic scenarios (the other
-# three exit 3 by design).  The bundled scenarios are one-sided, so the two
+# three exit 3 by design).  The bundled scenarios are one-sided, so the
 # --two-sided runs are the only ones that carry orbits backward; they write
 # to their own directory because their artifact names equal the one-sided
-# ones.  So do the two `spectrum --refine-tol 1e-16` runs, whose brackets
-# are bisected down to adjacent floats, below the spacing of any tolerance.
+# ones.  `verify --two-sided` runs on every kind of orbit system the
+# containment checks sweep: a diagonal system, a sampled two-dimensional
+# fiber (rotation), and restricted fibers of a general and of an upper
+# triangular system.  The two `spectrum --refine-tol 1e-16` runs also write
+# to their own directory; their brackets are bisected down to adjacent
+# floats, below the spacing of any tolerance.
 set -eo pipefail
 out=${1:?usage: artifacts.sh OUT_DIR}
 
@@ -35,8 +39,10 @@ done
 for name in autonomous-diagonal periodic-scalar rotation triangular-constant; do
   run "$out" "$name" oracle
 done
-for name in autonomous-diagonal seeded-pair-d2; do
+for name in autonomous-diagonal rotation seeded-pair-d2 triangular-constant; do
   run "$out/two-sided" "$name" verify --two-sided
+done
+for name in autonomous-diagonal seeded-pair-d2; do
   run "$out/two-sided" "$name" bohl --xi 1,1 --two-sided
   run "$out/float-resolution" "$name" spectrum --refine-tol 1e-16
 done

@@ -16,8 +16,7 @@ from typing import Any
 
 from .bohl import GAP_MIN, TAIL_FRACTION, BohlEstimate, bohl_exponents
 from .bundles import WhitneyReport, bundle_fibers, whitney_sum_check
-from .containment import (ContainmentReport, verify_endpoint_attainability,
-                          verify_fiber_containment, verify_global_containment)
+from .containment import ContainmentReport, _sampled_reports, verify_endpoint_attainability
 from .dichotomy import (_VERDICT_CSV_HEADER, DichotomyVerdict, SpectrumEstimate,
                         estimate_spectrum, periodic_spectrum_oracle, test_dichotomy)
 from .errors import DichospecError
@@ -252,12 +251,13 @@ def _cmd_triangularize(scn: Scenario, args: argparse.Namespace) -> _Output:
 def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> _Output:
     a = scn.analysis
     est = _spectrum(scn)
-    common = dict(tolerance=a["tolerance"], seed=a["seed"],
-                  params=scn.bohl_params(), system_id=scn.name)
+    # verify_fiber_containment's and verify_global_containment's reports from
+    # one pass: each fiber system is built, and each distinct block swept, once
     reports = [
-        verify_fiber_containment(scn.system, est,
-                                 samples_per_fiber=a["samples_per_fiber"], **common),
-        verify_global_containment(scn.system, est, samples=a["samples"], **common),
+        *_sampled_reports(scn.system, est, None,
+                          (("fiber-containment", a["samples_per_fiber"], "samples_per_fiber"),
+                           ("global-containment", a["samples"], "samples")),
+                          a["tolerance"], a["seed"], scn.bohl_params(), scn.name),
         verify_endpoint_attainability(scn.system, est, tolerance=a["tolerance"],
                                       system_id=scn.name),
     ]

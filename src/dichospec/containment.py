@@ -20,7 +20,10 @@ columns of one block carried through a single orbit sweep, and only the
 aggregation tail of the gaps is enveloped, since a row reads only the
 lower and upper exponents and the tail spread.  Columns equal
 per-vector :func:`dichospec.bohl.bohl_exponents` up to rounding.  Each
-sample is measured once, at the window of the given :class:`BohlParams`.
+sample is measured once, at the window of the given :class:`BohlParams`:
+when the fiber and global checks share a pass (``dichospec verify``),
+each fiber system is built once and a block both checks ask for, as on
+every one-dimensional fiber, is swept once.
 
 All sampling is driven by an explicit seed, so reports are reproducible
 bit for bit.  Tolerances combine the spectrum refinement tolerance with
@@ -147,26 +150,29 @@ def _unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return out
 
 
-def _sampled_report(seq: MatrixSequence, spectrum: SpectrumEstimate,
-                    fibers: tuple[SpectralBundleFiber, ...] | None, check: str,
-                    count: int, count_name: str, tolerance: float | None, seed: int,
-                    params: BohlParams | None, system_id: str | None) -> ContainmentReport:
-    """The fiber or the global report: rows on each fiber's directions,
-    held against its interval or, for the global check, the hull.  The
-    fibers on one orbit system run as one block (see
-    :func:`dichospec.bohl._bohl_block`); its columns do not interact, and
-    on a diagonal system every sum of a product has a single nonzero
-    term, so each row keeps the bits of a block per fiber."""
+def _sampled_reports(seq: MatrixSequence, spectrum: SpectrumEstimate,
+                     fibers: tuple[SpectralBundleFiber, ...] | None,
+                     checks: tuple[tuple[str, int, str], ...], tolerance: float | None,
+                     seed: int, params: BohlParams | None,
+                     system_id: str | None) -> list[ContainmentReport]:
+    """One report for each ``(check, count, count_name)`` of ``checks``:
+    rows on each fiber's directions, held against its interval or, for
+    the global check, the hull.  Each check draws from its own generator
+    and runs the fibers on one orbit system as one block (see
+    :func:`dichospec.bohl._bohl_block`), whose columns do not interact; on
+    a diagonal system every sum of a product has a single nonzero term, so
+    each row keeps the bits of a block per fiber.  Each fiber system is
+    built, and each block of one system and bit-equal directions swept, once."""
     _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)
-    if _checked_count(count, count_name) < 1:
-        raise ParameterError(f"{count_name} must be at least 1")
-    rng = np.random.default_rng(_seed_value(seed))
+    for _, count, count_name in checks:
+        if _checked_count(count, count_name) < 1:
+            raise ParameterError(f"{count_name} must be at least 1")
+    seed = _seed_value(seed)
     if fibers is None:
         fibers = bundle_fibers(spectrum)
     params = params or BohlParams()
-    whole = check == "global-containment"
-    groups, n = [], 0
+    systems = []
     for fiber in fibers:
         index = _fiber_index(spectrum, fiber.index)
         _same_dimension(seq, fiber.basis.shape[0], f"fiber {index}")
@@ -174,36 +180,47 @@ def _sampled_report(seq: MatrixSequence, spectrum: SpectrumEstimate,
         if fiber.dimension != rank_jump:
             raise ParameterError(f"fiber {index} has dimension {fiber.dimension}, "
                                  f"not the {rank_jump} of its gap ranks")
-        interval = spectrum.intervals[index - 1]
-        coeffs = _unit_samples(rng, count, fiber.dimension)
         if seq.kind == "diagonal":
             # coordinate axes are exactly invariant, so the raw system
             # tracks any fiber without leaking onto faster ones
-            basis, system = fiber.basis, seq
+            systems.append((index, fiber.basis, seq))
         else:
-            basis, system = restricted_fiber_system(
-                seq, spectrum, index, window=params.window)
-        xis = np.array([basis @ c for c in coeffs])
-        samples = [(f"global sample {n + s}" if whole else f"fiber {index} sample {s}",
-                    index, v, xi, spectrum.hull if whole else (interval.a, interval.b))
-                   for s, (v, xi) in enumerate(zip(xis if system is seq else coeffs, xis),
-                                               start=1)]
-        n += len(samples)
-        if groups and groups[-1][0] is system:  # fibers sampled on one system
-            groups[-1][1].extend(samples)
-        else:
-            groups.append((system, samples))
-    rows = []
-    for system, samples in groups:
-        lower, upper, spread = _bohl_block(system, np.array([s[2] for s in samples]).T, params)
-        a, b = np.array([s[4] for s in samples]).T
-        tol = base_tol + spread
-        margin = np.minimum(lower - a + tol, b + tol - upper)
-        rows += [SampleRow(label=label, fiber_index=index, xi=tuple(xi), lower=lo, upper=hi,
-                           target=target, tolerance=t, margin=m, passed=m >= 0.0)
-                 for (label, index, _, xi, target), lo, hi, t, m in zip(
-                     samples, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist())]
-    return _report(seq, check, rows, base_tol, system_id)
+            systems.append((index, *restricted_fiber_system(
+                seq, spectrum, index, window=params.window)))
+    swept, reports = {}, []  # (id of system, shape, direction bits) -> block
+    for check, count, _ in checks:
+        rng = np.random.default_rng(seed)
+        whole = check == "global-containment"
+        groups, n = [], 0
+        for index, basis, system in systems:
+            interval = spectrum.intervals[index - 1]
+            coeffs = _unit_samples(rng, count, basis.shape[1])
+            xis = np.array([basis @ c for c in coeffs])
+            samples = [(f"global sample {n + s}" if whole else f"fiber {index} sample {s}",
+                        index, v, xi, spectrum.hull if whole else (interval.a, interval.b))
+                       for s, (v, xi) in enumerate(zip(xis if system is seq else coeffs, xis),
+                                                   start=1)]
+            n += len(samples)
+            if groups and groups[-1][0] is system:  # fibers sampled on one system
+                groups[-1][1].extend(samples)
+            else:
+                groups.append((system, samples))
+        rows = []
+        for system, samples in groups:
+            block = np.array([s[2] for s in samples]).T
+            key = (id(system), block.shape, block.tobytes())
+            if key not in swept:
+                swept[key] = _bohl_block(system, block, params)
+            lower, upper, spread = swept[key]
+            a, b = np.array([s[4] for s in samples]).T
+            tol = base_tol + spread
+            margin = np.minimum(lower - a + tol, b + tol - upper)
+            rows += [SampleRow(label=label, fiber_index=index, xi=tuple(xi), lower=lo,
+                               upper=hi, target=target, tolerance=t, margin=m, passed=m >= 0.0)
+                     for (label, index, _, xi, target), lo, hi, t, m in zip(
+                         samples, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist())]
+        reports.append(_report(seq, check, rows, base_tol, system_id))
+    return reports
 
 
 def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
@@ -236,8 +253,9 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     window, not in the given basis; without it, rounding leaks every
     sample onto the fastest fiber within a few dozen steps.
     """
-    return _sampled_report(seq, spectrum, fibers, "fiber-containment", samples_per_fiber,
-                           "samples_per_fiber", tolerance, seed, params, system_id)
+    return _sampled_reports(seq, spectrum, fibers,
+                            (("fiber-containment", samples_per_fiber, "samples_per_fiber"),),
+                            tolerance, seed, params, system_id)[0]
 
 
 def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
@@ -259,8 +277,8 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     without fibers (a degenerate one) raises
     :class:`~dichospec.errors.SubspaceError`.
     """
-    return _sampled_report(seq, spectrum, None, "global-containment", samples,
-                           "samples", tolerance, seed, params, system_id)
+    return _sampled_reports(seq, spectrum, None, (("global-containment", samples, "samples"),),
+                            tolerance, seed, params, system_id)[0]
 
 
 def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimate,

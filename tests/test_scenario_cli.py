@@ -7,9 +7,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from dichospec import containment
 from dichospec.bohl import GAP_MIN, TAIL_FRACTION, BohlParams, bohl_exponents
 from dichospec.bundles import bundle_fibers
-from dichospec.cli import main
+from dichospec.cli import containment_payload, main
 from dichospec.containment import (SampleRow, verify_fiber_containment,
                                    verify_global_containment)
 from dichospec.dichotomy import (GRID_POINTS, DichotomyParams, DichotomyVerdict,
@@ -395,6 +396,55 @@ def test_global_rows_of_one_dimensional_fibers_are_the_fiber_rows(tmp_path, caps
     for row in lines:
         twin, = [g for g in global_rows if g["fiber"] == row["fiber"]]
         assert [twin[k] for k in keys] == [row[k] for k in keys]
+
+
+@pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_verify_reports_are_those_of_the_separate_checks(tmp_path, capsys, name, flags):
+    # verify builds both sampled reports from one pass; each must still be,
+    # byte for byte, the report its own library check gives
+    reports = _verify_reports(tmp_path, capsys, name, *flags)
+    scn = load_scenario(bundled(name)).with_overrides(two_sided=bool(flags))
+    a = scn.analysis
+    est = estimate_spectrum(scn.system, refine_tol=a["refine_tol"], params=scn.dichotomy_params())
+    common = dict(tolerance=a["tolerance"], seed=a["seed"], params=scn.bohl_params(),
+                  system_id=scn.name)
+    for rep in (verify_fiber_containment(scn.system, est,
+                                         samples_per_fiber=a["samples_per_fiber"], **common),
+                verify_global_containment(scn.system, est, samples=a["samples"], **common)):
+        assert canonical_json(reports[rep.check]) == canonical_json(containment_payload(rep))
+
+
+def test_verify_measures_each_fiber_direction_once(tmp_path, monkeypatch):
+    # the fiber and global reports share each fiber system and each block of
+    # directions: once 18 blocks (92 columns), 10 restrictions and 14
+    # bundle_fibers calls over the bundled scenarios, one-sided
+    calls = []
+
+    def counted(name):
+        original = getattr(containment, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(containment, name, wrapper)
+
+    for name in ("_bohl_block", "restricted_fiber_system", "bundle_fibers"):
+        counted(name)
+    blocks, restrictions, bundles = {}, {}, 0
+    for name in BUNDLED:
+        calls.clear()
+        assert main(["verify", bundled(name), "--out", str(tmp_path), "--format", "json"]) == 0
+        blocks[name] = [args[1].shape[1] for f, args in calls if f == "_bohl_block"]
+        restrictions[name] = sum(f == "restricted_fiber_system" for f, _ in calls)
+        bundles += sum(f == "bundle_fibers" for f, _ in calls)
+    assert sum(map(len, blocks.values())) == 10
+    assert sum(map(sum, blocks.values())) == 81
+    assert sum(restrictions.values()) == 5
+    assert bundles == 7
+    assert len(blocks["seeded-diagonal-d3"]) == 1
+    assert (len(blocks["seeded-pair-d2"]), restrictions["seeded-pair-d2"]) == (2, 2)
+    assert blocks["rotation"] == [20, 50]
 
 
 # retired analysis key -> (a value it loads at, a value it is refused at);
