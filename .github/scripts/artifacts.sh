@@ -15,9 +15,12 @@
 # ones.  `verify --two-sided` runs on every kind of orbit system the
 # containment checks sweep: a diagonal system, a sampled two-dimensional
 # fiber (rotation), and restricted fibers of a general and of an upper
-# triangular system.  The two `spectrum --refine-tol 1e-16` runs also write
-# to their own directory; their brackets are bisected down to adjacent
-# floats, below the spacing of any tolerance.
+# triangular system.  `verify --seed 7` on rotation, whose two-dimensional
+# fiber holds the only sampled block of the bundled scenarios, checks the
+# sampled rows at a second seed, in a directory of its own.  The two
+# `spectrum --refine-tol 1e-16` runs also write to their own directory;
+# their brackets are bisected down to adjacent floats, below the spacing of
+# any tolerance.
 set -eo pipefail
 out=${1:?usage: artifacts.sh OUT_DIR}
 
@@ -42,6 +45,7 @@ done
 for name in autonomous-diagonal rotation seeded-pair-d2 triangular-constant; do
   run "$out/two-sided" "$name" verify --two-sided
 done
+run "$out/seed-7" rotation verify --seed 7
 for name in autonomous-diagonal seeded-pair-d2; do
   run "$out/two-sided" "$name" bohl --xi 1,1 --two-sided
   run "$out/float-resolution" "$name" spectrum --refine-tol 1e-16

@@ -16,7 +16,8 @@ from typing import Any
 
 from .bohl import GAP_MIN, TAIL_FRACTION, BohlEstimate, bohl_exponents
 from .bundles import WhitneyReport, bundle_fibers, whitney_sum_check
-from .containment import ContainmentReport, _sampled_reports, verify_endpoint_attainability
+from .containment import (_SAMPLE_CSV_HEADER, ContainmentReport, _fiber_rows, _held_report,
+                          verify_endpoint_attainability)
 from .dichotomy import (_VERDICT_CSV_HEADER, DichotomyVerdict, SpectrumEstimate,
                         estimate_spectrum, periodic_spectrum_oracle, test_dichotomy)
 from .errors import DichospecError
@@ -45,17 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectral bundles for nonautonomous difference systems.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("scenario", help="path to a scenario JSON file")
-    common.add_argument("--window", type=int, default=None,
-                        help="analysis window (for `bohl`, the Bohl window)")
-    common.add_argument("--refine-tol", type=float, default=None)
-    common.add_argument("--two-sided", action="store_true", default=None)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None, help="artifact directory")
     common.add_argument("--format", choices=("json", "csv", "table"), default=None)
+    analysis = {"--window": dict(type=int, help="analysis window (for `bohl`, the Bohl window)"),
+                "--refine-tol": dict(type=float), "--two-sided": dict(action="store_true"),
+                "--seed": dict(type=int)}
 
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, parents=[common], help=text)
-                for name, (_, text) in _COMMANDS.items()}
+    commands = {}
+    for name, (_, text, flags) in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, parents=[common], help=text)
+        for flag in flags:
+            commands[name].add_argument(flag, default=None, **analysis[flag])
     commands["bohl"].add_argument("--xi", type=_xi_arg, required=True,
                                   help="starting vector, comma separated")
     commands["dichotomy"].add_argument("--gamma", type=float, required=True)
@@ -252,18 +254,19 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> _Output:
     a = scn.analysis
     est = _spectrum(scn)
     # verify_fiber_containment's and verify_global_containment's reports from
-    # one pass: each fiber system is built, and each distinct block swept, once
+    # one measurement of the fiber directions, at the global sample count
+    base_tol, rows = _fiber_rows(scn.system, est, None, a["samples"], "samples",
+                                 a["tolerance"], a["seed"], scn.bohl_params())
     reports = [
-        *_sampled_reports(scn.system, est, None,
-                          (("fiber-containment", a["samples_per_fiber"], "samples_per_fiber"),
-                           ("global-containment", a["samples"], "samples")),
-                          a["tolerance"], a["seed"], scn.bohl_params(), scn.name),
+        *(_held_report(scn.system, est, check, base_tol, rows, scn.name)
+          for check in ("fiber-containment", "global-containment")),
         verify_endpoint_attainability(scn.system, est, tolerance=a["tolerance"],
                                       system_id=scn.name),
     ]
     payload = {"scenario": scn.name,
                "reports": [containment_payload(r) for r in reports]}
-    csv_text = "".join(r.rows_to_csv() for r in reports if r.rows)
+    csv_text = f"check,{_SAMPLE_CSV_HEADER}\n" + "".join(
+        f"{r.check},{row.csv()}\n" for r in reports for row in r.rows)
     table = [r.summary() for r in reports]
     code = FAILURE_EXIT if any(r.status == "fail" for r in reports) else 0
     return payload, csv_text, table, code
@@ -278,16 +281,20 @@ def _cmd_oracle(scn: Scenario, args: argparse.Namespace) -> _Output:
     return payload, csv_text, table, 0
 
 
-# name -> (command, help text), in `--help` order.  Only _cmd_* functions go here: they
-# look library names up in this module when called, so a wrapper bound there runs.
+# name -> (command, help text, analysis flags it reads), in `--help` order.  Only _cmd_*
+# functions go here: they look library names up in this module when called, so a
+# wrapper bound there runs.
 _COMMANDS = {
-    "spectrum": (_cmd_spectrum, "estimate the dichotomy spectrum"),
-    "bohl": (_cmd_bohl, "Bohl exponents of one starting vector"),
-    "dichotomy": (_cmd_dichotomy, "test one scaling for an exponential dichotomy"),
-    "bundles": (_cmd_bundles, "spectral bundle fibers and Whitney sum check"),
-    "triangularize": (_cmd_triangularize, "QR triangularization and diagonal significance"),
-    "verify": (_cmd_verify, "run the containment checks; exit 1 on failure"),
-    "oracle": (_cmd_oracle, "Floquet spectrum points of a periodic system"),
+    "spectrum": (_cmd_spectrum, "estimate the dichotomy spectrum", ("--window", "--refine-tol")),
+    "bohl": (_cmd_bohl, "Bohl exponents of one starting vector", ("--window", "--two-sided")),
+    "dichotomy": (_cmd_dichotomy, "test one scaling for an exponential dichotomy", ("--window",)),
+    "bundles": (_cmd_bundles, "spectral bundle fibers and Whitney sum check",
+                ("--window", "--refine-tol")),
+    "triangularize": (_cmd_triangularize, "QR triangularization and diagonal significance",
+                      ("--window", "--refine-tol")),
+    "verify": (_cmd_verify, "run the containment checks; exit 1 on failure",
+               ("--window", "--refine-tol", "--two-sided", "--seed")),
+    "oracle": (_cmd_oracle, "Floquet spectrum points of a periodic system", ()),
 }
 
 

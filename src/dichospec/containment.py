@@ -10,20 +10,21 @@ Three checks, each producing a :class:`ContainmentReport`:
 * endpoint attainability: for systems with trustworthy diagonal data,
   every interval endpoint is witnessed by a coordinate Bohl exponent.
 
+Both sampled checks measure the same fiber directions and differ only in
+the target each row is held against: its fiber's interval, or the hull.
 Every vector of a one-dimensional fiber is a multiple of one vector and
-has its Bohl exponents, so such a fiber is checked once, in one row;
+has its Bohl exponents, so such a fiber is one direction;
 ``samples_per_fiber`` and ``samples`` count seeded unit vectors inside a
-fiber of dimension 2 or more.  Rows are estimated in groups, one per
-orbit system: all fibers of a diagonal system, or each fiber of any
+fiber of dimension 2 or more.  Directions are estimated in groups, one
+per orbit system: all fibers of a diagonal system, or each fiber of any
 other kind on its own restricted table.  A group's vectors are the
 columns of one block carried through a single orbit sweep, and only the
 aggregation tail of the gaps is enveloped, since a row reads only the
 lower and upper exponents and the tail spread.  Columns equal
 per-vector :func:`dichospec.bohl.bohl_exponents` up to rounding.  Each
-sample is measured once, at the window of the given :class:`BohlParams`:
-when the fiber and global checks share a pass (``dichospec verify``),
-each fiber system is built once and a block both checks ask for, as on
-every one-dimensional fiber, is swept once.
+direction is measured once, at the window of the given
+:class:`BohlParams`; ``dichospec verify`` measures them once, under the
+one count ``samples``, and holds the same rows against both targets.
 
 All sampling is driven by an explicit seed, so reports are reproducible
 bit for bit.  Tolerances combine the spectrum refinement tolerance with
@@ -45,6 +46,8 @@ from .errors import ParameterError
 from .sequences import MatrixSequence, _seed_value
 
 TOLERANCE_FACTOR = 5.0
+_SAMPLE_CSV_HEADER = ("label,fiber,xi,bohl_lower,bohl_upper,target_lower,"
+                      "target_upper,tolerance,margin,verdict,escalated")
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,7 @@ class ContainmentReport:
         return "\n".join([head, *self.notes])
 
     def rows_to_csv(self) -> str:
-        header = ("label,fiber,xi,bohl_lower,bohl_upper,target_lower,"
-                  "target_upper,tolerance,margin,verdict,escalated")
-        return "\n".join([header, *(r.csv() for r in self.rows)]) + "\n"
+        return "\n".join([_SAMPLE_CSV_HEADER, *(r.csv() for r in self.rows)]) + "\n"
 
 
 def _default_id(seq: MatrixSequence) -> str:
@@ -150,29 +151,26 @@ def _unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return out
 
 
-def _sampled_reports(seq: MatrixSequence, spectrum: SpectrumEstimate,
-                     fibers: tuple[SpectralBundleFiber, ...] | None,
-                     checks: tuple[tuple[str, int, str], ...], tolerance: float | None,
-                     seed: int, params: BohlParams | None,
-                     system_id: str | None) -> list[ContainmentReport]:
-    """One report for each ``(check, count, count_name)`` of ``checks``:
-    rows on each fiber's directions, held against its interval or, for
-    the global check, the hull.  Each check draws from its own generator
-    and runs the fibers on one orbit system as one block (see
-    :func:`dichospec.bohl._bohl_block`), whose columns do not interact; on
-    a diagonal system every sum of a product has a single nonzero term, so
-    each row keeps the bits of a block per fiber.  Each fiber system is
-    built, and each block of one system and bit-equal directions swept, once."""
+def _fiber_rows(seq: MatrixSequence, spectrum: SpectrumEstimate,
+                fibers: tuple[SpectralBundleFiber, ...] | None, count: int, count_name: str,
+                tolerance: float | None, seed: int,
+                params: BohlParams | None) -> tuple[float, list[tuple]]:
+    """The base tolerance and one ``(fiber index, xi, lower, upper,
+    spread)`` per fiber direction: the basis vector of a one-dimensional
+    fiber, else ``count`` seeded unit vectors, all drawn from one generator.
+    The fibers on one orbit system run as one block (see
+    :func:`dichospec.bohl._bohl_block`), whose columns do not interact; on a
+    diagonal system every sum of a product has a single nonzero term, so
+    each row keeps the bits of a block per fiber."""
     _same_dimension(seq, spectrum.dimension, "the spectrum")
     base_tol = _base_tolerance(tolerance, spectrum)
-    for _, count, count_name in checks:
-        if _checked_count(count, count_name) < 1:
-            raise ParameterError(f"{count_name} must be at least 1")
-    seed = _seed_value(seed)
+    if _checked_count(count, count_name) < 1:
+        raise ParameterError(f"{count_name} must be at least 1")
+    rng = np.random.default_rng(_seed_value(seed))
     if fibers is None:
         fibers = bundle_fibers(spectrum)
     params = params or BohlParams()
-    systems = []
+    groups = {}  # id of orbit system -> (system, [(fiber index, swept vector, xi)])
     for fiber in fibers:
         index = _fiber_index(spectrum, fiber.index)
         _same_dimension(seq, fiber.basis.shape[0], f"fiber {index}")
@@ -183,44 +181,39 @@ def _sampled_reports(seq: MatrixSequence, spectrum: SpectrumEstimate,
         if seq.kind == "diagonal":
             # coordinate axes are exactly invariant, so the raw system
             # tracks any fiber without leaking onto faster ones
-            systems.append((index, fiber.basis, seq))
+            basis, system = fiber.basis, seq
         else:
-            systems.append((index, *restricted_fiber_system(
-                seq, spectrum, index, window=params.window)))
-    swept, reports = {}, []  # (id of system, shape, direction bits) -> block
-    for check, count, _ in checks:
-        rng = np.random.default_rng(seed)
-        whole = check == "global-containment"
-        groups, n = [], 0
-        for index, basis, system in systems:
-            interval = spectrum.intervals[index - 1]
-            coeffs = _unit_samples(rng, count, basis.shape[1])
-            xis = np.array([basis @ c for c in coeffs])
-            samples = [(f"global sample {n + s}" if whole else f"fiber {index} sample {s}",
-                        index, v, xi, spectrum.hull if whole else (interval.a, interval.b))
-                       for s, (v, xi) in enumerate(zip(xis if system is seq else coeffs, xis),
-                                                   start=1)]
-            n += len(samples)
-            if groups and groups[-1][0] is system:  # fibers sampled on one system
-                groups[-1][1].extend(samples)
-            else:
-                groups.append((system, samples))
-        rows = []
-        for system, samples in groups:
-            block = np.array([s[2] for s in samples]).T
-            key = (id(system), block.shape, block.tobytes())
-            if key not in swept:
-                swept[key] = _bohl_block(system, block, params)
-            lower, upper, spread = swept[key]
-            a, b = np.array([s[4] for s in samples]).T
-            tol = base_tol + spread
-            margin = np.minimum(lower - a + tol, b + tol - upper)
-            rows += [SampleRow(label=label, fiber_index=index, xi=tuple(xi), lower=lo,
-                               upper=hi, target=target, tolerance=t, margin=m, passed=m >= 0.0)
-                     for (label, index, _, xi, target), lo, hi, t, m in zip(
-                         samples, lower.tolist(), upper.tolist(), tol.tolist(), margin.tolist())]
-        reports.append(_report(seq, check, rows, base_tol, system_id))
-    return reports
+            basis, system = restricted_fiber_system(seq, spectrum, index, window=params.window)
+        coeffs = _unit_samples(rng, count, basis.shape[1])
+        xis = np.array([basis @ c for c in coeffs])
+        groups.setdefault(id(system), (system, []))[1].extend(
+            (index, v, xi) for v, xi in zip(xis if system is seq else coeffs, xis))
+    rows = []
+    for system, directions in groups.values():
+        lower, upper, spread = _bohl_block(system, np.array([v for _, v, _ in directions]).T,
+                                           params)
+        rows += [(index, tuple(xi), lo, hi, s) for (index, _, xi), lo, hi, s in zip(
+            directions, lower.tolist(), upper.tolist(), spread.tolist())]
+    return base_tol, rows
+
+
+def _held_report(seq: MatrixSequence, spectrum: SpectrumEstimate, check: str,
+                 base_tol: float, fiber_rows: list[tuple],
+                 system_id: str | None) -> ContainmentReport:
+    """The rows of :func:`_fiber_rows` held against each fiber's interval
+    (``fiber-containment``) or against the hull (``global-containment``)."""
+    whole = check == "global-containment"
+    rows, counts = [], {}
+    for n, (index, xi, lower, upper, spread) in enumerate(fiber_rows, start=1):
+        counts[index] = s = counts.get(index, 0) + 1
+        interval = spectrum.intervals[index - 1]
+        a, b = target = spectrum.hull if whole else (interval.a, interval.b)
+        tol = base_tol + spread
+        margin = min(lower - a + tol, b + tol - upper)
+        rows.append(SampleRow(label=f"global sample {n}" if whole else f"fiber {index} sample {s}",
+                              fiber_index=index, xi=xi, lower=lower, upper=upper, target=target,
+                              tolerance=tol, margin=margin, passed=margin >= 0.0))
+    return _report(seq, check, rows, base_tol, system_id)
 
 
 def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
@@ -253,9 +246,9 @@ def verify_fiber_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     window, not in the given basis; without it, rounding leaks every
     sample onto the fastest fiber within a few dozen steps.
     """
-    return _sampled_reports(seq, spectrum, fibers,
-                            (("fiber-containment", samples_per_fiber, "samples_per_fiber"),),
-                            tolerance, seed, params, system_id)[0]
+    base_tol, rows = _fiber_rows(seq, spectrum, fibers, samples_per_fiber, "samples_per_fiber",
+                                 tolerance, seed, params)
+    return _held_report(seq, spectrum, "fiber-containment", base_tol, rows, system_id)
 
 
 def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
@@ -277,8 +270,8 @@ def verify_global_containment(seq: MatrixSequence, spectrum: SpectrumEstimate,
     without fibers (a degenerate one) raises
     :class:`~dichospec.errors.SubspaceError`.
     """
-    return _sampled_reports(seq, spectrum, None, (("global-containment", samples, "samples"),),
-                            tolerance, seed, params, system_id)[0]
+    base_tol, rows = _fiber_rows(seq, spectrum, None, samples, "samples", tolerance, seed, params)
+    return _held_report(seq, spectrum, "global-containment", base_tol, rows, system_id)
 
 
 def verify_endpoint_attainability(seq: MatrixSequence, spectrum: SpectrumEstimate,

@@ -32,14 +32,13 @@ _ANALYSIS_DEFAULTS: dict[str, Any] = {
     "bohl_window": 2048,
     "two_sided": False,
     "samples": 50,
-    "samples_per_fiber": 20,
     "tolerance": None,
     "seed": 0,
 }
 
 # analysis keys older files carry, dropped on load: key -> the one value allowed (None: any)
 _RETIRED_FIELDS = {"jobs": None, "grid_points": GRID_POINTS, "tail_fraction": TAIL_FRACTION,
-                   "escalate": False, "gap_min": GAP_MIN}
+                   "escalate": False, "gap_min": GAP_MIN, "samples_per_fiber": 20}
 
 _OUTPUT_DEFAULTS: dict[str, Any] = {
     "out": ".",
@@ -143,11 +142,8 @@ class Scenario:
     def dumps(self) -> str:
         return canonical_json(self.to_payload()) + "\n"
 
-    def save(self, path: "str | Path") -> None:
-        Path(path).write_text(self.dumps())
 
-
-_INT_FIELDS = ("window", "burn_in", "bohl_window", "samples", "samples_per_fiber", "seed")
+_INT_FIELDS = ("window", "burn_in", "bohl_window", "samples", "seed")
 _FLOAT_FIELDS = ("refine_tol", "tolerance")
 
 

@@ -337,6 +337,17 @@ def two_dimensional_fiber_case():
     return seq, est, dict(samples_per_fiber=8, params=FAST)
 
 
+def restricted_two_dimensional_fiber_case():
+    # a contracting axis beside a plane that rotates by 0.3 and doubles:
+    # the plane is a two-dimensional fiber inside the whole space, so its
+    # samples run on a restricted table of their own
+    c, s = np.cos(0.3), np.sin(0.3)
+    seq = MatrixSequence.constant([[2 * c, -2 * s, 0.3], [2 * s, 2 * c, 0.1], [0, 0, 0.5]])
+    est = estimate_spectrum(seq)
+    assert [f.dimension for f in bundles.bundle_fibers(est)] == [1, 2]
+    return seq, est, dict(samples_per_fiber=6, params=FAST)
+
+
 def narrowed(est):
     """``est`` with every interval shrunk to its left endpoint."""
     return replace(est, intervals=tuple(replace(iv, b=iv.a) for iv in est.intervals))
@@ -360,8 +371,10 @@ def forced_diagonal_case():
 
 
 @pytest.mark.parametrize("case", [roster_case, two_dimensional_fiber_case,
+                                  restricted_two_dimensional_fiber_case,
                                   forced_seeded_case, forced_diagonal_case],
-                         ids=["roster", "two-dim-fiber", "forced-seeded", "forced-diagonal"])
+                         ids=["roster", "two-dim-fiber", "restricted-two-dim-fiber",
+                              "forced-seeded", "forced-diagonal"])
 def test_grouped_rows_equal_the_per_fiber_loop(case):
     # grouping fibers by orbit system keeps every row's bits
     seq, est, kwargs = case()
@@ -373,6 +386,15 @@ def test_grouped_rows_equal_the_per_fiber_loop(case):
     if case in (forced_seeded_case, forced_diagonal_case):
         # samples of several fibers fail, and their failures stand
         assert len({r.fiber_index for r in got.failures()}) >= 2
+    if case is restricted_two_dimensional_fiber_case:
+        # the global check measures the same directions, held against the hull
+        kwargs["samples"] = kwargs.pop("samples_per_fiber")
+        whole = verify_global_containment(seq, est, **kwargs)
+        assert len(whole.rows) == len(got.rows)
+        for row, twin in zip(got.rows, whole.rows):
+            assert twin.target == est.hull and twin.margin >= row.margin
+            assert replace(twin, label=row.label, target=row.target, margin=row.margin,
+                           passed=row.passed) == row
 
 
 @pytest.mark.parametrize("two_sided", [False, True], ids=["one-sided", "two-sided"])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -40,7 +41,7 @@ def write_scenario(tmp_path, name, payload):
 
 
 def small_diag_payload(**analysis):
-    base = {"bohl_window": 512, "samples": 6, "samples_per_fiber": 4}
+    base = {"bohl_window": 512, "samples": 6}
     base.update(analysis)
     return {
         "name": "diag-small",
@@ -184,11 +185,10 @@ def test_scenario_defaults_are_the_library_defaults():
         "refine_tol": defaults(estimate_spectrum, name="refine_tol"),
         "bohl_window": [bohl["window"]], "two_sided": [bohl["two_sided"]],
         "samples": defaults(verify_global_containment, name="samples"),
-        "samples_per_fiber": defaults(verify_fiber_containment, name="samples_per_fiber"),
         "tolerance": defaults(*checks, name="tolerance"),
         "seed": defaults(*checks, name="seed"),
     }
-    assert sorted(twins) == sorted(_ANALYSIS_DEFAULTS) and len(twins) == 9
+    assert sorted(twins) == sorted(_ANALYSIS_DEFAULTS) and len(twins) == 8
     for key, values in twins.items():
         default = _ANALYSIS_DEFAULTS[key]
         for value in values:
@@ -363,62 +363,74 @@ def test_verify_rows_count_directions(tmp_path, capsys, name):
     # a one-dimensional fiber or a d = 1 system once gave 20 or 50 rows of
     # one direction (+-b); now no two sampled rows share a fiber and |xi|.
     # Both checks count rows per fiber: 1 on a one-dimensional fiber, else
-    # samples_per_fiber or samples (the global check once drew 50 vectors
-    # of the whole space on every d >= 2 system)
+    # samples (the fiber check once drew samples_per_fiber = 20 there, and
+    # the global check 50 vectors of the whole space on every d >= 2 system)
     reports = _verify_reports(tmp_path, capsys, name)
     scn = load_scenario(bundled(name))
     dims = [f.dimension for f in bundle_fibers(estimate_spectrum(
         scn.system, refine_tol=scn.analysis["refine_tol"], params=scn.dichotomy_params()))]
-    for check, key in (("fiber-containment", "samples_per_fiber"),
-                       ("global-containment", "samples")):
+    want = [i for i, k in enumerate(dims, start=1)
+            for _ in range(1 if k == 1 else scn.analysis["samples"])]
+    for check in ("fiber-containment", "global-containment"):
         rows = reports[check]["rows"]
         keys = [(row["fiber"], tuple(abs(x) for x in row["xi"])) for row in rows]
         assert rows and len(set(keys)) == len(keys)
-        want = [i for i, k in enumerate(dims, start=1)
-                for _ in range(1 if k == 1 else scn.analysis[key])]
         assert [row["fiber"] for row in rows] == want
 
 
 @pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_global_rows_of_one_dimensional_fibers_are_the_fiber_rows(tmp_path, capsys, name, flags):
-    # the global check holds the fiber directions against the hull, so a
-    # one-dimensional fiber's global row is its fiber row, bit for bit
+    # the global check holds the fiber directions against the hull: row n
+    # of each report is one measurement, bit for bit, and the hull holds
+    # the fiber's interval, so the global margin is never the smaller one.
+    # Once only one-dimensional fibers matched; rotation's two-dimensional
+    # fiber drew 20 directions for the fiber check and 50 for the global one
     reports = _verify_reports(tmp_path, capsys, name, *flags)
     fiber_rows = reports["fiber-containment"]["rows"]
     global_rows = reports["global-containment"]["rows"]
-    by_fiber = {}
-    for row in fiber_rows:
-        by_fiber.setdefault(row["fiber"], []).append(row)
-    keys = ("lower", "upper", "xi", "fiber")
-    lines = [rows[0] for rows in by_fiber.values() if len(rows) == 1]
-    assert lines or name == "rotation"
-    for row in lines:
-        twin, = [g for g in global_rows if g["fiber"] == row["fiber"]]
+    assert len(global_rows) == len(fiber_rows)
+    hull = [fiber_rows[0]["target_lower"], fiber_rows[-1]["target_upper"]]
+    keys = ("fiber", "xi", "lower", "upper", "tolerance")
+    for row, twin in zip(fiber_rows, global_rows):
         assert [twin[k] for k in keys] == [row[k] for k in keys]
+        assert [twin["target_lower"], twin["target_upper"]] == hull
+        assert twin["margin"] >= row["margin"]
 
 
 @pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_verify_reports_are_those_of_the_separate_checks(tmp_path, capsys, name, flags):
-    # verify builds both sampled reports from one pass; each must still be,
-    # byte for byte, the report its own library check gives
+    # verify builds both sampled reports from one measurement at the
+    # scenario's samples; each must still be, byte for byte, the report its
+    # own library check gives at that count
     reports = _verify_reports(tmp_path, capsys, name, *flags)
     scn = load_scenario(bundled(name)).with_overrides(two_sided=bool(flags))
     a = scn.analysis
     est = estimate_spectrum(scn.system, refine_tol=a["refine_tol"], params=scn.dichotomy_params())
     common = dict(tolerance=a["tolerance"], seed=a["seed"], params=scn.bohl_params(),
                   system_id=scn.name)
-    for rep in (verify_fiber_containment(scn.system, est,
-                                         samples_per_fiber=a["samples_per_fiber"], **common),
+    for rep in (verify_fiber_containment(scn.system, est, samples_per_fiber=a["samples"], **common),
                 verify_global_containment(scn.system, est, samples=a["samples"], **common)):
         assert canonical_json(reports[rep.check]) == canonical_json(containment_payload(rep))
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_verify_csv_is_one_table_of_the_json_rows(tmp_path, capsys, name):
+    # the three reports' CSVs were once glued together, each under its own
+    # header line, with no column naming the report of a row
+    reports = _verify_reports(tmp_path, capsys, name)
+    with open(tmp_path / f"{name}-verify.csv", newline="") as f:
+        rows = [(r["check"], r["label"], r["verdict"]) for r in csv.DictReader(f)]
+    assert rows == [(rep["check"], row["label"], "pass" if row["passed"] else "fail")
+                    for rep in reports.values() for row in rep["rows"]]
+
+
 def test_verify_measures_each_fiber_direction_once(tmp_path, monkeypatch):
-    # the fiber and global reports share each fiber system and each block of
+    # the fiber and global reports hold one measurement of the fiber
     # directions: once 18 blocks (92 columns), 10 restrictions and 14
-    # bundle_fibers calls over the bundled scenarios, one-sided
+    # bundle_fibers calls over the bundled scenarios, one-sided, then 10
+    # blocks (81 columns), as rotation swept 20 and 50 directions
     calls = []
 
     def counted(name):
@@ -438,20 +450,20 @@ def test_verify_measures_each_fiber_direction_once(tmp_path, monkeypatch):
         blocks[name] = [args[1].shape[1] for f, args in calls if f == "_bohl_block"]
         restrictions[name] = sum(f == "restricted_fiber_system" for f, _ in calls)
         bundles += sum(f == "bundle_fibers" for f, _ in calls)
-    assert sum(map(len, blocks.values())) == 10
-    assert sum(map(sum, blocks.values())) == 81
+    assert sum(map(len, blocks.values())) == 9
+    assert sum(map(sum, blocks.values())) == 61
     assert sum(restrictions.values()) == 5
     assert bundles == 7
     assert len(blocks["seeded-diagonal-d3"]) == 1
     assert (len(blocks["seeded-pair-d2"]), restrictions["seeded-pair-d2"]) == (2, 2)
-    assert blocks["rotation"] == [20, 50]
+    assert blocks["rotation"] == [50]
 
 
 # retired analysis key -> (a value it loads at, a value it is refused at);
 # "jobs" once capped containment worker threads and loads at any value
 _RETIRED = {"jobs": (4, None), "grid_points": (GRID_POINTS, 96),
             "tail_fraction": (TAIL_FRACTION, 0.3), "escalate": (False, True),
-            "gap_min": (GAP_MIN, 8)}
+            "gap_min": (GAP_MIN, 8), "samples_per_fiber": (20, 4)}
 
 
 @pytest.mark.parametrize("key", sorted(_RETIRED))
@@ -537,6 +549,26 @@ def test_cli_exit_codes(tmp_path):
 
 _COMMAND_FLAGS = {"spectrum": [], "bohl": ["--xi", "1,1"], "dichotomy": ["--gamma", "1.0"],
                   "bundles": [], "triangularize": [], "verify": [], "oracle": []}
+
+
+# command -> the analysis flags it reads; the others it once took and ignored
+_ANALYSIS_FLAGS = {"--window": ["512"], "--refine-tol": ["1e-3"], "--two-sided": [],
+                   "--seed": ["1"]}
+_READS = {"spectrum": {"--window", "--refine-tol"}, "bohl": {"--window", "--two-sided"},
+          "dichotomy": {"--window"}, "bundles": {"--window", "--refine-tol"},
+          "triangularize": {"--window", "--refine-tol"}, "verify": set(_ANALYSIS_FLAGS),
+          "oracle": set()}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in _COMMAND_FLAGS
+                                           for f in _ANALYSIS_FLAGS if f not in _READS[c]])
+def test_cli_refuses_an_analysis_flag_the_command_does_not_read(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    argv = [command, bundled("autonomous-diagonal"), *_COMMAND_FLAGS[command],
+            flag, *_ANALYSIS_FLAGS[flag], "--out", str(out)]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
