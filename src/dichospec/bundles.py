@@ -334,6 +334,13 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     so solutions of the returned system carry exactly the norms of the
     ambient solutions starting on the fiber.  A fiber spanning the whole
     space has nothing to track; the original sequence is returned as is.
+
+    The table is least converged at the window's ends: B reaches
+    n = window - 1, and F reaches n = -window, after only ``burn_in``
+    minus the seeds' init length (under 128 steps by default).  At window
+    2048, 1024 steps of burn-in instead of 128 move the last row by up to
+    4.5e-1 relative on periodic d = 3 and 6 systems, and the n = 0 row by
+    at most 4.1e-11.
     """
     _same_dimension(seq, spectrum.dimension, "the spectrum")
     index = _fiber_index(spectrum, index)

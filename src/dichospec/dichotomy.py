@@ -327,7 +327,9 @@ class DichotomyAnalyzer:
         inverses = np.linalg.inv(factors)
         self.m_hat = seq.validate((-ext, ext)).m_hat
         # the rate sweeps and, for d > 1, the flags B and F (steps 1-2 of
-        # the module docstring); shorter items are padded with identity maps
+        # the module docstring): all items lock-stepped while all run, then
+        # the longer pair alone from its frames there, which equals one sweep
+        # bit for bit; the shorter pair's unused tail is never read
         d, n_win, eye = seq.dimension, self.params.window, np.eye(seq.dimension)
         parts, seeds = [factors[ext:], inverses[ext - 1::-1]], [eye, eye]
         if d > 1:
@@ -336,10 +338,14 @@ class DichotomyAnalyzer:
             off = ext - binit  # after j steps B sits at time off - j, F at j - off
             parts += [inverses[ext - n_win: ext + off][::-1], factors[ext - off: ext + n_win]]
             seeds += [contracted[:, ::-1], amplified]
-        maps = np.tile(eye, (len(parts), max(map(len, parts)), 1, 1))
-        for item, part in zip(maps, parts):
-            item[: len(part)] = part
-        frames, r = frame_sweep(maps, np.stack(seeds))
+        lock, m = min(map(len, parts)), max(map(len, parts))
+        frames, r = np.empty((len(parts), m + 1, d, d)), np.empty((len(parts), m, d, d))
+        frames[:, : lock + 1], r[:, :lock] = frame_sweep(
+            np.stack([part[:lock] for part in parts]), np.stack(seeds))
+        longer = [i for i, part in enumerate(parts) if len(part) > lock]
+        if longer:
+            frames[longer, lock:], r[longer, lock:] = frame_sweep(
+                np.stack([parts[i][lock:] for i in longer]), frames[longer, lock])
         self._forward_rates, self._backward_rates = np.log(
             np.diagonal(r[:2, ext // 2: ext], axis1=2, axis2=3)).mean(axis=1)
         # each rank's families at time 0 and their steps for n in [-N, N)

@@ -22,7 +22,13 @@ at which fiber restriction's closed form is ill-conditioned.
 :func:`frame_sweep` is the one place where orthonormal frames are carried
 along an orbit (discrete QR); its step calls the compiled kernels behind
 ``np.linalg.qr`` directly, bit for bit, under one ``errstate`` per sweep
-that a floating-point event answers with a replay of a plain QR loop.
+that a floating-point event answers with a replay of a plain QR loop.  A
+sweep stops stepping once its state repeats bit for bit (periodic and
+constant systems with real, separated Floquet moduli lock into such a
+cycle within a few hundred steps) and copies the cycle instead.  This is exact: the kernels are deterministic,
+so an equal raw frame and equal remaining maps give equal later steps.
+The state is compared as ``uint64`` bits, not with ``==``, for which
+-0.0 equals +0.0 and a NaN equals nothing.
 """
 from __future__ import annotations
 
@@ -136,6 +142,30 @@ def _qr_wrapped(a: np.ndarray, q: np.ndarray) -> None:
 _qr_step = _qr_wrapped if _qr_r_raw is None else _qr_kernels
 
 
+_LAG_MAX = 64  # longest lag at which frame_sweep looks for a repeated step
+_LAG_CHECK = 8  # steps between two of its looks
+
+
+def _map_period(bits: np.ndarray) -> tuple[int, int] | None:
+    """Where a (B, m, d, d) stack of maps, as a ``uint64`` view, repeats.
+
+    Returns (c, start): c is the smallest lag, at most ``_LAG_MAX``, at
+    which the last map equals an earlier one in every batch item, and from
+    index ``start`` on every map equals the one c before it; None where
+    the last map does not repeat.  The lag is found on the last map alone,
+    so a stack pays one comparison with its last ``_LAG_MAX`` maps, and
+    only one that passes it pays the scan of the whole stack at that lag.
+    """
+    m = bits.shape[1]
+    earlier = bits[:, max(m - 1 - _LAG_MAX, 0): m - 1]
+    hits = np.flatnonzero((earlier == bits[:, m - 1:]).all(axis=(0, 2, 3)))
+    if not hits.size:
+        return None
+    c = earlier.shape[1] - int(hits[-1])
+    fails = np.flatnonzero(~(bits[:, c:] == bits[:, :-c]).all(axis=(0, 2, 3)))
+    return c, c + (int(fails[-1]) + 1 if fails.size else 0)
+
+
 def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Carry the orthonormal (d, k) frame q0 through an (m, d, d) stack of maps.
 
@@ -174,6 +204,22 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``LinAlgError``.  ``errstate`` changes the reporting, not the
     arithmetic, so the replay writes the same bits.
 
+    The step loop ends early once its state repeats.  The maps' lag c0
+    and the index from which they repeat at it come from
+    :func:`_map_period`, once per call.  From there, every ``_LAG_CHECK``
+    steps, each batch item's raw frame at step t is compared, as ``uint64``
+    bits, with its frames c0, 2 c0, ... (at most ``_LAG_MAX``) steps
+    before, where every map from t on equals the one that many steps
+    before it.  Once every item has such a lag c, each of its later steps
+    would redo the step c before it on the same bits with the same
+    deterministic kernels, so its products from t on and frames from
+    t + 1 on are filled by tiling its steps t - c, ..., t - 1, and the
+    sign pass below runs on the whole history unchanged.  The bits matter:
+    ``==`` takes -0.0 for +0.0, which can end in other signs of zeros, and
+    never matches a NaN.  A stack whose last map does not repeat (every
+    seeded one) pays one comparison per call and nothing per step; the
+    replay after an event takes every step.
+
     The step loop runs a plain Householder QR and the sign convention of
     :func:`qr_positive` is imposed once afterwards, through the running
     column signs c (c[0] = 1, c[i + 1] = sign(diag R_raw[i]) * c[i], a zero
@@ -194,17 +240,37 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     frames = np.empty((b, m + 1, *q0.shape[1:]))
     products = np.empty((b, m, *q0.shape[1:]))
     frames[:, 0] = q0
-    fired = []
+    period = _map_period(maps.view(np.uint64))
+    c0, check_from = (1, m) if period is None else period
+    raw = frames.view(np.uint64)
+    by_step = zip(np.swapaxes(maps, 0, 1), np.swapaxes(frames, 0, 1),
+                  np.swapaxes(products, 0, 1), np.swapaxes(frames[:, 1:], 0, 1))
+    fired, cut = [], None
     try:
         with np.errstate(all="call", call=lambda err, flag: fired.append(err)):
-            for i in range(m):
-                np.matmul(maps[:, i], frames[:, i], out=products[:, i])
-                _qr_step(products[:, i], frames[:, i + 1])
+            for i, (a, q, p, q_next) in enumerate(by_step):
+                if i >= check_from and not i % _LAG_CHECK:
+                    # each item's frame of step i against its frames c0,
+                    # 2 c0, ... steps before; an item takes its nearest match
+                    n = min(_LAG_MAX // c0, (i - check_from) // c0 + 1)
+                    same = (raw[:, i - n * c0: i: c0] == raw[:, i: i + 1]).all(axis=(2, 3))
+                    if same.any(axis=1).all():
+                        cut = i, c0 * (1 + np.argmax(same[:, ::-1], axis=1))
+                        break
+                np.matmul(a, q, out=p)
+                _qr_step(p, q_next)
                 if fired:
                     break
     except Exception:
         if not fired:
             raise
+    if cut:
+        # every later step of an item redoes the step c before it on the same bits
+        t, c = cut
+        source = t - c[:, None] + np.arange(m - t) % c[:, None]
+        item = np.arange(b)[:, None]
+        products[:, t:] = products[item, source]
+        frames[:, t + 1:] = frames[item, source + 1]
     if fired:
         # the plain np.linalg.qr loop, so the event reaches the caller
         for i in range(m):

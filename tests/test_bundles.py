@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -396,6 +397,37 @@ def test_failed_flag_build_leaves_no_entry():
     again_basis, again = restricted_fiber_system(seq, est, 2, window=64, burn_in=16)
     assert np.array_equal(again_basis, basis)
     assert np.array_equal(again.table, system.table)
+
+
+# (seed, d, fiber) of periodic systems whose restricted table moves at the
+# window's ends when the flags get 1024 steps of burn-in instead of 128
+_END_FIBERS = [(0, 3, 1), (2, 6, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _tables_at_two_burn_ins(seed, d, index):
+    """A function of a row index: how far (relative, largest entry) that row
+    of a fiber's restricted table at window 2048 with the default burn-in
+    lies from the same row with 1024 steps of burn-in."""
+    seq = random_periodic(seed, d, 3)
+    est = estimate_spectrum(seq)
+    table = restricted_fiber_system(seq, est, index, window=2048)[1].table
+    longer = restricted_fiber_system(seq, est, index, window=2048, burn_in=1024)[1].table
+    return lambda row: np.max(np.abs(table[row] - longer[row])) / np.max(np.abs(longer[row]))
+
+
+def test_restricted_table_at_time_zero_is_converged():
+    # each flag has about 2,000 steps behind it at n = 0
+    for fiber in _END_FIBERS:
+        assert _tables_at_two_burn_ins(*fiber)(2048) <= 1e-9, fiber
+
+
+@pytest.mark.xfail(strict=True, reason="flag B reaches n = w - 1, and flag F n = -w, after only "
+                   "burn - binit (< 128) steps, so the end rows are not converged")
+def test_restricted_table_at_the_window_ends_is_converged():
+    for fiber in _END_FIBERS:
+        distance = _tables_at_two_burn_ins(*fiber)
+        assert distance(0) <= 1e-8 and distance(-1) <= 1e-8, fiber
 
 
 def test_restricted_system_passes_whole_space_through():

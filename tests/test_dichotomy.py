@@ -318,7 +318,9 @@ def test_direction_rates_equal_two_separate_sweeps():
 
 
 def test_all_split_ranks_share_one_sweep(monkeypatch):
-    # the rates and every split rank come from one lock-stepped sweep
+    # the rates and every split rank come from one lock-stepped sweep, run
+    # as two pieces: all four items for the rate sweeps' ext steps, then
+    # the flag pair alone for the rest of its steps, without identity padding
     calls = []
 
     def counted_sweep(*args):
@@ -333,7 +335,11 @@ def test_all_split_ranks_share_one_sweep(monkeypatch):
         estimate_spectrum(seq, analyzer=analyzer)
         # every rank, split ones among them, was built
         assert [c.rank for c in analyzer._table] == list(range(seq.dimension + 1))
-        assert len(calls) == 1 and calls[0][0] == 4
+        p, d = analyzer.params, seq.dimension
+        binit = dichotomy._family_seeds(seq.window(-p.extent, p.extent - 1), analyzer.m_hat,
+                                        p.burn_in // 2)[0]
+        # the flags take window + off steps, off = extent - binit
+        assert calls == [(4, p.extent, d, d), (2, p.window - binit, d, d)]
 
 
 def test_construction_builds_every_rank_and_estimation_builds_none(monkeypatch):

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -14,13 +15,14 @@ import pytest
 from bruteforce import intersection_by_complements
 from dichospec import linalg
 from dichospec.bundles import restricted_fiber_system
-from dichospec.dichotomy import estimate_spectrum
+from dichospec.dichotomy import DichotomyAnalyzer, estimate_spectrum
 from dichospec.linalg import (_complement_rows, _nullspace, batched_spectral_norm, canonical_basis,
                               frame_sweep, min_principal_angle, principal_angles, qr_positive,
                               subspace_intersection)
 from dichospec.scenario import load_scenario
 from dichospec.sequences import MatrixSequence
-from systems import SEEDED_BANDS
+from dichospec.triangularize import qr_triangularize
+from systems import SEEDED_BANDS, random_periodic
 
 E = np.eye(6)
 
@@ -370,6 +372,128 @@ def test_spectrum_and_restriction_are_bit_identical_on_both_step_paths():
     assert sum(system.kind == "tabulated" for _, system in fibers) >= 2
     for (basis, system), (want_basis, want_system) in zip(fibers, want_fibers):
         assert np.array_equal(basis, want_basis) and system == want_system
+
+
+def _periodic_maps(d, p, m=512, seed=0):
+    """m maps of period p (constant for p = 1) with well-separated moduli of
+    both signs, Q(j + 1) (diag(+-moduli) + upper part) Q(j)^T for j mod p,
+    so a sweep's raw frames soon repeat bit for bit."""
+    rng = np.random.default_rng(seed)
+    moduli = np.geomspace(0.2, 2.6, d) * np.where(np.arange(d) % 2, -1.0, 1.0)
+    qs = [frame(d, seed + 1 + j) for j in range(p)]
+    period = [qs[(j + 1) % p] @ (np.diag(moduli) + np.triu(rng.uniform(-0.2, 0.2, (d, d)), 1))
+              @ qs[j].T for j in range(p)]
+    return np.stack([period[i % p] for i in range(m)])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("d,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (6, 2), (6, 6)])
+@pytest.mark.parametrize("backward", [False, True])
+def test_a_periodic_sweep_stops_stepping_at_its_first_exact_cycle(p, d, k, backward):
+    # once the raw frames and the remaining maps repeat, the later steps
+    # are copied, not computed; the result is still the per-step walk
+    maps = np.stack([_periodic_maps(d, p, seed=s) for s in (0, 1)])
+    if backward:
+        maps = np.linalg.inv(maps)[:, ::-1]
+    q0 = np.stack([frame(d, seed=7)[:, :k], frame(d, seed=8)[:, :k]])
+    walks = [_assert_sweep_is_the_qr_positive_walk(maps[i], q0[i])[:2] for i in range(2)]
+    for path in STEP_PATHS:
+        with _counted_steps(path) as calls:
+            frames, factors = frame_sweep(maps, q0)
+        assert 0 < len(calls) < maps.shape[1] and not any(calls)
+        for i, (want_frames, want_factors) in enumerate(walks):
+            assert np.array_equal(frames[i], want_frames)
+            assert np.array_equal(factors[i], want_factors)
+            with _counted_steps(path) as calls:
+                frame_sweep(maps[i], q0[i])
+            assert len(calls) < maps.shape[1]
+
+
+def _upper_periodic_maps(m=200):
+    """m upper-triangular maps of period 3, +0.0 below the diagonal."""
+    rng = np.random.default_rng(4)
+    period = [np.triu(rng.uniform(-0.3, 0.3, (3, 3)), 1) + np.diag([0.3, 1.0, 2.5])
+              for _ in range(3)]
+    return np.stack([period[i % 3] for i in range(m)])
+
+
+def _seeded_stack():
+    return MatrixSequence.seeded(0, SEEDED_BANDS[3]).window(0, 199), frame(3, seed=7)[:, :2]
+
+
+def _diagonal_stack():
+    # Householder QR leaves the axes as they are: the frames never change
+    rng = np.random.default_rng(3)
+    return np.stack([np.diag(rng.uniform(0.5, 2.0, 3)) for _ in range(200)]), np.eye(3)[:, :2]
+
+
+def _broken_period_stack():
+    maps = _periodic_maps(3, 3, m=200)
+    maps[-2:] *= 1.5
+    return maps, frame(3, seed=7)[:, :2]
+
+
+def _negative_zero_stack():
+    # the last period equals the others as floats, not as bits
+    maps = _upper_periodic_maps()
+    last = maps[-3:]
+    last[last == 0] = -0.0
+    assert np.array_equal(maps[-3:], maps[-6:-3])
+    return maps, frame(3, seed=7)[:, :2]
+
+
+@pytest.mark.parametrize("stack", [_seeded_stack, _diagonal_stack, _broken_period_stack,
+                                   _negative_zero_stack],
+                         ids=["seeded", "diagonal", "broken-period", "negative-zero"])
+def test_a_sweep_whose_steps_never_repeat_takes_every_step(stack):
+    maps, q0 = stack()
+    frames, _, _ = _assert_sweep_is_the_qr_positive_walk(maps, q0)
+    for path in STEP_PATHS:
+        with _counted_steps(path) as calls:
+            frame_sweep(maps, q0)
+        assert calls == [False] * len(maps)
+    if stack is _diagonal_stack:
+        assert np.all(frames == q0)
+
+
+def test_the_unbroken_stacks_do_stop_early():
+    # the stacks above stop early once the period holds to their end
+    for maps in (_periodic_maps(3, 3, m=200), _upper_periodic_maps()):
+        with _counted_steps("selected") as calls:
+            frame_sweep(maps, frame(3, seed=7)[:, :2])
+        assert len(calls) < len(maps)
+
+
+def _periodic_results(build):
+    """Bits of the analyzer's rates and table, every restricted fiber and
+    qr_triangularize of a freshly built periodic system."""
+    seq = build()
+    analyzer = DichotomyAnalyzer(seq)
+    est = estimate_spectrum(seq, analyzer=analyzer)
+    fibers = [restricted_fiber_system(seq, est, i, window=300)
+              for i in range(1, len(est.intervals) + 1)]
+    pair = qr_triangularize(seq)
+    return (pickle.dumps((analyzer._forward_rates, analyzer._backward_rates, analyzer._table)),
+            [(basis.tobytes(), system.table.tobytes()) for basis, system in fibers],
+            pair.upper.table.tobytes(), pair.frames.tobytes())
+
+
+# random_periodic(3, 6, 3) has complex Floquet pairs, so its frames turn
+# and never repeat; the separated system's do, in every sweep
+@pytest.mark.parametrize("build,cuts", [
+    (lambda: random_periodic(3, 6, 3), False),
+    (lambda: MatrixSequence.periodic(list(_periodic_maps(6, 3, m=3))), True)],
+    ids=["random-periodic", "separated-periodic"])
+def test_periodic_results_are_bit_identical_without_the_cut(monkeypatch, build, cuts):
+    with _counted_steps("selected") as calls:
+        got = _periodic_results(build)
+    steps = len(calls)
+    # a lag finder that finds no lag turns the cut off
+    monkeypatch.setattr(linalg, "_map_period", lambda bits: None)
+    with _counted_steps("selected") as calls:
+        want = _periodic_results(build)
+    assert (steps < len(calls)) == cuts
+    assert len(got[1]) >= 3 and got == want
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
