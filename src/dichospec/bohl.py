@@ -280,6 +280,9 @@ def general_exponents(seq: MatrixSequence,
     factors are multiplied in reversed order so only largest-singular-value
     information of well-scaled products is ever used.  Only the aggregation
     tail of the gap range is sampled (each gap costs a full product sweep).
+    For a periodic or constant system each :class:`WindowProducts` builds
+    and searches its offsets only up to the factors' first exact cycle:
+    later offsets repeat those bit for bit, so the rates do not change.
     """
     params = params or BohlParams()
     lo, hi = params.orbit_span()

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .bohl import _checked_count
 from .dichotomy import DichotomyVerdict, SpectrumEstimate, _family_seeds, _same_dimension
 from .errors import ParameterError, SubspaceError, ValidationError
@@ -329,6 +330,18 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     Re-expressing the orbit in the tracked frame at every step removes the
     leak before it can compound.
 
+    Each frame, table row and residual is a function of F, B and the
+    factor at its own time alone, computed by kernels that run alike on
+    every matrix of a stack.  So where F, B and the factors all repeat bit
+    for bit from some row on, as they do once a periodic or constant
+    system's flag sweeps reach their first exact cycle, so do these.  Their
+    joint lag c and that row come from one
+    :func:`~dichospec.linalg._map_period` call on the three tables, without
+    copying them (a seeded table stops at one comparison of its last row);
+    frames, table and residual are computed only on the rows before the
+    cycle repeats, and every later table row is copied from the row a
+    whole number of lags before it, which holds the same bits.
+
     Returns the fiber frame at time zero together with a tabulated k-by-k
     system covering ``[-window, window - 1]``.  The frames are orthonormal,
     so solutions of the returned system carry exactly the norms of the
@@ -355,6 +368,12 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
     if k == d:
         return np.eye(d), seq
     f, b, factors = _restriction_flags(seq, w, burn)
+    # from row `stored` on, F, B and the factors each repeat the row `lag`
+    # before them bit for bit, and so do the frames and the table read off them
+    period = linalg._map_period([x.view(np.uint64) for x in (f, b, factors)])
+    lag, stored = (1, 2 * w + 1) if period is None else period
+    n = min(stored, 2 * w)  # table rows computed; frames take one more
+    f, b, factors = f[: n + 1], b[: n + 1], factors[:n]
     if r_below == 0:
         frames = b[:, :, :r_above]
     elif r_above == d:
@@ -390,7 +409,10 @@ def restricted_fiber_system(seq: MatrixSequence, spectrum: SpectrumEstimate,
             f"fiber {index} coordinates are not invariant over the window "
             f"(worst relative residual {worst:.3e}); the spectral gaps "
             "framing it are probably too thin for the sweep to converge")
-    return frames[w].copy(), MatrixSequence.tabulated(table, start=-w)
+    if n < 2 * w:
+        table = table[linalg._lag_rows(np.arange(2 * w), lag, stored)]
+    zero = frames[int(linalg._lag_rows(w, lag, stored))]
+    return zero.copy(), MatrixSequence.tabulated(table, start=-w)
 
 
 @dataclass(frozen=True)

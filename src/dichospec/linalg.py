@@ -28,7 +28,12 @@ constant systems with real, separated Floquet moduli lock into such a
 cycle within a few hundred steps) and copies the cycle instead.  This is exact: the kernels are deterministic,
 so an equal raw frame and equal remaining maps give equal later steps.
 The state is compared as ``uint64`` bits, not with ``==``, for which
--0.0 equals +0.0 and a NaN equals nothing.
+-0.0 equals +0.0 and a NaN equals nothing.  The lag finder
+:func:`_map_period` and the row map :func:`_lag_rows` also serve the two
+layers downstream of the sweep, ``transition.WindowProducts`` and
+``bundles.restricted_fiber_system``, which compute only the rows before
+their inputs' first exact cycle and copy the rest.  Both look the finder
+up as ``linalg._map_period``, so one module attribute turns every cut off.
 """
 from __future__ import annotations
 
@@ -142,28 +147,45 @@ def _qr_wrapped(a: np.ndarray, q: np.ndarray) -> None:
 _qr_step = _qr_wrapped if _qr_r_raw is None else _qr_kernels
 
 
-_LAG_MAX = 64  # longest lag at which frame_sweep looks for a repeated step
+_LAG_MAX = 64  # longest lag at which _map_period looks for a repeated map
 _LAG_CHECK = 8  # steps between two of its looks
 
 
-def _map_period(bits: np.ndarray) -> tuple[int, int] | None:
-    """Where a (B, m, d, d) stack of maps, as a ``uint64`` view, repeats.
+def _map_period(stacks) -> tuple[int, int] | None:
+    """Where stacks of maps, as ``uint64`` views, repeat together.
 
+    ``stacks`` holds (m, ...) arrays whose rows line up from row 0 (their
+    lengths may differ), or is one (B, m, ...) array of B of them.
     Returns (c, start): c is the smallest lag, at most ``_LAG_MAX``, at
-    which the last map equals an earlier one in every batch item, and from
-    index ``start`` on every map equals the one c before it; None where
-    the last map does not repeat.  The lag is found on the last map alone,
-    so a stack pays one comparison with its last ``_LAG_MAX`` maps, and
-    only one that passes it pays the scan of the whole stack at that lag.
+    which the last row of every stack equals the row c before it, and from
+    row ``start`` on every row of every stack equals the one c before it;
+    None where some last row does not repeat.  The lag is found on the last
+    rows alone, so a stack pays one comparison with its last ``_LAG_MAX``
+    rows, and only stacks that pass it pay the scan of every row at that lag.
     """
-    m = bits.shape[1]
-    earlier = bits[:, max(m - 1 - _LAG_MAX, 0): m - 1]
-    hits = np.flatnonzero((earlier == bits[:, m - 1:]).all(axis=(0, 2, 3)))
-    if not hits.size:
-        return None
-    c = earlier.shape[1] - int(hits[-1])
-    fails = np.flatnonzero(~(bits[:, c:] == bits[:, :-c]).all(axis=(0, 2, 3)))
-    return c, c + (int(fails[-1]) + 1 if fails.size else 0)
+    lags = None
+    for bits in stacks:
+        m, axes = len(bits), tuple(range(1, bits.ndim))
+        earlier = bits[max(m - 1 - _LAG_MAX, 0): m - 1]
+        found = {len(earlier) - int(i)
+                 for i in np.flatnonzero((earlier == bits[m - 1:]).all(axis=axes))}
+        lags = found if lags is None else lags & found
+        if not lags:
+            return None
+    c = start = min(lags)
+    for bits in stacks:
+        axes = tuple(range(1, bits.ndim))
+        fails = np.flatnonzero(~(bits[c:] == bits[: len(bits) - c]).all(axis=axes))
+        if fails.size:
+            start = max(start, c + int(fails[-1]) + 1)
+    return c, start
+
+
+def _lag_rows(rows, c, start):
+    """Row indices, each from ``start`` on taken back by whole lags ``c``
+    into [start - c, start): where every row from ``start`` on repeats the
+    row c before it, the first row holding the same bits."""
+    return np.where(rows < start, rows, start - c + (rows - start) % c)
 
 
 def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +289,7 @@ def frame_sweep(maps: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if cut:
         # every later step of an item redoes the step c before it on the same bits
         t, c = cut
-        source = t - c[:, None] + np.arange(m - t) % c[:, None]
+        source = _lag_rows(np.arange(t, m), c[:, None], t)
         item = np.arange(b)[:, None]
         products[:, t:] = products[item, source]
         frames[:, t + 1:] = frames[item, source + 1]

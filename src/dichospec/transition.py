@@ -17,8 +17,15 @@ and returns a unit-size core plus a natural-log scale
 and keeps their log-norms.  Both take their maps from
 :func:`dichospec.sequences._maps_between`.  Window products over many
 offsets are built by a doubling scheme on normalized factors
-(:class:`WindowProducts`).  Every norm that must not over- or underflow
-comes from :func:`dichospec.linalg._frobenius_norms`.
+(:class:`WindowProducts`).  Where the factors repeat bit for bit from some
+row on (periodic and constant systems, and the one-step factors of their
+swept families, which ``frame_sweep`` copies from its first exact cycle),
+the products do too, so each doubling level is built only up to that cycle
+and a later row is read from the row a whole number of lags before it.
+That is exact, not an approximation: every row of a stacked product runs
+the same deterministic kernel, so equal factors give equal bits.  Every
+norm that must not over- or underflow comes from
+:func:`dichospec.linalg._frobenius_norms`.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import ParameterError, WindowCapError
 from .linalg import (_frobenius_norms, _gram_eigen_bounds, _pow2_scaled, batched_spectral_norm,
                      spectral_norm)
@@ -290,6 +298,19 @@ class WindowProducts:
     Arbitrary gaps are assembled from the dyadic levels by binary
     decomposition, so no inverse of an ill-conditioned long product is
     ever formed and only largest-singular-value information is trusted.
+
+    The factors' cycle comes from :func:`~dichospec.linalg._map_period`,
+    compared as ``uint64`` bits: from row ``start`` on, every factor
+    equals the one c rows before it (for a stack whose last factor does
+    not repeat, every seeded one, start is m and nothing is cut).  Then
+    P_g(l) = P_g(l - c) for l >= start, for every g, and so at every
+    level; since numpy runs one deterministic kernel on every matrix of a
+    stacked product, the computed rows are equal bit for bit too.  Each
+    level is therefore built on its first ``start`` rows alone, and a
+    later row is read from its twin in [start - c, start)
+    (:func:`~dichospec.linalg._lag_rows`).  :meth:`products` returns every
+    offset; :meth:`max_log_norm` searches only the stored ones, whose
+    first maximum is the first maximum over all offsets.
     """
 
     def __init__(self, factors: np.ndarray):
@@ -300,27 +321,40 @@ class WindowProducts:
         if m == 0:
             raise ParameterError("factor sequence is empty")
         self.count = m
-        nrm = _frobenius_norms(factors, (1, 2))
+        # from row `_stored` on, every factor, and so every product at every
+        # level, repeats the one `_lag` rows before it bit for bit
+        period = linalg._map_period(factors.view(np.uint64)[None])
+        self._lag, self._stored = (1, m) if period is None else period
+        head = factors[: self._stored]
+        nrm = _frobenius_norms(head, (1, 2))
         if np.any(nrm == 0.0):
             raise ParameterError("zero factor in window product sequence")
-        cores = factors / nrm[:, None, None]
+        cores = head / nrm[:, None, None]
         logs = np.log(nrm)
         self._levels = [(cores, logs)]
         h = 1
         while 2 * h <= m:
             cores, logs = self._levels[-1]
-            npos = m - 2 * h + 1
-            self._levels.append(_renormalized(np.matmul(cores[h: h + npos], cores[:npos]),
-                                              logs[h: h + npos] + logs[:npos]))
+            npos = min(m - 2 * h + 1, self._stored)
+            later = self._rows(h, npos)
+            self._levels.append(_renormalized(np.matmul(cores[later], cores[:npos]),
+                                              logs[later] + logs[:npos]))
             h *= 2
 
-    def products(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized cores and log scales of all length-g window products;
-        ``g`` is an integer (an integral float passes, as in :func:`transition`)."""
+    def _rows(self, offset: int, count: int):
+        """Where a level stores its rows offset, ..., offset + count - 1:
+        a slice, or the earlier rows holding the bits of the repeated ones."""
+        if offset + count <= self._stored:
+            return slice(offset, offset + count)
+        return linalg._lag_rows(np.arange(offset, offset + count), self._lag, self._stored)
+
+    def _stored_products(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cores and log scales of the length-g products at the stored
+        offsets, 0, ..., min(count - g + 1, stored) - 1."""
         (g,) = _integer_bounds((g,), "gap")
         if not (1 <= g <= self.count):
             raise ParameterError(f"gap {g} outside [1, {self.count}]")
-        npos = self.count - g + 1
+        npos = min(self.count - g + 1, self._stored)
         cores = None
         logs = None
         offset = 0
@@ -329,8 +363,9 @@ class WindowProducts:
             if not (g & h):
                 continue
             lc, ll = self._levels[j]
-            seg_c = lc[offset: offset + npos]
-            seg_l = ll[offset: offset + npos]
+            rows = self._rows(offset, npos)
+            seg_c = lc[rows]
+            seg_l = ll[rows]
             if cores is None:
                 cores, logs = seg_c.copy(), seg_l.copy()
             else:
@@ -340,6 +375,13 @@ class WindowProducts:
                 cores, logs = _renormalized(np.matmul(seg_c, cores), logs + seg_l)
             offset += h
         return cores, logs
+
+    def products(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized cores and log scales of all length-g window products;
+        ``g`` is an integer (an integral float passes, as in :func:`transition`)."""
+        cores, logs = self._stored_products(g)
+        rows = self._rows(0, self.count - int(g) + 1)
+        return cores[rows], logs[rows]
 
     def max_log_norm(self, g: int) -> tuple[float, int]:
         """Max over offsets of log ||P_g(l)|| (spectral norm) and the arg max.
@@ -354,16 +396,15 @@ class WindowProducts:
         still reach it get an SVD; when the floor's own offset is the only
         one left, the floor is the answer.  An offset dropped by either
         bound lies below the floor by more than any rounding of the bound
-        or the SVD, so it cannot hold the maximum.  A survivor whose core
-        and log scale equal the floor's bit for bit (constant and periodic
-        factors give many) has the floor's value at a later offset, since
-        the bound's arg max is the first of equal bounds, so it is dropped
-        before the Gram bound.  Every matrix of a stacked SVD runs the same
-        kernel and the kept offsets stay in order, so value and index equal
-        those of an SVD of every offset, bit for bit, ties to the first
-        offset included.
+        or the SVD, so it cannot hold the maximum.  Every matrix of a
+        stacked SVD runs the same kernel and the kept offsets stay in
+        order, so value and index equal those of an SVD of every offset,
+        bit for bit, ties to the first offset included.  Only the stored
+        offsets (see the class docstring) are searched: each later offset
+        is a bitwise twin of a stored one, so it changes neither the first
+        maximum nor its index, and a constant stack stores one offset.
         """
-        cores, logs = self.products(g)
+        cores, logs = self._stored_products(g)
         upper = logs + 0.5 * np.log(np.einsum("lij,lij->l", cores, cores))
         top = int(np.argmax(upper))
         floor = float(np.log(batched_spectral_norm(cores[top: top + 1]))[0] + logs[top])
@@ -371,8 +412,6 @@ class WindowProducts:
         # a NaN floor compares false everywhere and keeps every offset
         keep = np.flatnonzero(~(upper < reach))
         if len(keep) > 1 and cores.shape[1] > 1:
-            twin = (logs[keep] == logs[top]) & (cores[keep] == cores[top]).all(axis=(1, 2))
-            keep = keep[~twin | (keep == top)]
             tight = logs[keep] + 0.5 * np.log(_gram_eigen_bounds(cores[keep]))
             keep = keep[~(tight < reach)]
         if len(keep) == 1 and keep[0] == top:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import itertools
 import math
 import os
@@ -465,35 +466,75 @@ def test_the_unbroken_stacks_do_stop_early():
 
 
 def _periodic_results(build):
-    """Bits of the analyzer's rates and table, every restricted fiber and
-    qr_triangularize of a freshly built periodic system."""
+    """Bits of the analyzer's rates and table, every restricted fiber at
+    windows 300 and 2048 and qr_triangularize of a freshly built periodic
+    system."""
     seq = build()
     analyzer = DichotomyAnalyzer(seq)
     est = estimate_spectrum(seq, analyzer=analyzer)
-    fibers = [restricted_fiber_system(seq, est, i, window=300)
-              for i in range(1, len(est.intervals) + 1)]
+    fibers = [restricted_fiber_system(seq, est, i, window=w)
+              for w in (300, 2048) for i in range(1, len(est.intervals) + 1)]
     pair = qr_triangularize(seq)
     return (pickle.dumps((analyzer._forward_rates, analyzer._backward_rates, analyzer._table)),
             [(basis.tobytes(), system.table.tobytes()) for basis, system in fibers],
             pair.upper.table.tobytes(), pair.frames.tobytes())
 
 
+@contextlib.contextmanager
+def _counted_rows():
+    """Rows computed by each cycle user: QR steps, window-product rows
+    renormalized and restricted fiber frames made canonical."""
+    transition, bundles = (importlib.import_module(f"dichospec.{name}")
+                           for name in ("transition", "bundles"))
+    rows = {"window products": 0, "restricted": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def counted(stack, *args):
+            rows[key] += len(stack)
+            return real(stack, *args)
+        return counted
+
+    with _counted_steps("selected") as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transition, "_renormalized",
+                   counting(transition, "_renormalized", "window products"))
+        mp.setattr(bundles, "canonical_basis", counting(bundles, "canonical_basis", "restricted"))
+        yield rows
+        rows["steps"] = len(calls)
+
+
+def _piecewise_constant():
+    """Constant upper-triangular factors for n < 0 and lower-triangular
+    ones for n >= 0, so each window's maps repeat only from an offset."""
+    rng = np.random.default_rng(4)
+    below = np.triu(rng.uniform(-0.3, 0.3, (3, 3)), 1) + np.diag([0.3, 1.0, 2.5])
+    above = np.tril(rng.uniform(-0.3, 0.3, (3, 3)), -1) + np.diag([0.4, 1.2, 3.0])
+    return MatrixSequence.piecewise(MatrixSequence.constant(below), MatrixSequence.constant(above))
+
+
+ALL_ROWS = {"steps", "window products", "restricted"}
+
+
 # random_periodic(3, 6, 3) has complex Floquet pairs, so its frames turn
-# and never repeat; the separated system's do, in every sweep
-@pytest.mark.parametrize("build,cuts", [
-    (lambda: random_periodic(3, 6, 3), False),
-    (lambda: MatrixSequence.periodic(list(_periodic_maps(6, 3, m=3))), True)],
-    ids=["random-periodic", "separated-periodic"])
-def test_periodic_results_are_bit_identical_without_the_cut(monkeypatch, build, cuts):
-    with _counted_steps("selected") as calls:
+# and never repeat: only the whole space's window products, whose factors
+# are the maps themselves, repeat.  The separated system's frames repeat in
+# every sweep, and the piecewise one's from an offset
+@pytest.mark.parametrize("build,cut", [
+    (lambda: random_periodic(3, 6, 3), {"window products"}),
+    (lambda: MatrixSequence.periodic(list(_periodic_maps(6, 3, m=3))), ALL_ROWS),
+    (_piecewise_constant, ALL_ROWS)],
+    ids=["random-periodic", "separated-periodic", "piecewise-constant"])
+def test_periodic_results_are_bit_identical_without_the_cut(monkeypatch, build, cut):
+    with _counted_rows() as rows:
         got = _periodic_results(build)
-    steps = len(calls)
-    # a lag finder that finds no lag turns the cut off
-    monkeypatch.setattr(linalg, "_map_period", lambda bits: None)
-    with _counted_steps("selected") as calls:
+    # a lag finder that finds no lag turns off every cycle user: the sweep,
+    # the window products and the restriction all read it from linalg
+    monkeypatch.setattr(linalg, "_map_period", lambda stacks: None)
+    with _counted_rows() as uncut:
         want = _periodic_results(build)
-    assert (steps < len(calls)) == cuts
-    assert len(got[1]) >= 3 and got == want
+    assert {key for key in ALL_ROWS if rows[key] < uncut[key]} == cut
+    assert len(got[1]) >= 6 and got == want
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])

@@ -7,6 +7,7 @@ import pytest
 
 from bruteforce import (dense_transition, max_log_norm_of_every_offset, orbit_lognorm_table,
                         orbit_chunk_walk, orbit_walk, orbit_walk_decimal)
+from dichospec import linalg
 from dichospec.bohl import BohlParams, general_exponents
 from dichospec.errors import ParameterError, SingularMatrixError, WindowCapError
 from dichospec.sequences import MatrixSequence, ScalarSequence
@@ -403,6 +404,34 @@ def _period_three_stack(rng):
     return stack * (1.0 + 2.0**-52 * rng.integers(-2, 3, size=stack.shape))
 
 
+def _repeating_from(rng, lead, cycle, m, k=3):
+    """``lead`` random k x k factors, then a cycle of ``cycle`` random ones
+    repeated up to m factors in all."""
+    head, period = (rng.normal(size=(n, k, k)) + 2.0 * np.eye(k) for n in (lead, cycle))
+    return np.concatenate([head, np.tile(period, ((m - lead) // cycle + 1, 1, 1))[: m - lead]])
+
+
+def _broken_last_period(rng):
+    stack = _repeating_from(rng, 0, 3, 90)
+    stack[-2:] *= 1.5
+    return stack
+
+
+def _negative_zero_last_period(rng):
+    # the last period equals the others as floats, not as bits
+    stack = np.triu(_repeating_from(rng, 0, 3, 90))
+    last = stack[-3:]
+    last[last == 0] = -0.0
+    assert np.array_equal(stack[-3:], stack[-6:-3])
+    return stack
+
+
+def _nan_cycle(rng):
+    stack = _repeating_from(rng, 5, 4, 70, k=1)
+    stack[6::4] = np.nan
+    return stack
+
+
 MAX_LOG_NORM_STACKS = {
     "constant": lambda rng: np.stack([[[2.0, 1.0], [0.0, 0.5]]] * 40),
     "k1": lambda rng: np.exp(rng.uniform(-1.0, 1.0, size=(60, 1, 1))),
@@ -416,21 +445,48 @@ MAX_LOG_NORM_STACKS = {
                                   + 1e-9 * rng.normal(size=(80, 3, 3))),
     "near-orthogonal-3x3": lambda rng: _near_orthogonal_stack(),
     "period-3-near-ties": _period_three_stack,
+    # stacks that repeat bit for bit from an offset on (the NaN one as
+    # bits only, not under ==), and two whose last period breaks the cycle:
+    # scaled, or holding -0.0 where the others hold +0.0
+    "period-3-from-30": lambda rng: _repeating_from(rng, 30, 3, 120),
+    "constant-from-40": lambda rng: _repeating_from(rng, 40, 1, 100, k=2),
+    "broken-last-period": _broken_last_period,
+    "negative-zero-last-period": _negative_zero_last_period,
+    "nan-in-period-4": _nan_cycle,
 }
+# the stacks whose factors repeat bit for bit up to their last one
+REPEATING_STACKS = {"constant", "period-3-from-30", "constant-from-40", "nan-in-period-4"}
+
+
+def _bits(products, best):
+    """The bits of a products(g) pair and of a max_log_norm(g) pair."""
+    return [a.tobytes() for a in products], np.float64(best[0]).tobytes(), best[1]
 
 
 @pytest.mark.parametrize("case", sorted(MAX_LOG_NORM_STACKS))
-def test_max_log_norm_equals_an_svd_of_every_offset(case):
+def test_max_log_norm_equals_an_svd_of_every_offset(monkeypatch, case):
     factors = MAX_LOG_NORM_STACKS[case](np.random.default_rng(5))
     wp = WindowProducts(factors)
     gaps = sorted({1, 2, 3, 5, 8, 13, 31, 32, 33, len(factors) // 2, len(factors)})
     for g in gaps:
         got = wp.max_log_norm(g)
-        assert got == max_log_norm_of_every_offset(wp, g), g
+        assert _bits((), got) == _bits((), max_log_norm_of_every_offset(wp, g)), g
         if case == "constant":
             assert got[1] == 0
     if case == "log-scale-1e4":
         assert wp.max_log_norm(200)[0] > 1e4
+    # a stack that repeats stores each level only up to its cycle; every
+    # product and maximum equals that of a build whose lag finder finds no
+    # lag and so stores every row, bit for bit
+    stored = [len(cores) for cores, _ in wp._levels]
+    assert (stored[0] < len(factors)) == (case in REPEATING_STACKS)
+    got = [_bits(wp.products(g), wp.max_log_norm(g)) for g in range(1, len(factors) + 1)]
+    monkeypatch.setattr(linalg, "_map_period", lambda stacks: None)
+    uncut = WindowProducts(factors)
+    assert [len(cores) for cores, _ in uncut._levels] == [len(factors) - (1 << j) + 1
+                                                         for j in range(len(stored))]
+    assert got == [_bits(uncut.products(g), uncut.max_log_norm(g))
+                   for g in range(1, len(factors) + 1)]
 
 
 def test_max_log_norm_takes_svds_only_near_its_bound(monkeypatch):
@@ -456,8 +512,7 @@ def test_max_log_norm_takes_svds_only_near_its_bound(monkeypatch):
         items.clear()
         wp.max_log_norm(g)
         assert items[0] == 1 and sum(items) <= (400 - g + 1) // 4, (g, items)
-    # every product of a constant stack equals the first bit for bit, so the
-    # floor is the only SVD
+    # a constant stack stores one offset, so the floor is the only SVD
     wp = WindowProducts(MAX_LOG_NORM_STACKS["constant"](rng))
     for g in (1, 2, 3, 5):
         items.clear()
