@@ -7,7 +7,9 @@
 # the working tree, and the two trees are compared with `diff -r`.  Exits 0
 # when they are identical.  Otherwise it prints the differences, then the
 # check, status and row count of each report in every differing
-# *-verify.json, for REV (old) and the working tree (new), and exits 1.
+# *-verify.json, for REV (old) and the working tree (new), then whether
+# each report present on both sides is byte-identical as canonical JSON,
+# and exits 1.
 set -eo pipefail
 rev=${1:?usage: compare-artifacts.sh REV}
 root=$(pwd)
@@ -22,14 +24,22 @@ if ! diff -r "$tmp/old" "$tmp/new"; then
   for rel in $(cd "$tmp/new" && find . -name '*-verify.json' | sort); do
     rel=${rel#./}
     cmp -s "$tmp/old/$rel" "$tmp/new/$rel" && continue
-    for side in old new; do
-      [ -f "$tmp/$side/$rel" ] || { echo "$rel $side: missing"; continue; }
-      python -c 'import json, sys
-rel, side, path = sys.argv[1:]
-for report in json.load(open(path))["reports"]:
-    print(rel, side + ":", report["check"], report["status"], len(report["rows"]), "rows")
-' "$rel" "$side" "$tmp/$side/$rel"
-    done
+    PYTHONPATH=src python -c 'import json, os, sys
+from dichospec.scenario import canonical_json
+rel, *paths = sys.argv[1:]
+reports = {}
+for side, path in zip(("old", "new"), paths):
+    if not os.path.exists(path):
+        print(rel, side + ": missing")
+        continue
+    reports[side] = {r["check"]: r for r in json.load(open(path))["reports"]}
+    for r in reports[side].values():
+        print(rel, side + ":", r["check"], r["status"], len(r["rows"]), "rows")
+if len(reports) == 2:
+    for check in (c for c in reports["old"] if c in reports["new"]):
+        same = canonical_json(reports["old"][check]) == canonical_json(reports["new"][check])
+        print(rel, "both:", check, "identical" if same else "differs")
+' "$rel" "$tmp/old/$rel" "$tmp/new/$rel"
   done
   exit 1
 fi

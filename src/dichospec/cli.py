@@ -16,8 +16,8 @@ from typing import Any
 
 from .bohl import GAP_MIN, TAIL_FRACTION, BohlEstimate, bohl_exponents
 from .bundles import WhitneyReport, bundle_fibers, whitney_sum_check
-from .containment import (_SAMPLE_CSV_HEADER, ContainmentReport, _fiber_rows, _held_report,
-                          verify_endpoint_attainability)
+from .containment import (_SAMPLE_CSV_HEADER, ContainmentReport, verify_endpoint_attainability,
+                          verify_fiber_containment)
 from .dichotomy import (_VERDICT_CSV_HEADER, DichotomyVerdict, SpectrumEstimate,
                         estimate_spectrum, periodic_spectrum_oracle, test_dichotomy)
 from .errors import DichospecError
@@ -253,13 +253,10 @@ def _cmd_triangularize(scn: Scenario, args: argparse.Namespace) -> _Output:
 def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> _Output:
     a = scn.analysis
     est = _spectrum(scn)
-    # verify_fiber_containment's and verify_global_containment's reports from
-    # one measurement of the fiber directions, at the global sample count
-    base_tol, rows = _fiber_rows(scn.system, est, None, a["samples"], "samples",
-                                 a["tolerance"], a["seed"], scn.bohl_params())
     reports = [
-        *(_held_report(scn.system, est, check, base_tol, rows, scn.name)
-          for check in ("fiber-containment", "global-containment")),
+        verify_fiber_containment(scn.system, est, samples_per_fiber=a["samples"],
+                                 tolerance=a["tolerance"], seed=a["seed"],
+                                 params=scn.bohl_params(), system_id=scn.name),
         verify_endpoint_attainability(scn.system, est, tolerance=a["tolerance"],
                                       system_id=scn.name),
     ]

@@ -23,8 +23,9 @@ aggregation tail of the gaps is enveloped, since a row reads only the
 lower and upper exponents and the tail spread.  Columns equal
 per-vector :func:`dichospec.bohl.bohl_exponents` up to rounding.  Each
 direction is measured once, at the window of the given
-:class:`BohlParams`; ``dichospec verify`` measures them once, under the
-one count ``samples``, and holds the same rows against both targets.
+:class:`BohlParams`.  The hull holds every interval, so a global row can
+fail only where its fiber row fails, and ``dichospec verify`` runs only
+the fiber and endpoint checks, its ``samples`` as ``samples_per_fiber``.
 
 All sampling is driven by an explicit seed, so reports are reproducible
 bit for bit.  Tolerances combine the spectrum refinement tolerance with

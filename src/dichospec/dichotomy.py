@@ -54,7 +54,7 @@ import numpy as np
 from .bohl import BohlParams, _checked_count, _scalar_tail
 from .errors import (DecayFitError, ParameterError, SpectrumConsistencyError,
                      ValidationError)
-from .linalg import frame_sweep, min_principal_angle
+from .linalg import _pow2_scaled, frame_sweep, min_principal_angle
 from .sequences import MatrixSequence, ScalarSequence
 from .transition import WindowProducts, transition
 
@@ -105,9 +105,6 @@ class DichotomyParams:
     @property
     def extent(self) -> int:
         return self.window + self.burn_in
-
-    def scaled(self, factor: int) -> "DichotomyParams":
-        return replace(self, window=self.window * factor, burn_in=self.burn_in * factor)
 
     def fit_gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """Sampled gaps and the mask of those used for slope fitting.
@@ -272,13 +269,14 @@ def _family_seeds(factors: np.ndarray, m_hat: float,
     a product over it keeps resolvable singular values.  Returns ``binit``,
     the left singular vectors of the product of the first ``binit`` factors
     (most amplified first) and the right ones of the last ``binit`` (most
-    contracted last).
+    contracted last).  Both products are rescaled by a power of two at
+    every step, which is exact, so large norms do not overflow them.
     """
     log_m = max(math.log(max(m_hat, 1.0)), 0.05)
     binit = max(4, min(int(16.0 / log_m), cap))
     first = last = np.eye(factors.shape[1])
     for a, b in zip(factors[:binit], factors[-binit:]):
-        first, last = a @ first, b @ last
+        first, last = _pow2_scaled(np.stack([a @ first, b @ last]), (1, 2))[0]
     return binit, np.linalg.svd(first)[0], np.linalg.svd(last)[2].conj().T
 
 
@@ -374,10 +372,10 @@ class DichotomyAnalyzer:
         The ranks near the count of sampled rates below gamma are tried in
         order of distance from that count.  Each reads its decay laws off
         the per-rank table (step 3 of the module docstring): the stable
-        side decays at rho = exp(slope - log gamma), the unstable side at
-        exp(slope + log gamma), and the residual and K = exp(min(log K,
-        700)) do not depend on gamma.  The first rank that passes every
-        gate certifies.  A gamma that is a bool, not a real number, or not
+        side decays at rho = exp(min(slope - log gamma, 700)), the unstable
+        side at exp(min(slope + log gamma, 700)), and the residual and K =
+        exp(min(log K, 700)) do not depend on gamma.  The first rank that
+        passes every gate certifies.  A gamma that is a bool, not a real number, or not
         positive and finite as a float (10**400 is not) raises
         :class:`ParameterError`.
         """
@@ -408,7 +406,8 @@ class DichotomyAnalyzer:
             cand = self._table[s]
             fits = [(f, shift) for f, shift in ((cand.stable_fit, -lg), (cand.unstable_fit, lg))
                     if f is not None]
-            rho = max(math.exp(f.slope + shift) for f, shift in fits)
+            # bounded like K, so a far-off gamma keeps rho and margin finite
+            rho = max(math.exp(min(f.slope + shift, 700.0)) for f, shift in fits)
             residual = max(f.residual for f, _ in fits)
             k_const = max(1.0, *(f.K for f, _ in fits))
             violation = max(0.0, rho - (1.0 - DELTA_FIT))

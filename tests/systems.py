@@ -7,6 +7,7 @@ tests stay reproducible without freezing matrices into the source.
 import numpy as np
 
 from dichospec.sequences import MatrixSequence, ScalarSequence
+from dichospec.transition import transition
 
 
 # band edges of seeded systems with d = 2, 3 and 6 well-separated bands
@@ -132,4 +133,20 @@ def hard_roster(seed):
                     name = f"d{d}-r{r:g}-c{c:g}-{'jordan' if jordan else 'plain'}-s{seed}"
                     points = tuple(sorted(set(np.abs(np.diag(t)).tolist())))
                     roster.append((name, MatrixSequence.constant(q @ t @ q.T), points))
+    return roster
+
+
+def complex_pair_roster():
+    """(name, system, has a complex pair) for the 300 systems
+    ``random_periodic(5000 + 100 d + 10 p + i, d, p, spread=0.6)``, in the
+    order of d, p and then i < 25.  The flag is True when the eigenvalues
+    of the monodromy X(p, 0) include a complex pair."""
+    roster = []
+    for d in (2, 3, 6):
+        for p in (1, 2, 3, 4):
+            for i in range(25):
+                seq = random_periodic(5000 + 100 * d + 10 * p + i, d, p, spread=0.6)
+                monodromy = transition(seq, p, 0).to_matrix()
+                pair = bool(np.any(np.linalg.eigvals(monodromy).imag != 0.0))
+                roster.append((f"d{d}-p{p}-i{i}", seq, pair))
     return roster

@@ -183,6 +183,26 @@ def test_verdicts_store_gamma_as_a_float():
         assert type(got.gamma) is float and got.csv() == want.csv()
 
 
+@pytest.mark.parametrize("gamma", [5e-324, 1e-320, 1e-310])
+def test_a_far_off_gamma_gets_a_finite_verdict(gamma):
+    # every candidate rank's rho = exp(slope - log gamma) once overflowed on
+    # the stable side, so these valid gammas ended in a bare OverflowError
+    v = DichotomyAnalyzer(diag_2_half()).verdict(gamma)
+    assert (v.outcome, v.rank) == ("certificate", 0)
+    assert 0.0 <= v.rho < 1.0 and math.isfinite(v.K) and math.isfinite(v.margin)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e150, 1e200])
+def test_huge_norms_keep_their_two_spectrum_points_apart(scale):
+    # the raw seed products once overflowed from |A| ~ 1.2e77 on: at 1e100
+    # one unflagged interval covered both points, at 1e200 the SVD failed.
+    # Past |A| ~ 1e154 rho = exp(slope + log gamma) overflowed too
+    est = estimate_spectrum(MatrixSequence.constant(np.diag([scale, 1.0 / scale])))
+    assert len(est.intervals) == 2
+    for iv, point in zip(est.intervals, (1.0 / scale, scale)):
+        assert iv.contains(point, tol=1e-12 * point)
+
+
 @pytest.mark.parametrize("bad", [{"window": 300.0}, {"window": 64.7}, {"window": "300"},
                                  {"window": True}, {"burn_in": 64.5}, {"burn_in": "16"},
                                  {"burn_in": np.float64(16.0)}])

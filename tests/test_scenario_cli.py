@@ -12,8 +12,8 @@ from dichospec import containment
 from dichospec.bohl import GAP_MIN, TAIL_FRACTION, BohlParams, bohl_exponents
 from dichospec.bundles import bundle_fibers
 from dichospec.cli import containment_payload, main
-from dichospec.containment import (SampleRow, verify_fiber_containment,
-                                   verify_global_containment)
+from dichospec.containment import (SampleRow, verify_endpoint_attainability,
+                                   verify_fiber_containment, verify_global_containment)
 from dichospec.dichotomy import (GRID_POINTS, DichotomyParams, DichotomyVerdict,
                                  estimate_spectrum, periodic_spectrum_oracle)
 from dichospec.scenario import (
@@ -268,6 +268,17 @@ def test_cli_dichotomy_and_bundles(tmp_path):
     assert doc["whitney"]["passed"] is True
 
 
+def test_cli_dichotomy_at_a_subnormal_gamma(tmp_path, capsys):
+    # the verdict once died in an OverflowError traceback with exit 1, the
+    # code of a containment failure
+    rc = main(["dichotomy", bundled("autonomous-diagonal"), "--gamma", "1e-320",
+               "--out", str(tmp_path), "--format", "json"])
+    assert rc == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["outcome"], verdict["rank"]) == ("certificate", 0)
+    assert all(math.isfinite(verdict[k]) for k in ("rho", "K", "margin"))
+
+
 def test_cli_oracle_periodic_scalar(tmp_path, capsys):
     rc = main(["oracle", bundled("periodic-scalar"), "--out", str(tmp_path),
                "--format", "json"])
@@ -344,9 +355,7 @@ def test_cli_verify_is_deterministic(tmp_path):
     assert (out_a / name_csv).read_bytes() == (out_b / name_csv).read_bytes()
     doc = json.loads((out_a / name_json).read_text())
     statuses = {c["check"]: c["status"] for c in doc["reports"]}
-    assert statuses == {"fiber-containment": "pass",
-                        "global-containment": "pass",
-                        "endpoint-attainability": "pass"}
+    assert statuses == {"fiber-containment": "pass", "endpoint-attainability": "pass"}
 
 
 BUNDLED = sorted(p.name[: -len(".json")] for p in SCENARIO_DIR.iterdir()
@@ -362,62 +371,71 @@ def _verify_reports(tmp_path, capsys, name, *flags):
 def test_verify_rows_count_directions(tmp_path, capsys, name):
     # a one-dimensional fiber or a d = 1 system once gave 20 or 50 rows of
     # one direction (+-b); now no two sampled rows share a fiber and |xi|.
-    # Both checks count rows per fiber: 1 on a one-dimensional fiber, else
-    # samples (the fiber check once drew samples_per_fiber = 20 there, and
-    # the global check 50 vectors of the whole space on every d >= 2 system)
+    # The fiber report counts rows per fiber: 1 on a one-dimensional fiber,
+    # else samples (it once drew samples_per_fiber = 20 there).  verify
+    # once also wrote these rows against the hull, as a global report
     reports = _verify_reports(tmp_path, capsys, name)
+    assert list(reports) == ["fiber-containment", "endpoint-attainability"]
     scn = load_scenario(bundled(name))
     dims = [f.dimension for f in bundle_fibers(estimate_spectrum(
         scn.system, refine_tol=scn.analysis["refine_tol"], params=scn.dichotomy_params()))]
     want = [i for i, k in enumerate(dims, start=1)
             for _ in range(1 if k == 1 else scn.analysis["samples"])]
-    for check in ("fiber-containment", "global-containment"):
-        rows = reports[check]["rows"]
-        keys = [(row["fiber"], tuple(abs(x) for x in row["xi"])) for row in rows]
-        assert rows and len(set(keys)) == len(keys)
-        assert [row["fiber"] for row in rows] == want
+    rows = reports["fiber-containment"]["rows"]
+    keys = [(row["fiber"], tuple(abs(x) for x in row["xi"])) for row in rows]
+    assert rows and len(set(keys)) == len(keys)
+    assert [row["fiber"] for row in rows] == want
 
 
-@pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
-@pytest.mark.parametrize("name", BUNDLED)
-def test_global_rows_of_one_dimensional_fibers_are_the_fiber_rows(tmp_path, capsys, name, flags):
-    # the global check holds the fiber directions against the hull: row n
-    # of each report is one measurement, bit for bit, and the hull holds
-    # the fiber's interval, so the global margin is never the smaller one.
-    # Once only one-dimensional fibers matched; rotation's two-dimensional
-    # fiber drew 20 directions for the fiber check and 50 for the global one
-    reports = _verify_reports(tmp_path, capsys, name, *flags)
-    fiber_rows = reports["fiber-containment"]["rows"]
-    global_rows = reports["global-containment"]["rows"]
-    assert len(global_rows) == len(fiber_rows)
-    hull = [fiber_rows[0]["target_lower"], fiber_rows[-1]["target_upper"]]
-    keys = ("fiber", "xi", "lower", "upper", "tolerance")
-    for row, twin in zip(fiber_rows, global_rows):
-        assert [twin[k] for k in keys] == [row[k] for k in keys]
-        assert [twin["target_lower"], twin["target_upper"]] == hull
-        assert twin["margin"] >= row["margin"]
-
-
-@pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
-@pytest.mark.parametrize("name", BUNDLED)
-def test_verify_reports_are_those_of_the_separate_checks(tmp_path, capsys, name, flags):
-    # verify builds both sampled reports from one measurement at the
-    # scenario's samples; each must still be, byte for byte, the report its
-    # own library check gives at that count
-    reports = _verify_reports(tmp_path, capsys, name, *flags)
+def _scenario_checks(name, flags):
     scn = load_scenario(bundled(name)).with_overrides(two_sided=bool(flags))
     a = scn.analysis
     est = estimate_spectrum(scn.system, refine_tol=a["refine_tol"], params=scn.dichotomy_params())
     common = dict(tolerance=a["tolerance"], seed=a["seed"], params=scn.bohl_params(),
                   system_id=scn.name)
-    for rep in (verify_fiber_containment(scn.system, est, samples_per_fiber=a["samples"], **common),
-                verify_global_containment(scn.system, est, samples=a["samples"], **common)):
-        assert canonical_json(reports[rep.check]) == canonical_json(containment_payload(rep))
+    return scn, est, common
+
+
+@pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_global_rows_of_one_dimensional_fibers_are_the_fiber_rows(name, flags):
+    # the library's global check holds the fiber directions against the
+    # hull: at one sample count row n of each report is one measurement,
+    # bit for bit, and the hull holds the fiber's interval, so the global
+    # margin is never the smaller one and the global report can fail only
+    # where the fiber report fails.  verify writes the fiber report alone
+    scn, est, common = _scenario_checks(name, flags)
+    samples = scn.analysis["samples"]
+    fiber = verify_fiber_containment(scn.system, est, samples_per_fiber=samples, **common)
+    whole = verify_global_containment(scn.system, est, samples=samples, **common)
+    assert len(whole.rows) == len(fiber.rows) > 0
+    assert whole.base_tolerance == fiber.base_tolerance
+    for n, (row, twin) in enumerate(zip(fiber.rows, whole.rows), start=1):
+        assert twin.label == f"global sample {n}"
+        assert twin.target == est.hull and twin.margin >= row.margin
+        assert dataclasses.replace(twin, label=row.label, target=row.target, margin=row.margin,
+                                   passed=row.passed) == row
+    assert whole.status == "pass" or fiber.status == "fail"
+
+
+@pytest.mark.parametrize("flags", [(), ("--two-sided",)], ids=["one-sided", "two-sided"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_verify_reports_are_those_of_the_separate_checks(tmp_path, capsys, name, flags):
+    # verify writes, byte for byte, the reports of the library's fiber
+    # check at the scenario's samples and of its endpoint check
+    reports = _verify_reports(tmp_path, capsys, name, *flags)
+    scn, est, common = _scenario_checks(name, flags)
+    want = [verify_fiber_containment(scn.system, est, samples_per_fiber=scn.analysis["samples"],
+                                     **common),
+            verify_endpoint_attainability(scn.system, est, tolerance=common["tolerance"],
+                                          system_id=scn.name)]
+    assert canonical_json(list(reports.values())) == canonical_json(
+        [containment_payload(rep) for rep in want])
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_verify_csv_is_one_table_of_the_json_rows(tmp_path, capsys, name):
-    # the three reports' CSVs were once glued together, each under its own
+    # the reports' CSVs were once glued together, each under its own
     # header line, with no column naming the report of a row
     reports = _verify_reports(tmp_path, capsys, name)
     with open(tmp_path / f"{name}-verify.csv", newline="") as f:
@@ -427,10 +445,10 @@ def test_verify_csv_is_one_table_of_the_json_rows(tmp_path, capsys, name):
 
 
 def test_verify_measures_each_fiber_direction_once(tmp_path, monkeypatch):
-    # the fiber and global reports hold one measurement of the fiber
-    # directions: once 18 blocks (92 columns), 10 restrictions and 14
-    # bundle_fibers calls over the bundled scenarios, one-sided, then 10
-    # blocks (81 columns), as rotation swept 20 and 50 directions
+    # verify measures each fiber direction once: once 18 blocks (92
+    # columns), 10 restrictions and 14 bundle_fibers calls over the bundled
+    # scenarios, one-sided, then 10 blocks (81 columns), as rotation swept
+    # 20 and 50 directions for a fiber and a global report
     calls = []
 
     def counted(name):
